@@ -44,10 +44,8 @@ func main() {
 		all      = flag.Bool("all", false, "run every experiment")
 		tableNum = flag.Int("table", 0, "regenerate one table (1-4)")
 		figNum   = flag.Int("fig", 0, "regenerate one figure (7-9)")
-		exp      = flag.String("exp", "", "named experiment: races, injected, bloom, ids, hw, tlb, regroup, bloom-e2e, syncid, sched, faults, shardbench")
+		exp      = flag.String("exp", "", "named experiment: races, injected, bloom, ids, hw, tlb, regroup, bloom-e2e, syncid, sched, faults")
 		scale    = flag.Int("scale", 2, "input scale factor for timed experiments")
-		jsonOut  = flag.String("json", "", "write the shardbench experiment's machine-readable results to this JSON file")
-		baseline = flag.String("baseline", "", "gate the shardbench results against this pinned BENCH_*.json report (exit 1 on >10% regression or any findings drift)")
 
 		faultPlan   = flag.String("fault-plan", "", "fault plan merged into every sweep run (e.g. queue:cap=16,drain=1)")
 		faultSeed   = flag.Int64("seed", 0, "fault-injection PRNG seed")
@@ -270,57 +268,6 @@ func main() {
 					return "", err
 				}
 				txt += fmt.Sprintf("\nhealth columns written to %s\n", *healthCSV)
-			}
-			return txt, nil
-		})
-	}
-
-	if *all || *exp == "shardbench" {
-		run("Sharded RDU engines: serial vs global-sharded vs fully-sharded wall clock (extension)", func() (string, error) {
-			rows, txt, err := e.ShardBench(*scale)
-			if err != nil {
-				return "", err
-			}
-			for _, r := range rows {
-				if !r.Match {
-					return "", fmt.Errorf("shardbench: %s: sharded findings diverged from serial", r.Bench)
-				}
-				if !r.FullMatch {
-					return "", fmt.Errorf("shardbench: %s: fully-sharded findings diverged from serial", r.Bench)
-				}
-			}
-			if *jsonOut != "" {
-				f, err := os.Create(*jsonOut)
-				if err != nil {
-					return "", err
-				}
-				defer f.Close()
-				if err := harness.WriteShardBenchJSON(f, *scale, rows); err != nil {
-					return "", err
-				}
-				txt += fmt.Sprintf("\nmachine-readable results written to %s\n", *jsonOut)
-			}
-			if *baseline != "" {
-				f, err := os.Open(*baseline)
-				if err != nil {
-					return "", fmt.Errorf("-baseline: %w", err)
-				}
-				base, err := harness.ReadShardBenchJSON(f)
-				f.Close()
-				if err != nil {
-					return "", fmt.Errorf("-baseline: %w", err)
-				}
-				regressions, notes := harness.CompareShardBench(base, harness.NewShardBenchReport(*scale, rows), 0.10)
-				for _, n := range notes {
-					txt += fmt.Sprintf("\nbaseline: %s", n)
-				}
-				if len(regressions) > 0 {
-					for _, r := range regressions {
-						fmt.Fprintf(os.Stderr, "haccrg-bench: baseline regression: %s\n", r)
-					}
-					return "", fmt.Errorf("%d regression(s) against %s", len(regressions), *baseline)
-				}
-				txt += fmt.Sprintf("\nbaseline gate passed against %s\n", *baseline)
 			}
 			return txt, nil
 		})

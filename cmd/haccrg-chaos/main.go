@@ -1,8 +1,7 @@
 // Command haccrg-chaos runs seeded cross-layer chaos campaigns against
 // the detection pipeline: deterministic fault schedules (filesystem
 // faults under the journal/manifest/spool, HTTP faults between client
-// and daemon, planted engine divergence and wedged shard workers) with
-// every step checked against the four robustness invariants —
+// and daemon) with every step checked against the four robustness invariants —
 // never-silent-divergence, accepted-jobs-never-dropped,
 // crash-resume-byte-identical, replay-equals-live.
 //

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"haccrg/internal/harness"
@@ -66,27 +67,11 @@ func main() {
 	// First pass: pull the meta record so the detector can be rebuilt.
 	// (Journals are small relative to the runs that made them; two
 	// sequential reads beat holding every record in memory twice.)
-	meta, err := readMeta(*journalPath)
+	det, _, err := harness.DetectorForJournal(f, harness.DetectorKind(*detect))
 	if err != nil {
 		fatalf("%v", err)
 	}
-	rc := harness.RunConfig{Detector: harness.DetSharedGlobal}
-	if meta != nil {
-		rc = harness.RunConfig{
-			Bench:             meta.Bench,
-			Detector:          harness.DetectorKind(meta.Detector),
-			SharedGranularity: meta.SharedGranularity,
-			GlobalGranularity: meta.GlobalGranularity,
-			FaultPlan:         meta.FaultPlan,
-			FaultSeed:         meta.FaultSeed,
-			Degradation:       meta.Degradation,
-		}
-	}
-	if *detect != "" {
-		rc.Detector = harness.DetectorKind(*detect)
-	}
-	det, err := harness.DetectorFor(rc)
-	if err != nil {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -112,32 +97,6 @@ func main() {
 			fmt.Println("(expected when replaying through a different detector than the recorded one)")
 		}
 		os.Exit(3)
-	}
-}
-
-// readMeta scans the journal for its meta record.
-func readMeta(path string) (*journal.Meta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := journal.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		payload, err := r.Next()
-		if err != nil {
-			return nil, nil // no meta record survived; replay still works
-		}
-		rec, err := journal.DecodeRecord(payload)
-		if err != nil {
-			return nil, nil
-		}
-		if rec.Type == journal.RecMeta {
-			return rec.Meta, nil
-		}
 	}
 }
 

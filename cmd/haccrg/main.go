@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -60,10 +59,6 @@ func main() {
 		traceOut    = flag.Bool("trace", false, "print an event timeline after the run")
 		maxRaces    = flag.Int("max-races", 20, "maximum distinct races to print")
 		record      = flag.String("record", "", "write a durable event journal of the run to this file (replay with haccrg-replay)")
-		detPar      = flag.Bool("detect-parallel", runtime.GOMAXPROCS(0) > 1,
-			"run the global-memory RDUs as per-partition engines on their own goroutines (findings are byte-identical to serial)")
-		detParSh = flag.Bool("detect-parallel-shared", runtime.GOMAXPROCS(0) > 1,
-			"run the shared-memory RDUs as per-SM engines on their own goroutines (findings are byte-identical to serial)")
 
 		faultPlan   = flag.String("fault-plan", "", "fault-injection plan, e.g. queue:cap=16,drain=1;flip:rate=1e-5,ecc")
 		faultSeed   = flag.Int64("seed", 0, "fault-injection PRNG seed (same plan+seed = same run)")
@@ -107,23 +102,21 @@ func main() {
 			os.Exit(2)
 		}
 		spec := &service.JobSpec{
-			Kind:                 service.JobBench,
-			Benches:              benches,
-			Detector:             *detect,
-			Scale:                *scale,
-			SingleBlock:          *singleBlock,
-			SharedGranularity:    *sharedGran,
-			GlobalGranularity:    *globalGran,
-			DetectParallel:       *detPar,
-			DetectParallelShared: *detParSh,
-			StaticFilter:         *staticFilter,
-			WitnessSeed:          *witnessSeed,
-			FaultPlan:            *faultPlan,
-			FaultSeed:            *faultSeed,
-			Degradation:          *degradation,
-			SmallGPU:             *small,
-			MaxCycles:            *maxCycles,
-			TimeoutMS:            timeoutMS(*timeout),
+			Kind:              service.JobBench,
+			Benches:           benches,
+			Detector:          *detect,
+			Scale:             *scale,
+			SingleBlock:       *singleBlock,
+			SharedGranularity: *sharedGran,
+			GlobalGranularity: *globalGran,
+			StaticFilter:      *staticFilter,
+			WitnessSeed:       *witnessSeed,
+			FaultPlan:         *faultPlan,
+			FaultSeed:         *faultSeed,
+			Degradation:       *degradation,
+			SmallGPU:          *small,
+			MaxCycles:         *maxCycles,
+			TimeoutMS:         timeoutMS(*timeout),
 		}
 		if *inject != "" {
 			spec.Inject = strings.Split(*inject, ",")
@@ -144,19 +137,17 @@ func main() {
 	}
 
 	opts := haccrg.RunOptions{
-		Scale:                *scale,
-		SingleBlock:          *singleBlock,
-		Verify:               *verify,
-		Trace:                *traceOut,
-		DetectParallel:       *detPar,
-		DetectParallelShared: *detParSh,
-		StaticFilter:         *staticFilter,
-		WitnessSeed:          *witnessSeed,
-		FaultPlan:            *faultPlan,
-		FaultSeed:            *faultSeed,
-		Degradation:          *degradation,
-		MaxCycles:            *maxCycles,
-		Timeout:              *timeout,
+		Scale:        *scale,
+		SingleBlock:  *singleBlock,
+		Verify:       *verify,
+		Trace:        *traceOut,
+		StaticFilter: *staticFilter,
+		WitnessSeed:  *witnessSeed,
+		FaultPlan:    *faultPlan,
+		FaultSeed:    *faultSeed,
+		Degradation:  *degradation,
+		MaxCycles:    *maxCycles,
+		Timeout:      *timeout,
 	}
 	if *small {
 		cfg := haccrg.SmallGPU()

@@ -160,18 +160,6 @@ type RunOptions struct {
 	// replay through haccrg-replay (nil = no journal).
 	Record io.Writer
 
-	// DetectParallel runs the global-memory RDUs as sharded
-	// per-partition engines on their own goroutines (see
-	// DetectionOptions.Parallel): findings are byte-identical to the
-	// serial engine, only wall-clock time changes. Requires Detection.
-	DetectParallel bool
-
-	// DetectParallelShared does the same for the shared-memory RDUs:
-	// one engine per SM (see DetectionOptions.ParallelShared). Findings
-	// remain byte-identical in every engine combination. Requires
-	// Detection.
-	DetectParallelShared bool
-
 	// StaticFilter runs the static race prover (internal/staticrace)
 	// over the benchmark's kernels and lets the RDUs skip shadow checks
 	// at sites proven race-free. Findings and cycle counts are
@@ -184,9 +172,9 @@ type RunOptions struct {
 	// WitnessSeed pre-seeds detector quarantine with the static
 	// analyzer's verified race witnesses: statically-proven racy global
 	// granules report on first touch, tagged with StaticWitness
-	// provenance (Race.Provenance). Findings stay byte-identical across
-	// the serial and sharded engines and under fault plans. Requires
-	// Detection.
+	// provenance (Race.Provenance). Seeded findings are identical with
+	// and without fault plans, and a recorded seeded run replays to the
+	// same verdict. Requires Detection.
 	WitnessSeed bool
 
 	// FaultPlan is a fault-injection spec (see ParseFaultPlan); empty
@@ -278,21 +266,19 @@ func RunBenchmarkContext(ctx context.Context, name string, opts RunOptions) (*Ru
 		return nil, fmt.Errorf("haccrg: unknown degradation policy %q (want quarantine or reinit)", opts.Degradation)
 	}
 	rc := harness.RunConfig{
-		Bench:                name,
-		Detector:             detectorKind(opts.Detection),
-		Scale:                opts.Scale,
-		SingleBlock:          opts.SingleBlock,
-		Inject:               opts.Inject,
-		DetectParallel:       opts.DetectParallel,
-		DetectParallelShared: opts.DetectParallelShared,
-		StaticFilter:         opts.StaticFilter,
-		WitnessSeed:          opts.WitnessSeed,
-		GPU:                  opts.GPU,
-		FaultPlan:            opts.FaultPlan,
-		FaultSeed:            opts.FaultSeed,
-		Degradation:          opts.Degradation,
-		MaxCycles:            opts.MaxCycles,
-		Timeout:              opts.Timeout,
+		Bench:        name,
+		Detector:     detectorKind(opts.Detection),
+		Scale:        opts.Scale,
+		SingleBlock:  opts.SingleBlock,
+		Inject:       opts.Inject,
+		StaticFilter: opts.StaticFilter,
+		WitnessSeed:  opts.WitnessSeed,
+		GPU:          opts.GPU,
+		FaultPlan:    opts.FaultPlan,
+		FaultSeed:    opts.FaultSeed,
+		Degradation:  opts.Degradation,
+		MaxCycles:    opts.MaxCycles,
+		Timeout:      opts.Timeout,
 	}
 	xo := harness.ExecOptions{
 		Detection: opts.Detection,
@@ -437,7 +423,6 @@ var Experiments = struct {
 	SyncIDGating     func(scale int) (string, error)
 	SchedulerStudy   func(scale int) (string, error)
 	FaultStudy       func(scale int, seed int64) ([]harness.FaultStudyRow, string, error)
-	ShardBench       func(scale int) ([]harness.ShardBenchRow, string, error)
 }{
 	Table1:       harness.Table1,
 	Table2:       harness.Table2,
@@ -462,7 +447,6 @@ var Experiments = struct {
 	SyncIDGating:   harness.SyncIDGatingStudy,
 	SchedulerStudy: harness.SchedulerStudy,
 	FaultStudy:     harness.FaultStudy,
-	ShardBench:     harness.ShardBench,
 }
 
 // SweepDefaults mirrors harness.SweepDefaults for CLI use.

@@ -12,14 +12,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"haccrg/internal/bloom"
-	"haccrg/internal/core"
 	"haccrg/internal/gpu"
 	"haccrg/internal/harness"
-	"haccrg/internal/isa"
 	"haccrg/internal/journal"
 	"haccrg/internal/service"
 )
@@ -173,11 +169,6 @@ var scenarios = []scenarioDef{
 		about:   "service client vs HTTP faults: resets, 503 bursts, stalls, corruption",
 		genHTTP: genClientFaults,
 		run:     runClientScenario,
-	},
-	{
-		name:  "sentinel",
-		about: "engine self-healing: planted divergence / stalled worker must be caught",
-		run:   runSentinelScenario,
 	},
 }
 
@@ -824,175 +815,5 @@ func runClientScenario(ctx context.Context, env *stepEnv) error {
 	var b []byte
 	b, _ = json.Marshal(st.JobsStates)
 	env.logf("client scenario: accepted=%d states=%s", st.Accepted, b)
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Scenario: sentinel
-
-// chaosEnv is the minimal gpu.Env the sentinel scenario drives the
-// core detector with (no device attached, timing-free).
-type chaosEnv struct {
-	cfg      gpu.Config
-	fenceIDs map[[2]int]uint32
-}
-
-func (f *chaosEnv) Config() *gpu.Config                     { return &f.cfg }
-func (f *chaosEnv) PartitionFor(addr uint64) int            { return int(addr>>7) % f.cfg.NumPartitions }
-func (f *chaosEnv) ShadowTx(int, int64, uint64, bool) int64 { return 0 }
-func (f *chaosEnv) InstrTx(int, int64, uint64, bool) int64  { return 0 }
-func (f *chaosEnv) InstrAtomicTx(int, int64, uint64) int64  { return 0 }
-func (f *chaosEnv) ShadowBase() uint64                      { return 1 << 30 }
-func (f *chaosEnv) GlobalMemSize() uint64                   { return 1 << 30 }
-func (f *chaosEnv) CurrentFenceID(block, warp int) uint32 {
-	return f.fenceIDs[[2]int{block, warp}]
-}
-
-// chaosStreamEvent generates one synthetic global-memory warp event —
-// the same mixed shapes (full and partial warps, coalesced and
-// scattered lanes, atomics, critical sections) the engine's
-// determinism tests exercise.
-func chaosStreamEvent(rng *rand.Rand, kernel string, cycle int64) *gpu.WarpMemEvent {
-	nlanes := 32
-	if rng.Intn(8) == 0 {
-		nlanes = 1 + rng.Intn(32)
-	}
-	block := rng.Intn(3)
-	warp := rng.Intn(2)
-	ev := &gpu.WarpMemEvent{
-		Space:       isa.SpaceGlobal,
-		Write:       rng.Intn(2) == 0,
-		PC:          4 * (1 + rng.Intn(6)),
-		SM:          block % 2,
-		Block:       block,
-		WarpInBlock: warp,
-		Kernel:      kernel,
-		SyncID:      uint32(rng.Intn(2)),
-		Cycle:       cycle,
-		Lanes:       make([]gpu.LaneAccess, nlanes),
-	}
-	if rng.Intn(16) == 0 {
-		ev.Atomic = true
-		ev.Write = true
-	}
-	base := uint64(rng.Intn(64)) * 128
-	scattered := rng.Intn(4) == 0
-	inCrit := rng.Intn(8) == 0
-	for l := 0; l < nlanes; l++ {
-		tid := warp*32 + l
-		addr := base + uint64(l)*4
-		if scattered {
-			addr = uint64(rng.Intn(2048)) * 4
-		}
-		ev.Lanes[l] = gpu.LaneAccess{
-			Lane: l, Tid: tid, GTid: block*64 + tid,
-			Addr: addr, Size: 4, Arrival: cycle,
-		}
-		if inCrit {
-			ev.Lanes[l].InCrit = true
-			ev.Lanes[l].AtomicSig = bloom.Sig(1) << (rng.Intn(2) * 7)
-		}
-	}
-	return ev
-}
-
-// runStream drives det through kernels× a deterministic event stream.
-func runStream(det *core.Detector, seed int64, kernels int) {
-	env := &chaosEnv{cfg: gpu.TestConfig()}
-	for k := 0; k < kernels; k++ {
-		rng := rand.New(rand.NewSource(seed))
-		env.fenceIDs = map[[2]int]uint32{}
-		kernel := fmt.Sprintf("chaos%d", k)
-		det.KernelStart(env, kernel)
-		for i := 0; i < 300; i++ {
-			cycle := int64(100 + i)
-			det.WarpMem(chaosStreamEvent(rng, kernel, cycle))
-			if i%97 == 0 {
-				block, warp := i%3, i%2
-				id := uint32(i/97 + 1)
-				env.fenceIDs[[2]int{block, warp}] = id
-				det.FenceAdvance(block, warp, id)
-			}
-			if i%151 == 0 {
-				det.Barrier(0, 0, 0, 0, cycle)
-			}
-		}
-		det.KernelEnd()
-	}
-}
-
-func racesDigest(d *core.Detector) string {
-	var b strings.Builder
-	for _, r := range d.SortedRaces() {
-		fmt.Fprintf(&b, "%s count=%d\n", r, r.Count)
-	}
-	return b.String()
-}
-
-// runSentinelScenario plants an engine-layer failure — a divergent
-// reference view or a wedged shard worker — and requires the
-// self-healing pipeline to catch it loudly: health Degraded, incident
-// counters set, engine degraded to the (correct) serial path, and the
-// primary findings never perturbed.
-func runSentinelScenario(ctx context.Context, env *stepEnv) error {
-	rng := rand.New(rand.NewSource(env.Seed))
-	streamSeed := int64(rng.Uint64() >> 1)
-	stallMode := rng.Intn(2) == 1
-
-	opt := core.DefaultOptions()
-	opt.Shared = false
-	opt.ModelTraffic = false
-	opt.Parallel = true
-
-	// Serial ground truth.
-	refOpt := opt
-	refOpt.Parallel = false
-	ref, err := core.New(refOpt)
-	if err != nil {
-		return err
-	}
-	runStream(ref, streamSeed, 2)
-	want := racesDigest(ref)
-
-	if stallMode {
-		opt.StallBudget = time.Millisecond
-		var stalled atomic.Bool
-		opt.Chaos = &core.ChaosHooks{
-			WorkerStall: func(part int) {
-				if stalled.CompareAndSwap(false, true) {
-					time.Sleep(50 * time.Millisecond)
-				}
-			},
-		}
-	} else {
-		opt.SentinelEvery = 1
-		opt.Chaos = &core.ChaosHooks{
-			DropSentinelEvent: func(kernel string, n int) bool { return kernel == "chaos0" },
-		}
-	}
-	d, err := core.New(opt)
-	if err != nil {
-		return err
-	}
-	runStream(d, streamSeed, 2)
-	h := d.Health()
-	if stallMode {
-		if h.StalledDrains == 0 || !h.Degraded || !d.EngineFallback() {
-			return &InvariantError{Invariant: InvNeverSilent,
-				Detail: fmt.Sprintf("wedged shard worker not reported: stalls=%d degraded=%v fallback=%v",
-					h.StalledDrains, h.Degraded, d.EngineFallback())}
-		}
-	} else {
-		if h.SentinelMismatches == 0 || !h.Degraded || !d.EngineFallback() {
-			return &InvariantError{Invariant: InvNeverSilent,
-				Detail: fmt.Sprintf("planted engine divergence not caught: mismatches=%d degraded=%v fallback=%v",
-					h.SentinelMismatches, h.Degraded, d.EngineFallback())}
-		}
-	}
-	// Self-healing must not perturb the primary findings.
-	if got := racesDigest(d); got != want {
-		return &InvariantError{Invariant: InvNeverSilent,
-			Detail: fmt.Sprintf("self-healing run's findings diverge from serial truth\n--- want\n%s--- got\n%s", want, got)}
-	}
 	return nil
 }

@@ -174,93 +174,6 @@ func BenchmarkRDUHotPath(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedRDU compares the serial and sharded global-memory
-// RDU engines on a detection-bound event stream: full-warp coalesced
-// accesses sweeping a working set of lines, so consecutive events
-// rotate round-robin over the 8 partitions (the paper's Table I
-// machine). Run with -cpu 1,4,8 to see the scaling; the sharded
-// engine's enqueue path must stay allocation-free, and the reported
-// queue-peak metric is the deepest any partition's ring got (pinned at
-// ring capacity means the sim thread was backpressured).
-func BenchmarkShardedRDU(b *testing.B) {
-	const (
-		lanes = 32
-		lines = 1 << 16 // large working set: shadow footprint far past LLC
-	)
-	cfg := gpu.DefaultConfig()
-	run := func(b *testing.B, parallel bool) {
-		opt := DefaultOptions()
-		opt.Shared = false
-		opt.ModelTraffic = false
-		opt.Parallel = parallel
-		d := MustNew(opt)
-		d.KernelStart(&benchEnv{cfg: &cfg}, "bench")
-		ev := warpEvent(isa.SpaceGlobal, true, lanes, 0, 4)
-		setBase := func(i int) {
-			base := uint64(i%lines) * uint64(cfg.SegmentBytes)
-			for l := range ev.Lanes {
-				ev.Lanes[l].Addr = base + uint64(l)*4
-			}
-		}
-		// Warm-up claims the working set (first touch allocates shadow
-		// pages); the timed loop is the steady-state refresh path.
-		for i := 0; i < lines; i++ {
-			setBase(i)
-			d.WarpMem(ev)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			setBase(i)
-			d.WarpMem(ev)
-		}
-		b.StopTimer()
-		d.KernelEnd()
-		if races := d.Races(); len(races) != 0 {
-			b.Fatalf("race-free stream produced %d races", len(races))
-		}
-		if parallel {
-			b.ReportMetric(float64(d.DetectQueuePeak()), "queue-peak")
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, false) })
-	b.Run("sharded", func(b *testing.B) { run(b, true) })
-
-	// Shared-memory engine, same contract: events rotate round-robin
-	// over the SMs (each block resident on its own SM), so the per-SM
-	// shards load-balance the same way the partitions do above.
-	runShared := func(b *testing.B, parallel bool) {
-		opt := DefaultOptions()
-		opt.Global = false
-		opt.ModelTraffic = false
-		opt.ParallelShared = parallel
-		d := MustNew(opt)
-		d.KernelStart(&benchEnv{cfg: &cfg}, "bench")
-		ev := warpEvent(isa.SpaceShared, true, lanes, 0, 4)
-		tile := cfg.Shared.SizeBytes
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ev.SM = i % cfg.NumSMs
-			base := uint64(i*lanes*4) % uint64(tile)
-			for l := range ev.Lanes {
-				ev.Lanes[l].Addr = base + uint64(l)*4
-			}
-			d.WarpMem(ev)
-		}
-		b.StopTimer()
-		d.KernelEnd()
-		if races := d.Races(); len(races) != 0 {
-			b.Fatalf("race-free stream produced %d races", len(races))
-		}
-		if parallel {
-			b.ReportMetric(float64(d.DetectQueuePeak()), "queue-peak")
-		}
-	}
-	b.Run("shared-serial", func(b *testing.B) { runShared(b, false) })
-	b.Run("shared-sharded", func(b *testing.B) { runShared(b, true) })
-}
-
 // BenchmarkGlobalShadow measures the shadow structure itself:
 // steady-state lookup/claim over a fixed working set, plus the
 // per-kernel wipe. The paged flat array must be allocation-free once

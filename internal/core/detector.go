@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"sort"
-	"sync"
 
 	"haccrg/internal/fault"
 	"haccrg/internal/gpu"
@@ -13,10 +12,9 @@ import (
 // Detector is the HAccRG race-detection engine, implementing
 // gpu.Detector. One Detector instance models all RDUs of the device:
 // the per-SM shared-memory units and the per-partition global units.
-// With Options.Parallel the global units run as asynchronous
-// per-partition shards (sharded.go); with Options.ParallelShared the
-// shared-memory units do the same per SM (shared_sharded.go). Findings
-// stay byte-identical to the serial engine in every combination.
+// The units are hardware concurrency, and the timing model already
+// charges for them as such; their checks run inline on the calling
+// (simulation) goroutine, in event order.
 type Detector struct {
 	opt Options
 	env gpu.Env
@@ -29,61 +27,21 @@ type Detector struct {
 	warpShift int
 
 	// sharedShadow[sm][granule] of packed 12-bit entries; covers each
-	// SM's full shared tile. The per-SM units alias these slices.
+	// SM's full shared tile.
 	sharedShadow [][]sharedWord
+	// gshadow is the global-memory shadow. A granule's entry belongs to
+	// the RDU of the partition its line is interleaved to, and no check
+	// ever touches another partition's entries, so one flat shadow
+	// indexed by granule models all of them.
+	gshadow pagedShadow
 
 	// Cached partition mapping (the line-interleaved contract
 	// documented on gpu.Env.PartitionFor): partition = (addr >>
 	// partShift) mod parts. Hoisting it out of the Env interface saves
-	// a dynamic call per lane on the global hot path.
+	// a dynamic call per lane on the fault-admission and traffic paths.
 	partShift uint
 	parts     uint64
 	partMask  uint64 // parts-1 when parts is a power of two, else 0
-
-	// gunits are the global-memory RDU units: one serial unit, or one
-	// shard per memory partition when the parallel engine is active.
-	// Each unit owns its slice of the global shadow. gworkers are the
-	// goroutines servicing them, with workerOf mapping each partition
-	// to its (fixed) worker.
-	gunits   []*gshard
-	gworkers []*gworker
-	workerOf []*gworker
-	parMode  bool // the global engine was built sharded for this device
-
-	// sunits are the per-SM shared-memory RDU units (built in both
-	// serial and sharded modes — the serial engine runs them inline on
-	// the sim thread). sworkers/sworkerOf mirror the global layout when
-	// Options.ParallelShared shards them.
-	sunits    []*sshard
-	sworkers  []*gworker
-	sworkerOf []*gworker
-	sparMode  bool // the shared engine was built sharded for this device
-
-	// Per-kernel engine state. gact/sact arm the async dispatch paths
-	// at KernelStart; grunning/srunning flip when a kernel's lane volume
-	// crosses engageLanes and the rings actually engage (tiny kernels
-	// stay inline on the sim thread — ring hand-off costs more than it
-	// buys below a few thousand lanes). glanes/slanes count dispatched
-	// lanes toward that threshold.
-	gact     bool
-	sact     bool
-	grunning bool
-	srunning bool
-	glanes   int
-	slanes   int
-	wg       sync.WaitGroup
-
-	// Sequence-tagged report merging (sharded.go): the sim thread
-	// assigns seq in serial report order; quiescent points merge
-	// simPending with the shards' buffers by seq.
-	seq        uint64
-	simPending []raceCand
-	mergeBuf   []raceCand
-
-	// Fence mirror and replay log for the sharded engine.
-	fenceTab map[uint64]uint32
-	fenceLog []gpu.FenceRead
-	fenceBuf []fenceRead
 
 	races []*Race
 	seen  map[raceKey]*Race
@@ -99,9 +57,9 @@ type Detector struct {
 	// seedPend maps pending witness-seeded global granules to their
 	// seeds (Options.WitnessSeeds), populated at KernelStart; the first
 	// touching lane fires the report and retires the entry. Unlike the
-	// filter it is NOT inert under fault plans — seeds add a report on
-	// the simulation thread without consuming injector randomness or
-	// altering the check stream.
+	// filter it is NOT inert under fault plans — seeds add a report
+	// without consuming injector randomness or altering the check
+	// stream.
 	seedPend map[uint64]*SeedWitness
 
 	stats Stats
@@ -109,9 +67,7 @@ type Detector struct {
 	// scratch holds small per-event buffers reused across WarpMem
 	// calls. A warp instruction touches at most WarpSize lanes, so
 	// insertion-sorted slices replace the per-event maps the hot path
-	// used to allocate; each buffer is dead once WarpMem returns, and
-	// events arrive from one simulation goroutine, so reuse is
-	// race-free.
+	// used to allocate; each buffer is dead once WarpMem returns.
 	scratch struct {
 		arrivals []lineArrival // distinct demand lines, sorted by line
 		lines    []uint64      // distinct shadow lines, sorted (Fig. 8 mode)
@@ -121,17 +77,16 @@ type Detector struct {
 	// Fault-injection state (see health.go). inj is non-nil only when
 	// Options.Fault holds a non-empty plan; all fault hooks are gated
 	// on it so the fault-free path stays byte-identical to a build
-	// without the subsystem. Per-unit fault state (quarantine sets,
-	// incident counters) lives in the gunits and sunits; this injector
-	// backs the serial-mode units and the sim-thread latency spikes.
+	// without the subsystem. The quarantine sets persist across
+	// launches (stuck cells are physical) until Reset.
 	inj    *fault.Injector
 	health gpu.DetectorHealth
-
-	// Self-healing state (see sentinel.go): the online divergence
-	// sentinel, and the fallback switch it (or the drain-stall
-	// watchdog) throws to permanently degrade to the serial engine.
-	sent           *sentinel
-	engineFallback bool
+	gquar  map[uint64]struct{} // quarantined global granules
+	squar  map[uint64]struct{} // quarantined shared cells, keyed sm<<40 | granule
+	// Summed popcounts of the lockset signatures observed at lockset
+	// checks, and how many were summed (DetectorHealth.BloomFillPct).
+	fillBits int64
+	fillN    int64
 }
 
 // New builds a detector; options must validate.
@@ -179,9 +134,8 @@ func (d *Detector) Options() Options { return d.opt }
 func (d *Detector) SetStaticFilter(f StaticFilter) { d.opt.StaticFilter = f }
 
 // SetWitnessSeeds attaches (or, with nil, detaches) a witness seeder
-// after construction, mirroring SetStaticFilter. Mutating d.opt means
-// a divergence sentinel built later clones the seeds into its serial
-// reference. Takes effect at the next KernelStart.
+// after construction, mirroring SetStaticFilter. Takes effect at the
+// next KernelStart.
 func (d *Detector) SetWitnessSeeds(s WitnessSeeder) { d.opt.WitnessSeeds = s }
 
 // pcFiltered reports whether the running kernel's mask proves the
@@ -190,34 +144,16 @@ func (d *Detector) pcFiltered(pc int) bool {
 	return d.siteFilter != nil && pc >= 0 && pc < len(d.siteFilter) && d.siteFilter[pc]
 }
 
-// Stats returns detection activity counters. With the sharded engine
-// the per-unit counters are folded in after a drain, so mid-kernel
-// reads see a serial-consistent cut.
-func (d *Detector) Stats() Stats {
-	d.quiesce()
-	s := d.stats
-	for _, u := range d.gunits {
-		s.GlobalChecks += u.checks
-		s.FenceLookups += u.fenceLookups
-	}
-	for _, u := range d.sunits {
-		s.SharedChecks += u.checks
-	}
-	return s
-}
+// Stats returns detection activity counters.
+func (d *Detector) Stats() Stats { return d.stats }
 
 // Races returns the distinct detected races, ordered by first
-// detection. It deliberately does NOT drain the sharded engine —
-// wrappers (journal.Recorder, trace.Recorder) poll it per event, and
-// a drain per event would serialize the pipeline. Under the sharded
-// engine it returns the races merged as of the last quiescent point;
-// KernelEnd merges everything.
+// detection.
 func (d *Detector) Races() []*Race { return d.races }
 
 // SiteCount returns the number of distinct (kind, granule) race sites
 // in the given space — the unit Table III counts false races in.
 func (d *Detector) SiteCount(space isa.Space) int {
-	d.quiesce()
 	n := 0
 	for k := range d.sites {
 		if k.space == space {
@@ -232,7 +168,6 @@ func (d *Detector) SiteCount(space isa.Space) int {
 // used to tell whether an injected defect introduced a new kind of
 // race relative to a baseline run.
 func (d *Detector) RaceGroups() map[string]int {
-	d.quiesce()
 	m := make(map[string]int)
 	for _, r := range d.races {
 		m[r.Space.String()+"/"+r.Kind.String()+"/"+r.Category.String()]++
@@ -242,7 +177,6 @@ func (d *Detector) RaceGroups() map[string]int {
 
 // CategoryCounts returns distinct race counts per category.
 func (d *Detector) CategoryCounts() map[Category]int {
-	d.quiesce()
 	m := make(map[Category]int)
 	for _, r := range d.races {
 		m[r.Category]++
@@ -253,36 +187,25 @@ func (d *Detector) CategoryCounts() map[Category]int {
 // Reset drops all recorded races and shadow state (between
 // experiments; kernel boundaries reset shadow state automatically).
 func (d *Detector) Reset() {
-	d.Quiesce() // stop any live shard workers before tearing state down
 	d.races = nil
 	d.seen = make(map[raceKey]*Race)
 	d.sites = make(map[siteKey]struct{})
 	d.sharedShadow = nil
+	d.gshadow.drop()
 	d.siteFilter = nil
 	d.seedPend = nil
 	d.stats = Stats{}
-	d.seq = 0
-	d.simPending = nil
-	d.fenceLog = nil
 	d.resetFaultState()
-	d.gunits = nil // rebuilt (against the fresh injector) at next KernelStart
-	d.gworkers = nil
-	d.workerOf = nil
-	d.sunits = nil
-	d.sworkers = nil
-	d.sworkerOf = nil
-	d.sent = nil
-	d.engineFallback = false
 }
 
 // KernelStart implements gpu.Detector: kernel launch is an implicit
 // barrier; all shadow entries reset to the no-access state (the
 // paper's cudaMemset of the global shadow at kernel boundaries).
 func (d *Detector) KernelStart(env gpu.Env, kernelName string) {
-	d.Quiesce() // defensive: a prior kernel that skipped KernelEnd
+	cfg := env.Config()
 	d.env = env
 	d.kernel = kernelName
-	d.warpSize = env.Config().WarpSize
+	d.warpSize = cfg.WarpSize
 	d.warpShift = -1
 	if d.warpSize&(d.warpSize-1) == 0 {
 		d.warpShift = bits.TrailingZeros(uint(d.warpSize))
@@ -304,129 +227,68 @@ func (d *Detector) KernelStart(env gpu.Env, kernelName string) {
 			d.seedPend[w.Granule] = &seed
 		}
 	}
-	d.partShift = uint(bits.TrailingZeros64(uint64(env.Config().SegmentBytes)))
-	d.parts = uint64(env.Config().NumPartitions)
+	d.partShift = uint(bits.TrailingZeros64(uint64(cfg.SegmentBytes)))
+	d.parts = uint64(cfg.NumPartitions)
 	d.partMask = 0
 	if d.parts&(d.parts-1) == 0 {
 		d.partMask = d.parts - 1
 	}
-	nsm := env.Config().NumSMs
-	entries := env.Config().Shared.SizeBytes / d.opt.SharedGranularity
+	nsm := cfg.NumSMs
+	entries := cfg.Shared.SizeBytes / d.opt.SharedGranularity
 	if d.sharedShadow == nil || len(d.sharedShadow) != nsm || len(d.sharedShadow[0]) != entries {
 		d.sharedShadow = make([][]sharedWord, nsm)
 		for i := range d.sharedShadow {
 			d.sharedShadow[i] = make([]sharedWord, entries)
 		}
-		d.sunits = nil // shadow geometry changed; units alias stale slices
+		d.squar = nil // quarantined cells belonged to the old tiles
 	}
 	for i := range d.sharedShadow {
 		resetShared(d.sharedShadow[i])
 	}
-	par := d.parallelFeasible(env.Config())
-	spar := d.sharedParallelFeasible(env.Config())
-	want := 1
-	if par {
-		want = env.Config().NumPartitions
-	}
-	if d.gunits == nil || d.parMode != par || len(d.gunits) != want {
-		d.buildUnits(env.Config(), par, spar)
-		d.parMode = par
-	}
-	if d.sunits == nil || d.sparMode != spar || len(d.sunits) != nsm {
-		d.buildSharedUnits(nsm, par, spar)
-		d.sparMode = spar
-	}
-	for sm, u := range d.sunits {
-		u.shadow = d.sharedShadow[sm]
-		if u.inj != nil && u.inj != d.inj {
-			u.inj.Reset()
-		}
-	}
-	for _, u := range d.gunits {
-		u.shadow.reset()
-		if u.inj != nil && u.inj != d.inj {
-			u.inj.Reset()
-		}
-	}
-	d.fenceLog = nil
-	if (par || spar) && d.fenceTab == nil {
-		d.fenceTab = make(map[uint64]uint32)
-	}
-	for k := range d.fenceTab {
-		delete(d.fenceTab, k)
-	}
+	d.gshadow.reset()
 	if d.inj != nil {
 		// The launch's cycle clock restarts at zero, so queue and spike
 		// phase state restart with it; the PRNG streams and the
 		// quarantine sets persist (stuck cells are physical).
 		d.inj.Reset()
 	}
-	// Arm the async engines; the rings engage lazily once the kernel's
-	// lane volume proves it is worth it (see engageLanes).
-	d.gact = par
-	d.sact = spar
-	d.glanes, d.slanes = 0, 0
-	d.resetQueueStats()
-	d.sentinelStart(env, kernelName)
 }
 
-// KernelEnd implements gpu.Detector: bring the sharded engine to
-// quiescence — drain the rings, merge buffered reports in serial
-// order, collect the fence-read log — and park the workers. An
-// observed kernel's divergence-sentinel verdict lands here, after the
-// primary engine has fully settled.
-func (d *Detector) KernelEnd() {
-	d.Quiesce()
-	d.sentinelEnd()
-}
+// KernelEnd implements gpu.Detector. Every check has already been
+// applied inline, so there is nothing left to settle.
+func (d *Detector) KernelEnd() {}
 
 // BlockStart implements gpu.Detector: a new block's shared region is
 // fresh; its slot's shadow entries reset (block start is an implicit
 // barrier, and the region may be inherited from a retired block).
-// Under the sharded shared engine with live workers the reset rides
-// the owning SM's ring in stream order — a drain here would serialize
-// on every block rotation.
 func (d *Detector) BlockStart(sm int, sharedBase, sharedSize int) {
-	if s := d.sent; s != nil && s.active {
-		s.ref.BlockStart(sm, sharedBase, sharedSize)
-	}
 	if !d.opt.Shared || sharedSize == 0 || d.sharedShadow == nil {
 		return
 	}
-	lo := sharedBase / d.opt.SharedGranularity
-	hi := (sharedBase + sharedSize + d.opt.SharedGranularity - 1) / d.opt.SharedGranularity
-	shadow := d.sharedShadow[sm]
-	if hi > len(shadow) {
-		hi = len(shadow)
+	lo, hi := d.sharedExtent(sm, sharedBase, sharedSize)
+	resetShared(d.sharedShadow[sm][lo:hi])
+}
+
+// sharedExtent returns the shadow-entry range [lo, hi) covering a
+// block's shared region on SM sm, clipped to the tile.
+func (d *Detector) sharedExtent(sm, sharedBase, sharedSize int) (lo, hi int) {
+	lo = sharedBase / d.opt.SharedGranularity
+	hi = (sharedBase + sharedSize + d.opt.SharedGranularity - 1) / d.opt.SharedGranularity
+	if n := len(d.sharedShadow[sm]); hi > n {
+		hi = n
 	}
-	if d.srunning {
-		d.enqueueSharedReset(sm, lo, hi)
-		return
-	}
-	resetShared(shadow[lo:hi])
+	return lo, hi
 }
 
 // Barrier implements gpu.Detector: reset the block's shared shadow
 // entries and charge the invalidation cycles the paper simulates
 // (entries are cleared one row per bank per cycle).
 func (d *Detector) Barrier(sm, blockID int, sharedBase, sharedSize int, cycle int64) int64 {
-	// Epoch barrier: a natural quiescent point for the sharded engine —
-	// in-flight global checks drain and buffered reports merge, keeping
-	// race visibility bounded by barrier intervals.
-	d.quiesce()
-	if s := d.sent; s != nil && s.active {
-		s.ref.Barrier(sm, blockID, sharedBase, sharedSize, cycle)
-	}
 	if !d.opt.Shared || sharedSize == 0 {
 		return 0
 	}
-	lo := sharedBase / d.opt.SharedGranularity
-	hi := (sharedBase + sharedSize + d.opt.SharedGranularity - 1) / d.opt.SharedGranularity
-	shadow := d.sharedShadow[sm]
-	if hi > len(shadow) {
-		hi = len(shadow)
-	}
-	resetShared(shadow[lo:hi])
+	lo, hi := d.sharedExtent(sm, sharedBase, sharedSize)
+	resetShared(d.sharedShadow[sm][lo:hi])
 	d.stats.BarrierInval++
 	if !d.opt.ModelTraffic {
 		return 0 // software builds charge their own costs
@@ -469,38 +331,22 @@ func (d *Detector) sharedShadowBase(sm int) uint64 {
 }
 
 // WarpMem implements gpu.Detector: dispatch one warp memory
-// instruction to the shared- or global-memory RDU. On sentinel-
-// observed kernels the event is also forwarded (as a copy) to the
-// serial reference after the primary dispatch — the primary's
-// parallel path has already detached the lanes into owned batches by
-// the time it returns, so the caller's storage is intact.
+// instruction to the shared- or global-memory RDU.
 func (d *Detector) WarpMem(ev *gpu.WarpMemEvent) int64 {
-	var stall int64
 	switch ev.Space {
 	case isa.SpaceShared:
-		if !d.opt.Shared {
-			return 0
+		if d.opt.Shared {
+			return d.sharedRDU(ev)
 		}
-		stall = d.sharedRDU(ev)
 	case isa.SpaceGlobal:
-		if !d.opt.Global {
-			return 0
+		if d.opt.Global {
+			return d.globalRDU(ev)
 		}
-		stall = d.globalRDU(ev)
-	default:
-		return 0
 	}
-	if s := d.sent; s != nil && s.active {
-		s.observe(ev)
-	}
-	return stall
+	return 0
 }
 
-// report records one dynamic race occurrence from the simulation
-// thread (shared-memory RDUs and the intra-warp check). Every report —
-// applied now or buffered for a shard-merge — consumes one global
-// sequence number, so a quiescent-point merge replays the serial
-// report order exactly.
+// report records one dynamic race occurrence from the state machine.
 func (d *Detector) report(space isa.Space, kind Kind, cat Category, pc int, stmt string, granule, addr uint64,
 	firstTid int, firstBlock int, secondTid, secondBlock int, cycle int64) {
 	d.reportProv("", space, kind, cat, pc, stmt, granule, addr,
@@ -508,38 +354,19 @@ func (d *Detector) report(space isa.Space, kind Kind, cat Category, pc int, stmt
 }
 
 // reportProv is report with an explicit provenance tag; pre-seeded
-// witness races pass "StaticWitness", the state machine passes "".
+// witness races pass "StaticWitness", the state machine passes "". It
+// materializes the report: dedup against the seen map, dynamic
+// counting, and the MaxRaces cap.
 func (d *Detector) reportProv(prov string, space isa.Space, kind Kind, cat Category, pc int, stmt string, granule, addr uint64,
 	firstTid int, firstBlock int, secondTid, secondBlock int, cycle int64) {
-	c := raceCand{
-		seq: d.seq, kernel: d.kernel,
-		space: space, kind: kind, cat: cat, pc: pc, stmt: stmt,
-		granule: granule, addr: addr,
-		firstTid: firstTid, firstBlock: firstBlock,
-		secondTid: secondTid, secondBlock: secondBlock,
-		prov:  prov,
-		cycle: cycle,
-	}
-	d.seq++
-	if d.gact || d.sact {
-		d.simPending = append(d.simPending, c)
-		return
-	}
-	d.applyCand(&c)
-}
-
-// applyCand materializes one race report: dedup against the seen map,
-// dynamic counting, and the MaxRaces cap — the order-sensitive tail of
-// detection, always executed in serial report order.
-func (d *Detector) applyCand(c *raceCand) {
 	d.stats.Reports++
-	if c.space == isa.SpaceShared {
+	if space == isa.SpaceShared {
 		d.stats.SharedReports++
 	} else {
 		d.stats.GlobalReports++
 	}
-	d.sites[siteKey{c.space, c.kind, c.granule}] = struct{}{}
-	key := raceKey{c.kernel, c.space, c.kind, c.cat, c.pc, c.granule}
+	d.sites[siteKey{space, kind, granule}] = struct{}{}
+	key := raceKey{d.kernel, space, kind, cat, pc, granule}
 	if r, ok := d.seen[key]; ok {
 		r.Count++
 		return
@@ -548,12 +375,12 @@ func (d *Detector) applyCand(c *raceCand) {
 		return
 	}
 	r := &Race{
-		Kernel: c.kernel, Space: c.space, Kind: c.kind, Category: c.cat,
-		PC: c.pc, Stmt: c.stmt, Granule: c.granule, Addr: c.addr,
-		FirstTid: c.firstTid, FirstBlock: c.firstBlock,
-		SecondTid: c.secondTid, SecondBlock: c.secondBlock,
-		Provenance: c.prov,
-		Cycle:      c.cycle, Count: 1,
+		Kernel: d.kernel, Space: space, Kind: kind, Category: cat,
+		PC: pc, Stmt: stmt, Granule: granule, Addr: addr,
+		FirstTid: firstTid, FirstBlock: firstBlock,
+		SecondTid: secondTid, SecondBlock: secondBlock,
+		Provenance: prov,
+		Cycle:      cycle, Count: 1,
 	}
 	d.seen[key] = r
 	d.races = append(d.races, r)
@@ -562,7 +389,6 @@ func (d *Detector) applyCand(c *raceCand) {
 // SortedRaces returns races ordered by (kernel, pc, granule) for
 // stable reporting.
 func (d *Detector) SortedRaces() []*Race {
-	d.quiesce()
 	out := make([]*Race, len(d.races))
 	copy(out, d.races)
 	sort.Slice(out, func(i, j int) bool {

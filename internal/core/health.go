@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/bits"
+
+	"haccrg/internal/bloom"
 	"haccrg/internal/fault"
 	"haccrg/internal/gpu"
 )
@@ -18,60 +21,29 @@ import (
 // non-perturbing event and are counted separately.
 
 // Health implements gpu.HealthReporter. Counters accumulate across the
-// detector's launches until Reset. Fault accounting lives in the
-// per-partition and per-SM units (sharded.go, shared_sharded.go) and
-// is folded in here after a drain.
+// detector's launches until Reset.
 func (d *Detector) Health() *gpu.DetectorHealth {
-	d.quiesce()
 	h := d.health
-	var checks, fillBits, fillN int64
-	for _, u := range d.gunits {
-		foldHealth(&h, &u.health)
-		checks += u.checks
-		fillBits += u.fillBits
-		fillN += u.fillN
-	}
-	var schecks int64
-	for _, u := range d.sunits {
-		foldHealth(&h, &u.health)
-		schecks += u.checks
-	}
 	// Dropped checks never reached the RDU, so they are not in the
 	// check counters; the exposure denominator is demand, not service.
-	h.TotalChecks = d.stats.SharedChecks + schecks + checks + h.DroppedChecks
-	if fillN > 0 {
-		// Summed popcounts instead of summed ratios: integer
-		// accumulation is order-independent, so the shard-partitioned
-		// engine reports the identical value as the serial one.
-		h.BloomFillPct = 100 * float64(fillBits) / (float64(d.opt.Bloom.SizeBits) * float64(fillN))
+	h.TotalChecks = d.stats.SharedChecks + d.stats.GlobalChecks + h.DroppedChecks
+	if d.fillN > 0 {
+		h.BloomFillPct = 100 * float64(d.fillBits) / (float64(d.opt.Bloom.SizeBits) * float64(d.fillN))
 	}
 	h.Degraded = h.DroppedChecks|h.InjectedFlips|h.StuckReads|
 		h.QuarantinedGranules|h.QuarantineSkips|h.ReinitGranules|
-		h.SaturatedSigs|h.LatencySpikes|
-		h.SentinelMismatches|h.StalledDrains|h.EngineFallbacks != 0
+		h.SaturatedSigs|h.LatencySpikes != 0
 	return &h
 }
 
-// foldHealth accumulates one unit's fault counters into the aggregate.
-func foldHealth(h, u *gpu.DetectorHealth) {
-	h.DroppedChecks += u.DroppedChecks
-	h.InjectedFlips += u.InjectedFlips
-	h.CorrectedFlips += u.CorrectedFlips
-	h.StuckReads += u.StuckReads
-	h.QuarantinedGranules += u.QuarantinedGranules
-	h.QuarantineSkips += u.QuarantineSkips
-	h.ReinitGranules += u.ReinitGranules
-	h.SaturatedSigs += u.SaturatedSigs
-	h.LatencySpikes += u.LatencySpikes
-}
-
-// resetFaultState restores the injector and health accounting to a
-// just-constructed detector's (used by Reset for reproducible reruns).
-// The per-unit fault state is rebuilt separately (Reset drops the
-// units).
+// resetFaultState restores the injector, quarantine sets and health
+// accounting to a just-constructed detector's (used by Reset for
+// reproducible reruns).
 func (d *Detector) resetFaultState() {
 	d.inj = fault.New(d.opt.Fault, d.opt.FaultSeed)
 	d.health = gpu.DetectorHealth{}
+	d.gquar, d.squar = nil, nil
+	d.fillBits, d.fillN = 0, 0
 }
 
 // spiked returns cycle plus any injected shadow-fetch latency spike at
@@ -123,4 +95,125 @@ func stuckGlobalEntry(e *packedGlobal, pat uint64) {
 	e.sync = packSync(
 		uint32(pat>>archSyncShift)&(1<<archSyncBits-1),
 		uint32(pat>>archFenceShift)&(1<<archFenceBits-1))
+}
+
+// admit runs one lane check through the check queue of RDU id (a
+// partition's global unit or an SM's shared unit); false means the
+// queue overflowed and the check is dropped (and counted).
+func (d *Detector) admit(unit fault.Unit, id int, cycle int64) bool {
+	if d.inj.Admit(unit, id, cycle, 1) == 1 {
+		return true
+	}
+	d.health.DroppedChecks++
+	return false
+}
+
+// saturate returns a lane's lockset signature, possibly saturated by
+// the injector. Pure — the caller-owned lane is never mutated, so the
+// recorded journal always carries the original signature.
+func (d *Detector) saturate(part int, sig bloom.Sig, inCrit bool) bloom.Sig {
+	if !inCrit {
+		return sig
+	}
+	if sat, changed := d.inj.Saturate(fault.UnitGlobal, part, uint64(sig), uint64(d.opt.Bloom.Mask())); changed {
+		d.health.SaturatedSigs++
+		return bloom.Sig(sat)
+	}
+	return sig
+}
+
+// observeFill accumulates the fill of the signatures a lockset check
+// compares. Summed popcounts instead of summed ratios keep the
+// accumulation exact.
+func (d *Detector) observeFill(sigs ...bloom.Sig) {
+	for _, s := range sigs {
+		if s == 0 {
+			continue // null set: the signature is not in use
+		}
+		d.fillBits += int64(bits.OnesCount64(uint64(s)))
+		d.fillN++
+	}
+}
+
+// faultGlobal applies shadow-cell faults to granule g before its check
+// runs; true means the check is skipped.
+func (d *Detector) faultGlobal(part int, g uint64) (skip bool) {
+	if _, q := d.gquar[g]; q {
+		d.health.QuarantineSkips++
+		return true
+	}
+	if pat, stuck := d.inj.Stuck(fault.UnitGlobal, g); stuck {
+		if d.inj.ECC() {
+			if d.opt.Degradation == DegradeReinit {
+				d.gshadow.clear(g)
+				d.health.ReinitGranules++
+				return false
+			}
+			d.gquar = quarantine(d.gquar, g, &d.health)
+			return true
+		}
+		if e := d.gshadow.lookup(g); e != nil {
+			stuckGlobalEntry(e, pat)
+			d.health.StuckReads++
+		}
+		return false
+	}
+	if e := d.gshadow.lookup(g); e != nil {
+		if bit, hit := d.inj.FlipBit(fault.UnitGlobal, part, globalEntryBits); hit {
+			if d.inj.ECC() {
+				d.health.CorrectedFlips++
+			} else {
+				flipGlobalEntry(e, bit)
+				d.health.InjectedFlips++
+			}
+		}
+	}
+	return false
+}
+
+// faultShared applies shadow-cell faults to granule g of SM sm's tile
+// before its check runs; true means the check is skipped. The key
+// sm<<40 | g names the physical cell for both the stuck-cell stream and
+// the quarantine set.
+func (d *Detector) faultShared(sm int, shadow []sharedWord, g uint64) (skip bool) {
+	key := uint64(sm)<<40 | g
+	if _, q := d.squar[key]; q {
+		d.health.QuarantineSkips++
+		return true
+	}
+	if pat, stuck := d.inj.Stuck(fault.UnitShared, key); stuck {
+		if d.inj.ECC() {
+			if d.opt.Degradation == DegradeReinit {
+				shadow[g] = swFresh
+				d.health.ReinitGranules++
+				return false
+			}
+			d.squar = quarantine(d.squar, key, &d.health)
+			return true
+		}
+		shadow[g] = sharedWord(pat) & (1<<sharedEntryBits - 1)
+		d.health.StuckReads++
+		return false
+	}
+	if bit, hit := d.inj.FlipBit(fault.UnitShared, sm, sharedEntryBits); hit {
+		if d.inj.ECC() {
+			d.health.CorrectedFlips++
+		} else {
+			shadow[g] ^= 1 << bit
+			d.health.InjectedFlips++
+		}
+	}
+	return false
+}
+
+// quarantine removes a scrub-flagged cell from tracking (the default
+// degradation policy), counting the quarantine and the skipped check.
+func quarantine(set map[uint64]struct{}, key uint64, h *gpu.DetectorHealth) map[uint64]struct{} {
+	if set == nil {
+		set = make(map[uint64]struct{})
+	}
+	set[key] = struct{}{}
+	h.QuarantinedGranules++
+	h.QuarantineSkips++
+	return set
 }

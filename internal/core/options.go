@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"haccrg/internal/bloom"
 	"haccrg/internal/fault"
@@ -55,16 +54,22 @@ type StaticFilter interface {
 // instead of waiting for the dynamic pair to line up. Only global
 // seeds are honored (shared shadow windows are recycled per block and
 // reset at barriers; a static shared seed has no stable runtime key).
+//
+// The JSON form is how journals carry a run's seed set to replay.
 type SeedWitness struct {
-	Space   isa.Space
-	Granule uint64 // granule index within the space
-	Class   string // staticrace witness class (guarantee argument)
+	Space   isa.Space `json:"space"`
+	Granule uint64    `json:"granule"` // granule index within the space
+	Class   string    `json:"class"`   // staticrace witness class (guarantee argument)
 
 	// The statically-proven racing pair, reported as the race's
 	// first/second accessors.
-	PC, PC2                  int
-	Block, Tid, Block2, Tid2 int
-	Stmt                     string
+	PC     int    `json:"pc"`
+	PC2    int    `json:"pc2"`
+	Block  int    `json:"block"`
+	Tid    int    `json:"tid"`
+	Block2 int    `json:"block2"`
+	Tid2   int    `json:"tid2"`
+	Stmt   string `json:"stmt,omitempty"`
 }
 
 // WitnessSeeder supplies the per-kernel seed set; the static analyzer
@@ -108,26 +113,6 @@ type Options struct {
 	// Bloom is the atomic-ID signature layout.
 	Bloom bloom.Config
 
-	// Parallel runs the global-memory RDUs as per-partition engines on
-	// their own goroutines, fed by bounded rings of batched lane
-	// events — the paper's one-RDU-per-memory-partition hardware
-	// layout, exploited for wall-clock speedup. Findings (races,
-	// stats, health, journal verdicts) are byte-identical to the
-	// serial engine; only wall-clock time changes. Ignored (serial
-	// fallback) when the device has a single partition or a tracking
-	// granule can straddle a coalescing segment.
-	Parallel bool
-
-	// ParallelShared does the same for the shared-memory RDUs: one
-	// engine per SM (the paper's one-RDU-per-SM layout), fed over the
-	// same ring machinery and merged through the same sequence-tagged
-	// report path, so findings stay byte-identical to the serial engine
-	// in every engine combination. Ignored (serial fallback) when the
-	// device has a single SM or the Figure 8 shared-shadow-in-global
-	// layout is active (its shadow fetches thread through the timing
-	// model on the simulation thread).
-	ParallelShared bool
-
 	// ModelTraffic injects the hardware RDUs' shadow-memory traffic
 	// and barrier-invalidation stalls into the timing model. Software
 	// reimplementations (internal/swdetect, internal/grace) disable it
@@ -148,10 +133,8 @@ type Options struct {
 	// statically-proven racy granules (see SeedWitness): the first
 	// global access touching a seeded granule reports the witnessed
 	// race immediately, tagged with StaticWitness provenance. Seeds
-	// fire on the simulation thread before engine dispatch, so findings
-	// are byte-identical across the serial and sharded engines and
-	// under fault plans. Stored in Options so the divergence sentinel's
-	// serial reference detector inherits the same seed set.
+	// fire before any filtering or fault hook, so seeded findings are
+	// byte-identical with and without fault plans.
 	WitnessSeeds WitnessSeeder
 
 	// Fault optionally attaches a deterministic fault-injection plan
@@ -164,51 +147,6 @@ type Options struct {
 	// Degradation selects the corrupt-granule policy (quarantine by
 	// default).
 	Degradation DegradationPolicy
-
-	// SentinelEvery arms the online divergence sentinel: every Nth
-	// kernel the sharded engine's findings are cross-checked against a
-	// private serial reference detector fed copies of the same event
-	// stream (see sentinel.go). On a mismatch the engine records the
-	// incident in DetectorHealth and permanently degrades to the serial
-	// engine for subsequent kernels. 0 disables the sentinel. With a
-	// fault plan attached every kernel is observed regardless of N —
-	// the injector's PRNG streams advance per event, so the reference
-	// must see the full stream to draw identical fault decisions. The
-	// sentinel is inert when MaxRaces > 0 (the cap makes the two
-	// engines' recorded sets legitimately diverge) and when the engine
-	// runs serial anyway.
-	SentinelEvery int
-	// StallBudget bounds how long a quiescent-point drain waits on a
-	// shard worker before declaring it stalled: the incident is
-	// recorded in DetectorHealth and the engine degrades to serial at
-	// the next kernel launch (the drain still waits for the real
-	// acknowledgement — abandoning a worker would corrupt the merge).
-	// 0 disables the watchdog.
-	StallBudget time.Duration
-	// Chaos optionally installs chaos-engineering perturbation points
-	// (see ChaosHooks). nil in production.
-	Chaos *ChaosHooks
-}
-
-// ChaosHooks are deliberate perturbation points for chaos campaigns
-// and tests: they let a harness manufacture the failure modes — a hung
-// shard worker, a divergent engine — that the self-healing machinery
-// exists to catch, without planting a real bug. All hooks are nil in
-// production builds.
-type ChaosHooks struct {
-	// WorkerStall, when set, is called by a shard worker before it
-	// processes each batch, with the partition of the batch's first
-	// segment. Campaigns block in it to model a hung worker and
-	// exercise the StallBudget watchdog. Called off the simulation
-	// thread; implementations must be safe for concurrent use.
-	WorkerStall func(part int)
-	// DropSentinelEvent, when set, is consulted once per WarpMem event
-	// forwarded to the divergence sentinel's reference detector, with
-	// the launching kernel's name and the event's index within the
-	// kernel (from 0). Returning true drops the event from the
-	// reference's view, manufacturing a divergence the sentinel must
-	// catch.
-	DropSentinelEvent func(kernel string, n int) bool
 }
 
 // DefaultOptions returns the configuration evaluated in the paper:
@@ -251,12 +189,6 @@ func (o *Options) Validate() error {
 		if err := o.Fault.Validate(); err != nil {
 			return err
 		}
-	}
-	if o.SentinelEvery < 0 {
-		return fmt.Errorf("core: SentinelEvery %d is negative", o.SentinelEvery)
-	}
-	if o.StallBudget < 0 {
-		return fmt.Errorf("core: StallBudget %v is negative", o.StallBudget)
 	}
 	return nil
 }

@@ -70,8 +70,7 @@ func resetShared(es []sharedWord) {
 // thread, (1,0) modified, (0,1) read-shared. It returns the updated
 // word plus, when the access races with the recorded one, the report
 // kind and the recorded thread. A pure function of the word and the
-// access — the property that lets the per-SM shard workers and the
-// serial engine share one implementation.
+// access.
 func (d *Detector) sharedCheckWord(w sharedWord, tid uint16, write bool) (nw sharedWord, kind Kind, firstTid uint16, raced bool) {
 	// State 1: no prior access claims the entry.
 	if w&swFresh == swFresh {
@@ -192,20 +191,3 @@ func (e *packedGlobal) setWriter(tid, sid uint16, fenceID uint32, cycle int64) {
 	e.sync = e.sync&((1<<32)-1) | uint64(fenceID)<<32
 	e.wcyc = cycle
 }
-
-// glane is the per-lane view the global decision procedure consumes:
-// the LaneAccess fields it actually reads, compacted so batch storage
-// can hold them SoA-style and the check never touches caller-owned
-// event memory.
-type glane struct {
-	addr  uint64
-	fill  int64 // cycle the hit L1 line was last refreshed
-	sig   bloom.Sig
-	tid   int32
-	flags uint8
-}
-
-const (
-	laneCrit uint8 = 1 << 0 // issued inside a critical section
-	laneHit  uint8 = 1 << 1 // global read hit the (stale-prone) L1
-)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"haccrg/internal/bloom"
 	"haccrg/internal/fault"
 	"haccrg/internal/gpu"
 	"haccrg/internal/isa"
@@ -66,8 +67,7 @@ func insertLine(s []uint64, v uint64) []uint64 {
 
 // partitionOf maps a byte address to its memory partition through the
 // line-interleaved contract documented on gpu.Env.PartitionFor,
-// without the dynamic dispatch of the Env call — the per-lane cost the
-// enqueue path cares about.
+// without the dynamic dispatch of the Env call.
 func (d *Detector) partitionOf(addr uint64) int {
 	line := addr >> d.partShift
 	if d.partMask != 0 {
@@ -82,19 +82,12 @@ func (d *Detector) partitionOf(addr uint64) int {
 // covering the transaction through the partition's own L2/DRAM path
 // (shadow traffic never blocks the warp but pollutes the L2 — the
 // overhead mechanism of Figures 7 and 9).
-//
-// With the sharded engine live, the lane checks are scattered to the
-// partitions' worker rings instead of running inline; the timing model
-// and the intra-warp check stay on the simulation thread, which owns
-// the partition/L2 state and the report order.
 func (d *Detector) globalRDU(ev *gpu.WarpMemEvent) int64 {
 	gran := uint64(d.opt.GlobalGranularity)
 
 	// Witness-seeded quarantine: a statically-proven racy granule
-	// reports on first touch, before any filtering or engine dispatch.
-	// Running here on the simulation thread keeps the report sequence —
-	// and therefore the merged findings — byte-identical across the
-	// serial and sharded engines and under fault plans.
+	// reports on first touch, before any filtering or fault hook, so
+	// seeded findings are identical with and without fault plans.
 	if d.seedPend != nil {
 		d.fireSeeds(ev, gran)
 	}
@@ -102,20 +95,14 @@ func (d *Detector) globalRDU(ev *gpu.WarpMemEvent) int64 {
 	// Statically-proven race-free site: the RDUs still fetch and write
 	// back the shadow lines (an in-memory filter table would not stop
 	// the hardware's traffic, and the L2/partition timing state is
-	// order-sensitive), but every check — intra-warp WAW, the state
-	// machine, sharded scatter — is skipped. No sequence numbers are
-	// reserved, so the merge order of the remaining candidates is the
-	// serial order with these events absent, on both engines.
+	// order-sensitive), but every check — intra-warp WAW and the state
+	// machine — is skipped.
 	if d.pcFiltered(ev.PC) {
 		if d.opt.ModelTraffic {
 			d.modelGlobalTraffic(ev, gran)
 		}
 		d.stats.FilteredChecks += int64(len(ev.Lanes))
 		return 0
-	}
-
-	if d.gact {
-		return d.globalRDUAsync(ev, gran)
 	}
 
 	if ev.Write || ev.Atomic {
@@ -126,30 +113,24 @@ func (d *Detector) globalRDU(ev *gpu.WarpMemEvent) int64 {
 		d.modelGlobalTraffic(ev, gran)
 	}
 
-	u := d.gunits[0]
-	h := gev{
-		write: ev.Write, atomic: ev.Atomic, pc: ev.PC, stmt: ev.Stmt,
-		sm: ev.SM, block: ev.Block, syncID: ev.SyncID, fenceID: ev.FenceID,
-		cycle: ev.Cycle,
-	}
 	for i := range ev.Lanes {
 		la := &ev.Lanes[i]
 		part := -1
-		lv := glane{addr: la.Addr, fill: la.L1Fill, sig: la.AtomicSig, tid: int32(la.Tid), flags: laneFlags(la)}
-		if u.inj != nil {
+		sig := la.AtomicSig
+		if d.inj != nil {
 			// Each lane check queues at the partition its address maps
 			// to; burst overflow drops the check, never the access.
 			part = d.partitionOf(la.Addr)
-			if !u.admit(part, la.Arrival) {
+			if !d.admit(fault.UnitGlobal, part, la.Arrival) {
 				continue
 			}
-			lv.sig = u.saturate(part, lv.sig, lv.flags&laneCrit != 0)
+			sig = d.saturate(part, sig, la.InCrit)
 		}
-		u.checks++
+		d.stats.GlobalChecks++
 		if ev.Atomic {
 			continue // atomic operations are synchronization accesses
 		}
-		u.globalCheck(&h, lv, part, gran)
+		d.globalCheck(ev, la, sig, part, gran)
 	}
 	return 0
 }
@@ -193,9 +174,7 @@ func (d *Detector) fireSeeds(ev *gpu.WarpMemEvent, gran uint64) {
 
 // modelGlobalTraffic injects the RDUs' shadow-memory traffic for one
 // warp instruction: per distinct demand line, read the shadow lines
-// covering its granule entries, plus one write for the updates. Always
-// runs on the simulation thread — the partition and L2 timing state is
-// order-sensitive and belongs to the simulator.
+// covering its granule entries, plus one write for the updates.
 func (d *Detector) modelGlobalTraffic(ev *gpu.WarpMemEvent, gran uint64) {
 	seg := uint64(d.env.Config().SegmentBytes)
 	arrivals := d.scratch.arrivals[:0]
@@ -230,57 +209,55 @@ func (d *Detector) modelGlobalTraffic(ev *gpu.WarpMemEvent, gran uint64) {
 // globalCheck applies the full HAccRG decision procedure to one lane
 // access: sync-ID ordering, lockset priority, the happens-before state
 // machine, fence-ID validation of RAW pairs, and the stale-L1 check.
-// It touches only shard-local state (shadow slice, injector streams,
-// health) plus the immutable options — the property that lets one
-// shard per partition run it concurrently. The entry's state lives in
+// sig is the lane's lockset signature after any injected saturation
+// (the caller-owned lane is never mutated). The entry's state lives in
 // one packed meta word (packed.go), so the membership, same-thread and
 // state tests below are mask/shift/compare ops on a register.
-func (u *gshard) globalCheck(h *gev, la glane, part int, gran uint64) {
-	g := la.addr / gran
-	li := u.lidx(g)
-	write := h.write
+func (d *Detector) globalCheck(ev *gpu.WarpMemEvent, la *gpu.LaneAccess, sig bloom.Sig, part int, gran uint64) {
+	g := la.Addr / gran
+	write := ev.Write
+	tid := uint16(la.Tid)
 
-	if u.inj != nil && u.faultGlobal(part, g, li) {
+	if d.inj != nil && d.faultGlobal(part, g) {
 		return // granule quarantined by the degradation policy
 	}
 
-	e := u.shadow.entry(li)
+	e := d.gshadow.entry(g)
 	m := e.meta
 	if m&gwPresent == 0 {
 		// State 1: first access claims the entry; a protected access
 		// stores its lockset, an unprotected one stores the null set
 		// (cleared slots are all-zero, so sig needs no store here).
-		m = gwPresent | gwPack(uint16(la.tid), uint32(h.block), uint16(h.sm))
+		m = gwPresent | gwPack(tid, uint32(ev.Block), uint16(ev.SM))
 		if write {
 			m |= gwM
-			e.wcyc = h.cycle
+			e.wcyc = ev.Cycle
 		}
 		e.meta = m
-		e.sync = packSync(h.syncID, h.fenceID)
-		if la.flags&laneCrit != 0 {
-			e.sig = la.sig
+		e.sync = packSync(ev.SyncID, ev.FenceID)
+		if la.InCrit {
+			e.sig = sig
 		}
 		return
 	}
 
 	etid := uint16(m >> gwTid)
 	ebid := uint32(m >> gwBid)
-	sameBlock := ebid == uint32(h.block)
-	sameThread := sameBlock && etid == uint16(la.tid)
-	sameWarp := u.d.opt.WarpAware && sameBlock && u.d.sameWarpID(int(etid), int(la.tid))
+	sameBlock := ebid == uint32(ev.Block)
+	sameThread := sameBlock && etid == tid
+	sameWarp := d.opt.WarpAware && sameBlock && d.sameWarpID(int(etid), la.Tid)
 
 	// Sync-ID ordering (Section IV-B): accesses from the entry's own
 	// block with a newer sync ID are barrier-ordered after the
 	// recorded access — refresh the entry, no race possible.
-	if sameBlock && e.syncID() != h.syncID {
-		claimEntry(e, h, la, write)
+	if sameBlock && e.syncID() != ev.SyncID {
+		claimEntry(e, ev, la, sig, write)
 		return
 	}
 
 	// Lockset has priority in critical sections (Section III-B).
-	entryProtected := e.sig != 0
-	if entryProtected || la.flags&laneCrit != 0 {
-		u.locksetCheck(e, h, la, g, write, sameThread, sameWarp)
+	if e.sig != 0 || la.InCrit {
+		d.locksetCheck(e, ev, la, sig, g, write, sameThread, sameWarp)
 		return
 	}
 
@@ -295,50 +272,50 @@ func (u *gshard) globalCheck(h *gev, la glane, part int, gran uint64) {
 			return
 		}
 		if sameThread || sameWarp {
-			e.setWriter(uint16(la.tid), uint16(h.sm), h.fenceID, h.cycle)
+			e.setWriter(tid, uint16(ev.SM), ev.FenceID, ev.Cycle)
 			return
 		}
-		u.report(isa.SpaceGlobal, KindWAR, hbCategory(sameBlock), h.pc, h.stmt, g, la.addr,
-			int(etid), int(ebid), int(la.tid), h.block, h.cycle)
-		claimEntry(e, h, la, true)
+		d.report(isa.SpaceGlobal, KindWAR, hbCategory(sameBlock), ev.PC, ev.Stmt, g, la.Addr,
+			int(etid), int(ebid), la.Tid, ev.Block, ev.Cycle)
+		claimEntry(e, ev, la, sig, true)
 
 	case gwM:
 		// State 3: written by the recorded thread.
 		if sameThread || sameWarp {
 			if write {
-				e.setWriter(uint16(la.tid), uint16(h.sm), h.fenceID, h.cycle)
+				e.setWriter(tid, uint16(ev.SM), ev.FenceID, ev.Cycle)
 			}
 			return
 		}
 		if write {
-			u.report(isa.SpaceGlobal, KindWAW, hbCategory(sameBlock), h.pc, h.stmt, g, la.addr,
-				int(etid), int(ebid), int(la.tid), h.block, h.cycle)
-			claimEntry(e, h, la, true)
+			d.report(isa.SpaceGlobal, KindWAW, hbCategory(sameBlock), ev.PC, ev.Stmt, g, la.Addr,
+				int(etid), int(ebid), la.Tid, ev.Block, ev.Cycle)
+			claimEntry(e, ev, la, sig, true)
 			return
 		}
 		// RAW: the stale-L1 check first (a hit can return stale data
 		// regardless of the producer's fence), then the fence-ID
 		// comparison against the race register file.
 		// A hit is stale only when the cached copy predates the write.
-		if u.d.opt.DetectStaleL1 && la.flags&laneHit != 0 && uint16(m>>gwSid) != uint16(h.sm) && la.fill < e.wcyc {
-			u.report(isa.SpaceGlobal, KindRAW, CatStaleL1, h.pc, h.stmt, g, la.addr,
-				int(etid), int(ebid), int(la.tid), h.block, h.cycle)
-			claimEntry(e, h, la, false)
+		if d.opt.DetectStaleL1 && la.L1Hit && uint16(m>>gwSid) != uint16(ev.SM) && la.L1Fill < e.wcyc {
+			d.report(isa.SpaceGlobal, KindRAW, CatStaleL1, ev.PC, ev.Stmt, g, la.Addr,
+				int(etid), int(ebid), la.Tid, ev.Block, ev.Cycle)
+			claimEntry(e, ev, la, sig, false)
 			return
 		}
-		cur := u.fenceRead(int(ebid), u.d.warpOf(int(etid)))
-		if cur == e.fenceID() {
+		d.stats.FenceLookups++
+		if d.env.CurrentFenceID(int(ebid), d.warpOf(int(etid))) == e.fenceID() {
 			// The producer has not fenced since its write: the
 			// consumer may observe a partial update.
 			cat := CatFence
 			if sameBlock {
 				cat = CatBarrier
 			}
-			u.report(isa.SpaceGlobal, KindRAW, cat, h.pc, h.stmt, g, la.addr,
-				int(etid), int(ebid), int(la.tid), h.block, h.cycle)
+			d.report(isa.SpaceGlobal, KindRAW, cat, ev.PC, ev.Stmt, g, la.Addr,
+				int(etid), int(ebid), la.Tid, ev.Block, ev.Cycle)
 		}
 		// Fenced or not, the consumer now owns the entry as a reader.
-		claimEntry(e, h, la, false)
+		claimEntry(e, ev, la, sig, false)
 
 	default:
 		// State 4: read by multiple warps/blocks (any state with S set,
@@ -347,9 +324,9 @@ func (u *gshard) globalCheck(h *gev, la glane, part int, gran uint64) {
 		if !write {
 			return
 		}
-		u.report(isa.SpaceGlobal, KindWAR, hbCategory(sameBlock), h.pc, h.stmt, g, la.addr,
-			int(etid), int(ebid), int(la.tid), h.block, h.cycle)
-		claimEntry(e, h, la, true)
+		d.report(isa.SpaceGlobal, KindWAR, hbCategory(sameBlock), ev.PC, ev.Stmt, g, la.Addr,
+			int(etid), int(ebid), la.Tid, ev.Block, ev.Cycle)
+		claimEntry(e, ev, la, sig, true)
 	}
 }
 
@@ -357,16 +334,16 @@ func (u *gshard) globalCheck(h *gev, la glane, part int, gran uint64) {
 // after barrier-ordered handoffs, reported races, and safe
 // consumptions). The write cycle is preserved on reads — only a write
 // moves the stale-L1 horizon.
-func claimEntry(e *packedGlobal, h *gev, la glane, write bool) {
-	m := gwPresent | gwPack(uint16(la.tid), uint32(h.block), uint16(h.sm))
+func claimEntry(e *packedGlobal, ev *gpu.WarpMemEvent, la *gpu.LaneAccess, sig bloom.Sig, write bool) {
+	m := gwPresent | gwPack(uint16(la.Tid), uint32(ev.Block), uint16(ev.SM))
 	if write {
 		m |= gwM
-		e.wcyc = h.cycle
+		e.wcyc = ev.Cycle
 	}
 	e.meta = m
-	e.sync = packSync(h.syncID, h.fenceID)
-	if la.flags&laneCrit != 0 {
-		e.sig = la.sig
+	e.sync = packSync(ev.SyncID, ev.FenceID)
+	if la.InCrit {
+		e.sig = sig
 	} else {
 		e.sig = 0
 	}
@@ -383,27 +360,27 @@ func hbCategory(sameBlock bool) Category {
 
 // locksetCheck implements Section III-B's two racy scenarios:
 // disjoint locksets, and mixed protected/unprotected access.
-func (u *gshard) locksetCheck(e *packedGlobal, h *gev, la glane,
+func (d *Detector) locksetCheck(e *packedGlobal, ev *gpu.WarpMemEvent, la *gpu.LaneAccess, sig bloom.Sig,
 	g uint64, write, sameThread, sameWarp bool) {
 	m := e.meta
 	entryModified := m&gwM != 0
 	racy := entryModified || write
 	entryProtected := e.sig != 0
-	inCrit := la.flags&laneCrit != 0
-	u.observeFill(e.sig, la.sig)
+	inCrit := la.InCrit
+	d.observeFill(e.sig, sig)
 
 	if sameThread {
 		// Same thread: refresh.
 		if write {
 			e.meta = m | gwM
-			e.sync = e.sync&((1<<32)-1) | uint64(h.fenceID)<<32
-			e.wcyc = h.cycle
+			e.sync = e.sync&((1<<32)-1) | uint64(ev.FenceID)<<32
+			e.wcyc = ev.Cycle
 		}
 		if inCrit {
 			if entryProtected {
-				e.sig = u.d.opt.Bloom.Intersect(e.sig, la.sig)
+				e.sig = d.opt.Bloom.Intersect(e.sig, sig)
 			} else {
-				e.sig = la.sig
+				e.sig = sig
 			}
 		}
 		return
@@ -415,29 +392,29 @@ func (u *gshard) locksetCheck(e *packedGlobal, h *gev, la glane,
 	switch {
 	case entryProtected && inCrit:
 		// Both protected: race iff the lockset intersection is null.
-		if racy && !u.d.opt.Bloom.MayIntersect(e.sig, la.sig) && !sameWarp {
-			u.report(isa.SpaceGlobal, locksetKind(entryModified, write), CatLockset, h.pc, h.stmt, g, la.addr,
-				int(etid), int(ebid), int(la.tid), h.block, h.cycle)
-			claimEntry(e, h, la, write)
+		if racy && !d.opt.Bloom.MayIntersect(e.sig, sig) && !sameWarp {
+			d.report(isa.SpaceGlobal, locksetKind(entryModified, write), CatLockset, ev.PC, ev.Stmt, g, la.Addr,
+				int(etid), int(ebid), la.Tid, ev.Block, ev.Cycle)
+			claimEntry(e, ev, la, sig, write)
 			return
 		}
 		// The intersection — the set of locks that protected every
 		// access so far — is what the shadow entry keeps.
-		e.sig = u.d.opt.Bloom.Intersect(e.sig, la.sig)
+		e.sig = d.opt.Bloom.Intersect(e.sig, sig)
 		if write {
 			e.meta = m&^(gwTidField|gwBidField|gwSidField) | gwM |
-				gwPack(uint16(la.tid), uint32(h.block), uint16(h.sm))
-			e.sync = e.sync&((1<<32)-1) | uint64(h.fenceID)<<32
-			e.wcyc = h.cycle
+				gwPack(uint16(la.Tid), uint32(ev.Block), uint16(ev.SM))
+			e.sync = e.sync&((1<<32)-1) | uint64(ev.FenceID)<<32
+			e.wcyc = ev.Cycle
 		}
 
 	default:
 		// Mixed protected/unprotected access from different threads.
 		if racy && !sameWarp {
-			u.report(isa.SpaceGlobal, locksetKind(entryModified, write), CatLockset, h.pc, h.stmt, g, la.addr,
-				int(etid), int(ebid), int(la.tid), h.block, h.cycle)
+			d.report(isa.SpaceGlobal, locksetKind(entryModified, write), CatLockset, ev.PC, ev.Stmt, g, la.Addr,
+				int(etid), int(ebid), la.Tid, ev.Block, ev.Cycle)
 		}
-		claimEntry(e, h, la, write)
+		claimEntry(e, ev, la, sig, write)
 	}
 }
 

@@ -28,14 +28,7 @@ func (d *Detector) sharedRDU(ev *gpu.WarpMemEvent) int64 {
 		return 0
 	}
 
-	// Sharded shared engine: the event's lanes detach onto the owning
-	// SM's shard (feasibility excludes Figure 8 mode, so no stall).
-	if d.sact {
-		return d.sharedRDUAsync(ev, gran)
-	}
-
-	u := d.sunits[ev.SM]
-	shadow := u.shadow
+	shadow := d.sharedShadow[ev.SM]
 
 	// Intra-warp WAW: two lanes of this instruction writing the same
 	// byte address, checked before the request issues.
@@ -60,32 +53,28 @@ func (d *Detector) sharedRDU(ev *gpu.WarpMemEvent) int64 {
 			}
 			continue
 		}
-		if !inGlobal {
-			u.checkLane(la.Addr, uint16(la.Tid), ev.Write, ev.Atomic, ev.PC, ev.Stmt, ev.Block, ev.Cycle, gran)
-			continue
-		}
-		// Fig. 8 mode interleaves the shadow-line collection into the
-		// per-lane sequence, so it keeps the expanded form.
-		if u.inj != nil && !u.admit(ev.Cycle) {
+		if d.inj != nil && !d.admit(fault.UnitShared, ev.SM, ev.Cycle) {
 			continue // check-queue overflow: dropped, counted, access unaffected
 		}
-		u.checks++
+		d.stats.SharedChecks++
 		g := la.Addr / gran
 		if g >= uint64(len(shadow)) {
 			continue // engine bounds-checks; stay safe
 		}
-		entryAddr := d.sharedShadowBase(ev.SM) + g*2
-		shadowLines = insertLine(shadowLines, entryAddr&^uint64(d.env.Config().SegmentBytes-1))
+		if inGlobal {
+			entryAddr := d.sharedShadowBase(ev.SM) + g*2
+			shadowLines = insertLine(shadowLines, entryAddr&^uint64(d.env.Config().SegmentBytes-1))
+		}
 		if ev.Atomic {
 			continue // atomics are synchronization operations
 		}
-		if u.inj != nil && u.faultShared(g) {
+		if d.inj != nil && d.faultShared(ev.SM, shadow, g) {
 			continue // cell quarantined by the degradation policy
 		}
 		nw, kind, first, raced := d.sharedCheckWord(shadow[g], uint16(la.Tid), ev.Write)
 		shadow[g] = nw
 		if raced {
-			u.report(isa.SpaceShared, kind, CatBarrier, ev.PC, ev.Stmt, g, la.Addr,
+			d.report(isa.SpaceShared, kind, CatBarrier, ev.PC, ev.Stmt, g, la.Addr,
 				int(first), ev.Block, la.Tid, ev.Block, ev.Cycle)
 		}
 	}

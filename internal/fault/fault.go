@@ -248,13 +248,10 @@ func (p *Plan) String() string {
 // drawn from an independent per-(mechanism, unit, id) PRNG stream
 // seeded from the run seed, so the fault sequence one RDU observes
 // depends only on its own check sequence — never on how checks from
-// other RDUs interleave with it. That partition-determinism is what
-// lets the sharded per-partition detector reproduce the serial
-// detector's faults byte for byte: each shard owns a private Injector
-// built from the same (plan, seed) and replays exactly its own streams.
+// other RDUs interleave with it. A recorded run therefore replays its
+// exact fault decisions from the same (plan, seed) and event stream.
 //
-// An Injector is not safe for concurrent use; callers that check in
-// parallel give each worker its own instance.
+// An Injector is not safe for concurrent use.
 type Injector struct {
 	plan Plan
 	seed int64

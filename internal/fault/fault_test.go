@@ -228,9 +228,8 @@ func TestSpikePeriod(t *testing.T) {
 }
 
 // TestStreamIndependence: the fault sequence one RDU draws must not
-// depend on how checks at other RDUs interleave with it — the property
-// the sharded per-partition detector relies on to reproduce serial
-// fault decisions exactly.
+// depend on how checks at other RDUs interleave with it, so each RDU's
+// fault decisions are a function of its own check sequence alone.
 func TestStreamIndependence(t *testing.T) {
 	draw := func(in *Injector, id, n int) []int {
 		var out []int

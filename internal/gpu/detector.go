@@ -27,9 +27,9 @@ type LaneAccess struct {
 // Ownership: the event and its Lanes slice belong to the caller and
 // are valid ONLY for the duration of the Detector.WarpMem call — the
 // simulator reuses the backing storage for the next instruction.
-// Detectors (and recorders) that process events asynchronously or
-// journal them must copy what they keep into owned buffers before
-// returning; retaining the pointer or the Lanes slice is a data race.
+// Detectors (and recorders) that journal events must copy what they
+// keep into owned buffers before returning; retaining the pointer or
+// the Lanes slice is a data race.
 type WarpMemEvent struct {
 	Space  isa.Space
 	Write  bool
@@ -61,9 +61,8 @@ type Env interface {
 	// Contract: the mapping must be line-interleaved — it may depend
 	// only on addr / Config().SegmentBytes, so every byte of a
 	// coalescing segment (and hence of any tracking granule no larger
-	// than a segment) maps to one partition. Sharded per-partition
-	// detection relies on this to give each partition a disjoint,
-	// densely compactable slice of the global shadow.
+	// than a segment) maps to one partition, whose RDU owns the
+	// granule's shadow entry.
 	PartitionFor(addr uint64) int
 	// ShadowTx performs an RDU-side access at partition part (no NoC
 	// traversal: the RDU sits inside the memory slice). Returns the
@@ -107,41 +106,6 @@ type Detector interface {
 	// its shared-memory region (possibly inherited from a retired
 	// block) starts a new life, an implicit barrier.
 	BlockStart(sm int, sharedBase, sharedSize int)
-}
-
-// FenceObserver is an optional Detector extension. The device calls
-// FenceAdvance on the simulation thread when warp warpInBlock of the
-// given block increments its fence clock (OpMembar), strictly before
-// any later memory event is delivered. Detectors that check
-// asynchronously use it to keep a private mirror of the race register
-// file consistent instead of reading Env.CurrentFenceID concurrently
-// with simulation.
-type FenceObserver interface {
-	FenceAdvance(block, warpInBlock int, id uint32)
-}
-
-// AsyncDetector is an optional Detector extension for engines that
-// process checks asynchronously (the sharded per-partition RDU).
-// Quiesce blocks until every enqueued check has been applied and stops
-// the pipeline; the device calls it in finalize so aborted launches —
-// which never reach KernelEnd — still report fully drained stats.
-// DetectQueuePeak reports the deepest backlog any internal check queue
-// reached during the launch (LaunchStats.DetectQueuePeak), making
-// shard saturation observable.
-type AsyncDetector interface {
-	Quiesce()
-	DetectQueuePeak() int
-}
-
-// FenceRead is one recorded Env.CurrentFenceID response, in the order
-// the detection engine consumed it. Asynchronous detectors expose
-// their per-kernel log (see journal.Recorder) so a serial replay —
-// which issues the identical query sequence — can be fed the identical
-// responses.
-type FenceRead struct {
-	Block int
-	Warp  int
-	ID    uint32
 }
 
 // NopDetector is the baseline: detection disabled.

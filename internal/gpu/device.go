@@ -20,12 +20,6 @@ type Device struct {
 	sms      []*sm
 	detector Detector
 
-	// Optional detector extensions, resolved once from the wrapper
-	// chain (journal/trace recorders expose Inner) so the per-fence and
-	// per-abort hook sites stay a nil check.
-	fenceObs FenceObserver
-	async    AsyncDetector
-
 	// PartitionFor runs per lane per global access, so the div/mod is
 	// hoisted into a shift (SegmentBytes is validated power-of-two) and,
 	// when NumPartitions is also a power of two, a mask.
@@ -66,23 +60,6 @@ func NewDevice(cfg Config, globalBytes int, det Detector) (*Device, error) {
 		segShift:   uint(bits.TrailingZeros64(uint64(cfg.SegmentBytes))),
 		partMask:   uint64(cfg.NumPartitions - 1),
 		partsPow2:  cfg.NumPartitions&(cfg.NumPartitions-1) == 0,
-	}
-	for w := Detector(det); w != nil; {
-		if d.fenceObs == nil {
-			if o, ok := w.(FenceObserver); ok {
-				d.fenceObs = o
-			}
-		}
-		if d.async == nil {
-			if a, ok := w.(AsyncDetector); ok {
-				d.async = a
-			}
-		}
-		u, ok := w.(interface{ Inner() Detector })
-		if !ok {
-			break
-		}
-		w = u.Inner()
 	}
 	for i := 0; i < cfg.NumPartitions; i++ {
 		p, err := mem.NewPartition(i, cfg.Partition)
@@ -248,13 +225,6 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 // shared by the success path and every abort path, so partial runs
 // carry real cache/DRAM/detector numbers.
 func (d *Device) finalize(st *LaunchStats, k *Kernel) *LaunchStats {
-	// Asynchronous detectors must settle before their stats are read:
-	// abort paths skip KernelEnd, so without this the health and race
-	// counters of a hung launch would reflect an arbitrary pipeline cut.
-	if d.async != nil {
-		d.async.Quiesce()
-		st.DetectQueuePeak = d.async.DetectQueuePeak()
-	}
 	st.Cycles = d.now
 	st.BlocksRetired = int64(k.GridDim - d.blocksLeft)
 	st.MaxSyncID = d.maxSync

@@ -36,21 +36,6 @@ type DetectorHealth struct {
 	// latency spike.
 	LatencySpikes int64
 
-	// SentinelChecks counts kernels the online divergence sentinel
-	// cross-checked against a serial reference engine (0 when the
-	// sentinel is off or the engine runs serial anyway).
-	SentinelChecks int64
-	// SentinelMismatches counts sentinel windows whose sharded-engine
-	// findings diverged from the serial reference — each one is a
-	// caught would-be-silent divergence.
-	SentinelMismatches int64
-	// StalledDrains counts quiescent-point drains that overran the
-	// configured stall budget before a shard worker acknowledged.
-	StalledDrains int64
-	// EngineFallbacks counts permanent degradations to the serial
-	// engine triggered by a sentinel mismatch or a stalled drain.
-	EngineFallbacks int64
-
 	// TotalChecks is the lane-check denominator for the exposure
 	// estimate (shared + global RDU checks).
 	TotalChecks int64
@@ -101,10 +86,6 @@ func (h *DetectorHealth) Add(o *DetectorHealth) {
 	h.ReinitGranules += o.ReinitGranules
 	h.SaturatedSigs += o.SaturatedSigs
 	h.LatencySpikes += o.LatencySpikes
-	h.SentinelChecks += o.SentinelChecks
-	h.SentinelMismatches += o.SentinelMismatches
-	h.StalledDrains += o.StalledDrains
-	h.EngineFallbacks += o.EngineFallbacks
 	h.TotalChecks += o.TotalChecks
 	h.Degraded = h.Degraded || o.Degraded
 }
@@ -117,16 +98,11 @@ func (h *DetectorHealth) String() string {
 	if !h.Degraded {
 		return fmt.Sprintf("health: ok (%d checks, bloom fill %.1f%%)", h.TotalChecks, h.BloomFillPct)
 	}
-	s := fmt.Sprintf(
+	return fmt.Sprintf(
 		"health: DEGRADED dropped=%d flips=%d(corrected %d) stuck=%d quarantined=%d(skips %d) reinit=%d satsigs=%d spikes=%d est-false-neg=%.2f%%",
 		h.DroppedChecks, h.InjectedFlips, h.CorrectedFlips, h.StuckReads,
 		h.QuarantinedGranules, h.QuarantineSkips, h.ReinitGranules,
 		h.SaturatedSigs, h.LatencySpikes, h.EstFalseNegPct())
-	if h.SentinelMismatches|h.StalledDrains|h.EngineFallbacks != 0 {
-		s += fmt.Sprintf(" sentinel-mismatch=%d stalled-drains=%d engine-fallbacks=%d",
-			h.SentinelMismatches, h.StalledDrains, h.EngineFallbacks)
-	}
-	return s
 }
 
 // HealthReporter is the optional detector extension surfacing a

@@ -238,11 +238,6 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 
 	case isa.OpMembar:
 		w.fenceID++
-		if s.dev.fenceObs != nil {
-			// Fence-observing detectors mirror the race register file;
-			// the advance must be ordered before any later memory event.
-			s.dev.fenceObs.FenceAdvance(w.block.id, w.inBlock, w.fenceID)
-		}
 		st.Fences++
 		done := issueDone + s.dev.cfg.FenceLatency
 		if w.storeDone > done {

@@ -46,12 +46,6 @@ type LaunchStats struct {
 
 	ShadowTx int64 // RDU-injected transactions at the partitions
 
-	// DetectQueuePeak is the deepest backlog any asynchronous detection
-	// queue reached during the launch (0 for synchronous detectors).
-	// A peak pinned at the ring capacity means the sim thread was
-	// backpressured and wall-clock gains are queue-bound.
-	DetectQueuePeak int
-
 	// Health is the attached detector's degradation report (nil when
 	// the detector does not implement HealthReporter, e.g. NopDetector).
 	Health *DetectorHealth
@@ -128,9 +122,6 @@ func (s *LaunchStats) Add(o *LaunchStats) {
 	s.DRAMTx += o.DRAMTx
 	s.NoCFlits += o.NoCFlits
 	s.ShadowTx += o.ShadowTx
-	if o.DetectQueuePeak > s.DetectQueuePeak {
-		s.DetectQueuePeak = o.DetectQueuePeak
-	}
 	// Weighted by cycles so long kernels dominate, as in the paper's
 	// whole-benchmark utilization numbers.
 	total := s.Cycles

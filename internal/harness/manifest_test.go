@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -314,4 +315,63 @@ func runSweepHelper() {
 		os.Exit(1)
 	}
 	os.Exit(0)
+}
+
+// TestResumeOldManifestEncoding: testdata holds two one-run manifests
+// written by the last version with the parallel detector engines, for
+// the same configuration run on the serial and on the parallel engine.
+// Their config keys carry the engine field, and their results the
+// engine's queue-peak stat and four self-healing health counters. Each
+// resumes — served from the manifest, not re-simulated — to a result
+// byte-identical to a fresh run.
+func TestResumeOldManifestEncoding(t *testing.T) {
+	rc := RunConfig{
+		Bench: "reduce", Detector: DetSharedGlobal, GPU: testGPU(),
+		FaultPlan: "queue:cap=16,drain=1", FaultSeed: 7,
+	}
+	fresh, err := Run(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"engine-serial.manifest", "engine-parallel.manifest"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Resuming truncates and appends, so work on a copy.
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, salvage, err := OpenManifest(path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if salvage.Records != 1 || salvage.Truncated {
+			t.Fatalf("%s: salvage %+v, want one clean record", name, salvage)
+		}
+		before := SweepExecutions()
+		got, err := sweepRunManifest(context.Background(), rc, m)
+		m.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := SweepExecutions() - before; n != 0 {
+			t.Fatalf("%s: resume re-simulated %d run(s) instead of serving the manifest", name, n)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, want) {
+			t.Errorf("%s: resumed result differs from a fresh run\nresumed: %s\nfresh:   %s", name, gotJSON, want)
+		}
+		if renderResults(t, []*RunResult{got}) != renderResults(t, []*RunResult{fresh}) {
+			t.Errorf("%s: resumed rendering differs from a fresh run", name)
+		}
+	}
 }

@@ -51,18 +51,6 @@ type RunConfig struct {
 	SingleBlock bool
 	Inject      []string
 
-	// DetectParallel runs the global-memory RDUs as sharded
-	// per-partition engines on their own goroutines (see
-	// core.Options.Parallel). Findings are byte-identical to the serial
-	// engine; only wall-clock time changes.
-	DetectParallel bool
-
-	// DetectParallelShared does the same for the shared-memory RDUs:
-	// one engine per SM (see core.Options.ParallelShared). The omitempty
-	// tag keeps manifest keys of shared-serial configs stable across
-	// versions.
-	DetectParallelShared bool `json:"DetectParallelShared,omitempty"`
-
 	// StaticFilter analyzes the plan's kernels with the static race
 	// prover (internal/staticrace) and lets the RDUs skip checks at
 	// provably race-free sites. Findings and cycle counts stay
@@ -78,14 +66,6 @@ type RunConfig struct {
 	// omitempty tag keeps manifest keys of seed-off configs stable
 	// across versions.
 	WitnessSeed bool `json:"WitnessSeed,omitempty"`
-
-	// SentinelEvery arms the core engine's online divergence sentinel:
-	// every Nth kernel of a parallel run is cross-checked against a
-	// serial reference, and on mismatch the detector degrades to the
-	// serial engine with the incident in its health report (see
-	// core.Options.SentinelEvery). 0 = off. omitempty keeps manifest
-	// keys of sentinel-free configs stable across versions.
-	SentinelEvery int `json:"SentinelEvery,omitempty"`
 
 	// GPU overrides the device configuration (nil = paper's Table I).
 	GPU *gpu.Config
@@ -139,23 +119,15 @@ type RunResult struct {
 	TraceRec *trace.Recorder `json:"-"`
 }
 
-// detectorFor builds the run's detector; the second return value
-// yields the underlying core engine for race extraction (nil for off).
-func detectorFor(rc RunConfig) (gpu.Detector, *core.Detector, *swdetect.Detector, *grace.Detector, error) {
-	opt := core.DefaultOptions()
-	if rc.SharedGranularity > 0 {
-		opt.SharedGranularity = rc.SharedGranularity
-	}
-	if rc.GlobalGranularity > 0 {
-		opt.GlobalGranularity = rc.GlobalGranularity
-	}
-	opt.Parallel = rc.DetectParallel
-	opt.ParallelShared = rc.DetectParallelShared
-	opt.SentinelEvery = rc.SentinelEvery
+// runOptions merges a RunConfig's fault plan and degradation policy
+// into the detector options opt — the knobs every detector build
+// shares, whether the options come from a DetectorKind or from the
+// facade's explicit Detection.
+func runOptions(rc RunConfig, opt core.Options) (core.Options, error) {
 	if rc.FaultPlan != "" {
 		p, err := fault.Parse(rc.FaultPlan)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return opt, err
 		}
 		opt.Fault = p
 		opt.FaultSeed = rc.FaultSeed
@@ -166,7 +138,24 @@ func detectorFor(rc RunConfig) (gpu.Detector, *core.Detector, *swdetect.Detector
 	case "reinit":
 		opt.Degradation = core.DegradeReinit
 	default:
-		return nil, nil, nil, nil, fmt.Errorf("harness: unknown degradation policy %q (want quarantine or reinit)", rc.Degradation)
+		return opt, fmt.Errorf("harness: unknown degradation policy %q (want quarantine or reinit)", rc.Degradation)
+	}
+	return opt, nil
+}
+
+// detectorFor builds the run's detector; the second return value
+// yields the underlying core engine for race extraction (nil for off).
+func detectorFor(rc RunConfig) (gpu.Detector, *core.Detector, *swdetect.Detector, *grace.Detector, error) {
+	opt := core.DefaultOptions()
+	if rc.SharedGranularity > 0 {
+		opt.SharedGranularity = rc.SharedGranularity
+	}
+	if rc.GlobalGranularity > 0 {
+		opt.GlobalGranularity = rc.GlobalGranularity
+	}
+	opt, err := runOptions(rc, opt)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	switch rc.Detector {
 	case DetOff, "":
@@ -239,8 +228,8 @@ type ExecOptions struct {
 	// core options instead of deriving them from rc.Detector (the
 	// facade path, which admits configurations — custom Bloom layouts,
 	// shared-shadow-in-global with odd granularities — that no
-	// DetectorKind names). rc's FaultPlan/FaultSeed, Degradation and
-	// DetectParallel/DetectParallelShared are still merged in.
+	// DetectorKind names). rc's FaultPlan/FaultSeed and Degradation
+	// are still merged in.
 	Detection *core.Options
 	// Verify checks kernel output against the host reference where the
 	// benchmark defines one.
@@ -253,45 +242,14 @@ type ExecOptions struct {
 	Record io.Writer
 }
 
-// execDetector builds the run's detector from explicit core options,
-// merging the RunConfig's fault/degradation/parallel knobs exactly as
-// detectorFor does for kind-derived runs.
-func execDetector(rc RunConfig, opt core.Options) (*core.Detector, error) {
-	if rc.DetectParallel {
-		opt.Parallel = true
-	}
-	if rc.DetectParallelShared {
-		opt.ParallelShared = true
-	}
-	if rc.SentinelEvery > 0 {
-		opt.SentinelEvery = rc.SentinelEvery
-	}
-	if rc.FaultPlan != "" {
-		p, err := fault.Parse(rc.FaultPlan)
-		if err != nil {
-			return nil, err
-		}
-		opt.Fault = p
-		opt.FaultSeed = rc.FaultSeed
-	}
-	switch rc.Degradation {
-	case "", "quarantine":
-		opt.Degradation = core.DegradeQuarantine
-	case "reinit":
-		opt.Degradation = core.DegradeReinit
-	default:
-		return nil, fmt.Errorf("harness: unknown degradation policy %q (want quarantine or reinit)", rc.Degradation)
-	}
-	return core.New(opt)
-}
-
 // execMeta describes a run for the journal header so replay can
 // rebuild an equivalent detector without out-of-band knowledge.
-func execMeta(rc RunConfig, coreDet *core.Detector) *journal.Meta {
+func execMeta(rc RunConfig, coreDet *core.Detector, seeds seedSet) *journal.Meta {
 	m := &journal.Meta{
 		Bench: rc.Bench, Detector: string(rc.Detector),
 		Scale: rc.Scale, SingleBlock: rc.SingleBlock, Inject: rc.Inject,
 		FaultPlan: rc.FaultPlan, FaultSeed: rc.FaultSeed, Degradation: rc.Degradation,
+		Seeds: seeds,
 	}
 	if m.Detector == "" {
 		m.Detector = string(DetOff)
@@ -327,11 +285,14 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 		grDet   *grace.Detector
 	)
 	if xo.Detection != nil {
-		d, derr := execDetector(rc, *xo.Detection)
-		if derr != nil {
-			return nil, derr
+		opt, oerr := runOptions(rc, *xo.Detection)
+		if oerr != nil {
+			return nil, oerr
 		}
-		det, coreDet = d, d
+		if coreDet, err = core.New(opt); err != nil {
+			return nil, err
+		}
+		det = coreDet
 	} else {
 		det, coreDet, swDet, grDet, err = detectorFor(rc)
 		if err != nil {
@@ -349,9 +310,6 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 		// before any inner wrapper consumes it.
 		jr, jerr := journal.NewRecorder(xo.Record, det)
 		if jerr != nil {
-			return nil, jerr
-		}
-		if jerr := jr.SetMeta(execMeta(rc, coreDet)); jerr != nil {
 			return nil, jerr
 		}
 		jrec = jr
@@ -389,6 +347,7 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 	if err != nil {
 		return nil, err
 	}
+	var seeds seedSet
 	if rc.StaticFilter || rc.WitnessSeed {
 		if xo.Detection == nil {
 			switch rc.Detector {
@@ -414,7 +373,15 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 			coreDet.SetStaticFilter(f)
 		}
 		if rc.WitnessSeed {
-			coreDet.SetWitnessSeeds(witnessSeeder{f})
+			seeds = witnessSeeds(f, plan.Kernels)
+			coreDet.SetWitnessSeeds(seeds)
+		}
+	}
+	if jrec != nil {
+		// The meta record follows static analysis so it can carry the
+		// seed set, and precedes the first kernel's records.
+		if err := jrec.SetMeta(execMeta(rc, coreDet, seeds)); err != nil {
+			return nil, err
 		}
 	}
 	if rc.Timeout > 0 {
@@ -625,22 +592,81 @@ func Verify(bench string, scale int, singleBlock bool) error {
 	return plan.Verify(dev)
 }
 
-// witnessSeeder adapts the static analyzer's verified global race
-// witnesses to core.WitnessSeeder (the adapter lives here because
-// staticrace must not import core).
-type witnessSeeder struct{ f *staticrace.Filter }
+// seedSet is a run's witness seed set per kernel name: the
+// core.WitnessSeeder the detector is seeded from, and the set a
+// journal's meta record carries to replay.
+type seedSet map[string][]core.SeedWitness
 
-func (s witnessSeeder) WitnessSeeds(kernel string) []core.SeedWitness {
-	var out []core.SeedWitness
-	for _, w := range s.f.RaceSeeds(kernel) {
-		out = append(out, core.SeedWitness{
-			Space:   isa.SpaceGlobal,
-			Granule: w.Granule,
-			Class:   w.Class,
-			PC:      w.PC, PC2: w.PC2,
-			Block: w.Block, Tid: w.Tid,
-			Block2: w.Block2, Tid2: w.Tid2,
-		})
+func (s seedSet) WitnessSeeds(kernel string) []core.SeedWitness { return s[kernel] }
+
+// witnessSeeds collects the static analyzer's verified global race
+// witnesses for the plan's kernels as core seeds (the adapter lives
+// here because staticrace must not import core). Nil when no kernel
+// has one.
+func witnessSeeds(f *staticrace.Filter, ks []*gpu.Kernel) seedSet {
+	var set seedSet
+	for _, k := range ks {
+		if _, done := set[k.Name]; done {
+			continue
+		}
+		var out []core.SeedWitness
+		for _, w := range f.RaceSeeds(k.Name) {
+			out = append(out, core.SeedWitness{
+				Space:   isa.SpaceGlobal,
+				Granule: w.Granule,
+				Class:   w.Class,
+				PC:      w.PC, PC2: w.PC2,
+				Block: w.Block, Tid: w.Tid,
+				Block2: w.Block2, Tid2: w.Tid2,
+			})
+		}
+		if out == nil {
+			continue
+		}
+		if set == nil {
+			set = seedSet{}
+		}
+		set[k.Name] = out
 	}
-	return out
+	return set
+}
+
+// DetectorForJournal rebuilds, from a journal's meta record, the
+// detector its run was recorded under — the one function the replay
+// CLI and the daemon's replay jobs share. A non-empty override replaces
+// the recorded detector kind. Replaying under the recorded kind
+// installs the recorded witness seed set, so a seeded run replays to
+// its live verdict. With no surviving meta record the run replays
+// under shared+global (or the override). The returned RunConfig is the
+// configuration the detector was built from.
+func DetectorForJournal(src io.Reader, override DetectorKind) (gpu.Detector, RunConfig, error) {
+	meta, err := journal.ReadMeta(src)
+	if err != nil {
+		return nil, RunConfig{}, err
+	}
+	rc := RunConfig{Detector: DetSharedGlobal}
+	if meta != nil {
+		rc = RunConfig{
+			Bench:             meta.Bench,
+			Detector:          DetectorKind(meta.Detector),
+			SharedGranularity: meta.SharedGranularity,
+			GlobalGranularity: meta.GlobalGranularity,
+			FaultPlan:         meta.FaultPlan,
+			FaultSeed:         meta.FaultSeed,
+			Degradation:       meta.Degradation,
+		}
+	}
+	recorded := rc.Detector
+	if override != "" {
+		rc.Detector = override
+	}
+	det, coreDet, _, _, err := detectorFor(rc)
+	if err != nil {
+		return nil, rc, err
+	}
+	if meta != nil && len(meta.Seeds) > 0 && rc.Detector == recorded && coreDet != nil {
+		coreDet.SetWitnessSeeds(seedSet(meta.Seeds))
+		rc.WitnessSeed = true
+	}
+	return det, rc, nil
 }

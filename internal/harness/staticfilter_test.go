@@ -29,40 +29,36 @@ func filterFingerprint(t *testing.T, r *RunResult) string {
 }
 
 // TestStaticFilterDifferential is the filter's correctness oracle:
-// for every benchmark, on both the serial and the sharded engine, and
-// both fault-free and under a fault plan, findings and cycle counts
-// with the static filter on must be byte-identical to filter off.
+// for every benchmark, both fault-free and under a fault plan, findings
+// and cycle counts with the static filter on must be byte-identical to
+// filter off.
 func TestStaticFilterDifferential(t *testing.T) {
 	plans := []string{"", "queue:cap=16,drain=1"}
 	for _, bm := range kernels.All() {
 		bm := bm
 		t.Run(bm.Name, func(t *testing.T) {
-			for _, parallel := range []bool{false, true} {
-				for _, fp := range plans {
-					base := RunConfig{
-						Bench: bm.Name, Detector: DetSharedGlobal,
-						GPU: testGPU(), DetectParallel: parallel,
-						FaultPlan: fp, FaultSeed: 7,
-						MaxCycles: 40_000_000,
-					}
-					off, err := Run(base)
-					if err != nil {
-						t.Fatalf("parallel=%v plan=%q off: %v", parallel, fp, err)
-					}
-					on := base
-					on.StaticFilter = true
-					res, err := Run(on)
-					if err != nil {
-						t.Fatalf("parallel=%v plan=%q on: %v", parallel, fp, err)
-					}
-					if got, want := filterFingerprint(t, res), filterFingerprint(t, off); got != want {
-						t.Errorf("parallel=%v plan=%q: findings diverged\n on: %s\noff: %s",
-							parallel, fp, got, want)
-					}
-					if fp != "" && res.DetectorStats.FilteredChecks != 0 {
-						t.Errorf("parallel=%v plan=%q: filter engaged under a fault plan (%d skips)",
-							parallel, fp, res.DetectorStats.FilteredChecks)
-					}
+			for _, fp := range plans {
+				base := RunConfig{
+					Bench: bm.Name, Detector: DetSharedGlobal,
+					GPU: testGPU(), FaultPlan: fp, FaultSeed: 7,
+					MaxCycles: 40_000_000,
+				}
+				off, err := Run(base)
+				if err != nil {
+					t.Fatalf("plan=%q off: %v", fp, err)
+				}
+				on := base
+				on.StaticFilter = true
+				res, err := Run(on)
+				if err != nil {
+					t.Fatalf("plan=%q on: %v", fp, err)
+				}
+				if got, want := filterFingerprint(t, res), filterFingerprint(t, off); got != want {
+					t.Errorf("plan=%q: findings diverged\n on: %s\noff: %s", fp, got, want)
+				}
+				if fp != "" && res.DetectorStats.FilteredChecks != 0 {
+					t.Errorf("plan=%q: filter engaged under a fault plan (%d skips)",
+						fp, res.DetectorStats.FilteredChecks)
 				}
 			}
 		})

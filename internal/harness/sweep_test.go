@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -191,5 +192,18 @@ func TestParallelismResolution(t *testing.T) {
 	SetParallelism(-3)
 	if got := Parallelism(); got < 1 {
 		t.Errorf("Parallelism() = %d, want >= 1", got)
+	}
+}
+
+// TestSweepRunCancellationClassified pins the retry-loop fix: a sweep
+// run cut down by context cancellation must surface an error that
+// errors.Is classifies as the cancellation, not as a genuine run
+// failure — SIGTERM during a retrying sweep is resumable state.
+func TestSweepRunCancellationClassified(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rc := RunConfig{Bench: "psum", Detector: DetSharedGlobal, GPU: testGPU()}
+	if _, err := sweepRunManifest(ctx, rc, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep run: err = %v, want context.Canceled classification", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"haccrg/internal/bloom"
+	"haccrg/internal/core"
 	"haccrg/internal/gpu"
 	"haccrg/internal/isa"
 )
@@ -82,6 +83,13 @@ type Meta struct {
 	FaultPlan   string `json:"fault_plan,omitempty"`
 	FaultSeed   int64  `json:"fault_seed,omitempty"`
 	Degradation string `json:"degradation,omitempty"`
+
+	// Seeds is the verified witness seed set the live detector was
+	// pre-seeded with, per kernel name (nil for unseeded runs, which
+	// keeps their meta record byte-identical to earlier versions).
+	// Replay installs it so seeded verdicts, StaticWitness provenance
+	// included, reproduce offline.
+	Seeds map[string][]core.SeedWitness `json:"seeds,omitempty"`
 }
 
 // EnvSnapshot freezes the device parameters a detector observes

@@ -96,40 +96,11 @@ func (r *Recorder) KernelStart(env gpu.Env, kernel string) {
 // KernelEnd implements gpu.Detector and seals the kernel with a
 // verdict record: the cumulative sorted race findings, the ground
 // truth Replay's differential oracle compares against.
-//
-// Asynchronous detection engines (the sharded per-partition RDU) do
-// not read CurrentFenceID through the Env — they consume a mirrored
-// fence table and log each read. KernelEnd pulls that log and appends
-// the fence records here, after the kernel's events: Replay's fence
-// cursor spans the whole journal in order, and a serial replay issues
-// the identical query sequence, so late emission serves the identical
-// responses. A journal torn mid-kernel loses the pending fence log;
-// its replay falls back to the cursor's latest-value approximation.
 func (r *Recorder) KernelEnd() {
 	r.inner.KernelEnd()
-	for _, f := range r.takeFenceLog() {
-		r.append(&Record{Type: RecFence, Block: f.Block, Warp: f.Warp, FenceID: f.ID})
-	}
 	r.recordNewRaces(0)
 	r.append(&Record{Type: RecKernelEnd, Kernel: r.kernel})
 	r.append(&Record{Type: RecVerdict, Verdict: VerdictOf(r.inner)})
-}
-
-// takeFenceLog drains the inner chain's buffered fence reads, if the
-// chain contains an asynchronous engine (empty for serial detectors,
-// whose fence reads were journaled inline by recordingEnv).
-func (r *Recorder) takeFenceLog() []gpu.FenceRead {
-	for w := r.inner; w != nil; {
-		if t, ok := w.(interface{ TakeFenceLog() []gpu.FenceRead }); ok {
-			return t.TakeFenceLog()
-		}
-		u, ok := w.(interface{ Inner() gpu.Detector })
-		if !ok {
-			return nil
-		}
-		w = u.Inner()
-	}
-	return nil
 }
 
 // BlockStart implements gpu.Detector.

@@ -51,7 +51,10 @@ func Replay(src io.Reader, det gpu.Detector) (*ReplayResult, error) {
 	// Decode the whole journal first: the fence-response cursor must
 	// span records that appear *after* the event that consumes them
 	// (responses are journaled as the inner detector queries, mid
-	// event).
+	// event), and journals written by earlier versions whose sharded
+	// engine logged a kernel's fence responses just before its
+	// kernel-end record. The cursor serves responses in journal order
+	// regardless of where they sit.
 	var recs []*Record
 	fences := &fenceCursor{latest: map[fenceKey]uint32{}}
 	for {
@@ -219,4 +222,28 @@ func (e *replayEnv) GlobalMemSize() uint64 { return e.snap.GlobalMemSize }
 // CurrentFenceID implements gpu.Env from the journaled responses.
 func (e *replayEnv) CurrentFenceID(block, warpInBlock int) uint32 {
 	return e.fences.lookup(block, warpInBlock)
+}
+
+// ReadMeta scans a journal for its meta record. It returns nil (and no
+// error) when no meta record survived — replay still works, just
+// without the recorded run description. Only an unreadable header is
+// an error.
+func ReadMeta(src io.Reader) (*Meta, error) {
+	r, err := NewReader(src)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		payload, err := r.Next()
+		if err != nil {
+			return nil, nil
+		}
+		rec, err := DecodeRecord(payload)
+		if err != nil {
+			return nil, nil
+		}
+		if rec.Type == RecMeta {
+			return rec.Meta, nil
+		}
+	}
 }

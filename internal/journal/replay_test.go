@@ -143,62 +143,157 @@ func TestReplayTruncatedJournal(t *testing.T) {
 	}
 }
 
-// TestReplayParallelRecording closes the loop on the sharded engine's
-// determinism contract: a run recorded under the asynchronous
-// per-partition engine replays byte-identically through a fresh SERIAL
-// detector. The engines must agree not only on the final verdict but
-// on the fence-read responses — the recorder appends the sharded
-// engine's mirror-served fence log to the journal so the serial
-// replay's inline queries are answered identically.
-func TestReplayParallelRecording(t *testing.T) {
-	for _, bench := range []string{"scan", "psum", "reduce"} {
-		det := haccrg.DefaultDetection()
-		data, live := recordRun(t, bench, haccrg.RunOptions{
-			Detection: &det, DetectParallel: true,
-		})
-		rep := replayThrough(t, data, harness.RunConfig{Detector: harness.DetSharedGlobal})
-		if rep.Recorded == nil {
-			t.Fatalf("%s: no recorded verdict in journal", bench)
+// kernelEndFences rewrites a journal into the layout earlier versions
+// wrote when recording under their sharded detector engine: each
+// kernel's fence responses were logged just before its kernel-end
+// record instead of inline after the event that consumed them. It
+// fails the test unless at least one response actually moved.
+func kernelEndFences(t *testing.T, data []byte) []byte {
+	t.Helper()
+	r, err := journal.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	w, err := journal.NewWriter(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit := func(rec *journal.Record) {
+		b, err := journal.AppendRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !rep.Match {
-			t.Errorf("%s: serial replay diverged from sharded recording: recorded %d race(s), replayed %d",
-				bench, len(rep.Recorded), len(rep.Replayed))
+		if err := w.Append(b); err != nil {
+			t.Fatal(err)
 		}
-		want := liveVerdict(live)
-		if len(rep.Replayed) != len(want) {
-			t.Fatalf("%s: replayed %d race(s), live sharded run found %d", bench, len(rep.Replayed), len(want))
+	}
+	var pending []*journal.Record
+	moved := false
+	for {
+		payload, err := r.Next()
+		if err != nil {
+			break
 		}
-		for i := range want {
-			if rep.Replayed[i] != want[i] {
-				t.Fatalf("%s: replayed race %d = %q, live %q", bench, i, rep.Replayed[i], want[i])
+		rec, err := journal.DecodeRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch rec.Type {
+		case journal.RecFence:
+			pending = append(pending, rec)
+			continue
+		case journal.RecKernelEnd:
+			for _, f := range pending {
+				emit(f)
 			}
+			pending = nil
+		default:
+			moved = moved || len(pending) > 0
 		}
+		emit(rec)
+	}
+	if s := r.Salvage(); s.Truncated {
+		t.Fatalf("recorded journal truncated: %+v", s)
+	}
+	if !moved {
+		t.Fatal("no fence response moved: the recording does not exercise the kernel-end layout")
+	}
+	return out.Bytes()
+}
+
+// TestReplayParallelRecording: journals recorded by earlier versions
+// under their parallel detector engine carry each kernel's fence
+// responses at kernel end rather than inline. Replay's fence cursor
+// serves responses in journal order wherever they sit, so such a
+// journal must still replay to its recorded verdict.
+func TestReplayParallelRecording(t *testing.T) {
+	det := haccrg.DefaultDetection()
+	data, live := recordRun(t, "reduce", haccrg.RunOptions{Detection: &det})
+	rep := replayThrough(t, kernelEndFences(t, data), harness.RunConfig{Detector: harness.DetSharedGlobal})
+	if rep.Recorded == nil {
+		t.Fatal("no recorded verdict in journal")
+	}
+	if !rep.Match {
+		t.Errorf("kernel-end fence layout replay diverged: recorded %d race(s), replayed %d",
+			len(rep.Recorded), len(rep.Replayed))
+	}
+	if got, want := rep.Replayed, liveVerdict(live); len(got) != len(want) {
+		t.Errorf("replayed %d race(s), live run found %d", len(got), len(want))
 	}
 }
 
-// TestReplayParallelRecordingUnderFaultPlan: the oracle holds under
-// fault injection too — the sharded engine's per-partition injector
-// streams must draw the same decisions a serial replay's injector
-// draws inline.
+// TestReplayParallelRecordingUnderFaultPlan: the same layout replays
+// to its recorded verdict under fault injection, where the replayed
+// injector must also draw the recorded run's decisions.
 func TestReplayParallelRecordingUnderFaultPlan(t *testing.T) {
 	const plan = "flip:rate=2e-4;queue:cap=8,drain=1"
 	det := haccrg.DefaultDetection()
 	data, live := recordRun(t, "reduce", haccrg.RunOptions{
-		Detection: &det, DetectParallel: true, Inject: []string{"reduce.nobar"},
+		Detection: &det, Inject: []string{"reduce.nobar"},
 		FaultPlan: plan, FaultSeed: 42,
 	})
-	rep := replayThrough(t, data, harness.RunConfig{
+	rep := replayThrough(t, kernelEndFences(t, data), harness.RunConfig{
 		Detector: harness.DetSharedGlobal, FaultPlan: plan, FaultSeed: 42,
 	})
 	if rep.Recorded == nil {
 		t.Fatal("no recorded verdict in journal")
 	}
 	if !rep.Match {
-		t.Errorf("faulted serial replay diverged from sharded recording: recorded %d race(s), replayed %d",
+		t.Errorf("faulted kernel-end fence layout replay diverged: recorded %d race(s), replayed %d",
 			len(rep.Recorded), len(rep.Replayed))
 	}
 	if got, want := rep.Replayed, liveVerdict(live); len(got) != len(want) {
-		t.Errorf("replayed %d race(s), live sharded run found %d", len(got), len(want))
+		t.Errorf("replayed %d race(s), live run found %d", len(got), len(want))
+	}
+}
+
+// TestReplayWitnessSeededRecording: a witness-seeded run reports some
+// races with StaticWitness provenance. The journal's meta record
+// carries the seed set, and the detector rebuilt from it replays the
+// recorded verdict exactly; replaying under another detector kind
+// leaves the seeds out.
+func TestReplayWitnessSeededRecording(t *testing.T) {
+	det := haccrg.DefaultDetection()
+	data, live := recordRun(t, "scan", haccrg.RunOptions{Detection: &det, WitnessSeed: true})
+	seeded := 0
+	for _, r := range live.Races {
+		if r.Provenance == "StaticWitness" {
+			seeded++
+		}
+	}
+	if seeded == 0 {
+		t.Fatal("seeded scan run reported no StaticWitness races")
+	}
+	meta, err := journal.ReadMeta(bytes.NewReader(data))
+	if err != nil || meta == nil || len(meta.Seeds) == 0 {
+		t.Fatalf("meta record carries no seed set (meta %+v, err %v)", meta, err)
+	}
+
+	rd, rc, err := harness.DetectorForJournal(bytes.NewReader(data), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rc.WitnessSeed {
+		t.Error("detector rebuilt from a seeded journal is not seeded")
+	}
+	rep, err := journal.Replay(bytes.NewReader(data), rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Match {
+		t.Fatalf("seeded replay diverged: recorded %d race(s), replayed %d", len(rep.Recorded), len(rep.Replayed))
+	}
+
+	od, orc, err := harness.DetectorForJournal(bytes.NewReader(data), harness.DetGRace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orc.WitnessSeed || orc.Detector != harness.DetGRace {
+		t.Errorf("override config = %+v, want an unseeded grace-addr detector", orc)
+	}
+	if _, err := journal.Replay(bytes.NewReader(data), od); err != nil {
+		t.Fatal(err)
 	}
 }
 

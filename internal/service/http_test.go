@@ -99,6 +99,25 @@ func TestHTTPBadSpecIs400(t *testing.T) {
 	}
 }
 
+// TestHTTPRemovedEngineFieldsAre400: the bench API decodes specs with
+// DisallowUnknownFields, so the removed detector-engine fields are
+// rejected rather than silently ignored.
+func TestHTTPRemovedEngineFieldsAre400(t *testing.T) {
+	s, hs := newHTTPServer(t, nil)
+	defer s.Drain(expiredCtx(t))
+	for _, field := range []string{"detect_parallel", "detect_parallel_shared", "sentinel_every"} {
+		var v any = true
+		if field == "sentinel_every" {
+			v = 1
+		}
+		resp := postJSON(t, hs.URL+"/v1/jobs/bench", "t", map[string]any{"benches": []string{"psum"}, field: v})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec with %s: HTTP %d, want 400", field, resp.StatusCode)
+		}
+	}
+}
+
 func TestHTTPQueueFullIs429(t *testing.T) {
 	s, hs := newHTTPServer(t, func(c *Config) { c.QueueDepth = 1 })
 	defer s.Drain(expiredCtx(t)) // workers never started: first job occupies the queue
@@ -280,5 +299,51 @@ func TestClientGivesUpEventually(t *testing.T) {
 	_, err := cl.Submit(context.Background(), analyzeSpec())
 	if err == nil || !strings.Contains(err.Error(), "gave up after 3 attempts") {
 		t.Fatalf("Submit err = %v, want exhausted retries", err)
+	}
+}
+
+// TestReplaySeededRoundTrip: a witness-seeded recording reports some
+// races with StaticWitness provenance; the daemon's replay job rebuilds
+// the detector with the journal's seed set and reaches the recorded
+// verdict.
+func TestReplaySeededRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := haccrg.SmallGPU()
+	d := haccrg.DefaultDetection()
+	res, err := haccrg.RunBenchmark("scan", haccrg.RunOptions{
+		GPU: &cfg, Detection: &d, WitnessSeed: true, Record: &buf,
+	})
+	if err != nil {
+		t.Fatalf("recording run: %v", err)
+	}
+	seeded := 0
+	for _, r := range res.Races {
+		if r.Provenance == "StaticWitness" {
+			seeded++
+		}
+	}
+	if seeded == 0 {
+		t.Fatal("seeded scan run reported no StaticWitness races")
+	}
+
+	s, hs := newHTTPServer(t, nil)
+	s.Start()
+	defer s.Drain(expiredCtx(t))
+	cl := &Client{BaseURL: hs.URL, Tenant: "t"}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	id, err := cl.SubmitReplay(ctx, buf.Bytes(), "")
+	if err != nil {
+		t.Fatalf("SubmitReplay: %v", err)
+	}
+	st, err := cl.Wait(ctx, id)
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if st.State != StateDone || st.Replay == nil {
+		t.Fatalf("replay job state = %s (%s), summary %+v", st.State, st.Error, st.Replay)
+	}
+	if st.Replay.Match == nil || !*st.Replay.Match {
+		t.Fatalf("seeded replay does not match the recorded verdict: %d race(s) replayed", len(st.Replay.Races))
 	}
 }

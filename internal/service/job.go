@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -58,12 +59,7 @@ type JobSpec struct {
 	Inject            []string `json:"inject,omitempty"`
 	SharedGranularity int      `json:"shared_granularity,omitempty"`
 	GlobalGranularity int      `json:"global_granularity,omitempty"`
-	DetectParallel    bool     `json:"detect_parallel,omitempty"`
-	// DetectParallelShared shards the shared-memory RDUs per SM (the
-	// shared-engine counterpart of detect_parallel).
-	DetectParallelShared bool `json:"detect_parallel_shared,omitempty"`
-	SentinelEvery        int  `json:"sentinel_every,omitempty"`
-	StaticFilter         bool `json:"static_filter,omitempty"`
+	StaticFilter      bool     `json:"static_filter,omitempty"`
 	// WitnessSeed pre-seeds the detector's global RDU with the static
 	// analyzer's verified race witnesses, so statically-proven racy
 	// granules report on first touch with StaticWitness provenance.
@@ -107,12 +103,6 @@ type RunSummary struct {
 	// Degraded is true when the detector's health report shows dropped
 	// checks, corruption, or quarantines — findings may under-report.
 	Degraded bool `json:"degraded,omitempty"`
-	// Self-healing incident counters from the detector's health report:
-	// divergence-sentinel mismatches, drain-stall watchdog firings, and
-	// permanent fallbacks to the serial engine during this run.
-	SentinelMismatches int64 `json:"sentinel_mismatches,omitempty"`
-	StalledDrains      int64 `json:"stalled_drains,omitempty"`
-	EngineFallbacks    int64 `json:"engine_fallbacks,omitempty"`
 }
 
 // ReplaySummary is a replay job's outcome.
@@ -181,7 +171,7 @@ func (sp *JobSpec) validate() error {
 	default:
 		return fmt.Errorf("service: unknown job kind %q", sp.Kind)
 	}
-	if sp.TimeoutMS < 0 || sp.MaxCycles < 0 || sp.Scale < 0 || sp.SentinelEvery < 0 {
+	if sp.TimeoutMS < 0 || sp.MaxCycles < 0 || sp.Scale < 0 {
 		return fmt.Errorf("service: negative limits are not valid")
 	}
 	switch sp.Degradation {
@@ -209,23 +199,20 @@ func (sp *JobSpec) runConfigs(smallGPU bool) []harness.RunConfig {
 	cfgs := make([]harness.RunConfig, 0, len(sp.Benches))
 	for _, b := range sp.Benches {
 		cfgs = append(cfgs, harness.RunConfig{
-			Bench:                b,
-			Detector:             det,
-			Scale:                sp.Scale,
-			SingleBlock:          sp.SingleBlock,
-			Inject:               sp.Inject,
-			SharedGranularity:    sp.SharedGranularity,
-			GlobalGranularity:    sp.GlobalGranularity,
-			DetectParallel:       sp.DetectParallel,
-			DetectParallelShared: sp.DetectParallelShared,
-			SentinelEvery:        sp.SentinelEvery,
-			StaticFilter:         sp.StaticFilter,
-			WitnessSeed:          sp.WitnessSeed,
-			GPU:                  cfg,
-			FaultPlan:            sp.FaultPlan,
-			FaultSeed:            sp.FaultSeed,
-			Degradation:          sp.Degradation,
-			MaxCycles:            sp.MaxCycles,
+			Bench:             b,
+			Detector:          det,
+			Scale:             sp.Scale,
+			SingleBlock:       sp.SingleBlock,
+			Inject:            sp.Inject,
+			SharedGranularity: sp.SharedGranularity,
+			GlobalGranularity: sp.GlobalGranularity,
+			StaticFilter:      sp.StaticFilter,
+			WitnessSeed:       sp.WitnessSeed,
+			GPU:               cfg,
+			FaultPlan:         sp.FaultPlan,
+			FaultSeed:         sp.FaultSeed,
+			Degradation:       sp.Degradation,
+			MaxCycles:         sp.MaxCycles,
 		})
 	}
 	return cfgs
@@ -253,7 +240,7 @@ func execBench(ctx context.Context, sp *JobSpec, m *harness.Manifest, smallGPU b
 		for _, race := range r.Races {
 			races = append(races, race.String())
 		}
-		sum := RunSummary{
+		out = append(out, RunSummary{
 			Bench:    r.Config.Bench,
 			Detector: string(r.Config.Detector),
 			Cycles:   r.Stats.Cycles,
@@ -261,13 +248,7 @@ func execBench(ctx context.Context, sp *JobSpec, m *harness.Manifest, smallGPU b
 			Attempts: r.Attempts,
 			Resumed:  resumable[i],
 			Degraded: r.Health != nil && r.Health.Degraded,
-		}
-		if r.Health != nil {
-			sum.SentinelMismatches = r.Health.SentinelMismatches
-			sum.StalledDrains = r.Health.StalledDrains
-			sum.EngineFallbacks = r.Health.EngineFallbacks
-		}
-		out = append(out, sum)
+		})
 	}
 	return out, nil
 }
@@ -278,34 +259,18 @@ func execReplay(ctx context.Context, sp *JobSpec, journalPath string) (*ReplaySu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	meta, err := readJournalMeta(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	rc := harness.RunConfig{Detector: harness.DetSharedGlobal}
-	if meta != nil {
-		rc = harness.RunConfig{
-			Bench:             meta.Bench,
-			Detector:          harness.DetectorKind(meta.Detector),
-			SharedGranularity: meta.SharedGranularity,
-			GlobalGranularity: meta.GlobalGranularity,
-			FaultPlan:         meta.FaultPlan,
-			FaultSeed:         meta.FaultSeed,
-			Degradation:       meta.Degradation,
-		}
-	}
-	if sp.Detector != "" {
-		rc.Detector = harness.DetectorKind(sp.Detector)
-	}
-	det, err := harness.DetectorFor(rc)
-	if err != nil {
-		return nil, err
-	}
 	f, err := os.Open(journalPath)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	det, rc, err := harness.DetectorForJournal(f, harness.DetectorKind(sp.Detector))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
 	res, err := journal.Replay(f, det)
 	if err != nil {
 		return nil, err
@@ -322,33 +287,6 @@ func execReplay(ctx context.Context, sp *JobSpec, journalPath string) (*ReplaySu
 		sum.Match = &match
 	}
 	return sum, nil
-}
-
-// readJournalMeta scans a journal file for its meta record (nil when
-// none survived — replay still works, just with the default detector).
-func readJournalMeta(path string) (*journal.Meta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := journal.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		payload, err := r.Next()
-		if err != nil {
-			return nil, nil
-		}
-		rec, err := journal.DecodeRecord(payload)
-		if err != nil {
-			return nil, nil
-		}
-		if rec.Type == journal.RecMeta {
-			return rec.Meta, nil
-		}
-	}
 }
 
 // analyzeConf is the analyzer configuration a spec implies.

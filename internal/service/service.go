@@ -164,11 +164,6 @@ type Server struct {
 	healthRuns   atomic.Int64
 	degradedRuns atomic.Int64
 
-	// self-healing roll-up across every bench run's detector health
-	sentinelMismatches atomic.Int64
-	engineFallbacks    atomic.Int64
-	stalledDrains      atomic.Int64
-
 	// seq is the admission sequence counter: each accepted job records
 	// the next value in its spool spec so recovery preserves FIFO order.
 	// Initialized past the largest recovered Seq.
@@ -544,9 +539,6 @@ func (s *Server) runBenchJob(ctx context.Context, j *job) error {
 		if r.Degraded {
 			s.degradedRuns.Add(1)
 		}
-		s.sentinelMismatches.Add(r.SentinelMismatches)
-		s.engineFallbacks.Add(r.EngineFallbacks)
-		s.stalledDrains.Add(r.StalledDrains)
 	}
 	j.mu.Lock()
 	j.status.Runs = runs
@@ -557,6 +549,15 @@ func (s *Server) runBenchJob(ctx context.Context, j *job) error {
 // finish moves a job to a terminal state, records it durably, and
 // releases its tenant slot.
 func (s *Server) finish(j *job, state string, jobErr error) {
+	// Count before the terminal state becomes visible: a client that
+	// polls the job to completion and then reads /statsz must find it
+	// counted (the status write below fsyncs, which is a wide window).
+	switch state {
+	case StateDone:
+		s.completed.Add(1)
+	case StateFailed:
+		s.failed.Add(1)
+	}
 	j.mu.Lock()
 	j.status.State = state
 	j.status.FinishedAt = s.cfg.now()
@@ -570,12 +571,9 @@ func (s *Server) finish(j *job, state string, jobErr error) {
 		// re-run the job (idempotent for bench jobs via the manifest).
 		s.cfg.Log.Printf("service: job %s: persisting status: %v", st.ID, err)
 	}
-	switch state {
-	case StateDone:
-		s.completed.Add(1)
+	if state == StateDone {
 		s.cfg.Log.Printf("service: job %s done", st.ID)
-	case StateFailed:
-		s.failed.Add(1)
+	} else {
 		s.cfg.Log.Printf("service: job %s failed: %v", st.ID, jobErr)
 	}
 	s.release(j)
@@ -698,16 +696,11 @@ type Stats struct {
 	Tenants map[string]TenantStats `json:"tenants"`
 
 	// Health is the DetectorHealth roll-up over every bench run the
-	// daemon executed: how many ran, how many ran degraded (their
-	// findings may under-report), and the self-healing incident
-	// counters — divergence-sentinel mismatches, drain-stall watchdog
-	// firings, and engine fallbacks to serial.
+	// daemon executed: how many ran, and how many ran degraded (their
+	// findings may under-report).
 	Health struct {
-		Runs               int64 `json:"runs"`
-		Degraded           int64 `json:"degraded"`
-		SentinelMismatches int64 `json:"sentinel_mismatches"`
-		StalledDrains      int64 `json:"stalled_drains"`
-		EngineFallbacks    int64 `json:"engine_fallbacks"`
+		Runs     int64 `json:"runs"`
+		Degraded int64 `json:"degraded"`
 	} `json:"health"`
 }
 
@@ -734,9 +727,6 @@ func (s *Server) Stats() Stats {
 	st.Rejected.Draining = s.rejDraining.Load()
 	st.Health.Runs = s.healthRuns.Load()
 	st.Health.Degraded = s.degradedRuns.Load()
-	st.Health.SentinelMismatches = s.sentinelMismatches.Load()
-	st.Health.StalledDrains = s.stalledDrains.Load()
-	st.Health.EngineFallbacks = s.engineFallbacks.Load()
 	s.mu.Lock()
 	st.InFlight = s.outstanding
 	st.KnownJobs = len(s.jobs)

@@ -392,3 +392,61 @@ func TestRecoverRequeuesSpooledJobs(t *testing.T) {
 		t.Fatal("recovered analyze job produced no report")
 	}
 }
+
+// TestRecoverSpecWithRemovedEngineFields: a spec spooled by an earlier
+// version may carry detect_parallel, detect_parallel_shared and
+// sentinel_every, which named detector engines this version no longer
+// has. Recovery ignores them, and the job runs to the findings of the
+// same spec without them.
+func TestRecoverSpecWithRemovedEngineFields(t *testing.T) {
+	dir := t.TempDir()
+	newServer := func() *Server {
+		s, err := New(Config{DataDir: dir, SmallGPU: true, Workers: 1, Tenant: openTenants, Log: testLogger(t)})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return s
+	}
+	s := newServer()
+	spec := &JobSpec{Kind: JobBench, Benches: []string{"scan"}}
+	id, _, err := s.Submit("t", spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if rep := s.Drain(expiredCtx(t)); rep.Requeued != 1 {
+		t.Fatalf("Drain.Requeued = %d, want 1", rep.Requeued)
+	}
+
+	// Rewrite the spooled spec in the earlier encoding.
+	path := s.spool.specPath(id)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(data), `"kind":"bench"`,
+		`"kind":"bench","detect_parallel":true,"detect_parallel_shared":true,"sentinel_every":2`, 1)
+	if old == string(data) {
+		t.Fatalf("spooled spec has an unexpected layout: %s", data)
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newServer()
+	s2.Start()
+	defer s2.Drain(expiredCtx(t))
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	st, err := s2.Wait(ctx, id)
+	if err != nil || st.State != StateDone {
+		t.Fatalf("recovered job: state %s, err %v (%s)", st.State, err, st.Error)
+	}
+	fresh, err := execBench(ctx, spec, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Runs) != 1 || strings.Join(st.Runs[0].Races, "\n") != strings.Join(fresh[0].Races, "\n") ||
+		st.Runs[0].Cycles != fresh[0].Cycles {
+		t.Fatalf("recovered run %+v differs from a fresh run %+v", st.Runs, fresh)
+	}
+}

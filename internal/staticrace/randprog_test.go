@@ -159,11 +159,9 @@ func genKernel(name string, data []byte) *gpu.Kernel {
 }
 
 // launchWithDetector runs one kernel under a fresh HAccRG detector.
-func launchWithDetector(t *testing.T, k *gpu.Kernel, f core.StaticFilter, parallel bool) *core.Detector {
+func launchWithDetector(t *testing.T, k *gpu.Kernel, f core.StaticFilter) *core.Detector {
 	t.Helper()
-	opt := core.DefaultOptions()
-	opt.Parallel = parallel
-	det := core.MustNew(opt)
+	det := core.MustNew(core.DefaultOptions())
 	if f != nil {
 		det.SetStaticFilter(f)
 	}
@@ -203,7 +201,7 @@ func detectorConf() staticrace.Config {
 // sweep: for a corpus of randomized builder-generated programs, (a) no
 // dynamically-reported race may land on a site the prover marked
 // filterable, and (b) findings with the filter attached must be
-// byte-identical to the unfiltered run, on both engines.
+// byte-identical to the unfiltered run.
 func TestRandomProgramSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	conf := detectorConf()
@@ -221,22 +219,20 @@ func TestRandomProgramSoundness(t *testing.T) {
 		}
 		analyzed++
 		mask := f.FilterSites(k.Name)
-		for _, parallel := range []bool{false, true} {
-			off := launchWithDetector(t, k, nil, parallel)
-			on := launchWithDetector(t, k, f, parallel)
-			for _, r := range off.SortedRaces() {
-				if r.PC >= 0 && r.PC < len(mask) && mask[r.PC] {
-					t.Errorf("sample %d (parallel=%v): dynamic race at pc %d on a site proven race-free\n%s",
-						n, parallel, r.PC, k.Prog.Disassemble())
-				}
+		off := launchWithDetector(t, k, nil)
+		on := launchWithDetector(t, k, f)
+		for _, r := range off.SortedRaces() {
+			if r.PC >= 0 && r.PC < len(mask) && mask[r.PC] {
+				t.Errorf("sample %d: dynamic race at pc %d on a site proven race-free\n%s",
+					n, r.PC, k.Prog.Disassemble())
 			}
-			if got, want := raceSummary(on.SortedRaces()), raceSummary(off.SortedRaces()); got != want {
-				t.Errorf("sample %d (parallel=%v): filtered findings diverged\n on: %s\noff: %s\n%s",
-					n, parallel, got, want, k.Prog.Disassemble())
-			}
-			if len(off.SortedRaces()) > 0 {
-				raced++
-			}
+		}
+		if got, want := raceSummary(on.SortedRaces()), raceSummary(off.SortedRaces()); got != want {
+			t.Errorf("sample %d: filtered findings diverged\n on: %s\noff: %s\n%s",
+				n, got, want, k.Prog.Disassemble())
+		}
+		if len(off.SortedRaces()) > 0 {
+			raced++
 		}
 	}
 	if analyzed < 30 {
