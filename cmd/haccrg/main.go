@@ -35,10 +35,21 @@ import (
 // (4), so scripts can tell a clean cancellation from a broken run.
 const exitInterrupted = 5
 
-// fatalf reports an error and exits non-zero; CLI failures are error
+// errLine renders an error for stderr with exactly one "haccrg: "
+// prefix: the facade's errors already carry it, the others do not.
+// what, when set, names the step or benchmark that failed.
+func errLine(what string, err error) string {
+	msg := strings.TrimPrefix(err.Error(), "haccrg: ")
+	if what != "" {
+		msg = what + ": " + msg
+	}
+	return "haccrg: " + msg
+}
+
+// fatal reports an error and exits non-zero; CLI failures are error
 // messages, never panics.
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "haccrg: "+format+"\n", args...)
+func fatal(what string, err error) {
+	fmt.Fprintln(os.Stderr, errLine(what, err))
 	os.Exit(1)
 }
 
@@ -184,7 +195,7 @@ func main() {
 	if *record != "" {
 		fw, ferr := journal.CreateFile(nil, *record)
 		if ferr != nil {
-			fatalf("-record: %v", ferr)
+			fatal("-record", ferr)
 		}
 		journalFile = fw
 		opts.Record = fw
@@ -217,10 +228,10 @@ func main() {
 			os.Exit(4)
 		}
 		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "haccrg: interrupted: %v\n", err)
+			fmt.Fprintln(os.Stderr, errLine("interrupted", err))
 			os.Exit(exitInterrupted)
 		}
-		fatalf("%v", err)
+		fatal("", err)
 	}
 
 	if *jsonOut {
@@ -303,7 +314,7 @@ func printStaticReport(bench string, scale int, singleBlock bool, inject string,
 	opts.Detection = &d
 	analyses, err := haccrg.AnalyzeBenchmark(bench, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "haccrg: %v\n", err)
+		fmt.Fprintln(os.Stderr, errLine("", err))
 		return 1
 	}
 	rep := haccrg.BuildStaticReport(analyses, true)
@@ -362,7 +373,7 @@ func runSuite(scale int, small bool) int {
 	fmt.Printf("%-8s %10s %8s %8s  %s\n", "bench", "cycles", "races", "reports", "categories")
 	for i, bm := range benches {
 		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "haccrg: %s: %v\n", bm.Name, errs[i])
+			fmt.Fprintln(os.Stderr, errLine(bm.Name, errs[i]))
 			return 1
 		}
 		res := results[i]
@@ -408,7 +419,7 @@ func runRemote(baseURL, tenant string, spec *service.JobSpec) int {
 	cl := &service.Client{BaseURL: baseURL, Tenant: tenant}
 	id, err := cl.Submit(ctx, spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "haccrg: submit: %v\n", err)
+		fmt.Fprintln(os.Stderr, errLine("submit", err))
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "haccrg: job %s accepted by %s\n", id, baseURL)
@@ -418,7 +429,7 @@ func runRemote(baseURL, tenant string, spec *service.JobSpec) int {
 			fmt.Fprintf(os.Stderr, "haccrg: interrupted waiting for job %s (it keeps running server-side)\n", id)
 			return exitInterrupted
 		}
-		fmt.Fprintf(os.Stderr, "haccrg: %v\n", err)
+		fmt.Fprintln(os.Stderr, errLine("", err))
 		return 1
 	}
 	switch st.State {

@@ -97,6 +97,15 @@ func Analyze(k *gpu.Kernel, conf Config) (*Analysis, error) {
 	if conf.GlobalGranularity <= 0 {
 		conf.GlobalGranularity = 4
 	}
+	if conf.MaxFootprintPoints <= 0 {
+		conf.MaxFootprintPoints = 1 << 22
+	}
+	if conf.MaxReplaySteps <= 0 {
+		conf.MaxReplaySteps = replayTotalSteps
+	}
+	if conf.MaxReplayThreads <= 0 {
+		conf.MaxReplayThreads = replayMaxThreads
+	}
 	cfg, err := BuildCFG(k.Prog)
 	if err != nil {
 		return nil, err
@@ -167,80 +176,59 @@ func Analyze(k *gpu.Kernel, conf Config) (*Analysis, error) {
 // it: the quiet-granule upgrade of unknown sites, the three classes of
 // guaranteed race witnesses, the lint-tied divergence/oob/fence
 // witnesses, the independent checker pass, and the proof/witness
-// consistency sweep. Witness emission order is deterministic (sorted
-// granule keys, sorted accesses).
+// consistency sweep. Witness emission order is deterministic: granule
+// tables walk their keys in ascending order, each granule's accesses in
+// (block, tid, pc, addr) order.
 func (a *analyzer) witnessPhase(res *Analysis, infos map[int]*SiteInfo) {
 	rr := a.replayKernel()
 	var pending []Witness
 
 	if rr != nil && rr.complete && !rr.acqMark {
+		// Per-pc verdicts over the replayed footprints: with a complete
+		// replay these are exact, so "every touched granule is quiet"
+		// upgrades an unknown site, and "some touched granule is
+		// witnessed racy" pins the site to the hot path.
+		notQuiet := make([]bool, len(a.prog.Code))
+		racy := make([]bool, len(a.prog.Code))
+		var sc ruleScratch
 		for _, sp := range [2]struct {
 			space isa.Space
 			gran  int
 		}{{isa.SpaceShared, a.conf.SharedGranularity}, {isa.SpaceGlobal, a.conf.GlobalGranularity}} {
-			groups := groupGranules(rr, sp.space, sp.gran)
-			keys := make([]uint64, 0, len(groups))
-			for key := range groups {
-				keys = append(keys, key)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-			quiet := map[uint64]bool{}
-			racy := map[uint64]bool{}
-			for _, key := range keys {
-				quiet[key] = quietGranule(groups[key], sp.space, rr.blockBars, a.conf.WarpAware, a.conf.WarpSize)
-				if w := raceWitness(a.k.Name, sp.space, key, groups[key], rr.blockBars, a.conf.WarpSize, sp.gran); w != nil {
-					racy[key] = true
+			clear(notQuiet)
+			clear(racy)
+			t := a.granuleTable(rr, sp.space, sp.gran)
+			for lo := 0; lo < len(t); {
+				hi := keyRun(t, lo)
+				accs := sc.group(rr, t[lo:hi])
+				quiet := sc.quietGranule(accs, sp.space, rr.blockBars, a.conf.WarpAware, a.conf.WarpSize)
+				w := sc.raceWitness(a.k.Name, sp.space, t[lo].key, accs, rr.blockBars, a.conf.WarpSize, sp.gran)
+				if w != nil {
 					pending = append(pending, *w)
 				}
-			}
-
-			// Per-site replayed footprints: with a complete replay these
-			// are exact, so "every touched granule is quiet" upgrades an
-			// unknown site, and "some touched granule is witnessed racy"
-			// pins the site to the hot path.
-			siteKeys := map[int]map[uint64]bool{}
-			for ti := range rr.threads {
-				th := &rr.threads[ti]
-				for i := range th.acc {
-					ac := &th.acc[i]
-					if ac.shared() != (sp.space == isa.SpaceShared) {
-						continue
+				for _, ac := range accs {
+					if !quiet {
+						notQuiet[ac.pc] = true
 					}
-					m := siteKeys[int(ac.pc)]
-					if m == nil {
-						m = map[uint64]bool{}
-						siteKeys[int(ac.pc)] = m
-					}
-					g0 := ac.addr / uint64(sp.gran)
-					g1 := (ac.addr + uint64(ac.size) - 1) / uint64(sp.gran)
-					for g := g0; g <= g1; g++ {
-						m[granuleKey(sp.space, th.bid, g)] = true
+					if w != nil {
+						racy[ac.pc] = true
 					}
 				}
+				lo = hi
 			}
 			for _, s := range a.sites {
 				if s.space != sp.space || s.dead {
 					continue
 				}
 				info := infos[s.pc]
-				allQuiet, anyRacy := true, false
-				for key := range siteKeys[s.pc] {
-					if !quiet[key] {
-						allQuiet = false
-					}
-					if racy[key] {
-						anyRacy = true
-					}
-				}
-				if anyRacy {
+				if racy[s.pc] {
 					if info.Class.filterable() {
 						res.Conflicts++
 					}
 					info.Class = ClassRacy
 					continue
 				}
-				if info.Class == ClassUnknown && allQuiet {
+				if info.Class == ClassUnknown && !notQuiet[s.pc] {
 					info.Class = ClassQuiet
 				}
 			}

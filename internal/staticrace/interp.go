@@ -126,6 +126,12 @@ type analyzer struct {
 	sites   map[int]*siteAcc // mem pc -> access summary
 	brPred  map[int]predval  // predicated branch/exit pc -> guard value
 	reached []bool
+
+	// Working data of the later phases, kept for this one analysis:
+	// footprints memoized per (site, granularity) and the scratch
+	// buffers every granule table reuses (table.go).
+	foots    map[footKey]*footprint
+	tab, tmp []gent
 }
 
 // siteAcc summarizes one shared/global LD/ST/ATOM site after the
@@ -155,6 +161,7 @@ func newAnalyzer(k *gpu.Kernel, cfg *CFG, conf Config) *analyzer {
 		visits: make([]int, len(cfg.Blocks)),
 		sites:  map[int]*siteAcc{},
 		brPred: map[int]predval{},
+		foots:  map[footKey]*footprint{},
 	}
 	ws := int64(conf.WarpSize)
 	bd, gd := int64(k.BlockDim), int64(k.GridDim)

@@ -258,30 +258,6 @@ func (a *analyzer) lintSharedOOB() []Finding {
 // (the defect the paper's fence-ID validation catches dynamically).
 func (a *analyzer) lintFenceMisuse() []Finding {
 	var out []Finding
-	gran := a.conf.GlobalGranularity
-	if gran <= 0 {
-		gran = 4
-	}
-	budget := a.conf.MaxFootprintPoints
-	if budget <= 0 {
-		budget = 1 << 22
-	}
-	owners := func(s *siteAcc) map[uint64]int64 {
-		gr, ok := a.enumerate(s, gran, budget)
-		if !ok {
-			return nil
-		}
-		m := make(map[uint64]int64, len(gr)/2)
-		for i := 0; i < len(gr); i += 2 {
-			g, t := gr[i], int64(gr[i+1])
-			if o, seen := m[g]; seen && o != t {
-				m[g] = -2
-			} else if !seen {
-				m[g] = t
-			}
-		}
-		return m
-	}
 	for _, atom := range a.sites {
 		in := instrAt(a.prog, atom.pc)
 		if atom.dead || in == nil || in.Op != isa.OpAtom ||
@@ -299,16 +275,16 @@ func (a *analyzer) lintFenceMisuse() []Finding {
 			if int64(ld.pc) < region.lo || int64(ld.pc) > region.hi {
 				continue
 			}
-			ldOwn := owners(ld)
-			if ldOwn == nil {
+			ldOwn, ok := a.owners(ld)
+			if !ok {
 				continue
 			}
 			for _, st := range a.sites {
 				if st.dead || !st.write || st.space != isa.SpaceGlobal || st.pc >= atom.pc {
 					continue
 				}
-				stOwn := owners(st)
-				if stOwn == nil || !crossThreadOverlap(stOwn, ldOwn) {
+				stOwn, ok := a.owners(st)
+				if !ok || !crossThreadOverlap(stOwn, ldOwn) {
 					continue
 				}
 				if !a.fenceFreePath(st.pc, atom.pc) {
@@ -366,16 +342,64 @@ func (a *analyzer) electRegion(atomPC int, dst isa.Reg) (int, ival) {
 	return -1, none
 }
 
-// crossThreadOverlap reports whether some granule is written and read
-// by two distinct threads.
-func crossThreadOverlap(writers, readers map[uint64]int64) bool {
-	for g, w := range writers {
-		r, ok := readers[g]
-		if !ok {
-			continue
+// gown is one granule of a site's footprint with its accessing thread,
+// or -2 when several threads access it.
+type gown struct {
+	g     uint64
+	owner int64
+}
+
+// owners returns a global site's footprint as an owner table sorted by
+// granule, memoized with the footprint; ok=false when the footprint is
+// unknown.
+func (a *analyzer) owners(s *siteAcc) ([]gown, bool) {
+	f := a.footprint(s, a.conf.GlobalGranularity)
+	if !f.ok {
+		return nil, false
+	}
+	if f.own == nil && len(f.pts) > 0 {
+		t := a.table(len(f.pts) / 2)
+		for i := 0; i < len(f.pts); i += 2 {
+			t = append(t, gent{key: f.pts[i], who: f.pts[i+1]})
 		}
-		if w == -2 || r == -2 || w != r {
-			return true
+		t = a.sortTable(t)
+		n := 0
+		for lo := 0; lo < len(t); lo = keyRun(t, lo) {
+			n++
+		}
+		f.own = make([]gown, 0, n)
+		for lo := 0; lo < len(t); {
+			hi := keyRun(t, lo)
+			o := gown{g: t[lo].key, owner: int64(t[lo].who)}
+			for _, e := range t[lo+1 : hi] {
+				if int64(e.who) != o.owner {
+					o.owner = -2
+					break
+				}
+			}
+			f.own = append(f.own, o)
+			lo = hi
+		}
+	}
+	return f.own, true
+}
+
+// crossThreadOverlap reports whether some granule is written and read
+// by two distinct threads: a merge of the two sorted owner tables.
+func crossThreadOverlap(writers, readers []gown) bool {
+	for i, j := 0, 0; i < len(writers) && j < len(readers); {
+		w, r := writers[i], readers[j]
+		switch {
+		case w.g < r.g:
+			i++
+		case w.g > r.g:
+			j++
+		default:
+			if w.owner == -2 || r.owner == -2 || w.owner != r.owner {
+				return true
+			}
+			i++
+			j++
 		}
 	}
 	return false

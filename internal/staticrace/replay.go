@@ -19,7 +19,8 @@ import (
 // produce under any schedule. That exactness is what the quiet-granule
 // refinement and the provable-race witnesses (witness.go) stand on.
 
-// Replay budgets; MaxReplaySteps in Config overrides the total.
+// Replay budgets; MaxReplaySteps and MaxReplayThreads in Config
+// override the total and the thread cap.
 const (
 	replayPerThreadSteps = 1 << 17
 	replayTotalSteps     = 1 << 23
@@ -78,31 +79,29 @@ type replayResult struct {
 // replayKernel replays every thread of the launch. A nil return means
 // the launch exceeds the thread budget and replay was not attempted.
 func (a *analyzer) replayKernel() *replayResult {
-	maxThreads := a.conf.MaxReplayThreads
-	if maxThreads <= 0 {
-		maxThreads = replayMaxThreads
-	}
 	nThreads := a.k.GridDim * a.k.BlockDim
-	if nThreads <= 0 || nThreads > maxThreads {
+	if nThreads <= 0 || nThreads > a.conf.MaxReplayThreads {
 		return nil
 	}
-	total := a.conf.MaxReplaySteps
-	if total <= 0 {
-		total = replayTotalSteps
-	}
-	rr := &replayResult{complete: true}
+	rr := &replayResult{complete: true, threads: make([]rthread, 0, nThreads)}
 	var nAcc int64
 	for bid := 0; bid < a.k.GridDim; bid++ {
 		for tid := 0; tid < a.k.BlockDim; tid++ {
 			budget := int64(replayPerThreadSteps)
-			if rem := total - rr.steps; rem < budget {
+			if rem := a.conf.MaxReplaySteps - rr.steps; rem < budget {
 				budget = rem
 			}
 			if budget <= 0 {
 				rr.complete = false
 				return rr
 			}
-			th, oobs, used := a.replayThread(bid, tid, budget)
+			// Threads of one launch mostly retire the same access count,
+			// so the previous thread's count sizes this one's list.
+			prev := 0
+			if len(rr.threads) > 0 {
+				prev = len(rr.threads[len(rr.threads)-1].acc)
+			}
+			th, oobs, used := a.replayThread(bid, tid, budget, prev)
 			rr.steps += used
 			rr.threads = append(rr.threads, th)
 			rr.oobs = append(rr.oobs, oobs...)
@@ -147,9 +146,10 @@ func (a *analyzer) progAcqMark() bool {
 	return false
 }
 
-// replayThread runs one thread to Exit or abandonment.
-func (a *analyzer) replayThread(bid, tid int, budget int64) (rthread, []roob, int64) {
-	th := rthread{bid: bid, tid: tid}
+// replayThread runs one thread to Exit or abandonment; accCap sizes
+// its access list.
+func (a *analyzer) replayThread(bid, tid int, budget int64, accCap int) (rthread, []roob, int64) {
+	th := rthread{bid: bid, tid: tid, acc: make([]raccess, 0, accCap)}
 	var oobs []roob
 	var (
 		regs  [isa.NumRegs]uint64
