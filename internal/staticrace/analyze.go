@@ -38,6 +38,29 @@ type Config struct {
 	MaxReplayThreads int
 }
 
+// withDefaults fills the zero fields of c with their defaults.
+func (c Config) withDefaults() Config {
+	if c.WarpSize <= 0 {
+		c.WarpSize = 32
+	}
+	if c.SharedGranularity <= 0 {
+		c.SharedGranularity = 4
+	}
+	if c.GlobalGranularity <= 0 {
+		c.GlobalGranularity = 4
+	}
+	if c.MaxFootprintPoints <= 0 {
+		c.MaxFootprintPoints = 1 << 22
+	}
+	if c.MaxReplaySteps <= 0 {
+		c.MaxReplaySteps = replayTotalSteps
+	}
+	if c.MaxReplayThreads <= 0 {
+		c.MaxReplayThreads = replayMaxThreads
+	}
+	return c
+}
+
 // Finding is one lint diagnostic, addressed by PC.
 type Finding struct {
 	Pass     string `json:"pass"`
@@ -88,24 +111,7 @@ func Analyze(k *gpu.Kernel, conf Config) (*Analysis, error) {
 	if err := k.Prog.Validate(); err != nil {
 		return nil, err
 	}
-	if conf.WarpSize <= 0 {
-		conf.WarpSize = 32
-	}
-	if conf.SharedGranularity <= 0 {
-		conf.SharedGranularity = 4
-	}
-	if conf.GlobalGranularity <= 0 {
-		conf.GlobalGranularity = 4
-	}
-	if conf.MaxFootprintPoints <= 0 {
-		conf.MaxFootprintPoints = 1 << 22
-	}
-	if conf.MaxReplaySteps <= 0 {
-		conf.MaxReplaySteps = replayTotalSteps
-	}
-	if conf.MaxReplayThreads <= 0 {
-		conf.MaxReplayThreads = replayMaxThreads
-	}
+	conf = conf.withDefaults()
 	cfg, err := BuildCFG(k.Prog)
 	if err != nil {
 		return nil, err
