@@ -10,7 +10,7 @@ type LaneAccess struct {
 	Lane int    // lane index within the warp
 	Tid  int    // thread index within its block (the shadow tid field)
 	GTid int    // global thread id
-	Addr uint64 // byte address (space-relative: shared addresses are block-relative)
+	Addr uint64 // byte address: global absolute; shared the SM-tile address, the block's base plus its offset
 	Size uint8
 
 	AtomicSig bloom.Sig // the thread's current lockset signature

@@ -177,7 +177,8 @@ func (g *progGen) build(outBase uint64) *isa.Program {
 // scalarRef executes the program for one thread with purely scalar
 // semantics: branches taken iff the guard holds for this thread.
 func scalarRef(t *testing.T, prog *isa.Program, tid int, params []uint64, mem []byte) [dtOutRegs]uint64 {
-	var ln lane
+	var ln isa.State
+	c := isa.Coord{Tid: tid, Ntid: dtThreads, Nctaid: 1, WarpSize: 32}
 	pc := 0
 	steps := 0
 	load := func(addr uint64, size int) uint64 {
@@ -199,7 +200,7 @@ func scalarRef(t *testing.T, prog *isa.Program, tid int, params []uint64, mem []
 		in := &prog.Code[pc]
 		guard := true
 		if in.Pred != isa.NoPred {
-			guard = ln.preds[in.Pred]
+			guard = ln.Preds[in.Pred]
 			if in.PredNeg {
 				guard = !guard
 			}
@@ -208,7 +209,7 @@ func scalarRef(t *testing.T, prog *isa.Program, tid int, params []uint64, mem []
 		case isa.OpExit:
 			if guard {
 				var out [dtOutRegs]uint64
-				copy(out[:], ln.regs[4:4+dtOutRegs])
+				copy(out[:], ln.Regs[4:4+dtOutRegs])
 				return out
 			}
 			pc++
@@ -221,32 +222,20 @@ func scalarRef(t *testing.T, prog *isa.Program, tid int, params []uint64, mem []
 		case isa.OpLd:
 			if guard {
 				if in.Space == isa.SpaceParam {
-					ln.regs[in.Dst] = params[(ln.regs[in.SrcA]+uint64(in.Imm))/8]
+					ln.Regs[in.Dst] = params[(ln.Regs[in.SrcA]+uint64(in.Imm))/8]
 				} else {
-					ln.regs[in.Dst] = load(ln.regs[in.SrcA]+uint64(in.Imm), int(in.Size))
+					ln.Regs[in.Dst] = load(ln.Regs[in.SrcA]+uint64(in.Imm), int(in.Size))
 				}
 			}
 			pc++
 		case isa.OpSt:
 			if guard {
-				store(ln.regs[in.SrcA]+uint64(in.Imm), int(in.Size), ln.regs[in.SrcB])
+				store(ln.Regs[in.SrcA]+uint64(in.Imm), int(in.Size), ln.Regs[in.SrcB])
 			}
 			pc++
 		default:
 			if guard {
-				aluLane(in, &ln, func(k isa.SregKind) uint64 {
-					switch k {
-					case isa.SregTid, isa.SregGtid:
-						return uint64(tid)
-					case isa.SregNtid:
-						return dtThreads
-					case isa.SregLane:
-						return uint64(tid % 32)
-					case isa.SregWarp:
-						return uint64(tid / 32)
-					}
-					return 0
-				})
+				ln.Exec(prog.Code[pc:pc+1], &c)
 			}
 			pc++
 		}

@@ -282,3 +282,77 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "thread-instrs/s")
 }
+
+// TestSharedNegativeOffsetFails: a negative shared offset wraps to a
+// huge unsigned one, and so does the end of the access. The launch
+// must fail instead of the store landing in the neighbouring block's
+// window of the SM tile.
+func TestSharedNegativeOffsetFails(t *testing.T) {
+	cfg := TestConfig()
+	cfg.NumSMs = 1
+	d, err := NewDevice(cfg, 1<<16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := isa.NewBuilder("negshared")
+	b.Sreg(rTmp, isa.SregCtaid)
+	b.Setpi(0, isa.CmpEQ, rTmp, 1)
+	b.If(0)
+	b.Movi(rAddr, -4)
+	b.Movi(rVal, 77)
+	b.St(isa.SpaceShared, rAddr, 0, rVal, 4)
+	b.EndIf()
+	b.Exit()
+	k := &Kernel{Name: "negshared", Prog: b.MustBuild(), GridDim: 2, BlockDim: 32, SharedBytes: 256}
+	if _, err := d.Launch(k); err == nil || !strings.Contains(err.Error(), "shared access") {
+		t.Fatalf("launch error = %v, want a shared out-of-bounds failure", err)
+	}
+	// Block 1 sits at tile offset 256, so offset -4 is tile[252]: the
+	// last word of block 0's window.
+	if got, err := d.sms[0].shared.Mem.Load(252, 4); err != nil || got == 77 {
+		t.Errorf("tile[252] = %d (%v): block 1's store reached block 0's window", got, err)
+	}
+}
+
+// TestLocalAccessOutsideSlotFails: a local access outside the thread's
+// [0, LocalBytesPerThread) slot fails the launch, naming the kernel
+// and pc. Without the check, a device with no local memory sent every
+// thread's access to global address offset, and an access past the
+// slot landed in the next thread's slot.
+func TestLocalAccessOutsideSlotFails(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		slot int
+		off  int64
+	}{
+		{"no-local-memory", 0, 0},
+		{"past-the-slot", 16, 16},
+		{"negative", 16, -4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := TestConfig()
+			cfg.LocalBytesPerThread = tc.slot
+			d, err := NewDevice(cfg, 1<<16, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := d.MustMalloc(64)
+			b := isa.NewBuilder("localoob")
+			b.Sreg(rTid, isa.SregTid)
+			b.Addi(rVal, rTid, 1000)
+			b.Movi(rAddr, tc.off)
+			b.St(isa.SpaceLocal, rAddr, 0, rVal, 4)
+			b.Exit()
+			k := &Kernel{Name: "localoob", Prog: b.MustBuild(), GridDim: 1, BlockDim: 32}
+			_, err = d.Launch(k)
+			if err == nil || !strings.Contains(err.Error(), `kernel "localoob" pc 3: local access`) {
+				t.Fatalf("launch error = %v, want the local bounds failure at pc 3", err)
+			}
+			for i := 0; i < 16; i++ {
+				if v := d.Global.U32(int(buf)/4 + i); v != 0 {
+					t.Fatalf("global word %d of the first buffer = %d: a local store leaked", i, v)
+				}
+			}
+		})
+	}
+}

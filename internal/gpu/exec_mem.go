@@ -21,14 +21,14 @@ func (s *sm) memInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *K
 				continue
 			}
 			ln := &w.lanes[l]
-			addr := ln.regs[in.SrcA] + uint64(in.Imm)
+			addr := ln.Regs[in.SrcA] + uint64(in.Imm)
 			idx := int(addr / 8)
 			if in.Op != isa.OpLd || idx >= len(k.Params) {
 				s.fail(fmt.Errorf("gpu: kernel %q pc %d: bad param access (idx %d of %d)",
 					k.Name, w.pc, idx, len(k.Params)))
 				continue
 			}
-			ln.regs[in.Dst] = k.Params[idx]
+			ln.Regs[in.Dst] = k.Params[idx]
 		}
 		w.readyAt = issueDone
 		return
@@ -72,8 +72,8 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			continue
 		}
 		ln := &w.lanes[l]
-		rel := ln.regs[in.SrcA] + uint64(in.Imm)
-		if rel+uint64(in.Size) > uint64(b.sharedSize) {
+		rel := ln.Regs[in.SrcA] + uint64(in.Imm)
+		if !isa.InWindow(rel, in.Size, b.sharedSize) {
 			s.fail(fmt.Errorf("gpu: kernel %q pc %d: shared access %#x+%d outside block's %d bytes",
 				k.Name, w.pc, rel, in.Size, b.sharedSize))
 			continue
@@ -148,8 +148,13 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			continue
 		}
 		ln := &w.lanes[l]
-		a := ln.regs[in.SrcA] + uint64(in.Imm)
+		a := ln.Regs[in.SrcA] + uint64(in.Imm)
 		if local {
+			if !isa.InWindow(a, in.Size, dev.cfg.LocalBytesPerThread) {
+				s.fail(fmt.Errorf("gpu: kernel %q pc %d: local access %#x+%d outside the thread's %d bytes",
+					k.Name, w.pc, a, in.Size, dev.cfg.LocalBytesPerThread))
+				continue
+			}
 			gtid := uint64(b.id*b.dim + w.tidOf(l))
 			a = dev.localBase + gtid*uint64(dev.cfg.LocalBytesPerThread) + a
 		}
@@ -369,23 +374,23 @@ func loadReg(m *mem.Memory, in *isa.Instr, ln *lane, addr uint64) error {
 		if err != nil {
 			return err
 		}
-		ln.regs[in.Dst] = math.Float64bits(f)
+		ln.Regs[in.Dst] = math.Float64bits(f)
 		return nil
 	}
 	v, err := m.Load(addr, int(in.Size))
 	if err != nil {
 		return err
 	}
-	ln.regs[in.Dst] = v
+	ln.Regs[in.Dst] = v
 	return nil
 }
 
 // storeReg performs a lane store from the source register.
 func storeReg(m *mem.Memory, in *isa.Instr, ln *lane, addr uint64) error {
 	if in.Float && in.Size == 4 {
-		return m.StoreF32(addr, math.Float64frombits(ln.regs[in.SrcB]))
+		return m.StoreF32(addr, math.Float64frombits(ln.Regs[in.SrcB]))
 	}
-	return m.Store(addr, int(in.Size), ln.regs[in.SrcB])
+	return m.Store(addr, int(in.Size), ln.Regs[in.SrcB])
 }
 
 // atomicApply performs the read-modify-write of an atomic for one
@@ -395,40 +400,9 @@ func atomicApply(m *mem.Memory, in *isa.Instr, ln *lane, addr uint64) error {
 	if err != nil {
 		return err
 	}
-	bOp := ln.regs[in.SrcB]
-	cOp := ln.regs[in.SrcC]
-	var nv uint64
-	switch in.AOp {
-	case isa.AtomAdd:
-		nv = old + bOp
-	case isa.AtomInc:
-		if old >= bOp {
-			nv = 0
-		} else {
-			nv = old + 1
-		}
-	case isa.AtomExch:
-		nv = bOp
-	case isa.AtomCAS:
-		if old == bOp {
-			nv = cOp
-		} else {
-			nv = old
-		}
-	case isa.AtomMin:
-		nv = old
-		if int64(bOp) < int64(old) {
-			nv = bOp
-		}
-	case isa.AtomMax:
-		nv = old
-		if int64(bOp) > int64(old) {
-			nv = bOp
-		}
-	}
-	if err := m.Store(addr, int(in.Size), nv); err != nil {
+	if err := m.Store(addr, int(in.Size), isa.Atomic(in.AOp, old, ln.Regs[in.SrcB], ln.Regs[in.SrcC])); err != nil {
 		return err
 	}
-	ln.regs[in.Dst] = old
+	ln.Regs[in.Dst] = old
 	return nil
 }

@@ -253,7 +253,7 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 				continue
 			}
 			ln := &w.lanes[l]
-			ln.sig = s.dev.cfg.Bloom.Add(ln.sig, ln.regs[in.SrcA])
+			ln.sig = s.dev.cfg.Bloom.Add(ln.sig, ln.Regs[in.SrcA])
 			ln.critDepth++
 		}
 		w.readyAt = issueDone
@@ -284,14 +284,14 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 	}
 
 	// Plain ALU / SFU instruction.
+	code := k.Prog.Code[w.pc : w.pc+1]
+	c := isa.Coord{Ntid: w.block.dim, Ctaid: w.block.id, Nctaid: k.GridDim, WarpSize: len(w.lanes)}
 	for l := range w.lanes {
 		if execMask&(1<<uint(l)) == 0 {
 			continue
 		}
-		li := l
-		aluLane(in, &w.lanes[l], func(kind isa.SregKind) uint64 {
-			return s.sreg(w, li, kind)
-		})
+		c.Tid = w.tidOf(l)
+		w.lanes[l].Exec(code, &c)
 	}
 	lat := s.dev.cfg.IssueInterval()
 	switch in.Op {
@@ -300,26 +300,6 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 	}
 	w.readyAt = cycle + lat
 	w.pc++
-}
-
-func (s *sm) sreg(w *warp, laneIdx int, kind isa.SregKind) uint64 {
-	switch kind {
-	case isa.SregTid:
-		return uint64(w.tidOf(laneIdx))
-	case isa.SregNtid:
-		return uint64(w.block.dim)
-	case isa.SregCtaid:
-		return uint64(w.block.id)
-	case isa.SregNctaid:
-		return uint64(s.dev.launch.GridDim)
-	case isa.SregLane:
-		return uint64(laneIdx)
-	case isa.SregWarp:
-		return uint64(w.inBlock)
-	case isa.SregGtid:
-		return uint64(w.block.id*w.block.dim + w.tidOf(laneIdx))
-	}
-	return 0
 }
 
 // blockWarpDone bookkeeps a warp's completion; retires the block when

@@ -1,8 +1,6 @@
 package gpu
 
 import (
-	"math"
-
 	"haccrg/internal/bloom"
 	"haccrg/internal/isa"
 )
@@ -26,8 +24,7 @@ type divCtx struct {
 
 // lane holds one thread's architectural state.
 type lane struct {
-	regs  [isa.NumRegs]uint64
-	preds [isa.NumPreds]bool
+	isa.State
 
 	sig       bloom.Sig // lockset signature (the paper's atomic ID register)
 	critDepth int       // lock nesting depth; signature clears at zero
@@ -92,7 +89,7 @@ func (w *warp) guardMask(in *isa.Instr) uint64 {
 		if w.mask&(1<<uint(l)) == 0 {
 			continue
 		}
-		p := w.lanes[l].preds[in.Pred]
+		p := w.lanes[l].Preds[in.Pred]
 		if in.PredNeg {
 			p = !p
 		}
@@ -159,155 +156,4 @@ func (w *warp) exit(execMask uint64) {
 		w.mask = top.mask & w.alive
 		w.rcv = top.rcv
 	}
-}
-
-// aluLane executes a non-memory, non-control instruction for one lane.
-func aluLane(in *isa.Instr, ln *lane, sr func(isa.SregKind) uint64) {
-	src := func(r isa.Reg) uint64 { return ln.regs[r] }
-	b := func() uint64 {
-		if in.UseImm {
-			return uint64(in.Imm)
-		}
-		return src(in.SrcB)
-	}
-	f := func(r isa.Reg) float64 { return math.Float64frombits(ln.regs[r]) }
-	fb := func() float64 {
-		if in.UseImm {
-			return math.Float64frombits(uint64(in.Imm))
-		}
-		return f(in.SrcB)
-	}
-	setF := func(v float64) { ln.regs[in.Dst] = math.Float64bits(v) }
-
-	switch in.Op {
-	case isa.OpNop:
-	case isa.OpMov:
-		if in.UseImm {
-			ln.regs[in.Dst] = uint64(in.Imm)
-		} else {
-			ln.regs[in.Dst] = src(in.SrcA)
-		}
-	case isa.OpSreg:
-		ln.regs[in.Dst] = sr(isa.SregKind(in.Imm))
-	case isa.OpSelp:
-		if ln.preds[in.PD] {
-			ln.regs[in.Dst] = src(in.SrcA)
-		} else {
-			ln.regs[in.Dst] = src(in.SrcC)
-		}
-	case isa.OpAdd:
-		ln.regs[in.Dst] = src(in.SrcA) + b()
-	case isa.OpSub:
-		ln.regs[in.Dst] = src(in.SrcA) - b()
-	case isa.OpMul:
-		ln.regs[in.Dst] = uint64(int64(src(in.SrcA)) * int64(b()))
-	case isa.OpDiv:
-		d := int64(b())
-		if d == 0 {
-			ln.regs[in.Dst] = 0
-		} else {
-			ln.regs[in.Dst] = uint64(int64(src(in.SrcA)) / d)
-		}
-	case isa.OpRem:
-		d := int64(b())
-		if d == 0 {
-			ln.regs[in.Dst] = 0
-		} else {
-			ln.regs[in.Dst] = uint64(int64(src(in.SrcA)) % d)
-		}
-	case isa.OpMin:
-		x, y := int64(src(in.SrcA)), int64(b())
-		if y < x {
-			x = y
-		}
-		ln.regs[in.Dst] = uint64(x)
-	case isa.OpMax:
-		x, y := int64(src(in.SrcA)), int64(b())
-		if y > x {
-			x = y
-		}
-		ln.regs[in.Dst] = uint64(x)
-	case isa.OpAnd:
-		ln.regs[in.Dst] = src(in.SrcA) & b()
-	case isa.OpOr:
-		ln.regs[in.Dst] = src(in.SrcA) | b()
-	case isa.OpXor:
-		ln.regs[in.Dst] = src(in.SrcA) ^ b()
-	case isa.OpNot:
-		ln.regs[in.Dst] = ^src(in.SrcA)
-	case isa.OpShl:
-		ln.regs[in.Dst] = src(in.SrcA) << (b() & 63)
-	case isa.OpShr:
-		ln.regs[in.Dst] = uint64(int64(src(in.SrcA)) >> (b() & 63))
-	case isa.OpMad:
-		ln.regs[in.Dst] = uint64(int64(src(in.SrcA))*int64(b()) + int64(src(in.SrcC)))
-	case isa.OpFAdd:
-		setF(f(in.SrcA) + fb())
-	case isa.OpFSub:
-		setF(f(in.SrcA) - fb())
-	case isa.OpFMul:
-		setF(f(in.SrcA) * fb())
-	case isa.OpFDiv:
-		setF(f(in.SrcA) / fb())
-	case isa.OpFMin:
-		setF(math.Min(f(in.SrcA), fb()))
-	case isa.OpFMax:
-		setF(math.Max(f(in.SrcA), fb()))
-	case isa.OpFSqrt:
-		setF(math.Sqrt(f(in.SrcA)))
-	case isa.OpFExp:
-		setF(math.Exp(f(in.SrcA)))
-	case isa.OpFLog:
-		setF(math.Log(f(in.SrcA)))
-	case isa.OpFSin:
-		setF(math.Sin(f(in.SrcA)))
-	case isa.OpFCos:
-		setF(math.Cos(f(in.SrcA)))
-	case isa.OpFAbs:
-		setF(math.Abs(f(in.SrcA)))
-	case isa.OpItoF:
-		setF(float64(int64(src(in.SrcA))))
-	case isa.OpFtoI:
-		ln.regs[in.Dst] = uint64(int64(f(in.SrcA)))
-	case isa.OpSetp:
-		ln.preds[in.PD] = intCmp(in.Cmp, int64(src(in.SrcA)), int64(b()))
-	case isa.OpFSetp:
-		ln.preds[in.PD] = floatCmp(in.Cmp, f(in.SrcA), fb())
-	}
-}
-
-func intCmp(c isa.CmpOp, a, b int64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
-	}
-	return false
-}
-
-func floatCmp(c isa.CmpOp, a, b float64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
-	}
-	return false
 }

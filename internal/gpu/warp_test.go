@@ -131,7 +131,7 @@ func TestExitInsideDivergentRegionPops(t *testing.T) {
 func TestGuardMaskEvaluation(t *testing.T) {
 	w := mkTestWarp(32)
 	for l := 0; l < 32; l++ {
-		w.lanes[l].preds[3] = l%2 == 0
+		w.lanes[l].Preds[3] = l%2 == 0
 	}
 	in := &isa.Instr{Op: isa.OpMov, Pred: 3}
 	if m := w.guardMask(in); m != 0x55555555 {

@@ -65,7 +65,7 @@ func BenchmarkAnalyzeSuite(b *testing.B) {
 
 // analyzeAllocBudget bounds the allocations of analyzing the whole
 // suite once.
-const analyzeAllocBudget = 142_000
+const analyzeAllocBudget = 40_000
 
 // TestAnalyzeAllocBudget keeps the analyzer allocation-lean: building
 // the filters for all ten suite plans stays within analyzeAllocBudget

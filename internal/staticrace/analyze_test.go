@@ -174,3 +174,36 @@ func TestAnalyzeDivergentBarrierDirect(t *testing.T) {
 		t.Fatalf("uniform barrier flagged: %+v", res2.Findings)
 	}
 }
+
+// TestNegativeSharedOffsetWitnessed: a store at shared offset -4 wraps
+// to a huge unsigned offset, and so does the end of the access. The
+// replay must place it outside the window, so the shared-oob finding
+// ships with a verified witness and error severity.
+func TestNegativeSharedOffsetWitnessed(t *testing.T) {
+	b := isa.NewBuilder("negshared")
+	b.Movi(4, -4)
+	b.Movi(5, 77)
+	b.St(isa.SpaceShared, 4, 0, 5, 4)
+	b.Exit()
+	k := &gpu.Kernel{Name: "negshared", Prog: b.MustBuild(), GridDim: 2, BlockDim: 32, SharedBytes: 256}
+	res, err := staticrace.Analyze(k, testConf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	witnessed := false
+	for _, w := range res.Witnesses {
+		if w.Kind == staticrace.WitnessOOB && w.PC == 2 && w.Verified {
+			witnessed = true
+		}
+	}
+	severity := ""
+	for _, f := range res.Findings {
+		if f.Pass == staticrace.PassSharedOOB && f.PC == 2 {
+			severity = f.Severity
+		}
+	}
+	if !witnessed || severity != "error" {
+		t.Fatalf("oob witness shipped: %v, shared-oob finding severity %q; want a verified witness and \"error\"\nfindings: %+v\nwitnesses: %+v",
+			witnessed, severity, res.Findings, res.Witnesses)
+	}
+}

@@ -132,6 +132,7 @@ type analyzer struct {
 	// buffers every granule table reuses (table.go).
 	foots    map[footKey]*footprint
 	tab, tmp []gent
+	ops      []rops // the replay's per-pc operand masks (replay.go)
 }
 
 // siteAcc summarizes one shared/global LD/ST/ATOM site after the

@@ -86,7 +86,7 @@ func (a *analyzer) lintUninit() []Finding {
 		blk := a.cfg.Blocks[b]
 		for pc := blk.Start; pc < blk.End; pc++ {
 			ins := &a.prog.Code[pc]
-			dr, dp := writesOf(ins)
+			dr, dp := ins.Writes()
 			if dr >= 0 {
 				m.regs |= 1 << uint(dr)
 			}
@@ -119,6 +119,8 @@ func (a *analyzer) lintUninit() []Finding {
 	}
 	var out []Finding
 	seen := map[[2]int]bool{} // (pc, operand) dedup
+	var regs []isa.Reg
+	var preds []isa.Pred
 	for b := 0; b < n; b++ {
 		if !have[b] {
 			continue
@@ -127,7 +129,7 @@ func (a *analyzer) lintUninit() []Finding {
 		blk := a.cfg.Blocks[b]
 		for pc := blk.Start; pc < blk.End; pc++ {
 			ins := &a.prog.Code[pc]
-			regs, preds := readsOf(ins)
+			regs, preds = ins.Reads(regs[:0], preds[:0])
 			for _, r := range regs {
 				if r == 0 || m.regs&(1<<uint(r)) != 0 || seen[[2]int{pc, int(r)}] {
 					continue
@@ -149,7 +151,7 @@ func (a *analyzer) lintUninit() []Finding {
 					Msg: fmt.Sprintf("p%d is read but assigned on no path from entry", p),
 				})
 			}
-			dr, dp := writesOf(ins)
+			dr, dp := ins.Writes()
 			if dr >= 0 {
 				m.regs |= 1 << uint(dr)
 			}
@@ -159,67 +161,6 @@ func (a *analyzer) lintUninit() []Finding {
 		}
 	}
 	return out
-}
-
-// readsOf mirrors the executor's operand reads exactly (aluLane and
-// the memory paths): which registers and predicates the instruction
-// consumes.
-func readsOf(in *isa.Instr) (regs []isa.Reg, preds []isa.Pred) {
-	if in.Pred != isa.NoPred {
-		preds = append(preds, in.Pred)
-	}
-	b := func() {
-		if !in.UseImm {
-			regs = append(regs, in.SrcB)
-		}
-	}
-	switch in.Op {
-	case isa.OpNop, isa.OpSreg, isa.OpBar, isa.OpMembar, isa.OpRelMark, isa.OpExit:
-	case isa.OpMov:
-		if !in.UseImm {
-			regs = append(regs, in.SrcA)
-		}
-	case isa.OpSelp:
-		preds = append(preds, in.PD)
-		regs = append(regs, in.SrcA, in.SrcC)
-	case isa.OpNot, isa.OpFSqrt, isa.OpFExp, isa.OpFLog, isa.OpFSin,
-		isa.OpFCos, isa.OpFAbs, isa.OpItoF, isa.OpFtoI, isa.OpAcqMark:
-		regs = append(regs, in.SrcA)
-	case isa.OpMad:
-		regs = append(regs, in.SrcA, in.SrcC)
-		b()
-	case isa.OpSetp, isa.OpFSetp:
-		regs = append(regs, in.SrcA)
-		b()
-	case isa.OpBra:
-	case isa.OpLd:
-		regs = append(regs, in.SrcA)
-	case isa.OpSt:
-		regs = append(regs, in.SrcA, in.SrcB)
-	case isa.OpAtom:
-		regs = append(regs, in.SrcA, in.SrcB)
-		if in.AOp == isa.AtomCAS {
-			regs = append(regs, in.SrcC)
-		}
-	default:
-		regs = append(regs, in.SrcA)
-		b()
-	}
-	return regs, preds
-}
-
-// writesOf returns the destination register and predicate (-1 = none).
-func writesOf(in *isa.Instr) (reg, pred int) {
-	reg, pred = -1, -1
-	switch in.Op {
-	case isa.OpSetp, isa.OpFSetp:
-		pred = int(in.PD)
-	case isa.OpNop, isa.OpBra, isa.OpExit, isa.OpBar, isa.OpMembar,
-		isa.OpAcqMark, isa.OpRelMark, isa.OpSt:
-	default:
-		reg = int(in.Dst)
-	}
-	return reg, pred
 }
 
 // lintSharedOOB flags shared-memory sites whose address interval
@@ -329,13 +270,13 @@ func (a *analyzer) electRegion(atomPC int, dst isa.Reg) (int, ival) {
 					}
 					return q, ival{lo, int64(br.Rcv) - 1}
 				}
-				r, p := writesOf(br)
+				r, p := br.Writes()
 				if p == int(pd) || r == int(dst) {
 					break
 				}
 			}
 		}
-		if r, _ := writesOf(in); r == int(dst) {
+		if r, _ := in.Writes(); r == int(dst) {
 			break
 		}
 	}

@@ -1,23 +1,21 @@
 package staticrace
 
-import (
-	"math"
-
-	"haccrg/internal/isa"
-)
+import "haccrg/internal/isa"
 
 // The concrete replayer runs every thread of the launch independently
-// through the executor's exact ALU and memory semantics (gpu/warp.go
-// aluLane, gpu/exec_mem.go), tracking a taint bit per register and
-// predicate. Values loaded from shared or global memory are tainted —
-// another thread may have written them, so their content is
-// schedule-dependent — and a thread is abandoned the moment taint
-// reaches a branch guard, an exit guard, or a memory address. A
-// taint-free replay is therefore *exact*: every control decision and
-// every address is a deterministic function of thread-local state, so
-// the recorded per-thread access multiset is what the simulator will
-// produce under any schedule. That exactness is what the quiet-granule
-// refinement and the provable-race witnesses (witness.go) stand on.
+// through the ISA's executable semantics — isa.State.Exec, the code the
+// simulator runs per lane — and the simulator's memory rules, tracking
+// a taint bit per register and predicate. Values loaded from shared or
+// global memory are tainted — another thread may have written them, so
+// their content is schedule-dependent — and a thread is abandoned the
+// moment taint reaches a branch guard, an exit guard, or a memory
+// address. A taint-free replay is therefore *exact*: every control
+// decision and every address is a deterministic function of
+// thread-local state, so the recorded per-thread access sequence is
+// what the simulator will produce under any schedule
+// (TestReplayMatchesSimulator checks it). That exactness is what the
+// quiet-granule refinement and the provable-race witnesses (witness.go)
+// stand on.
 
 // Replay budgets; MaxReplaySteps and MaxReplayThreads in Config
 // override the total and the thread cap.
@@ -146,41 +144,92 @@ func (a *analyzer) progAcqMark() bool {
 	return false
 }
 
+// rops is one instruction's operands as replay taint masks, decoded
+// from isa's operand sets once per Analyze.
+type rops struct {
+	reads uint32 // registers read
+	wreg  uint32 // register written
+	wpred uint8  // predicate written
+	// run counts the straight run of unguarded register instructions
+	// other than OpSelp that starts here: their taint follows from the
+	// masks alone, so the replay executes the run in one call.
+	run int32
+}
+
+// replayOps returns the per-pc operand masks, decoding them on first
+// use.
+func (a *analyzer) replayOps() []rops {
+	if a.ops != nil {
+		return a.ops
+	}
+	code := a.prog.Code
+	a.ops = make([]rops, len(code))
+	var regs []isa.Reg
+	var preds []isa.Pred
+	for pc := len(code) - 1; pc >= 0; pc-- {
+		in := &code[pc]
+		o := &a.ops[pc]
+		regs, preds = in.Reads(regs[:0], preds[:0])
+		for _, r := range regs {
+			o.reads |= 1 << r
+		}
+		if r, p := in.Writes(); r >= 0 {
+			o.wreg = 1 << r
+		} else if p >= 0 {
+			o.wpred = 1 << p
+		}
+		if in.Op.IsReg() && in.Op != isa.OpSelp && in.Pred == isa.NoPred {
+			o.run = 1
+			if pc+1 < len(code) {
+				o.run += a.ops[pc+1].run
+			}
+		}
+	}
+	return a.ops
+}
+
+// rstate is one replayed thread's registers, each with a taint bit,
+// and its thread-private local memory, byte-granular with byte taint.
+type rstate struct {
+	isa.State
+	rt     uint32 // register taint, bit r for register r
+	pt     uint8  // predicate taint
+	local  map[uint64]byte
+	localT map[uint64]bool
+}
+
+// taintRun applies the taint transfer of a straight run to s and
+// returns the span [lo, hi) of the run that holds every untainted
+// result; lo == hi when none is.
+func (s *rstate) taintRun(ops []rops) (lo, hi int) {
+	rt, pt := s.rt, s.pt
+	lo = len(ops)
+	for i, o := range ops {
+		if rt&o.reads != 0 {
+			rt |= o.wreg
+			pt |= o.wpred
+			continue
+		}
+		rt &^= o.wreg
+		pt &^= o.wpred
+		if lo == len(ops) {
+			lo = i
+		}
+		hi = i + 1
+	}
+	s.rt, s.pt = rt, pt
+	return lo, hi
+}
+
 // replayThread runs one thread to Exit or abandonment; accCap sizes
 // its access list.
 func (a *analyzer) replayThread(bid, tid int, budget int64, accCap int) (rthread, []roob, int64) {
 	th := rthread{bid: bid, tid: tid, acc: make([]raccess, 0, accCap)}
 	var oobs []roob
-	var (
-		regs  [isa.NumRegs]uint64
-		rt    [isa.NumRegs]bool // register taint
-		preds [isa.NumPreds]bool
-		pt    [isa.NumPreds]bool // predicate taint
-	)
-	// Thread-private local memory, byte-granular with byte taint.
-	var local map[uint64]byte
-	var localT map[uint64]bool
+	var s rstate
 	code := a.prog.Code
-	ws := a.conf.WarpSize
-	sr := func(k isa.SregKind) uint64 {
-		switch k {
-		case isa.SregTid:
-			return uint64(tid)
-		case isa.SregNtid:
-			return uint64(a.k.BlockDim)
-		case isa.SregCtaid:
-			return uint64(bid)
-		case isa.SregNctaid:
-			return uint64(a.k.GridDim)
-		case isa.SregLane:
-			return uint64(tid % ws)
-		case isa.SregWarp:
-			return uint64(tid / ws)
-		case isa.SregGtid:
-			return uint64(bid*a.k.BlockDim + tid)
-		}
-		return 0
-	}
+	ops := a.replayOps()
+	c := isa.Coord{Tid: tid, Ntid: a.k.BlockDim, Ctaid: bid, Nctaid: a.k.GridDim, WarpSize: a.conf.WarpSize}
 
 	var steps int64
 	pc := 0
@@ -188,312 +237,142 @@ func (a *analyzer) replayThread(bid, tid int, budget int64, accCap int) (rthread
 		if steps >= budget || pc < 0 || pc >= len(code) {
 			return th, oobs, steps // budget or runaway: abandoned
 		}
-		steps++
-		in := &code[pc]
-		// Guard.
-		exec := true
-		if in.Pred != isa.NoPred {
-			if pt[in.Pred] {
-				return th, oobs, steps // tainted guard: control unknowable
+		if n := int(ops[pc].run); n > 0 {
+			// A register instruction's result is tainted when a
+			// register it reads is. A tainted value never reaches an
+			// address, a guard or a recorded access, so only the span
+			// of the run holding the untainted results executes; every
+			// step is counted.
+			n = int(min(int64(n), budget-steps))
+			if lo, hi := s.taintRun(ops[pc : pc+n]); lo < hi {
+				s.Exec(code[pc+lo:pc+hi], &c)
 			}
-			exec = preds[in.Pred]
-			if in.PredNeg {
-				exec = !exec
-			}
-		}
-		if !exec {
-			pc++
+			steps += int64(n)
+			pc += n
 			continue
 		}
-
-		src := func(r isa.Reg) uint64 { return regs[r] }
-		b := func() uint64 {
-			if in.UseImm {
-				return uint64(in.Imm)
+		steps++
+		in := &code[pc]
+		if in.Pred != isa.NoPred {
+			if s.pt&(1<<in.Pred) != 0 {
+				return th, oobs, steps // tainted guard: control unknowable
 			}
-			return src(in.SrcB)
-		}
-		bt := func() bool { return !in.UseImm && rt[in.SrcB] }
-		f := func(r isa.Reg) float64 { return math.Float64frombits(regs[r]) }
-		fb := func() float64 {
-			if in.UseImm {
-				return math.Float64frombits(uint64(in.Imm))
+			if s.Preds[in.Pred] == in.PredNeg {
+				pc++
+				continue
 			}
-			return f(in.SrcB)
 		}
-		set := func(v uint64, taint bool) {
-			regs[in.Dst] = v
-			rt[in.Dst] = taint
-		}
-		setF := func(v float64, taint bool) { set(math.Float64bits(v), taint) }
-		ta := func() bool { return rt[in.SrcA] }
-
-		switch in.Op {
-		case isa.OpNop, isa.OpMembar:
-			pc++
-		case isa.OpAcqMark, isa.OpRelMark:
-			pc++
-		case isa.OpBar:
-			th.bars++
-			pc++
-		case isa.OpBra:
-			if in.Pred != isa.NoPred && pt[in.Pred] {
+		switch {
+		case in.Op == isa.OpSelp:
+			// The result is tainted only when the selector or the
+			// selected source is.
+			sel := in.SrcC
+			if s.Preds[in.PD] {
+				sel = in.SrcA
+			}
+			if s.pt&(1<<in.PD) != 0 || s.rt&(1<<sel) != 0 {
+				s.rt |= 1 << in.Dst
+			} else {
+				s.rt &^= 1 << in.Dst
+				s.Exec(code[pc:pc+1], &c)
+			}
+		case in.Op.IsReg(): // guarded
+			if lo, hi := s.taintRun(ops[pc : pc+1]); lo < hi {
+				s.Exec(code[pc:pc+1], &c)
+			}
+		case in.IsMem():
+			if !a.replayAccess(&s, &th, &oobs, in, pc) {
 				return th, oobs, steps
 			}
+		case in.Op == isa.OpBar:
+			th.bars++
+		case in.Op == isa.OpBra:
 			pc = in.Tgt
-		case isa.OpExit:
+			continue
+		case in.Op == isa.OpExit:
 			th.ok = true
 			return th, oobs, steps
-		case isa.OpMov:
-			if in.UseImm {
-				set(uint64(in.Imm), false)
-			} else {
-				set(src(in.SrcA), ta())
-			}
-			pc++
-		case isa.OpSreg:
-			set(sr(isa.SregKind(in.Imm)), false)
-			pc++
-		case isa.OpSelp:
-			if pt[in.PD] {
-				set(0, true)
-			} else if preds[in.PD] {
-				set(src(in.SrcA), ta())
-			} else {
-				set(src(in.SrcC), rt[in.SrcC])
-			}
-			pc++
-		case isa.OpAdd:
-			set(src(in.SrcA)+b(), ta() || bt())
-			pc++
-		case isa.OpSub:
-			set(src(in.SrcA)-b(), ta() || bt())
-			pc++
-		case isa.OpMul:
-			set(uint64(int64(src(in.SrcA))*int64(b())), ta() || bt())
-			pc++
-		case isa.OpDiv:
-			d := int64(b())
-			if d == 0 {
-				set(0, ta() || bt())
-			} else {
-				set(uint64(int64(src(in.SrcA))/d), ta() || bt())
-			}
-			pc++
-		case isa.OpRem:
-			d := int64(b())
-			if d == 0 {
-				set(0, ta() || bt())
-			} else {
-				set(uint64(int64(src(in.SrcA))%d), ta() || bt())
-			}
-			pc++
-		case isa.OpMin:
-			x, y := int64(src(in.SrcA)), int64(b())
-			if y < x {
-				x = y
-			}
-			set(uint64(x), ta() || bt())
-			pc++
-		case isa.OpMax:
-			x, y := int64(src(in.SrcA)), int64(b())
-			if y > x {
-				x = y
-			}
-			set(uint64(x), ta() || bt())
-			pc++
-		case isa.OpAnd:
-			set(src(in.SrcA)&b(), ta() || bt())
-			pc++
-		case isa.OpOr:
-			set(src(in.SrcA)|b(), ta() || bt())
-			pc++
-		case isa.OpXor:
-			set(src(in.SrcA)^b(), ta() || bt())
-			pc++
-		case isa.OpNot:
-			set(^src(in.SrcA), ta())
-			pc++
-		case isa.OpShl:
-			set(src(in.SrcA)<<(b()&63), ta() || bt())
-			pc++
-		case isa.OpShr:
-			set(uint64(int64(src(in.SrcA))>>(b()&63)), ta() || bt())
-			pc++
-		case isa.OpMad:
-			set(uint64(int64(src(in.SrcA))*int64(b())+int64(src(in.SrcC))), ta() || bt() || rt[in.SrcC])
-			pc++
-		case isa.OpFAdd:
-			setF(f(in.SrcA)+fb(), ta() || bt())
-			pc++
-		case isa.OpFSub:
-			setF(f(in.SrcA)-fb(), ta() || bt())
-			pc++
-		case isa.OpFMul:
-			setF(f(in.SrcA)*fb(), ta() || bt())
-			pc++
-		case isa.OpFDiv:
-			setF(f(in.SrcA)/fb(), ta() || bt())
-			pc++
-		case isa.OpFMin:
-			setF(math.Min(f(in.SrcA), fb()), ta() || bt())
-			pc++
-		case isa.OpFMax:
-			setF(math.Max(f(in.SrcA), fb()), ta() || bt())
-			pc++
-		case isa.OpFSqrt:
-			setF(math.Sqrt(f(in.SrcA)), ta())
-			pc++
-		case isa.OpFExp:
-			setF(math.Exp(f(in.SrcA)), ta())
-			pc++
-		case isa.OpFLog:
-			setF(math.Log(f(in.SrcA)), ta())
-			pc++
-		case isa.OpFSin:
-			setF(math.Sin(f(in.SrcA)), ta())
-			pc++
-		case isa.OpFCos:
-			setF(math.Cos(f(in.SrcA)), ta())
-			pc++
-		case isa.OpFAbs:
-			setF(math.Abs(f(in.SrcA)), ta())
-			pc++
-		case isa.OpItoF:
-			setF(float64(int64(src(in.SrcA))), ta())
-			pc++
-		case isa.OpFtoI:
-			set(uint64(int64(f(in.SrcA))), ta())
-			pc++
-		case isa.OpSetp:
-			preds[in.PD] = intCmp(in.Cmp, int64(src(in.SrcA)), int64(b()))
-			pt[in.PD] = ta() || bt()
-			pc++
-		case isa.OpFSetp:
-			preds[in.PD] = floatCmp(in.Cmp, f(in.SrcA), fb())
-			pt[in.PD] = ta() || bt()
-			pc++
-		case isa.OpLd, isa.OpSt, isa.OpAtom:
-			if rt[in.SrcA] {
-				return th, oobs, steps // tainted address
-			}
-			addr := src(in.SrcA) + uint64(in.Imm)
-			switch in.Space {
-			case isa.SpaceParam:
-				idx := int(addr / 8)
-				if in.Op != isa.OpLd || idx < 0 || idx >= len(a.k.Params) {
-					return th, oobs, steps // the simulator faults here
-				}
-				set(a.k.Params[idx], false)
-			case isa.SpaceLocal:
-				if local == nil {
-					local, localT = map[uint64]byte{}, map[uint64]bool{}
-				}
-				sz := uint64(in.Size)
-				switch in.Op {
-				case isa.OpLd:
-					var v uint64
-					taint := in.Float && in.Size == 4
-					for i := uint64(0); i < sz; i++ {
-						v |= uint64(local[addr+i]) << (8 * i)
-						if localT[addr+i] {
-							taint = true
-						}
-					}
-					set(v, taint)
-				case isa.OpSt:
-					v := regs[in.SrcB]
-					dirty := rt[in.SrcB] || (in.Float && in.Size == 4)
-					for i := uint64(0); i < sz; i++ {
-						local[addr+i] = byte(v >> (8 * i))
-						localT[addr+i] = dirty
-					}
-				case isa.OpAtom:
-					set(0, true) // local atomics are not modeled exactly
-					for i := uint64(0); i < sz; i++ {
-						localT[addr+i] = true
-					}
-				}
-			case isa.SpaceShared:
-				if addr+uint64(in.Size) > uint64(a.k.SharedBytes) {
-					oobs = append(oobs, roob{bid: bid, tid: tid, pc: pc, rel: addr, size: int(in.Size)})
-					// The simulator fails the launch here; record the
-					// witness payload and keep walking (completeness is
-					// already void via the oob list).
-					if in.Op != isa.OpSt {
-						set(0, true)
-					}
-					pc++
-					continue
-				}
-				fl := raShared
-				switch in.Op {
-				case isa.OpSt:
-					fl |= raWrite
-				case isa.OpAtom:
-					fl |= raAtomic
-					set(0, true)
-				default:
-					set(0, true) // another thread may have written it
-				}
-				th.acc = append(th.acc, raccess{addr: addr, pc: int32(pc), bar: int32(th.bars), size: uint16(in.Size), flags: fl})
-			case isa.SpaceGlobal:
-				var fl uint8
-				switch in.Op {
-				case isa.OpSt:
-					fl |= raWrite
-				case isa.OpAtom:
-					fl |= raAtomic
-					set(0, true)
-				default:
-					set(0, true)
-				}
-				th.acc = append(th.acc, raccess{addr: addr, pc: int32(pc), bar: int32(th.bars), size: uint16(in.Size), flags: fl})
-			}
-			pc++
-		default:
-			if in.Dst < isa.NumRegs {
-				set(0, true)
-			}
-			pc++
 		}
+		pc++
 	}
 }
 
-// intCmp / floatCmp mirror the executor's comparison semantics
-// (gpu/warp.go) exactly.
-func intCmp(c isa.CmpOp, a, b int64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
+// replayAccess replays the LD, ST or ATOM at pc, recording a shared or
+// global access in th and a shared out-of-bounds one in oobs. It
+// returns false when the thread must be abandoned: a tainted address,
+// or a param access the simulator faults on.
+func (a *analyzer) replayAccess(s *rstate, th *rthread, oobs *[]roob, in *isa.Instr, pc int) bool {
+	if s.rt&(1<<in.SrcA) != 0 {
+		return false // tainted address
 	}
-	return false
-}
-
-func floatCmp(c isa.CmpOp, a, b float64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	case isa.CmpGE:
-		return a >= b
+	addr := s.Regs[in.SrcA] + uint64(in.Imm)
+	dst := uint32(1) << in.Dst
+	switch in.Space {
+	case isa.SpaceParam:
+		idx := int(addr / 8)
+		if in.Op != isa.OpLd || idx < 0 || idx >= len(a.k.Params) {
+			return false // the simulator faults here
+		}
+		s.Regs[in.Dst] = a.k.Params[idx]
+		s.rt &^= dst
+	case isa.SpaceLocal:
+		if s.local == nil {
+			s.local, s.localT = map[uint64]byte{}, map[uint64]bool{}
+		}
+		sz := uint64(in.Size)
+		switch in.Op {
+		case isa.OpLd:
+			var v uint64
+			taint := in.Float && in.Size == 4
+			for i := uint64(0); i < sz; i++ {
+				v |= uint64(s.local[addr+i]) << (8 * i)
+				if s.localT[addr+i] {
+					taint = true
+				}
+			}
+			s.Regs[in.Dst] = v
+			s.rt &^= dst
+			if taint {
+				s.rt |= dst
+			}
+		case isa.OpSt:
+			v := s.Regs[in.SrcB]
+			dirty := s.rt&(1<<in.SrcB) != 0 || (in.Float && in.Size == 4)
+			for i := uint64(0); i < sz; i++ {
+				s.local[addr+i] = byte(v >> (8 * i))
+				s.localT[addr+i] = dirty
+			}
+		case isa.OpAtom:
+			s.rt |= dst // local atomics are not modeled exactly
+			for i := uint64(0); i < sz; i++ {
+				s.localT[addr+i] = true
+			}
+		}
+	case isa.SpaceShared, isa.SpaceGlobal:
+		var fl uint8
+		if in.Space == isa.SpaceShared {
+			if !isa.InWindow(addr, in.Size, a.k.SharedBytes) {
+				// The simulator fails the launch here; record the
+				// witness payload and keep walking (completeness is
+				// already void via the oob list).
+				*oobs = append(*oobs, roob{bid: th.bid, tid: th.tid, pc: pc, rel: addr, size: int(in.Size)})
+				if in.Op != isa.OpSt {
+					s.rt |= dst
+				}
+				return true
+			}
+			fl = raShared
+		}
+		switch in.Op {
+		case isa.OpSt:
+			fl |= raWrite
+		case isa.OpAtom:
+			fl |= raAtomic
+			s.rt |= dst
+		default:
+			s.rt |= dst // another thread may have written it
+		}
+		th.acc = append(th.acc, raccess{addr: addr, pc: int32(pc), bar: int32(th.bars), size: uint16(in.Size), flags: fl})
 	}
-	return false
+	return true
 }
