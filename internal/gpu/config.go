@@ -42,7 +42,10 @@ type Config struct {
 	SFULatency    int64 // special-function (exp/log/sin/cos/sqrt/fdiv) issue cost
 	FenceLatency  int64 // fixed pipeline cost of a memory fence
 
-	LocalBytesPerThread int // CUDA local memory carved from device memory
+	// LocalBytesPerThread is each thread's CUDA local memory, carved
+	// from device memory; a local access outside [0, it) fails the
+	// launch.
+	LocalBytesPerThread int
 
 	Bloom bloom.Config // atomic-ID signature layout
 
