@@ -109,21 +109,31 @@ func (d *Detector) WarpMem(ev *gpu.WarpMemEvent) int64 {
 	if d.cost.ShadowUpdate {
 		// One shadow read + one shadow write per distinct shadow line
 		// the warp's lanes touch, through the demand path, blocking.
+		// Lines are issued in first-touch lane order: each transaction
+		// moves partition and NoC state, so the order is part of the
+		// timing and must not depend on map iteration.
 		gran := uint64(opt.GlobalGranularity)
 		if ev.Space == isa.SpaceShared {
 			gran = uint64(opt.SharedGranularity)
 		}
 		const entryBytes = 8
 		seg := uint64(cfg.SegmentBytes)
-		lines := make(map[uint64]struct{}, 2)
+		var buf [32]uint64
+		lines := buf[:0]
+	lanes:
 		for i := range ev.Lanes {
 			la := &ev.Lanes[i]
-			sa := d.env.ShadowBase() + (la.Addr/gran)*entryBytes
-			lines[sa&^(seg-1)] = struct{}{}
+			line := (d.env.ShadowBase() + (la.Addr/gran)*entryBytes) &^ (seg - 1)
+			for _, l := range lines {
+				if l == line {
+					continue lanes
+				}
+			}
+			lines = append(lines, line)
 		}
 		when := ev.Cycle + stall
 		latest := when
-		for line := range lines {
+		for _, line := range lines {
 			var t2 int64
 			if d.cost.AtomicShadow {
 				// Shadow entries are updated with a CAS that bypasses
