@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"haccrg"
+	"haccrg/internal/harness"
 	"haccrg/internal/version"
 )
 
@@ -37,26 +38,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "haccrg-disasm: -bench required")
 		os.Exit(2)
 	}
-	bm := haccrg.GetBenchmark(*bench)
-	if bm == nil {
-		fatalf("unknown benchmark %q", *bench)
-	}
-	dev, err := haccrg.NewDevice(haccrg.SmallGPU(), bm.GlobalBytes(1), nil)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	p := haccrg.BenchParams{Scale: 1, SingleBlock: *single}
+	small := haccrg.SmallGPU()
+	rc := harness.RunConfig{Bench: *bench, Scale: 1, SingleBlock: *single, GPU: &small}
 	if *inject != "" {
-		p.Inject = map[string]bool{}
-		for _, id := range strings.Split(*inject, ",") {
-			p.Inject[id] = true
-		}
+		rc.Inject = strings.Split(*inject, ",")
 	}
-	plan, err := bm.Build(dev, p)
+	ks, err := rc.Kernels()
+	if errors.Is(err, harness.ErrUnknown) {
+		fmt.Fprintf(os.Stderr, "haccrg-disasm: %v\n", err)
+		os.Exit(2)
+	}
 	if err != nil {
 		fatalf("%v", err)
 	}
-	for _, k := range plan.Kernels {
+	for _, k := range ks {
 		fmt.Printf("kernel %s  <<<grid %d x block %d, %dB shared, %d params>>>\n",
 			k.Name, k.GridDim, k.BlockDim, k.SharedBytes, len(k.Params))
 		// Re-validate explicitly: builder output is always valid, but a

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"haccrg/internal/gpu"
+	"haccrg/internal/harness"
 	"haccrg/internal/kernels"
 	"haccrg/internal/staticrace"
 	"haccrg/internal/termtab"
@@ -51,74 +52,65 @@ func main() {
 		return
 	}
 
-	conf := staticrace.Config{
-		SharedGranularity: *sharedGran,
-		GlobalGranularity: *globalGran,
-		WarpAware:         *warpAware,
-	}
-	cfg := gpu.DefaultConfig()
-	if *small {
-		cfg = gpu.TestConfig()
-	}
-	conf.WarpSize = cfg.WarpSize
-
-	params := kernels.Params{Scale: *scale, SingleBlock: *singleBlock}
-	if *inject != "" {
-		params.Inject = map[string]bool{}
-		for _, id := range strings.Split(*inject, ",") {
-			params.Inject[id] = true
-		}
-	}
-
+	var benches []string
 	switch {
 	case *checkFix:
-		os.Exit(checkFixtures(cfg, conf, params))
-	case *all:
-		os.Exit(analyze(kernels.All(), cfg, conf, params, *jsonOut, *sites, *contextN))
-	case *bench != "":
-		bm := kernels.Get(*bench)
-		if bm == nil {
-			fmt.Fprintf(os.Stderr, "haccrg-lint: unknown benchmark %q\n", *bench)
-			os.Exit(2)
+		for _, bm := range kernels.AllIncludingDefective() {
+			benches = append(benches, bm.Name)
 		}
-		os.Exit(analyze([]*kernels.Benchmark{bm}, cfg, conf, params, *jsonOut, *sites, *contextN))
+	case *all:
+		for _, bm := range kernels.All() {
+			benches = append(benches, bm.Name)
+		}
+	case *bench != "":
+		benches = []string{*bench}
 	default:
 		fmt.Fprintln(os.Stderr, "haccrg-lint: one of -bench, -all or -check-fixtures required")
 		flag.Usage()
 		os.Exit(2)
 	}
+	rc := harness.RunConfig{
+		Scale:             *scale,
+		SingleBlock:       *singleBlock,
+		SharedGranularity: *sharedGran,
+		GlobalGranularity: *globalGran,
+	}
+	if *inject != "" {
+		rc.Inject = strings.Split(*inject, ",")
+	}
+	if *small {
+		cfg := gpu.TestConfig()
+		rc.GPU = &cfg
+	}
+	runs, err := rc.Expand(benches)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "haccrg-lint: %v\n", err)
+		os.Exit(2)
+	}
+	opt := rc.DetectorOptions()
+	opt.WarpAware = *warpAware
+	conf := rc.AnalyzerConfig(opt)
+	if *checkFix {
+		os.Exit(checkFixtures(runs, conf))
+	}
+	os.Exit(analyze(runs, conf, *jsonOut, *sites, *contextN))
 }
 
-// analyzeBench builds one benchmark's kernels and analyzes each.
-func analyzeBench(bm *kernels.Benchmark, cfg gpu.Config, conf staticrace.Config, p kernels.Params) ([]*staticrace.Analysis, error) {
-	dev, err := gpu.NewDevice(cfg, bm.GlobalBytes(p.Scale), nil)
+// analyzeRun builds one run's kernels and analyzes each.
+func analyzeRun(rc harness.RunConfig, conf staticrace.Config) ([]*staticrace.Analysis, error) {
+	ks, err := rc.Kernels()
 	if err != nil {
 		return nil, err
 	}
-	plan, err := bm.Build(dev, p)
-	if err != nil {
-		return nil, err
-	}
-	var out []*staticrace.Analysis
-	for _, k := range plan.Kernels {
-		res, err := staticrace.Analyze(k, conf)
-		if err != nil {
-			return nil, fmt.Errorf("kernel %s: %w", k.Name, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	return harness.Analyze(ks, conf)
 }
 
-func analyze(benches []*kernels.Benchmark, cfg gpu.Config, conf staticrace.Config, p kernels.Params, jsonOut, sites bool, contextN int) int {
-	if p.Scale < 1 {
-		p.Scale = 1
-	}
+func analyze(runs []harness.RunConfig, conf staticrace.Config, jsonOut, sites bool, contextN int) int {
 	var analyses []*staticrace.Analysis
-	for _, bm := range benches {
-		res, err := analyzeBench(bm, cfg, conf, p)
+	for _, rc := range runs {
+		res, err := analyzeRun(rc, conf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "haccrg-lint: %s: %v\n", bm.Name, err)
+			fmt.Fprintf(os.Stderr, "haccrg-lint: %s: %v\n", rc.Bench, err)
 			return 3
 		}
 		analyses = append(analyses, res...)
@@ -142,13 +134,11 @@ func analyze(benches []*kernels.Benchmark, cfg gpu.Config, conf staticrace.Confi
 // Clean benchmarks may still carry witnesses — some benchmarks are
 // genuinely racy by construction — but every witness anywhere must be
 // verified and conflict-free. Exit 0 only when all of that holds.
-func checkFixtures(cfg gpu.Config, conf staticrace.Config, p kernels.Params) int {
-	if p.Scale < 1 {
-		p.Scale = 1
-	}
+func checkFixtures(runs []harness.RunConfig, conf staticrace.Config) int {
 	fail := false
-	for _, bm := range kernels.AllIncludingDefective() {
-		analyses, err := analyzeBench(bm, cfg, conf, p)
+	for _, rc := range runs {
+		bm := kernels.Get(rc.Bench)
+		analyses, err := analyzeRun(rc, conf)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "haccrg-lint: %s: %v\n", bm.Name, err)
 			return 3

@@ -19,11 +19,11 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"haccrg"
+	"haccrg/internal/harness"
 	"haccrg/internal/journal"
 	"haccrg/internal/service"
 	"haccrg/internal/termtab"
@@ -56,7 +56,7 @@ func fatal(what string, err error) {
 func main() {
 	var (
 		bench       = flag.String("bench", "", "benchmark to run (see -list)")
-		detect      = flag.String("detect", "shared+global", "detection: off, shared, global, shared+global")
+		detect      = flag.String("detect", "shared+global", "detection: off, shared, global, shared+global, shared-shadow-in-global, sw-haccrg, grace-addr")
 		scale       = flag.Int("scale", 1, "input scale factor")
 		sharedGran  = flag.Int("shared-gran", 16, "shared-memory tracking granularity (bytes)")
 		globalGran  = flag.Int("global-gran", 4, "global-memory tracking granularity (bytes)")
@@ -100,89 +100,63 @@ func main() {
 		listBenchmarks()
 		return
 	}
-	if *serverURL != "" {
-		var benches []string
-		if *allBenches {
-			for _, bm := range haccrg.Benchmarks() {
-				benches = append(benches, bm.Name)
-			}
-		} else if *bench != "" {
-			benches = []string{*bench}
-		} else {
-			fmt.Fprintln(os.Stderr, "haccrg: -server-url needs -bench or -all-benches")
-			os.Exit(2)
+	var benches []string
+	switch {
+	case *allBenches:
+		for _, bm := range haccrg.Benchmarks() {
+			benches = append(benches, bm.Name)
 		}
-		spec := &service.JobSpec{
-			Kind:              service.JobBench,
-			Benches:           benches,
-			Detector:          *detect,
-			Scale:             *scale,
-			SingleBlock:       *singleBlock,
-			SharedGranularity: *sharedGran,
-			GlobalGranularity: *globalGran,
-			StaticFilter:      *staticFilter,
-			WitnessSeed:       *witnessSeed,
-			FaultPlan:         *faultPlan,
-			FaultSeed:         *faultSeed,
-			Degradation:       *degradation,
-			SmallGPU:          *small,
-			MaxCycles:         *maxCycles,
-			TimeoutMS:         timeoutMS(*timeout),
-		}
-		if *inject != "" {
-			spec.Inject = strings.Split(*inject, ",")
-		}
-		os.Exit(runRemote(*serverURL, *tenant, spec))
-	}
-	if *allBenches {
-		haccrg.SetParallelism(*parallel)
-		os.Exit(runSuite(*scale, *small))
-	}
-	if *bench == "" {
+	case *bench != "":
+		benches = []string{*bench}
+	case *serverURL != "":
+		fmt.Fprintln(os.Stderr, "haccrg: -server-url needs -bench or -all-benches")
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "haccrg: -bench required (try -list)")
 		os.Exit(2)
 	}
-	if *staticReport {
-		os.Exit(printStaticReport(*bench, *scale, *singleBlock, *inject, *small,
-			*sharedGran, *globalGran, *jsonOut))
+	if *sharedGran == 0 || *globalGran == 0 {
+		// A run specification reads granularity 0 as the default.
+		fatal("", errors.New("-shared-gran and -global-gran must be powers of two"))
 	}
-
-	opts := haccrg.RunOptions{
-		Scale:        *scale,
-		SingleBlock:  *singleBlock,
-		Verify:       *verify,
-		Trace:        *traceOut,
-		StaticFilter: *staticFilter,
-		WitnessSeed:  *witnessSeed,
-		FaultPlan:    *faultPlan,
-		FaultSeed:    *faultSeed,
-		Degradation:  *degradation,
-		MaxCycles:    *maxCycles,
-		Timeout:      *timeout,
-	}
-	if *small {
-		cfg := haccrg.SmallGPU()
-		opts.GPU = &cfg
+	// The run flags bind once, into the job spec the daemon takes; both
+	// modes expand it into runs through the same function, so a spec
+	// the daemon would refuse is refused here first.
+	spec := &service.JobSpec{
+		Kind:              service.JobBench,
+		Benches:           benches,
+		Detector:          *detect,
+		Scale:             *scale,
+		SingleBlock:       *singleBlock,
+		SharedGranularity: *sharedGran,
+		GlobalGranularity: *globalGran,
+		StaticFilter:      *staticFilter,
+		WitnessSeed:       *witnessSeed,
+		FaultPlan:         *faultPlan,
+		FaultSeed:         *faultSeed,
+		Degradation:       *degradation,
+		SmallGPU:          *small,
+		MaxCycles:         *maxCycles,
+		TimeoutMS:         timeoutMS(*timeout),
 	}
 	if *inject != "" {
-		opts.Inject = strings.Split(*inject, ",")
+		spec.Inject = strings.Split(*inject, ",")
 	}
-	if *detect != "off" {
-		d := haccrg.DefaultDetection()
-		d.SharedGranularity = *sharedGran
-		d.GlobalGranularity = *globalGran
-		switch *detect {
-		case "shared":
-			d.Global = false
-			d.DetectStaleL1 = false
-		case "global":
-			d.Shared = false
-		case "shared+global":
-		default:
-			fmt.Fprintf(os.Stderr, "haccrg: unknown -detect %q\n", *detect)
+	runs, err := spec.RunConfigs(false)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, errLine("", err))
+		if errors.Is(err, harness.ErrUnknown) {
 			os.Exit(2)
 		}
-		opts.Detection = &d
+		os.Exit(1)
+	}
+	if *serverURL != "" {
+		os.Exit(runRemote(*serverURL, *tenant, spec))
+	}
+	for i := range runs {
+		// Locally -timeout is each run's watchdog; the daemon reads it
+		// as the job's deadline.
+		runs[i].Timeout = *timeout
 	}
 
 	// SIGINT/SIGTERM cancel the simulation through the context; the run
@@ -190,7 +164,16 @@ func main() {
 	// any) with a well-framed prefix on disk.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if *allBenches {
+		harness.SetParallelism(*parallel)
+		os.Exit(runSuite(ctx, runs))
+	}
+	rc := runs[0]
+	if *staticReport {
+		os.Exit(printStaticReport(rc, *jsonOut))
+	}
 
+	xo := harness.ExecOptions{Verify: *verify, Trace: *traceOut}
 	var journalFile *journal.FileWriter
 	if *record != "" {
 		fw, ferr := journal.CreateFile(nil, *record)
@@ -198,10 +181,10 @@ func main() {
 			fatal("-record", ferr)
 		}
 		journalFile = fw
-		opts.Record = fw
+		xo.Record = fw
 	}
 
-	res, err := haccrg.RunBenchmarkContext(ctx, *bench, opts)
+	res, err := harness.ExecContext(ctx, rc, xo)
 	if journalFile != nil {
 		// Close syncs first: an fsync failure here means the journal may
 		// not be on disk, and that must fail the run loudly rather than
@@ -262,7 +245,7 @@ func main() {
 		fmt.Println(res.Health)
 	}
 
-	if opts.Detection == nil {
+	if rc.Detector == harness.DetOff {
 		return
 	}
 	if *staticFilter && res.Report != nil {
@@ -277,9 +260,9 @@ func main() {
 		}
 		fmt.Printf("witness seed   %d race(s) reported from static witnesses on first touch\n", seeded)
 	}
-	if *traceOut && res.Trace != nil {
+	if *traceOut && res.TraceRec != nil {
 		fmt.Println()
-		fmt.Print(res.Trace.Timeline())
+		fmt.Print(res.TraceRec.Timeline())
 	}
 
 	fmt.Printf("\n%d distinct data race(s) detected\n", len(res.Races))
@@ -295,24 +278,17 @@ func main() {
 	}
 }
 
-// printStaticReport runs the static analyzer over a benchmark's
-// kernels and prints the findings plus the prover's per-site
-// classification; exit 0 when clean, 3 with findings (mirroring the
-// races-found exit), 1 on error.
-func printStaticReport(bench string, scale int, singleBlock bool, inject string, small bool, sharedGran, globalGran int, jsonOut bool) int {
-	opts := haccrg.AnalyzeOptions{Scale: scale, SingleBlock: singleBlock}
-	if inject != "" {
-		opts.Inject = strings.Split(inject, ",")
+// printStaticReport runs the static analyzer over a run's kernels and
+// prints the findings plus the prover's per-site classification; exit
+// 0 when clean, 3 with findings (mirroring the races-found exit), 1 on
+// error.
+func printStaticReport(rc harness.RunConfig, jsonOut bool) int {
+	ks, err := rc.Kernels()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, errLine("", err))
+		return 1
 	}
-	if small {
-		cfg := haccrg.SmallGPU()
-		opts.GPU = &cfg
-	}
-	d := haccrg.DefaultDetection()
-	d.SharedGranularity = sharedGran
-	d.GlobalGranularity = globalGran
-	opts.Detection = &d
-	analyses, err := haccrg.AnalyzeBenchmark(bench, opts)
+	analyses, err := harness.Analyze(ks, rc.AnalyzerConfig(rc.DetectorOptions()))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, errLine("", err))
 		return 1
@@ -329,54 +305,22 @@ func printStaticReport(bench string, scale int, singleBlock bool, inject string,
 	return 0
 }
 
-// runSuite runs every benchmark under full detection and prints one
-// summary line each; the exit code is 3 if any benchmark raced,
-// mirroring single-benchmark behaviour. Benchmarks run concurrently up
-// to the configured parallelism; output stays in suite order (each run
-// owns its simulated device, so results do not depend on the worker
-// count).
-func runSuite(scale int, small bool) int {
-	opts := haccrg.RunOptions{Scale: scale}
-	if small {
-		cfg := haccrg.SmallGPU()
-		opts.GPU = &cfg
+// runSuite runs every benchmark through the sweep engine and prints
+// one summary line each; the exit code is 3 if any benchmark raced,
+// mirroring single-benchmark behaviour. Output stays in suite order at
+// any parallelism (each run owns its simulated device).
+func runSuite(ctx context.Context, runs []harness.RunConfig) int {
+	results, err := harness.Sweep(ctx, runs, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, errLine("", err))
+		if ctx.Err() != nil {
+			return exitInterrupted
+		}
+		return 1
 	}
-	det := haccrg.DefaultDetection()
-	det.SharedGranularity = 4
-	opts.Detection = &det
-
-	benches := haccrg.Benchmarks()
-	results := make([]*haccrg.RunResult, len(benches))
-	errs := make([]error, len(benches))
-	workers := haccrg.Parallelism()
-	if workers > len(benches) {
-		workers = len(benches)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i], errs[i] = haccrg.RunBenchmark(benches[i].Name, opts)
-			}
-		}()
-	}
-	for i := range benches {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
 	raced := false
 	fmt.Printf("%-8s %10s %8s %8s  %s\n", "bench", "cycles", "races", "reports", "categories")
-	for i, bm := range benches {
-		if errs[i] != nil {
-			fmt.Fprintln(os.Stderr, errLine(bm.Name, errs[i]))
-			return 1
-		}
-		res := results[i]
+	for _, res := range results {
 		cats := map[string]int{}
 		var reports int64
 		for _, r := range res.Races {
@@ -389,7 +333,7 @@ func runSuite(scale int, small bool) int {
 		}
 		sort.Strings(catStr)
 		fmt.Printf("%-8s %10d %8d %8d  %s\n",
-			bm.Name, res.Stats.Cycles, len(res.Races), reports, strings.Join(catStr, " "))
+			res.Config.Bench, res.Stats.Cycles, len(res.Races), reports, strings.Join(catStr, " "))
 		if len(res.Races) > 0 {
 			raced = true
 		}

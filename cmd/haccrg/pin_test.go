@@ -131,3 +131,23 @@ func TestCLIOutputsPinned(t *testing.T) {
 		t.Fatalf("CLI outputs hash to %s, pinned %s", got, pinnedOutputs)
 	}
 }
+
+// TestUnknownInjectSiteIsUsage: an -inject ID that names no site of the
+// benchmark exits 2 and lists the benchmark's sites, instead of running
+// as if nothing were injected.
+func TestUnknownInjectSiteIsUsage(t *testing.T) {
+	for _, id := range []string{"reduce.fenc0", "psum.fence0"} {
+		cmd := exec.Command(os.Args[0], "-bench", "reduce", "-small-gpu", "-inject", id)
+		cmd.Env = append(os.Environ(), "HACCRG_CLI_HELPER=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-inject %s: %v, want exit 2", id, err)
+		}
+		if !strings.Contains(stderr.String(), "reduce.fence0") {
+			t.Errorf("-inject %s: stderr %q does not list reduce's sites", id, stderr.String())
+		}
+	}
+}

@@ -17,7 +17,6 @@ package haccrg
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -213,25 +212,6 @@ func RunBenchmark(name string, opts RunOptions) (*RunResult, error) {
 	return RunBenchmarkContext(context.Background(), name, opts)
 }
 
-// detectorKind names the DetectorKind a set of explicit detection
-// options corresponds to — the identity under which journal metadata
-// and server job specs describe the run.
-func detectorKind(d *DetectionOptions) harness.DetectorKind {
-	switch {
-	case d == nil:
-		return harness.DetOff
-	case d.SharedShadowInGlobal:
-		return harness.DetFig8
-	case d.Shared && d.Global:
-		return harness.DetSharedGlobal
-	case d.Shared:
-		return harness.DetShared
-	case d.Global:
-		return harness.DetGlobal
-	}
-	return harness.DetOff
-}
-
 // RunBenchmarkContext is RunBenchmark under a context: cancellation
 // (e.g. a CLI's SIGINT handler) aborts the simulation with a
 // *HangError carrying partial stats, and — when a journal is being
@@ -239,35 +219,12 @@ func detectorKind(d *DetectionOptions) harness.DetectorKind {
 //
 // The execution itself is harness.ExecContext — the same job core the
 // CLIs, the experiment sweeps, and the haccrg-server workers run — so
-// a benchmark behaves identically no matter which entry point launched
-// it. The facade adds only option validation and the mapping between
-// the public RunOptions and the harness job configuration.
+// a benchmark is validated and behaves identically no matter which
+// entry point launched it. The facade adds only the mapping from the
+// public RunOptions to the harness run specification.
 func RunBenchmarkContext(ctx context.Context, name string, opts RunOptions) (*RunResult, error) {
-	if kernels.Get(name) == nil {
-		return nil, fmt.Errorf("haccrg: unknown benchmark %q (have %v)", name, benchNames())
-	}
-	if opts.Scale < 1 {
-		opts.Scale = 1
-	}
-	if opts.Detection == nil {
-		if opts.FaultPlan != "" {
-			return nil, fmt.Errorf("haccrg: FaultPlan requires Detection (there is no RDU pipeline to fault)")
-		}
-		if opts.StaticFilter {
-			return nil, fmt.Errorf("haccrg: StaticFilter requires Detection (there are no RDU checks to skip)")
-		}
-		if opts.WitnessSeed {
-			return nil, fmt.Errorf("haccrg: WitnessSeed requires Detection (there is no detector to seed)")
-		}
-	}
-	switch opts.Degradation {
-	case "", "quarantine", "reinit":
-	default:
-		return nil, fmt.Errorf("haccrg: unknown degradation policy %q (want quarantine or reinit)", opts.Degradation)
-	}
 	rc := harness.RunConfig{
 		Bench:        name,
-		Detector:     detectorKind(opts.Detection),
 		Scale:        opts.Scale,
 		SingleBlock:  opts.SingleBlock,
 		Inject:       opts.Inject,
@@ -338,29 +295,8 @@ type AnalyzeOptions struct {
 // prover. The returned analyses are in plan order; render them with
 // BuildStaticReport.
 func AnalyzeBenchmark(name string, opts AnalyzeOptions) ([]*StaticAnalysis, error) {
-	bm := kernels.Get(name)
-	if bm == nil {
-		return nil, fmt.Errorf("haccrg: unknown benchmark %q (have %v)", name, benchNames())
-	}
-	if opts.Scale < 1 {
-		opts.Scale = 1
-	}
-	cfg := gpu.DefaultConfig()
-	if opts.GPU != nil {
-		cfg = *opts.GPU
-	}
-	dev, err := gpu.NewDevice(cfg, bm.GlobalBytes(opts.Scale), nil)
-	if err != nil {
-		return nil, err
-	}
-	p := kernels.Params{Scale: opts.Scale, SingleBlock: opts.SingleBlock}
-	if len(opts.Inject) > 0 {
-		p.Inject = map[string]bool{}
-		for _, id := range opts.Inject {
-			p.Inject[id] = true
-		}
-	}
-	plan, err := bm.Build(dev, p)
+	rc := harness.RunConfig{Bench: name, Scale: opts.Scale, SingleBlock: opts.SingleBlock, Inject: opts.Inject, GPU: opts.GPU}
+	ks, err := rc.Kernels()
 	if err != nil {
 		return nil, err
 	}
@@ -368,21 +304,7 @@ func AnalyzeBenchmark(name string, opts AnalyzeOptions) ([]*StaticAnalysis, erro
 	if opts.Detection != nil {
 		dopt = *opts.Detection
 	}
-	conf := staticrace.Config{
-		WarpSize:          cfg.WarpSize,
-		SharedGranularity: dopt.SharedGranularity,
-		GlobalGranularity: dopt.GlobalGranularity,
-		WarpAware:         dopt.WarpAware,
-	}
-	var out []*StaticAnalysis
-	for _, k := range plan.Kernels {
-		res, err := staticrace.Analyze(k, conf)
-		if err != nil {
-			return nil, fmt.Errorf("haccrg: static analysis of %s kernel %s: %w", name, k.Name, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	return harness.Analyze(ks, rc.AnalyzerConfig(dopt))
 }
 
 // BuildStaticReport converts analyses into the serializable report
@@ -392,14 +314,6 @@ func BuildStaticReport(analyses []*StaticAnalysis, withSites bool) *StaticReport
 }
 
 func tlbDefaultConfig() tlb.Config { return tlb.DefaultConfig }
-
-func benchNames() []string {
-	var out []string
-	for _, b := range kernels.All() {
-		out = append(out, b.Name)
-	}
-	return out
-}
 
 // Experiments re-exports the harness entry points so downstream users
 // can regenerate the paper's tables and figures programmatically.

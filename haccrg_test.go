@@ -1,6 +1,7 @@
 package haccrg
 
 import (
+	"strings"
 	"testing"
 
 	"haccrg/internal/isa"
@@ -61,6 +62,19 @@ func TestRunBenchmarkInjection(t *testing.T) {
 	}
 	if !fence {
 		t.Fatalf("fence injection not detected: %v", res.Races)
+	}
+}
+
+// TestRunBenchmarkUnknownSite: an injection ID that names no site of
+// the benchmark is an error, not a silent no-op.
+func TestRunBenchmarkUnknownSite(t *testing.T) {
+	small := SmallGPU()
+	opt := DefaultDetection()
+	for _, id := range []string{"reduce.fenc0", "psum.fence0"} {
+		_, err := RunBenchmark("reduce", RunOptions{GPU: &small, Detection: &opt, Inject: []string{id}})
+		if err == nil || !strings.Contains(err.Error(), "reduce.fence0") {
+			t.Errorf("inject %s: err = %v, want a rejection listing reduce's sites", id, err)
+		}
 	}
 }
 

@@ -183,11 +183,7 @@ func Table4(scale int) (map[string]int64, string, error) {
 	var rows [][]string
 	for _, bm := range kernels.All() {
 		// AppBytes comes from building the plan (it depends on scale).
-		dev, err := gpu.NewDevice(gpu.TestConfig(), bm.GlobalBytes(scale), nil)
-		if err != nil {
-			return nil, "", err
-		}
-		plan, err := bm.Build(dev, kernels.Params{Scale: scale})
+		_, plan, err := RunConfig{Bench: bm.Name, Scale: scale}.build(gpu.TestConfig(), nil)
 		if err != nil {
 			return nil, "", err
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -57,14 +58,20 @@ func TestDetectionOverheadOrdering(t *testing.T) {
 	}
 }
 
+// TestVerifyHelper: a detection-off run with Verify checks the
+// kernels' output against the host reference.
 func TestVerifyHelper(t *testing.T) {
-	if err := Verify("reduce", 1, false); err != nil {
+	verify := func(rc RunConfig) error {
+		_, err := ExecContext(context.Background(), rc, ExecOptions{Verify: true})
+		return err
+	}
+	if err := verify(RunConfig{Bench: "reduce", Scale: 1}); err != nil {
 		t.Fatalf("reduce verify: %v", err)
 	}
-	if err := Verify("scan", 1, true); err != nil {
+	if err := verify(RunConfig{Bench: "scan", Scale: 1, SingleBlock: true}); err != nil {
 		t.Fatalf("scan single-block verify: %v", err)
 	}
-	if err := Verify("nope", 1, false); err == nil {
+	if err := verify(RunConfig{Bench: "nope", Scale: 1}); err == nil {
 		t.Fatal("unknown benchmark verified")
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"haccrg/internal/grace"
 	"haccrg/internal/isa"
 	"haccrg/internal/journal"
-	"haccrg/internal/kernels"
 	"haccrg/internal/staticrace"
 	"haccrg/internal/swdetect"
 	"haccrg/internal/trace"
@@ -119,70 +118,40 @@ type RunResult struct {
 	TraceRec *trace.Recorder `json:"-"`
 }
 
-// runOptions merges a RunConfig's fault plan and degradation policy
-// into the detector options opt — the knobs every detector build
-// shares, whether the options come from a DetectorKind or from the
-// facade's explicit Detection.
-func runOptions(rc RunConfig, opt core.Options) (core.Options, error) {
-	if rc.FaultPlan != "" {
-		p, err := fault.Parse(rc.FaultPlan)
-		if err != nil {
-			return opt, err
-		}
-		opt.Fault = p
-		opt.FaultSeed = rc.FaultSeed
+// detectorFor builds the detector rc runs under: from explicit core
+// options when the caller passes them (the facade), else from rc's
+// kind and granularities, with rc's fault plan and degradation policy
+// merged in either way. The other returns are the core engine for race
+// extraction (nil for off and grace-addr) and the software detectors
+// for their stall counters.
+func detectorFor(rc RunConfig, explicit *core.Options) (gpu.Detector, *core.Detector, *swdetect.Detector, *grace.Detector, error) {
+	if err := rc.Detector.valid(); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	switch rc.Degradation {
-	case "", "quarantine":
-		opt.Degradation = core.DegradeQuarantine
-	case "reinit":
-		opt.Degradation = core.DegradeReinit
-	default:
-		return opt, fmt.Errorf("harness: unknown degradation policy %q (want quarantine or reinit)", rc.Degradation)
+	opt := rc.DetectorOptions()
+	if explicit != nil {
+		opt = *explicit
 	}
-	return opt, nil
-}
-
-// detectorFor builds the run's detector; the second return value
-// yields the underlying core engine for race extraction (nil for off).
-func detectorFor(rc RunConfig) (gpu.Detector, *core.Detector, *swdetect.Detector, *grace.Detector, error) {
-	opt := core.DefaultOptions()
-	if rc.SharedGranularity > 0 {
-		opt.SharedGranularity = rc.SharedGranularity
-	}
-	if rc.GlobalGranularity > 0 {
-		opt.GlobalGranularity = rc.GlobalGranularity
-	}
-	opt, err := runOptions(rc, opt)
+	opt, err := rc.runOptions(opt)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	switch rc.Detector {
-	case DetOff, "":
+	switch {
+	case explicit != nil:
+	case rc.Detector.off():
 		return gpu.NopDetector{}, nil, nil, nil, nil
-	case DetShared:
-		opt.Global = false
-		opt.DetectStaleL1 = false
-	case DetGlobal:
-		opt.Shared = false
-	case DetSharedGlobal:
-		// defaults
-	case DetFig8:
-		opt.SharedShadowInGlobal = true
-	case DetSoftware:
+	case rc.Detector == DetSoftware:
 		d, err := swdetect.New(opt, swdetect.DefaultCostModel)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
 		return d, d.Inner(), d, nil, nil
-	case DetGRace:
+	case rc.Detector == DetGRace:
 		d, err := grace.New(opt, grace.DefaultCostModel)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
 		return d, nil, nil, d, nil
-	default:
-		return nil, nil, nil, nil, fmt.Errorf("harness: unknown detector %q", rc.Detector)
 	}
 	d, err := core.New(opt)
 	if err != nil {
@@ -195,7 +164,7 @@ func detectorFor(rc RunConfig) (gpu.Detector, *core.Detector, *swdetect.Detector
 // how the replay tool reconstructs a recorded run's detector (or a
 // deliberately different one) without a device attached.
 func DetectorFor(rc RunConfig) (gpu.Detector, error) {
-	det, _, _, _, err := detectorFor(rc)
+	det, _, _, _, err := detectorFor(rc, nil)
 	return det, err
 }
 
@@ -228,8 +197,9 @@ type ExecOptions struct {
 	// core options instead of deriving them from rc.Detector (the
 	// facade path, which admits configurations — custom Bloom layouts,
 	// shared-shadow-in-global with odd granularities — that no
-	// DetectorKind names). rc's FaultPlan/FaultSeed and Degradation
-	// are still merged in.
+	// DetectorKind names). rc.Detector is set to the kind they
+	// correspond to, and rc's FaultPlan/FaultSeed and Degradation are
+	// still merged in.
 	Detection *core.Options
 	// Verify checks kernel output against the host reference where the
 	// benchmark defines one.
@@ -271,33 +241,16 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 			err = fmt.Errorf("harness: run %s/%s panicked: %v", rc.Bench, rc.Detector, r)
 		}
 	}()
-	bm := kernels.Get(rc.Bench)
-	if bm == nil {
-		return nil, fmt.Errorf("harness: unknown benchmark %q", rc.Bench)
-	}
-	if rc.Scale < 1 {
-		rc.Scale = 1
-	}
-	var (
-		det     gpu.Detector
-		coreDet *core.Detector
-		swDet   *swdetect.Detector
-		grDet   *grace.Detector
-	)
 	if xo.Detection != nil {
-		opt, oerr := runOptions(rc, *xo.Detection)
-		if oerr != nil {
-			return nil, oerr
-		}
-		if coreDet, err = core.New(opt); err != nil {
-			return nil, err
-		}
-		det = coreDet
-	} else {
-		det, coreDet, swDet, grDet, err = detectorFor(rc)
-		if err != nil {
-			return nil, err
-		}
+		rc.Detector = detectorKind(xo.Detection)
+	}
+	if err := rc.Validate(); err != nil {
+		return nil, err
+	}
+	rc.Scale = max(rc.Scale, 1)
+	det, coreDet, swDet, grDet, err := detectorFor(rc, xo.Detection)
+	if err != nil {
+		return nil, err
 	}
 	var traceRec *trace.Recorder
 	if xo.Trace {
@@ -315,57 +268,21 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 		jrec = jr
 		det = jr
 	}
-	cfg := gpu.DefaultConfig()
-	if rc.GPU != nil {
-		cfg = *rc.GPU
+	cfg := rc.device()
+	if coreDet != nil {
+		// Request packets carry sync, fence and atomic IDs whenever
+		// hardware global-memory RDUs check them; the software builds
+		// model no RDU traffic.
+		o := coreDet.Options()
+		cfg.NoC.RDUMetaEnabled = o.ModelTraffic && (o.Global || o.SharedShadowInGlobal)
 	}
-	if xo.Detection != nil {
-		// Request packets carry sync, fence and atomic IDs whenever the
-		// global-memory RDUs are on — same rule as the kind switch below.
-		if o := coreDet.Options(); o.Global || o.SharedShadowInGlobal {
-			cfg.NoC.RDUMetaEnabled = true
-		}
-	} else {
-		switch rc.Detector {
-		case DetGlobal, DetSharedGlobal, DetFig8:
-			// Request packets carry sync, fence and atomic IDs.
-			cfg.NoC.RDUMetaEnabled = true
-		}
-	}
-	dev, err := gpu.NewDevice(cfg, bm.GlobalBytes(rc.Scale), det)
-	if err != nil {
-		return nil, err
-	}
-	p := kernels.Params{Scale: rc.Scale, SingleBlock: rc.SingleBlock}
-	if len(rc.Inject) > 0 {
-		p.Inject = make(map[string]bool, len(rc.Inject))
-		for _, id := range rc.Inject {
-			p.Inject[id] = true
-		}
-	}
-	plan, err := bm.Build(dev, p)
+	dev, plan, err := rc.build(cfg, det)
 	if err != nil {
 		return nil, err
 	}
 	var seeds seedSet
 	if rc.StaticFilter || rc.WitnessSeed {
-		if xo.Detection == nil {
-			switch rc.Detector {
-			case DetShared, DetGlobal, DetSharedGlobal, DetFig8:
-			default:
-				return nil, fmt.Errorf("harness: static filter requires a hardware HAccRG detector, got %q", rc.Detector)
-			}
-		}
-		if coreDet == nil {
-			return nil, fmt.Errorf("harness: static filter requires a hardware HAccRG detector")
-		}
-		sconf := staticrace.Config{
-			WarpSize:          cfg.WarpSize,
-			SharedGranularity: coreDet.Options().SharedGranularity,
-			GlobalGranularity: coreDet.Options().GlobalGranularity,
-			WarpAware:         coreDet.Options().WarpAware,
-		}
-		f, err := staticrace.NewFilter(sconf, plan.Kernels...)
+		f, err := staticrace.NewFilter(rc.AnalyzerConfig(coreDet.Options()), plan.Kernels...)
 		if err != nil {
 			return nil, fmt.Errorf("harness: static analysis of %s: %w", rc.Bench, err)
 		}
@@ -422,16 +339,6 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 		return res, fmt.Errorf("harness: journal recording failed: %w", jrec.Err())
 	}
 	return res, runErr
-}
-
-// MustRun is Run panicking on error (kept for static test setups; the
-// CLIs report errors through exit codes instead).
-func MustRun(rc RunConfig) *RunResult {
-	r, err := Run(rc)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // SweepDefaults are fault/guard-rail settings merged into every
@@ -541,7 +448,7 @@ func sweepRunManifest(ctx context.Context, rc RunConfig, manifest *Manifest) (*R
 			}
 		}
 		sweepExecutions.Add(1)
-		res, err := ExecContext(ctx, rc, ExecOptions{})
+		res, err := execSweepRun(ctx, rc)
 		if err == nil {
 			res.Attempts = attempt
 			if manifest != nil {
@@ -568,28 +475,25 @@ func sweepRunManifest(ctx context.Context, rc RunConfig, manifest *Manifest) (*R
 	return nil, lastErr
 }
 
-// Verify runs a benchmark without detection and checks its output
-// against the host reference (where defined).
-func Verify(bench string, scale int, singleBlock bool) error {
-	bm := kernels.Get(bench)
-	if bm == nil {
-		return fmt.Errorf("harness: unknown benchmark %q", bench)
+// execSweepRun executes the run behind manifest key rc. The sweep
+// defaults merge their fault plan into every key, detector-off
+// baselines included, and those keys must not move; but an off run has
+// no RDU pipeline to fault, so it executes without the plan (which must
+// still parse, as it must on every other run of the sweep). The result
+// carries the key's plan.
+func execSweepRun(ctx context.Context, rc RunConfig) (*RunResult, error) {
+	run := rc
+	if run.FaultPlan != "" && run.Detector.off() {
+		if _, err := fault.Parse(run.FaultPlan); err != nil {
+			return nil, err
+		}
+		run.FaultPlan, run.FaultSeed = "", 0
 	}
-	dev, err := gpu.NewDevice(gpu.DefaultConfig(), bm.GlobalBytes(scale), nil)
-	if err != nil {
-		return err
+	res, err := ExecContext(ctx, run, ExecOptions{})
+	if res != nil {
+		res.Config.FaultPlan, res.Config.FaultSeed = rc.FaultPlan, rc.FaultSeed
 	}
-	plan, err := bm.Build(dev, kernels.Params{Scale: scale, SingleBlock: singleBlock})
-	if err != nil {
-		return err
-	}
-	if _, err := plan.Run(dev); err != nil {
-		return err
-	}
-	if plan.Verify == nil {
-		return nil
-	}
-	return plan.Verify(dev)
+	return res, err
 }
 
 // seedSet is a run's witness seed set per kernel name: the
@@ -660,7 +564,7 @@ func DetectorForJournal(src io.Reader, override DetectorKind) (gpu.Detector, Run
 	if override != "" {
 		rc.Detector = override
 	}
-	det, coreDet, _, _, err := detectorFor(rc)
+	det, coreDet, _, _, err := detectorFor(rc, nil)
 	if err != nil {
 		return nil, rc, err
 	}

@@ -52,11 +52,7 @@ func TLBStudy(scale int, cfg tlb.Config) ([]TLBResult, string, error) {
 	var txt [][]string
 	for _, bm := range kernels.All() {
 		tr := &traceDetector{limit: 1 << 20}
-		dev, err := gpu.NewDevice(gpu.DefaultConfig(), bm.GlobalBytes(scale), tr)
-		if err != nil {
-			return nil, "", err
-		}
-		plan, err := bm.Build(dev, kernels.Params{Scale: scale})
+		dev, plan, err := RunConfig{Bench: bm.Name, Scale: scale}.build(gpu.DefaultConfig(), tr)
 		if err != nil {
 			return nil, "", err
 		}

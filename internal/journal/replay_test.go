@@ -87,7 +87,7 @@ func TestReplayUnderFaultPlan(t *testing.T) {
 	const plan = "flip:rate=2e-4;queue:cap=8,drain=1"
 	det := haccrg.DefaultDetection()
 	data, live := recordRun(t, "reduce", haccrg.RunOptions{
-		Detection: &det, Inject: []string{"reduce.nobar"},
+		Detection: &det, Inject: []string{"reduce.bar0"},
 		FaultPlan: plan, FaultSeed: 42,
 	})
 	rep := replayThrough(t, data, harness.RunConfig{
@@ -230,7 +230,7 @@ func TestReplayParallelRecordingUnderFaultPlan(t *testing.T) {
 	const plan = "flip:rate=2e-4;queue:cap=8,drain=1"
 	det := haccrg.DefaultDetection()
 	data, live := recordRun(t, "reduce", haccrg.RunOptions{
-		Detection: &det, Inject: []string{"reduce.nobar"},
+		Detection: &det, Inject: []string{"reduce.bar0"},
 		FaultPlan: plan, FaultSeed: 42,
 	})
 	rep := replayThrough(t, kernelEndFences(t, data), harness.RunConfig{

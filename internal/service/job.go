@@ -153,40 +153,40 @@ type JobStatus struct {
 }
 
 // validate rejects malformed specs at admission, before any resources
-// are committed to them.
+// are committed to them: a bench or analyze spec must expand into runs
+// that each validate, and a replay spec's detector must build.
 func (sp *JobSpec) validate() error {
+	if sp.TimeoutMS < 0 || sp.MaxCycles < 0 || sp.Scale < 0 {
+		return fmt.Errorf("service: negative limits are not valid")
+	}
 	switch sp.Kind {
 	case JobBench, JobAnalyze:
 		if len(sp.Benches) == 0 {
 			return fmt.Errorf("service: %s job needs at least one benchmark", sp.Kind)
 		}
-		for _, b := range sp.Benches {
-			if kernels.Get(b) == nil {
-				return fmt.Errorf("service: unknown benchmark %q", b)
-			}
+		if _, err := sp.RunConfigs(false); err != nil {
+			return fmt.Errorf("service: %w", err)
 		}
+		return nil
 	case JobReplay:
-		// The journal body is validated at execution; nothing to check
-		// up front beyond the kind itself.
-	default:
-		return fmt.Errorf("service: unknown job kind %q", sp.Kind)
+		// A replay runs the journal's benchmark, known only at execution;
+		// its own settings are the detector it replays under.
+		_, err := harness.DetectorFor(harness.RunConfig{Detector: harness.DetectorKind(sp.Detector), Degradation: sp.Degradation})
+		if err != nil {
+			return fmt.Errorf("service: %w", err)
+		}
+		return nil
 	}
-	if sp.TimeoutMS < 0 || sp.MaxCycles < 0 || sp.Scale < 0 {
-		return fmt.Errorf("service: negative limits are not valid")
-	}
-	switch sp.Degradation {
-	case "", "quarantine", "reinit":
-	default:
-		return fmt.Errorf("service: unknown degradation policy %q", sp.Degradation)
-	}
-	return nil
+	return fmt.Errorf("service: unknown job kind %q", sp.Kind)
 }
 
-// runConfigs expands a bench spec into the harness configurations its
-// sweep executes — deterministically, so the same spec always maps to
-// the same manifest keys and a resumed job lines up with its
-// checkpoint.
-func (sp *JobSpec) runConfigs(smallGPU bool) []harness.RunConfig {
+// RunConfigs expands a bench or analyze spec into the runs it stands
+// for (harness.RunConfig.Expand), deterministically, so the same spec
+// always maps to the same manifest keys and a resumed job lines up
+// with its checkpoint. smallGPU forces the 4-SM test device. The
+// haccrg CLI expands its flags through the same function, locally and
+// before submitting them.
+func (sp *JobSpec) RunConfigs(smallGPU bool) ([]harness.RunConfig, error) {
 	det := harness.DetectorKind(sp.Detector)
 	if det == "" {
 		det = harness.DetSharedGlobal
@@ -196,26 +196,21 @@ func (sp *JobSpec) runConfigs(smallGPU bool) []harness.RunConfig {
 		c := gpu.TestConfig()
 		cfg = &c
 	}
-	cfgs := make([]harness.RunConfig, 0, len(sp.Benches))
-	for _, b := range sp.Benches {
-		cfgs = append(cfgs, harness.RunConfig{
-			Bench:             b,
-			Detector:          det,
-			Scale:             sp.Scale,
-			SingleBlock:       sp.SingleBlock,
-			Inject:            sp.Inject,
-			SharedGranularity: sp.SharedGranularity,
-			GlobalGranularity: sp.GlobalGranularity,
-			StaticFilter:      sp.StaticFilter,
-			WitnessSeed:       sp.WitnessSeed,
-			GPU:               cfg,
-			FaultPlan:         sp.FaultPlan,
-			FaultSeed:         sp.FaultSeed,
-			Degradation:       sp.Degradation,
-			MaxCycles:         sp.MaxCycles,
-		})
-	}
-	return cfgs
+	return harness.RunConfig{
+		Detector:          det,
+		Scale:             sp.Scale,
+		SingleBlock:       sp.SingleBlock,
+		Inject:            sp.Inject,
+		SharedGranularity: sp.SharedGranularity,
+		GlobalGranularity: sp.GlobalGranularity,
+		StaticFilter:      sp.StaticFilter,
+		WitnessSeed:       sp.WitnessSeed,
+		GPU:               cfg,
+		FaultPlan:         sp.FaultPlan,
+		FaultSeed:         sp.FaultSeed,
+		Degradation:       sp.Degradation,
+		MaxCycles:         sp.MaxCycles,
+	}.Expand(sp.Benches)
 }
 
 // execBench runs a bench job's sweep against its per-job manifest.
@@ -223,7 +218,10 @@ func (sp *JobSpec) runConfigs(smallGPU bool) []harness.RunConfig {
 // (Resumed=true); fresh completions are appended and synced one by
 // one, so a cancellation at any point leaves resumable state.
 func execBench(ctx context.Context, sp *JobSpec, m *harness.Manifest, smallGPU bool) ([]RunSummary, error) {
-	cfgs := sp.runConfigs(smallGPU)
+	cfgs, err := sp.RunConfigs(smallGPU)
+	if err != nil {
+		return nil, err
+	}
 	resumable := make([]bool, len(cfgs))
 	if m != nil {
 		for i, rc := range cfgs {
@@ -289,60 +287,6 @@ func execReplay(ctx context.Context, sp *JobSpec, journalPath string) (*ReplaySu
 	return sum, nil
 }
 
-// analyzeConf is the analyzer configuration a spec implies.
-func (sp *JobSpec) analyzeConf(smallGPU bool) (staticrace.Config, gpu.Config) {
-	cfg := gpu.DefaultConfig()
-	if sp.SmallGPU || smallGPU {
-		cfg = gpu.TestConfig()
-	}
-	conf := staticrace.Config{
-		WarpSize:          cfg.WarpSize,
-		WarpAware:         true,
-		SharedGranularity: sp.SharedGranularity,
-		GlobalGranularity: sp.GlobalGranularity,
-	}
-	if conf.SharedGranularity == 0 {
-		conf.SharedGranularity = 16
-	}
-	if conf.GlobalGranularity == 0 {
-		conf.GlobalGranularity = 4
-	}
-	return conf, cfg
-}
-
-// buildKernels builds the spec's benchmark plans without running them
-// and returns every kernel in deterministic (bench, plan) order.
-func (sp *JobSpec) buildKernels(cfg gpu.Config) ([]*gpu.Kernel, error) {
-	var out []*gpu.Kernel
-	scale := sp.Scale
-	if scale < 1 {
-		scale = 1
-	}
-	p := kernels.Params{Scale: scale, SingleBlock: sp.SingleBlock}
-	if len(sp.Inject) > 0 {
-		p.Inject = make(map[string]bool, len(sp.Inject))
-		for _, id := range sp.Inject {
-			p.Inject[id] = true
-		}
-	}
-	for _, b := range sp.Benches {
-		bm := kernels.Get(b)
-		if bm == nil {
-			return nil, fmt.Errorf("service: unknown benchmark %q", b)
-		}
-		dev, err := gpu.NewDevice(cfg, bm.GlobalBytes(scale), nil)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := bm.Build(dev, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, plan.Kernels...)
-	}
-	return out, nil
-}
-
 // programHash content-addresses a set of kernels under an analyzer
 // configuration: the SHA-256 of each kernel's identity (name, launch
 // geometry, shared allocation, parameters) and canonical disassembly,
@@ -368,10 +312,20 @@ func execAnalyze(ctx context.Context, sp *JobSpec, cache *reportCache, smallGPU 
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	conf, cfg := sp.analyzeConf(smallGPU)
-	ks, err := sp.buildKernels(cfg)
+	runs, err := sp.RunConfigs(smallGPU)
 	if err != nil {
 		return nil, false, err
+	}
+	// Every run of a spec shares its device and detector options, so
+	// one analyzer configuration covers them all.
+	conf := runs[0].AnalyzerConfig(runs[0].DetectorOptions())
+	var ks []*gpu.Kernel
+	for _, rc := range runs {
+		k, err := rc.Kernels()
+		if err != nil {
+			return nil, false, err
+		}
+		ks = append(ks, k...)
 	}
 	hash := programHash(conf, ks)
 	if cache != nil {
@@ -379,16 +333,9 @@ func execAnalyze(ctx context.Context, sp *JobSpec, cache *reportCache, smallGPU 
 			return &AnalyzeSummary{ProgramHash: hash, Findings: findings, Witnesses: witnesses, Report: rep}, true, nil
 		}
 	}
-	var analyses []*staticrace.Analysis
-	for _, k := range ks {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		a, err := staticrace.Analyze(k, conf)
-		if err != nil {
-			return nil, false, fmt.Errorf("service: static analysis of kernel %s: %w", k.Name, err)
-		}
-		analyses = append(analyses, a)
+	analyses, err := harness.Analyze(ks, conf)
+	if err != nil {
+		return nil, false, fmt.Errorf("service: %w", err)
 	}
 	rep := staticrace.BuildReport(analyses, true)
 	raw := json.RawMessage(rep.JSON())

@@ -65,14 +65,66 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: JobBench, Benches: []string{"no-such-bench"}},
 		{Kind: JobAnalyze, Benches: []string{"psum"}, TimeoutMS: -1},
 		{Kind: JobBench, Benches: []string{"psum"}, Degradation: "explode"},
+		// Each of these used to be spooled and charged, then failed (or
+		// ran under a silently different setting) in the worker.
+		{Kind: JobBench, Benches: []string{"psum"}, Detector: "bogus"},
+		{Kind: JobBench, Benches: []string{"psum"}, FaultPlan: "nonsense:::"},
+		{Kind: JobBench, Benches: []string{"psum"}, SharedGranularity: 3},
+		{Kind: JobBench, Benches: []string{"psum"}, Detector: "off", StaticFilter: true},
+		{Kind: JobBench, Benches: []string{"psum"}, SharedGranularity: -5},
+		{Kind: JobAnalyze, Benches: []string{"psum"}, SharedGranularity: -5},
+		{Kind: JobBench, Benches: []string{"reduce"}, Inject: []string{"reduce.fenc0"}},
+		{Kind: JobBench, Benches: []string{"psum", "scan"}, Inject: []string{"reduce.fence0"}},
+		{Kind: JobReplay, Detector: "bogus"},
 	}
 	for _, sp := range cases {
-		if _, _, err := s.Submit("t", sp); err == nil {
+		var err error
+		if sp.Kind == JobReplay {
+			_, _, err = s.SubmitReplay("t", sp, strings.NewReader("journal"))
+		} else {
+			_, _, err = s.Submit("t", sp)
+		}
+		if err == nil {
 			t.Errorf("Submit(%+v) accepted, want validation error", sp)
 		}
 	}
 	if n := len(s.Jobs("")); n != 0 {
 		t.Fatalf("rejected specs left %d jobs behind", n)
+	}
+	if spooled, _ := filepath.Glob(filepath.Join(s.spool.dir, "jobs", "*")); len(spooled) != 0 {
+		t.Fatalf("rejected specs left spool entries %v", spooled)
+	}
+	if n := s.Stats().Tenants["t"].Admitted; n != 0 {
+		t.Fatalf("rejected specs charged the tenant %d admissions", n)
+	}
+}
+
+// TestMultiBenchInjectRouting: a multi-benchmark job's injection IDs
+// reach only the benchmarks that declare them, and a single-benchmark
+// job keeps its list as given (its manifest keys do not move).
+func TestMultiBenchInjectRouting(t *testing.T) {
+	sp := &JobSpec{Kind: JobBench, Benches: []string{"psum", "scan", "reduce"},
+		Inject: []string{"reduce.fence0", "psum.fence0", "reduce.bar0"}}
+	runs, err := sp.RunConfigs(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"psum": "psum.fence0", "scan": "", "reduce": "reduce.fence0 reduce.bar0"}
+	for _, rc := range runs {
+		if got := strings.Join(rc.Inject, " "); got != want[rc.Bench] {
+			t.Errorf("%s runs with injections %q, want %q", rc.Bench, got, want[rc.Bench])
+		}
+		if rc.Bench == "scan" && rc.Inject != nil {
+			t.Errorf("scan's injection list is %#v, want nil (the key of a run without injections)", rc.Inject)
+		}
+	}
+	single := &JobSpec{Kind: JobBench, Benches: []string{"reduce"}, Inject: []string{"reduce.bar0", "reduce.fence0"}}
+	runs, err = single.RunConfigs(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(runs[0].Inject, " "); got != "reduce.bar0 reduce.fence0" {
+		t.Errorf("single-bench injections %q, want them as given", got)
 	}
 }
 
