@@ -219,7 +219,7 @@ func main() {
 
 	if *jsonOut {
 		if res.Report == nil {
-			fmt.Fprintln(os.Stderr, "haccrg: -json requires detection (use -detect)")
+			fmt.Fprintln(os.Stderr, "haccrg: -json needs a detector with a race report (off and grace-addr have none)")
 			os.Exit(2)
 		}
 		if err := res.Report.WriteJSON(os.Stdout); err != nil {
