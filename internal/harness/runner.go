@@ -242,7 +242,7 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 		}
 	}()
 	if xo.Detection != nil {
-		rc.Detector = detectorKind(xo.Detection)
+		rc.Detector = detectorKind(*xo.Detection)
 	}
 	if err := rc.Validate(); err != nil {
 		return nil, err

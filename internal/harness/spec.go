@@ -52,10 +52,8 @@ func (k DetectorKind) hardware() bool {
 // detectorKind names the kind explicit detection options correspond
 // to: the identity under which journal metadata and job specs describe
 // a facade run.
-func detectorKind(opt *core.Options) DetectorKind {
+func detectorKind(opt core.Options) DetectorKind {
 	switch {
-	case opt == nil:
-		return DetOff
 	case opt.SharedShadowInGlobal:
 		return DetFig8
 	case opt.Shared && opt.Global:
@@ -122,8 +120,8 @@ func (rc RunConfig) runOptions(opt core.Options) (core.Options, error) {
 // fault plan that parses and has a detector to fault, a known
 // degradation policy, the static filter and witness seeding only under
 // a hardware kind, and injection IDs that name sites of the benchmark.
-// Its errors carry no package prefix; the surface reporting one adds
-// its own.
+// The errors it makes itself carry no package prefix; the surface
+// reporting one adds its own.
 func (rc RunConfig) Validate() error {
 	bm := kernels.Get(rc.Bench)
 	if bm == nil {
