@@ -300,7 +300,7 @@ func AnalyzeBenchmark(name string, opts AnalyzeOptions) ([]*StaticAnalysis, erro
 	if err != nil {
 		return nil, err
 	}
-	dopt := core.DefaultOptions()
+	dopt := rc.DetectorOptions()
 	if opts.Detection != nil {
 		dopt = *opts.Detection
 	}
