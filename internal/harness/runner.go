@@ -231,9 +231,9 @@ func execMeta(rc RunConfig, coreDet *core.Detector, seeds seedSet) *journal.Meta
 	return m
 }
 
-// ExecContext is the shared job core: it executes one configuration
-// under a context with the given extras. See RunContext for the
-// guard-rail and partial-result semantics.
+// ExecContext is the shared job core: it validates one configuration
+// (Validate) and executes it under a context with the given extras.
+// See RunContext for the guard-rail and partial-result semantics.
 func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
