@@ -138,6 +138,7 @@ func detectorFor(rc RunConfig, explicit *core.Options) (gpu.Detector, *core.Dete
 	}
 	switch {
 	case explicit != nil:
+		// Explicit options always build the core engine, below.
 	case rc.Detector.off():
 		return gpu.NopDetector{}, nil, nil, nil, nil
 	case rc.Detector == DetSoftware:
