@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -113,6 +114,10 @@ func main() {
 		os.Exit(2)
 	default:
 		fmt.Fprintln(os.Stderr, "haccrg: -bench required (try -list)")
+		os.Exit(2)
+	}
+	if mode, flags := unhonouredFlags(*serverURL != "", *allBenches, *staticReport); len(flags) > 0 {
+		fmt.Fprintf(os.Stderr, "haccrg: %s cannot honour %s\n", mode, strings.Join(flags, ", "))
 		os.Exit(2)
 	}
 	if *sharedGran == 0 || *globalGran == 0 {
@@ -276,6 +281,34 @@ func main() {
 	if len(res.Races) > 0 {
 		os.Exit(3) // races found: non-zero exit, like a checker tool
 	}
+}
+
+// runOutputFlags shape the output of one local run. The other modes
+// honour few or none of them.
+var runOutputFlags = []string{"json", "max-races", "record", "static-report", "trace", "verify"}
+
+// unhonouredFlags returns the run-output flags set on the command line
+// that the selected mode cannot honour, and names that mode: a daemon
+// run (-server-url) and a suite run (-all-benches) honour none of
+// them, and a static report honours only -json.
+func unhonouredFlags(remote, suite, staticReport bool) (mode string, flags []string) {
+	var honoured []string
+	switch {
+	case remote:
+		mode = "-server-url"
+	case suite:
+		mode = "-all-benches"
+	case staticReport:
+		mode, honoured = "-static-report", []string{"json", "static-report"}
+	default:
+		return "", nil
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(runOutputFlags, f.Name) && !slices.Contains(honoured, f.Name) {
+			flags = append(flags, "-"+f.Name)
+		}
+	})
+	return mode, flags
 }
 
 // printStaticReport runs the static analyzer over a run's kernels and

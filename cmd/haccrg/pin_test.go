@@ -151,3 +151,45 @@ func TestUnknownInjectSiteIsUsage(t *testing.T) {
 		}
 	}
 }
+
+// TestUnhonouredOutputFlagsAreUsage: a run-output flag that the chosen
+// mode would ignore exits 2 and names the flags, before anything runs:
+// no table, no journal, no daemon contact.
+func TestUnhonouredOutputFlagsAreUsage(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "r.jnl")
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-all-benches", "-small-gpu", "-record", journal, "-verify", "-json"},
+			"-all-benches cannot honour -json, -record, -verify"},
+		{[]string{"-all-benches", "-small-gpu", "-static-report", "-max-races", "3", "-trace"},
+			"-all-benches cannot honour -max-races, -static-report, -trace"},
+		{[]string{"-bench", "scan", "-small-gpu", "-server-url", "http://127.0.0.1:1", "-json", "-record", journal},
+			"-server-url cannot honour -json, -record"},
+		{[]string{"-bench", "scan", "-small-gpu", "-static-report", "-json", "-record", journal, "-verify"},
+			"-static-report cannot honour -record, -verify"},
+	}
+	for _, c := range cases {
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), "HACCRG_CLI_HELPER=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		name := strings.Join(c.args, " ")
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("haccrg %s: %v, want exit 2", name, err)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("haccrg %s: stderr %q, want %q", name, stderr.String(), c.want)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("haccrg %s: printed %q", name, stdout.String())
+		}
+		if _, err := os.Stat(journal); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("haccrg %s: journal written (%v)", name, err)
+		}
+	}
+}

@@ -35,11 +35,11 @@ func (e *benchEnv) CurrentFenceID(block, w int) uint32 { return 1 }
 func (e *benchEnv) GlobalMemSize() uint64              { return 1 << 26 }
 
 // benchDetector builds a detector attached to the stub env.
-func benchDetector(b *testing.B, opt Options) *Detector {
-	b.Helper()
+func benchDetector(tb testing.TB, opt Options) *Detector {
+	tb.Helper()
 	d, err := New(opt)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := gpu.TestConfig()
 	d.KernelStart(&benchEnv{cfg: &cfg}, "bench")
@@ -66,112 +66,116 @@ func warpEvent(space isa.Space, write bool, lanes int, base uint64, stride uint6
 	return ev
 }
 
-// BenchmarkRDUHotPath measures the per-warp-instruction detector cost
-// on the global and shared RDU paths. The interesting number is
-// allocs/op: the steady state must not allocate.
-func BenchmarkRDUHotPath(b *testing.B) {
-	const lanes = 32
-	b.Run("global-write", func(b *testing.B) {
-		d := benchDetector(b, DefaultOptions())
-		ev := warpEvent(isa.SpaceGlobal, true, lanes, 0, 4)
-		// Warm-up claims the working set (first touch allocates shadow
-		// pages); the timed loop is the steady-state refresh path.
-		const workingSet = 1 << 16
-		for base := uint64(0); base < workingSet; base += lanes * 4 {
-			for l := range ev.Lanes {
-				ev.Lanes[l].Addr = base + uint64(l)*4
-			}
-			d.WarpMem(ev)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			base := uint64(i*lanes*4) % workingSet
-			for l := range ev.Lanes {
-				ev.Lanes[l].Addr = base + uint64(l)*4
-			}
-			d.WarpMem(ev)
-		}
-	})
-	b.Run("global-read", func(b *testing.B) {
-		d := benchDetector(b, DefaultOptions())
-		ev := warpEvent(isa.SpaceGlobal, false, lanes, 0, 4)
-		const workingSet = 1 << 16
-		for base := uint64(0); base < workingSet; base += lanes * 4 {
-			for l := range ev.Lanes {
-				ev.Lanes[l].Addr = base + uint64(l)*4
-			}
-			d.WarpMem(ev)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			base := uint64(i*lanes*4) % workingSet
-			for l := range ev.Lanes {
-				ev.Lanes[l].Addr = base + uint64(l)*4
-			}
-			d.WarpMem(ev)
-		}
-	})
-	b.Run("shared-write", func(b *testing.B) {
-		d := benchDetector(b, DefaultOptions())
-		ev := warpEvent(isa.SpaceShared, true, lanes, 0, 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			base := uint64(i*lanes*4) % (1 << 12)
-			for l := range ev.Lanes {
-				ev.Lanes[l].Addr = base + uint64(l)*4
-			}
-			d.WarpMem(ev)
-		}
-	})
-	// Filtered variants: the same event streams with the site statically
-	// proven race-free. The gap against the unfiltered runs is exactly
-	// the check work the static filter saves; shadow traffic still runs
-	// on the global path (the timing model is preserved).
-	filteredOpt := func() Options {
-		opt := DefaultOptions()
+// rduHotCase is one steady-state detector workload: a race-free
+// full-warp event whose lanes sweep a fixed working set, one warp
+// width of words per step.
+type rduHotCase struct {
+	name       string
+	space      isa.Space
+	write      bool
+	filtered   bool   // the site is statically proven race-free
+	workingSet uint64 // bytes swept; the step's base wraps modulo it
+	// warm claims the whole working set before timing: first touch of
+	// the global shadow allocates its pages, so the steady state is the
+	// refresh path.
+	warm bool
+}
+
+const rduHotLanes = 32
+
+var rduHotCases = []rduHotCase{
+	{name: "global-write", space: isa.SpaceGlobal, write: true, workingSet: 1 << 16, warm: true},
+	{name: "global-read", space: isa.SpaceGlobal, workingSet: 1 << 16, warm: true},
+	{name: "shared-write", space: isa.SpaceShared, write: true, workingSet: 1 << 12},
+	// Filtered variants: the same event streams with the site
+	// statically proven race-free. The gap against the unfiltered runs
+	// is exactly the check work the static filter saves; shadow traffic
+	// still runs on the global path (the timing model is preserved).
+	{name: "global-write-filtered", space: isa.SpaceGlobal, write: true, filtered: true, workingSet: 1 << 16},
+	{name: "shared-write-filtered", space: isa.SpaceShared, write: true, filtered: true, workingSet: 1 << 12},
+}
+
+// rduHotRig is a detector on the stub env with the case's event.
+type rduHotRig struct {
+	c  rduHotCase
+	d  *Detector
+	ev *gpu.WarpMemEvent
+}
+
+func newRDUHotRig(tb testing.TB, c rduHotCase) *rduHotRig {
+	opt := DefaultOptions()
+	if c.filtered {
 		mask := make([]bool, 8)
 		mask[4] = true // warpEvent PCs
 		opt.StaticFilter = maskFilter{"bench": mask}
-		return opt
 	}
-	b.Run("global-write-filtered", func(b *testing.B) {
-		d := benchDetector(b, filteredOpt())
-		ev := warpEvent(isa.SpaceGlobal, true, lanes, 0, 4)
-		const workingSet = 1 << 16
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			base := uint64(i*lanes*4) % workingSet
-			for l := range ev.Lanes {
-				ev.Lanes[l].Addr = base + uint64(l)*4
+	return &rduHotRig{c: c, d: benchDetector(tb, opt), ev: warpEvent(c.space, c.write, rduHotLanes, 0, 4)}
+}
+
+// steps is how many steps sweep the working set once.
+func (r *rduHotRig) steps() int { return int(r.c.workingSet / (rduHotLanes * 4)) }
+
+// step presents the i-th event of the sweep.
+func (r *rduHotRig) step(i int) {
+	base := uint64(i*rduHotLanes*4) % r.c.workingSet
+	for l := range r.ev.Lanes {
+		r.ev.Lanes[l].Addr = base + uint64(l)*4
+	}
+	r.d.WarpMem(r.ev)
+}
+
+// checkFilter fails unless the filtered cases skipped every check.
+func (r *rduHotRig) checkFilter(tb testing.TB) {
+	st := r.d.Stats()
+	checks := st.GlobalChecks
+	if r.c.space == isa.SpaceShared {
+		checks = st.SharedChecks
+	}
+	if r.c.filtered && (checks != 0 || st.FilteredChecks == 0) {
+		tb.Fatalf("filter not engaged: checks=%d filtered=%d", checks, st.FilteredChecks)
+	}
+}
+
+// BenchmarkRDUHotPath measures the per-warp-instruction detector cost
+// on the global and shared RDU paths. The interesting number is
+// allocs/op: the steady state must not allocate, which
+// TestRDUHotPathAllocFree enforces.
+func BenchmarkRDUHotPath(b *testing.B) {
+	for _, c := range rduHotCases {
+		b.Run(c.name, func(b *testing.B) {
+			r := newRDUHotRig(b, c)
+			if c.warm {
+				for i := 0; i < r.steps(); i++ {
+					r.step(i)
+				}
 			}
-			d.WarpMem(ev)
-		}
-		b.StopTimer()
-		if st := d.Stats(); st.GlobalChecks != 0 || st.FilteredChecks == 0 {
-			b.Fatalf("filter not engaged: checks=%d filtered=%d", st.GlobalChecks, st.FilteredChecks)
-		}
-	})
-	b.Run("shared-write-filtered", func(b *testing.B) {
-		d := benchDetector(b, filteredOpt())
-		ev := warpEvent(isa.SpaceShared, true, lanes, 0, 4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			base := uint64(i*lanes*4) % (1 << 12)
-			for l := range ev.Lanes {
-				ev.Lanes[l].Addr = base + uint64(l)*4
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.step(i)
 			}
-			d.WarpMem(ev)
-		}
-		b.StopTimer()
-		if st := d.Stats(); st.SharedChecks != 0 || st.FilteredChecks == 0 {
-			b.Fatalf("filter not engaged: checks=%d filtered=%d", st.SharedChecks, st.FilteredChecks)
-		}
-	})
+			b.StopTimer()
+			r.checkFilter(b)
+		})
+	}
+}
+
+// TestRDUHotPathAllocFree: once the working set is claimed, every
+// detector call of a whole sweep over it allocates nothing.
+func TestRDUHotPathAllocFree(t *testing.T) {
+	for _, c := range rduHotCases {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRDUHotRig(t, c)
+			for i := 0; i < r.steps(); i++ {
+				r.step(i)
+			}
+			i := 0
+			if n := testing.AllocsPerRun(r.steps(), func() { r.step(i); i++ }); n != 0 {
+				t.Errorf("%v allocs per warp event, want 0", n)
+			}
+			r.checkFilter(t)
+		})
+	}
 }
 
 // BenchmarkGlobalShadow measures the shadow structure itself:

@@ -3,6 +3,8 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"haccrg/internal/isa"
 	"haccrg/internal/mem"
@@ -16,11 +18,8 @@ func (s *sm) memInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *K
 
 	switch in.Space {
 	case isa.SpaceParam:
-		for l := range w.lanes {
-			if execMask&(1<<uint(l)) == 0 {
-				continue
-			}
-			ln := &w.lanes[l]
+		for m := execMask; m != 0; m &= m - 1 {
+			ln := &w.lanes[bits.TrailingZeros64(m)]
 			addr := ln.Regs[in.SrcA] + uint64(in.Imm)
 			idx := int(addr / 8)
 			if in.Op != isa.OpLd || idx >= len(k.Params) {
@@ -47,13 +46,12 @@ func (s *sm) memInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *K
 	}
 }
 
-// sharedInstr handles shared-memory accesses: bank-conflict timing and
-// the shared-memory RDU event. Shared atomics serialize per address.
-func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *Kernel, st *LaunchStats) {
+// event resets the SM's reusable race-detection event to warp w's
+// instruction in at the given cycle, with no lane accesses yet.
+func (s *sm) event(w *warp, in *isa.Instr, space isa.Space, cycle int64, k *Kernel) *WarpMemEvent {
 	b := w.block
-	var tileAddrs []uint64
-	ev := WarpMemEvent{
-		Space:       isa.SpaceShared,
+	s.ev = WarpMemEvent{
+		Space:       space,
 		Write:       in.Op == isa.OpSt,
 		Atomic:      in.Op == isa.OpAtom,
 		PC:          w.pc,
@@ -65,12 +63,19 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 		SyncID:      b.syncID,
 		FenceID:     w.fenceID,
 		Cycle:       cycle,
+		Lanes:       s.ev.Lanes[:0],
 	}
+	return &s.ev
+}
 
-	for l := range w.lanes {
-		if execMask&(1<<uint(l)) == 0 {
-			continue
-		}
+// sharedInstr handles shared-memory accesses: bank-conflict timing and
+// the shared-memory RDU event. Shared atomics serialize per address.
+func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *Kernel, st *LaunchStats) {
+	b := w.block
+	ev := s.event(w, in, isa.SpaceShared, cycle, k)
+	tileAddrs := s.flat[:0]
+	for m := execMask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
 		ln := &w.lanes[l]
 		rel := ln.Regs[in.SrcA] + uint64(in.Imm)
 		if !isa.InWindow(rel, in.Size, b.sharedSize) {
@@ -95,6 +100,7 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			Arrival:   cycle,
 		})
 	}
+	s.flat = tileAddrs
 
 	switch in.Op {
 	case isa.OpLd:
@@ -110,7 +116,7 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	if in.Op == isa.OpAtom {
 		lat += conflicts // read-modify-write pass
 	}
-	stall := s.dev.detector.WarpMem(&ev)
+	stall := s.dev.detector.WarpMem(ev)
 	st.DetectorStall += stall
 	w.readyAt = cycle + s.dev.cfg.IssueInterval() + lat + stall
 }
@@ -135,20 +141,11 @@ func (s *sm) sharedLane(in *isa.Instr, ln *lane, tile uint64) error {
 func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *Kernel, st *LaunchStats, local bool) {
 	dev := s.dev
 	b := w.block
-	ws := len(w.lanes)
 
-	type laneAddr struct {
-		lane int
-		addr uint64
-	}
-	addrs := make([]laneAddr, 0, ws)
-	flat := make([]uint64, 0, ws)
-	for l := 0; l < ws; l++ {
-		if execMask&(1<<uint(l)) == 0 {
-			continue
-		}
-		ln := &w.lanes[l]
-		a := ln.Regs[in.SrcA] + uint64(in.Imm)
+	addrs, flat := s.addrs[:0], s.flat[:0]
+	for m := execMask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		a := w.lanes[l].Regs[in.SrcA] + uint64(in.Imm)
 		if local {
 			if !isa.InWindow(a, in.Size, dev.cfg.LocalBytesPerThread) {
 				s.fail(fmt.Errorf("gpu: kernel %q pc %d: local access %#x+%d outside the thread's %d bytes",
@@ -161,6 +158,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 		addrs = append(addrs, laneAddr{l, a})
 		flat = append(flat, a)
 	}
+	s.addrs, s.flat = addrs, flat
 	if len(addrs) == 0 {
 		w.readyAt = cycle + dev.cfg.IssueInterval()
 		return
@@ -199,7 +197,9 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	}
 
 	// Timing. Atomics issue one partition transaction per unique
-	// address; loads/stores coalesce into segments.
+	// address; loads/stores coalesce into segments. lines lists them
+	// in first-touch order, which is the order the transactions issue
+	// in, and lstate[i] records what line i's lanes report to the RDU.
 	//
 	// Accesses inside a critical section behave as volatile (bypass
 	// the non-coherent L1): correct GPU lock code must declare the
@@ -215,35 +215,27 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	seg := dev.cfg.SegmentBytes
 	issueDone := cycle + dev.cfg.IssueInterval()
 	maxDone := issueDone
-	lineHit := make(map[uint64]bool)
-	lineArr := make(map[uint64]int64)
-	lineFill := make(map[uint64]int64)
+	lines, lstate := s.lines[:0], s.lstate[:0]
 
 	if in.Op == isa.OpAtom {
-		seen := make(map[uint64]int64)
-		for _, la := range addrs {
-			lineAddr := la.addr &^ uint64(seg-1)
-			if done, dup := seen[la.addr]; dup {
-				if done > maxDone {
-					maxDone = done
-				}
-				continue
+		for _, a := range flat {
+			if slices.Contains(lines, a) {
+				continue // serviced by the same transaction
 			}
+			lineAddr := a &^ uint64(seg-1)
 			s.l1.Invalidate(lineAddr) // atomics operate at the partition
-			part := dev.PartitionFor(la.addr)
+			part := dev.PartitionFor(a)
 			arrive := dev.net.Send(part, cycle+1, 8)
 			l2done := dev.parts[part].Access(arrive, lineAddr, true, true, false)
 			done := dev.net.Reply(part, l2done, 8)
-			seen[la.addr] = done
-			lineArr[la.addr] = arrive
-			if done > maxDone {
-				maxDone = done
-			}
+			lines = append(lines, a)
+			lstate = append(lstate, lineState{arrival: arrive})
+			maxDone = max(maxDone, done)
 		}
 		w.readyAt = maxDone
 	} else {
 		write := in.Op == isa.OpSt
-		lines := mem.Coalesce(flat, int(in.Size), seg)
+		lines = mem.Coalesce(lines, flat, int(in.Size), seg)
 		for _, line := range lines {
 			part := dev.PartitionFor(line)
 			if volatileCS && !write {
@@ -251,11 +243,8 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 				arrive := dev.net.Send(part, cycle+dev.cfg.L1Latency, 0)
 				l2done := dev.parts[part].Access(arrive, line, false, false, false)
 				done := dev.net.Reply(part, l2done, seg)
-				lineHit[line] = false
-				lineArr[line] = arrive
-				if done > maxDone {
-					maxDone = done
-				}
+				lstate = append(lstate, lineState{arrival: arrive})
+				maxDone = max(maxDone, done)
 				continue
 			}
 			res := s.l1.Access(line, write, cycle)
@@ -264,33 +253,25 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 				// the partition; it does not block the warp.
 				arrive := dev.net.Send(part, cycle+1, seg)
 				done := dev.parts[part].Access(arrive, line, true, false, false)
-				lineHit[line] = res.Hit
-				lineArr[line] = arrive
-				if done > w.storeDone {
-					w.storeDone = done
-				}
+				lstate = append(lstate, lineState{hit: res.Hit, arrival: arrive})
+				w.storeDone = max(w.storeDone, done)
 				continue
 			}
 			if res.Hit {
 				done := cycle + dev.cfg.L1Latency
-				lineHit[line] = true
-				lineArr[line] = done
+				ls := lineState{hit: true, arrival: done}
 				if f, ok := s.l1.FillStamp(line); ok {
-					lineFill[line] = f
+					ls.fill = f
 				}
-				if done > maxDone {
-					maxDone = done
-				}
+				lstate = append(lstate, ls)
+				maxDone = max(maxDone, done)
 				continue
 			}
 			// MSHR merge: an in-flight fill of the same line serves
 			// this miss too, without a duplicate transaction.
 			if fill, inflight := s.mshr[line]; inflight && fill > cycle {
-				lineHit[line] = false
-				lineArr[line] = fill
-				if fill > maxDone {
-					maxDone = fill
-				}
+				lstate = append(lstate, lineState{arrival: fill})
+				maxDone = max(maxDone, fill)
 				continue
 			}
 			arrive := dev.net.Send(part, cycle+dev.cfg.L1Latency, 0)
@@ -304,11 +285,8 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 					}
 				}
 			}
-			lineHit[line] = false
-			lineArr[line] = arrive
-			if done > maxDone {
-				maxDone = done
-			}
+			lstate = append(lstate, lineState{arrival: arrive})
+			maxDone = max(maxDone, done)
 		}
 		if write {
 			w.readyAt = issueDone
@@ -316,37 +294,24 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			w.readyAt = maxDone
 		}
 	}
+	s.lines, s.lstate = lines, lstate
 
 	if local {
 		return // per-thread memory cannot race
 	}
 
 	// Race-detection event: one lane access per active lane, carrying
-	// the metadata the paper's request packets transport.
-	ev := WarpMemEvent{
-		Space:       isa.SpaceGlobal,
-		Write:       in.Op == isa.OpSt,
-		Atomic:      in.Op == isa.OpAtom,
-		PC:          w.pc,
-		SM:          s.id,
-		Block:       b.id,
-		WarpInBlock: w.inBlock,
-		Kernel:      k.Name,
-		Stmt:        in.Line,
-		SyncID:      b.syncID,
-		FenceID:     w.fenceID,
-		Cycle:       cycle,
-	}
+	// the metadata the paper's request packets transport. A lane
+	// reports the state of the transaction that serviced its first
+	// byte: its atomic address, or the line that byte lies in.
+	ev := s.event(w, in, isa.SpaceGlobal, cycle, k)
 	for _, la := range addrs {
 		ln := &w.lanes[la.lane]
 		key := la.addr
 		if in.Op != isa.OpAtom {
 			key = la.addr &^ uint64(seg-1)
 		}
-		arrive, ok := lineArr[key]
-		if !ok {
-			arrive = cycle + dev.cfg.L1Latency
-		}
+		ls := &lstate[slices.Index(lines, key)]
 		ev.Lanes = append(ev.Lanes, LaneAccess{
 			Lane:      la.lane,
 			Tid:       w.tidOf(la.lane),
@@ -355,12 +320,12 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			Size:      in.Size,
 			AtomicSig: ln.sig,
 			InCrit:    ln.critDepth > 0,
-			L1Hit:     lineHit[key],
-			L1Fill:    lineFill[key],
-			Arrival:   arrive,
+			L1Hit:     ls.hit,
+			L1Fill:    ls.fill,
+			Arrival:   ls.arrival,
 		})
 	}
-	stall := dev.detector.WarpMem(&ev)
+	stall := dev.detector.WarpMem(ev)
 	st.DetectorStall += stall
 	if stall > 0 {
 		w.readyAt += stall

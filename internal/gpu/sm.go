@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"haccrg/internal/isa"
 	"haccrg/internal/mem"
@@ -44,10 +45,37 @@ type sm struct {
 	// fill instead of issuing a duplicate transaction.
 	mshr map[uint64]int64
 
+	// Scratch for warp memory instructions, reused from one to the
+	// next so that the steady state allocates nothing. ev is lent to
+	// the detector under WarpMemEvent's borrowed-event contract. The
+	// Env callbacks a detector makes inside WarpMem (InstrTx,
+	// InstrAtomicTx, ShadowTx) must not touch any of these fields.
+	ev     WarpMemEvent
+	addrs  []laneAddr  // active lanes' byte addresses, in lane order
+	flat   []uint64    // the same addresses alone
+	lines  []uint64    // coalesced lines, or an atomic's distinct addresses
+	lstate []lineState // timing of lines[i], matched by position
+
 	pendingErr error
 }
 
+// laneAddr is one active lane's byte address.
+type laneAddr struct {
+	lane int
+	addr uint64
+}
+
+// lineState is what the RDU event reports for the lanes of one
+// transaction: whether it hit the L1, when the hit line was last
+// filled, and when the access reaches the RDU.
+type lineState struct {
+	hit     bool
+	fill    int64
+	arrival int64
+}
+
 func newSM(id int, dev *Device) *sm {
+	ws := dev.cfg.WarpSize
 	return &sm{
 		id:     id,
 		dev:    dev,
@@ -55,6 +83,13 @@ func newSM(id int, dev *Device) *sm {
 		l1:     mem.MustNewCache(dev.cfg.L1),
 		blocks: make([]*block, dev.cfg.MaxBlocksPerSM),
 		mshr:   make(map[uint64]int64),
+		ev:     WarpMemEvent{Lanes: make([]LaneAccess, 0, ws)},
+		addrs:  make([]laneAddr, 0, ws),
+		flat:   make([]uint64, 0, ws),
+		// An access can straddle a segment boundary, so a warp touches
+		// up to two lines per lane.
+		lines:  make([]uint64, 0, 2*ws),
+		lstate: make([]lineState, 0, 2*ws),
 	}
 }
 
@@ -211,7 +246,7 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 	in := &k.Prog.Code[w.pc]
 	execMask := w.guardMask(in)
 	st.WarpInstrs++
-	st.ThreadInstrs += int64(popcount64(execMask))
+	st.ThreadInstrs += int64(bits.OnesCount64(execMask))
 	issueDone := cycle + s.dev.cfg.IssueInterval()
 
 	switch in.Op {
@@ -248,11 +283,8 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 		return
 
 	case isa.OpAcqMark:
-		for l := range w.lanes {
-			if execMask&(1<<uint(l)) == 0 {
-				continue
-			}
-			ln := &w.lanes[l]
+		for m := execMask; m != 0; m &= m - 1 {
+			ln := &w.lanes[bits.TrailingZeros64(m)]
 			ln.sig = s.dev.cfg.Bloom.Add(ln.sig, ln.Regs[in.SrcA])
 			ln.critDepth++
 		}
@@ -261,11 +293,8 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 		return
 
 	case isa.OpRelMark:
-		for l := range w.lanes {
-			if execMask&(1<<uint(l)) == 0 {
-				continue
-			}
-			ln := &w.lanes[l]
+		for m := execMask; m != 0; m &= m - 1 {
+			ln := &w.lanes[bits.TrailingZeros64(m)]
 			if ln.critDepth > 0 {
 				ln.critDepth--
 			}
@@ -286,10 +315,8 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 	// Plain ALU / SFU instruction.
 	code := k.Prog.Code[w.pc : w.pc+1]
 	c := isa.Coord{Ntid: w.block.dim, Ctaid: w.block.id, Nctaid: k.GridDim, WarpSize: len(w.lanes)}
-	for l := range w.lanes {
-		if execMask&(1<<uint(l)) == 0 {
-			continue
-		}
+	for m := execMask; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
 		c.Tid = w.tidOf(l)
 		w.lanes[l].Exec(code, &c)
 	}
@@ -357,12 +384,4 @@ func (s *sm) fail(err error) {
 	if s.pendingErr == nil {
 		s.pendingErr = err
 	}
-}
-
-func popcount64(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
 }

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math/bits"
+
 	"haccrg/internal/bloom"
 	"haccrg/internal/isa"
 )
@@ -85,10 +87,8 @@ func (w *warp) guardMask(in *isa.Instr) uint64 {
 		return w.mask
 	}
 	var m uint64
-	for l := 0; l < len(w.lanes); l++ {
-		if w.mask&(1<<uint(l)) == 0 {
-			continue
-		}
+	for a := w.mask; a != 0; a &= a - 1 {
+		l := bits.TrailingZeros64(a)
 		p := w.lanes[l].Preds[in.Pred]
 		if in.PredNeg {
 			p = !p

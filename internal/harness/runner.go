@@ -211,6 +211,11 @@ type ExecOptions struct {
 	// Record writes a durable event journal of the run in the
 	// internal/journal frame format (nil = no journal).
 	Record io.Writer
+
+	// wrap, when set, wraps the whole detector chain, journal included,
+	// as the device sees it: how tests put a detector between the
+	// device and every detector a run builds.
+	wrap func(gpu.Detector) gpu.Detector
 }
 
 // execMeta describes a run for the journal header so replay can
@@ -268,6 +273,9 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 		}
 		jrec = jr
 		det = jr
+	}
+	if xo.wrap != nil {
+		det = xo.wrap(det)
 	}
 	cfg := rc.device()
 	if coreDet != nil {

@@ -248,7 +248,7 @@ func TestCoalesce(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		addrs = append(addrs, uint64(i*4))
 	}
-	if got := Coalesce(addrs, 4, 128); len(got) != 1 || got[0] != 0 {
+	if got := Coalesce(nil, addrs, 4, 128); len(got) != 1 || got[0] != 0 {
 		t.Errorf("coalesced = %v, want [0]", got)
 	}
 	// Strided by 128: one transaction per lane.
@@ -256,21 +256,21 @@ func TestCoalesce(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		addrs = append(addrs, uint64(i*128))
 	}
-	if got := Coalesce(addrs, 4, 128); len(got) != 8 {
+	if got := Coalesce(nil, addrs, 4, 128); len(got) != 8 {
 		t.Errorf("strided coalesce produced %d segments, want 8", len(got))
 	}
 	// Straddling access spans two segments.
-	if got := Coalesce([]uint64{126}, 4, 128); len(got) != 2 {
+	if got := Coalesce(nil, []uint64{126}, 4, 128); len(got) != 2 {
 		t.Errorf("straddling access = %v, want 2 segments", got)
 	}
-	if Coalesce(nil, 4, 128) != nil {
+	if Coalesce(nil, nil, 4, 128) != nil {
 		t.Error("empty input should coalesce to nil")
 	}
 }
 
 func TestCoalesceDeterministic(t *testing.T) {
 	addrs := []uint64{512, 0, 512, 128, 0}
-	got := Coalesce(addrs, 4, 128)
+	got := Coalesce(nil, addrs, 4, 128)
 	want := []uint64{512, 0, 128}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -279,6 +279,30 @@ func TestCoalesceDeterministic(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v (first-touch order)", got, want)
 		}
+	}
+}
+
+// TestCoalesceAppends: Coalesce appends after dst's contents, which it
+// leaves alone and does not deduplicate against, and with enough
+// capacity in dst it allocates nothing.
+func TestCoalesceAppends(t *testing.T) {
+	dst := append(make([]uint64, 0, 64), 7, 0)
+	got := Coalesce(dst, []uint64{0, 126, 4}, 4, 128)
+	want := []uint64{7, 0, 0, 128}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+	addrs := make([]uint64, 32)
+	for i := range addrs {
+		addrs[i] = uint64(i * 132) // straddles, repeats and spreads
+	}
+	if n := testing.AllocsPerRun(100, func() { dst = Coalesce(dst[:0], addrs, 8, 128) }); n != 0 {
+		t.Errorf("Coalesce into a 64-entry buffer: %v allocs, want 0", n)
 	}
 }
 

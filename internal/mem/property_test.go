@@ -73,7 +73,7 @@ func TestPropertyCoalesceCovers(t *testing.T) {
 		for _, r := range raw {
 			addrs = append(addrs, uint64(r))
 		}
-		segs := Coalesce(addrs, size, 128)
+		segs := Coalesce(nil, addrs, size, 128)
 		if len(segs) > 2*len(addrs) {
 			return false
 		}
@@ -104,7 +104,7 @@ func TestPropertyCoalesceAlignedUnique(t *testing.T) {
 		for _, r := range raw {
 			addrs = append(addrs, uint64(r))
 		}
-		segs := Coalesce(addrs, 4, 128)
+		segs := Coalesce(nil, addrs, 4, 128)
 		seen := map[uint64]bool{}
 		for _, s := range segs {
 			if s%128 != 0 || seen[s] {
@@ -158,6 +158,60 @@ func TestPropertySharedConflictBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the bank-conflict count equals a map-based reference
+// (distinct (bank, word) pairs per bank, at least one cycle) on access
+// after access through one Shared, so its reused scratch carries
+// nothing between calls; and a steady-state call allocates nothing.
+func TestPropertySharedConflictsMatchReference(t *testing.T) {
+	for _, cfg := range []SharedConfig{DefaultSharedConfig, {SizeBytes: 16 << 10, Banks: 32, BankWidth: 8}} {
+		s := NewShared(cfg)
+		ref := func(addrs []uint64) int64 {
+			seen := map[uint64]bool{}
+			perBank := map[uint64]int64{}
+			var maxC int64 = 1
+			for _, a := range addrs {
+				word := a / uint64(cfg.BankWidth)
+				if seen[word] {
+					continue
+				}
+				seen[word] = true
+				bank := word % uint64(cfg.Banks)
+				perBank[bank]++
+				maxC = max(maxC, perBank[bank])
+			}
+			return maxC
+		}
+		var wantTotal int64
+		f := func(raw []uint16, stride uint8) bool {
+			if len(raw) == 0 {
+				return true
+			}
+			addrs := make([]uint64, len(raw))
+			for i, r := range raw {
+				// Mix random words with a strided run so both conflict-free
+				// and fully serialized patterns occur.
+				addrs[i] = (uint64(r) + uint64(i)*uint64(stride)) % 16384
+			}
+			want := ref(addrs)
+			wantTotal += want - 1
+			return s.ConflictCyclesFor(addrs) == want
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+			t.Error(err)
+		}
+		if s.ConflictCycles != wantTotal {
+			t.Errorf("accumulated conflict cycles %d, want %d", s.ConflictCycles, wantTotal)
+		}
+		addrs := make([]uint64, 32)
+		for i := range addrs {
+			addrs[i] = uint64(i*36) % 512
+		}
+		if n := testing.AllocsPerRun(100, func() { s.ConflictCyclesFor(addrs) }); n != 0 {
+			t.Errorf("ConflictCyclesFor: %v allocs per call, want 0", n)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package mem
 
+import "slices"
+
 // SharedConfig describes the banked per-SM shared memory (scratchpad).
 type SharedConfig struct {
 	SizeBytes int // per SM; the paper models 16KB (GT200)
@@ -20,47 +22,50 @@ type Shared struct {
 	// Stats.
 	Accesses       int64
 	ConflictCycles int64
+
+	// ConflictCyclesFor's scratch, reused across calls: the distinct
+	// words of the current access and how many of them map to each
+	// bank (all zero between calls).
+	words   []uint64
+	perBank []int64
 }
 
 // NewShared allocates a shared-memory tile.
 func NewShared(cfg SharedConfig) *Shared {
-	return &Shared{cfg: cfg, Mem: NewMemory("shared", cfg.SizeBytes)}
+	return &Shared{cfg: cfg, Mem: NewMemory("shared", cfg.SizeBytes), perBank: make([]int64, cfg.Banks)}
 }
 
 // Config returns the tile geometry.
 func (s *Shared) Config() SharedConfig { return s.cfg }
 
-// ConflictCycles computes how many cycles a warp's shared-memory
+// ConflictCyclesFor computes how many cycles a warp's shared-memory
 // access occupies: the maximum number of distinct words mapped to any
 // single bank (accesses to the same word broadcast and count once).
-// addrs lists the byte addresses of active lanes only.
+// addrs lists the byte addresses of active lanes only. A word maps to
+// one bank, so distinct words are found by a linear scan of the words
+// seen so far; once its scratch has grown to a warp's width the call
+// allocates nothing.
 func (s *Shared) ConflictCyclesFor(addrs []uint64) int64 {
 	if len(addrs) == 0 {
 		return 0
 	}
-	// Per bank, count distinct word addresses.
-	type bw struct {
-		bank int
-		word uint64
-	}
-	seen := make(map[bw]struct{}, len(addrs))
-	perBank := make(map[int]int64, s.cfg.Banks)
+	width, banks := uint64(s.cfg.BankWidth), uint64(s.cfg.Banks)
+	var maxC int64 = 1
+	words := s.words[:0]
 	for _, a := range addrs {
-		word := a / uint64(s.cfg.BankWidth)
-		bank := int(word % uint64(s.cfg.Banks))
-		k := bw{bank, word}
-		if _, dup := seen[k]; dup {
+		word := a / width
+		if slices.Contains(words, word) {
 			continue // broadcast
 		}
-		seen[k] = struct{}{}
-		perBank[bank]++
+		words = append(words, word)
+		bank := word % banks
+		s.perBank[bank]++
+		maxC = max(maxC, s.perBank[bank])
 	}
-	var maxC int64 = 1
-	for _, c := range perBank {
-		if c > maxC {
-			maxC = c
-		}
+	for _, w := range words {
+		s.perBank[w%banks] = 0
 	}
+	s.words = words
 	s.Accesses++
 	s.ConflictCycles += maxC - 1
 	return maxC
