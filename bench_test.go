@@ -31,7 +31,7 @@ func BenchmarkTable1Config(b *testing.B) {
 
 func BenchmarkTable2Mix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := harness.Table2(1)
+		rows, _, err := harness.Sweep{}.Table2(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func BenchmarkTable2Mix(b *testing.B) {
 
 func BenchmarkTable3Granularity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		shared, _, _, err := harness.Table3(1)
+		shared, _, _, err := harness.Sweep{}.Table3(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkTable4Overhead(b *testing.B) {
 
 func BenchmarkFig7Overhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := harness.Fig7(benchScale)
+		rows, _, err := harness.Sweep{}.Fig7(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkFig7Overhead(b *testing.B) {
 
 func BenchmarkFig8SharedInGlobal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := harness.Fig8(1)
+		rows, _, err := harness.Sweep{}.Fig8(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func BenchmarkFig8SharedInGlobal(b *testing.B) {
 
 func BenchmarkFig9DRAM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := harness.Fig9(benchScale)
+		rows, _, err := harness.Sweep{}.Fig9(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func BenchmarkFig9DRAM(b *testing.B) {
 
 func BenchmarkRealRaces(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reps, _, err := harness.RealRaces(1)
+		reps, _, err := harness.Sweep{}.RealRaces(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func BenchmarkRealRaces(b *testing.B) {
 
 func BenchmarkInjected41(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, _, err := harness.Injected(1)
+		results, _, err := harness.Sweep{}.Injected(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,11 +197,10 @@ func pow(x, y float64) float64 { return math.Pow(x, y) }
 // slower than the serial loop it replaced).
 func BenchmarkParallelSweep(b *testing.B) {
 	measure := func(b *testing.B, workers int) float64 {
-		SetParallelism(workers)
-		defer SetParallelism(0)
+		sw := harness.Sweep{Workers: workers}
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := harness.Fig7(benchScale); err != nil {
+			if _, _, err := sw.Fig7(benchScale); err != nil {
 				b.Fatal(err)
 			}
 		}

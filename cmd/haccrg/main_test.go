@@ -1,12 +1,52 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"haccrg"
 )
+
+// TestMain doubles as the CLI when re-executed with the helper
+// variable set, so the tests drive the real flag parsing, subcommand
+// dispatch and exit codes — and boot, signal and restart real
+// `haccrg serve` daemons — without a separate build step.
+func TestMain(m *testing.M) {
+	if os.Getenv("HACCRG_CLI_HELPER") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// helperCommand returns a command that re-executes the test binary as
+// `haccrg args...`.
+func helperCommand(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "HACCRG_CLI_HELPER=1")
+	return cmd
+}
+
+// runHelper runs `haccrg args...` to completion and returns its exit
+// code, stdout and stderr.
+func runHelper(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := helperCommand(args...)
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) {
+			t.Fatalf("haccrg %s: %v", strings.Join(args, " "), err)
+		}
+		code = exit.ExitCode()
+	}
+	return code, out.String(), errOut.String()
+}
 
 // TestErrLineSinglePrefix: every error line carries exactly one
 // "haccrg: " prefix, whether or not the error came from the facade.
@@ -32,6 +72,79 @@ func TestErrLineSinglePrefix(t *testing.T) {
 		}
 		if n := strings.Count(got, "haccrg: "); n != 1 {
 			t.Errorf("errLine(%q, %q) = %q carries %d prefixes", c.what, c.err, got, n)
+		}
+	}
+}
+
+// TestGranularityIsUsage: the run-spec binder validates the tracking
+// granularities for run mode and lint alike — 0 or a non-power-of-two
+// exits 2 with the offending flag named, before anything runs — and
+// accepts any positive power of two.
+func TestGranularityIsUsage(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{[]string{"-bench", "scan", "-small-gpu", "-shared-gran", "0"}, "-shared-gran 0 is not a power of two"},
+		{[]string{"-bench", "scan", "-small-gpu", "-shared-gran", "3"}, "-shared-gran 3 is not a power of two"},
+		{[]string{"-bench", "scan", "-small-gpu", "-global-gran", "0"}, "-global-gran 0 is not a power of two"},
+		{[]string{"-bench", "scan", "-small-gpu", "-global-gran", "-4"}, "-global-gran -4 is not a power of two"},
+		{[]string{"lint", "-bench", "scan", "-shared-gran", "0"}, "-shared-gran 0 is not a power of two"},
+		{[]string{"lint", "-bench", "scan", "-shared-gran", "3"}, "-shared-gran 3 is not a power of two"},
+		{[]string{"lint", "-all", "-global-gran", "12"}, "-global-gran 12 is not a power of two"},
+		{[]string{"lint", "-bench", "scan", "-shared-gran", "4", "-global-gran", "8"}, ""},
+		{[]string{"-bench", "psum", "-small-gpu", "-static-report", "-shared-gran", "32"}, ""},
+	}
+	for _, c := range cases {
+		name := strings.Join(c.args, " ")
+		code, stdout, stderr := runHelper(t, c.args...)
+		if c.want == "" {
+			if code == exitUsage || code == exitError {
+				t.Errorf("haccrg %s: exit %d (%s), want it to run", name, code, stderr)
+			}
+			continue
+		}
+		if code != exitUsage {
+			t.Errorf("haccrg %s: exit %d, want %d", name, code, exitUsage)
+		}
+		if !strings.Contains(stderr, c.want) {
+			t.Errorf("haccrg %s: stderr %q, want %q", name, stderr, c.want)
+		}
+		if stdout != "" {
+			t.Errorf("haccrg %s: printed %q", name, stdout)
+		}
+	}
+}
+
+// TestUnknownSubcommandIsUsage: a first argument that is neither a flag
+// nor a subcommand exits 2 and lists the subcommands.
+func TestUnknownSubcommandIsUsage(t *testing.T) {
+	code, stdout, stderr := runHelper(t, "disasm", "-bench", "reduce")
+	if code != exitUsage {
+		t.Errorf("exit %d, want %d", code, exitUsage)
+	}
+	if !strings.Contains(stderr, `unknown subcommand "disasm" (have bench, lint, replay, chaos, serve)`) {
+		t.Errorf("stderr %q does not list the subcommands", stderr)
+	}
+	if stdout != "" {
+		t.Errorf("printed %q", stdout)
+	}
+}
+
+// TestGuardRailAbortExits4: a run a guard rail aborts exits 4 in every
+// mode that simulates — one run, the suite, and an experiment sweep.
+func TestGuardRailAbortExits4(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bench", "scan", "-small-gpu", "-max-cycles", "200"},
+		{"-all-benches", "-small-gpu", "-max-cycles", "200"},
+		{"bench", "-table", "2", "-scale", "1", "-max-cycles", "100"},
+	} {
+		code, _, stderr := runHelper(t, args...)
+		if code != exitAbort {
+			t.Errorf("haccrg %s: exit %d, want %d (%s)", strings.Join(args, " "), code, exitAbort, stderr)
+		}
+		if !strings.Contains(stderr, "cycle-budget") {
+			t.Errorf("haccrg %s: stderr %q does not name the cycle budget", strings.Join(args, " "), stderr)
 		}
 	}
 }

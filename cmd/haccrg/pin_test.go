@@ -14,18 +14,6 @@ import (
 	"testing"
 )
 
-// TestMain doubles as the CLI when re-executed with the helper
-// variable set (the haccrg-server tests use the same trick), so the pin
-// below drives the real flag parsing and exit codes without a separate
-// build step.
-func TestMain(m *testing.M) {
-	if os.Getenv("HACCRG_CLI_HELPER") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
 // pinnedOutputs is the SHA-256 over every pinCases run's exit code,
 // stdout and -record journal bytes. A change that moves it changes what
 // the CLI prints, records or exits with for some flag combination.
@@ -55,9 +43,28 @@ func pinCases() [][]string {
 	return append(cases, []string{"-all-benches", "-small-gpu", "-shared-gran", "4"})
 }
 
+// subcommandPinCases are the subcommand command lines pinned by
+// pinnedSubcommandOutputs, kept apart so that pinnedOutputs stays the
+// run-mode pin. Each case is a sequence of command lines run in one
+// directory: the replay reads the journal the run before it recorded.
+func subcommandPinCases() [][][]string {
+	return [][][]string{
+		{{"lint", "-all", "-json", "-sites"}},
+		{{"lint", "-disasm", "-small-gpu", "-bench", "reduce", "-inject", "reduce.fence0"}},
+		{{"bench", "-table", "1"}},
+		{{"-bench", "scan", "-small-gpu", "-record", "@journal"}, {"replay", "-journal", "@journal"}},
+		{{"chaos", "-list"}},
+		{{"nosuch"}},
+	}
+}
+
+// pinnedSubcommandOutputs is the SHA-256 over subcommandPinCases, as
+// pinnedOutputs is over pinCases.
+const pinnedSubcommandOutputs = "2284e7f1a8bd1b8001cfc65878dd1a0eed96251d640ad8453b569e6eb61c7825"
+
 // runPinCase re-executes the test binary as the CLI on args (the
-// "@journal" argument names a fresh journal path in dir) and returns
-// the bytes the pin hashes: the exit code, stdout and the journal.
+// "@journal" argument names a journal path in dir) and returns the
+// bytes the pin hashes: the exit code, stdout and the journal.
 func runPinCase(dir string, args []string) ([]byte, error) {
 	journal := filepath.Join(dir, "run.jnl")
 	argv := make([]string, len(args))
@@ -67,8 +74,7 @@ func runPinCase(dir string, args []string) ([]byte, error) {
 		}
 		argv[i] = a
 	}
-	cmd := exec.Command(os.Args[0], argv...)
-	cmd.Env = append(os.Environ(), "HACCRG_CLI_HELPER=1")
+	cmd := helperCommand(argv...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	code := 0
@@ -91,12 +97,12 @@ func runPinCase(dir string, args []string) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// TestCLIOutputsPinned hashes the CLI's observable outputs over
-// pinCases into one constant. Runs fan out over a few worker processes
-// and are hashed in case order.
-func TestCLIOutputsPinned(t *testing.T) {
-	cases := pinCases()
-	outs := make([][]byte, len(cases))
+// hashPinCases runs each case's command lines in a fresh directory,
+// fanning cases out over a few worker processes, and hashes their
+// outputs in case order.
+func hashPinCases(t *testing.T, cases [][][]string) string {
+	t.Helper()
+	outs := make([][][]byte, len(cases))
 	errs := make([]error, len(cases))
 	dirs := make([]string, len(cases))
 	for i := range dirs {
@@ -109,7 +115,14 @@ func TestCLIOutputsPinned(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				outs[i], errs[i] = runPinCase(dirs[i], cases[i])
+				for _, args := range cases[i] {
+					out, err := runPinCase(dirs[i], args)
+					if err != nil {
+						errs[i] = err
+						break
+					}
+					outs[i] = append(outs[i], out)
+				}
 			}
 		}()
 	}
@@ -119,16 +132,61 @@ func TestCLIOutputsPinned(t *testing.T) {
 	close(next)
 	wg.Wait()
 	h := sha256.New()
-	for i, out := range outs {
+	for i, lines := range cases {
 		if errs[i] != nil {
-			t.Fatalf("haccrg %s: %v", strings.Join(cases[i], " "), errs[i])
+			t.Fatalf("haccrg %s: %v", strings.Join(lines[len(outs[i])], " "), errs[i])
 		}
-		sum := sha256.Sum256(out)
-		t.Logf("%x  %s", sum[:6], strings.Join(cases[i], " "))
-		h.Write(out)
+		for j, out := range outs[i] {
+			sum := sha256.Sum256(out)
+			t.Logf("%x  %s", sum[:6], strings.Join(lines[j], " "))
+			h.Write(out)
+		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedOutputs {
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCLIOutputsPinned hashes run mode's observable outputs over
+// pinCases into one constant.
+func TestCLIOutputsPinned(t *testing.T) {
+	var cases [][][]string
+	for _, args := range pinCases() {
+		cases = append(cases, [][]string{args})
+	}
+	if got := hashPinCases(t, cases); got != pinnedOutputs {
 		t.Fatalf("CLI outputs hash to %s, pinned %s", got, pinnedOutputs)
+	}
+}
+
+// TestSubcommandOutputsPinned hashes the subcommands' observable
+// outputs over subcommandPinCases into one constant.
+func TestSubcommandOutputsPinned(t *testing.T) {
+	if got := hashPinCases(t, subcommandPinCases()); got != pinnedSubcommandOutputs {
+		t.Fatalf("subcommand outputs hash to %s, pinned %s", got, pinnedSubcommandOutputs)
+	}
+}
+
+// TestSubcommandGoldens: the shipped subcommands print the bytes of
+// the goldens the analyzer and experiment packages pin.
+func TestSubcommandGoldens(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"../../internal/staticrace/testdata/lint-all-sites.json", []string{"lint", "-all", "-json", "-sites"}},
+		{"../../internal/harness/testdata/bench-all-scale1.txt", []string{"bench", "-all", "-scale", "1"}},
+	} {
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runHelper(t, c.args...)
+		if code != exitOK {
+			t.Errorf("haccrg %s: exit %d: %s", strings.Join(c.args, " "), code, stderr)
+		}
+		if stdout != string(want) {
+			t.Errorf("haccrg %s: output (%d bytes) differs from %s (%d bytes)",
+				strings.Join(c.args, " "), len(stdout), c.golden, len(want))
+		}
 	}
 }
 
@@ -137,8 +195,7 @@ func TestCLIOutputsPinned(t *testing.T) {
 // as if nothing were injected.
 func TestUnknownInjectSiteIsUsage(t *testing.T) {
 	for _, id := range []string{"reduce.fenc0", "psum.fence0"} {
-		cmd := exec.Command(os.Args[0], "-bench", "reduce", "-small-gpu", "-inject", id)
-		cmd.Env = append(os.Environ(), "HACCRG_CLI_HELPER=1")
+		cmd := helperCommand("-bench", "reduce", "-small-gpu", "-inject", id)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		err := cmd.Run()
@@ -154,7 +211,8 @@ func TestUnknownInjectSiteIsUsage(t *testing.T) {
 
 // TestUnhonouredOutputFlagsAreUsage: a run-output flag that the chosen
 // mode would ignore exits 2 and names the flags, before anything runs:
-// no table, no journal, no daemon contact.
+// no table, no journal, no daemon contact. So does -json under a
+// detector kind with no race report to print.
 func TestUnhonouredOutputFlagsAreUsage(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "r.jnl")
@@ -170,10 +228,13 @@ func TestUnhonouredOutputFlagsAreUsage(t *testing.T) {
 			"-server-url cannot honour -json, -record"},
 		{[]string{"-bench", "scan", "-small-gpu", "-static-report", "-json", "-record", journal, "-verify"},
 			"-static-report cannot honour -record, -verify"},
+		{[]string{"-bench", "scan", "-small-gpu", "-detect", "grace-addr", "-json", "-record", journal},
+			"-json needs a detector with a race report (off and grace-addr have none)"},
+		{[]string{"-bench", "scan", "-small-gpu", "-detect", "off", "-json", "-record", journal},
+			"-json needs a detector with a race report (off and grace-addr have none)"},
 	}
 	for _, c := range cases {
-		cmd := exec.Command(os.Args[0], c.args...)
-		cmd.Env = append(os.Environ(), "HACCRG_CLI_HELPER=1")
+		cmd := helperCommand(c.args...)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()

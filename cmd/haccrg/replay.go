@@ -1,17 +1,3 @@
-// Command haccrg-replay feeds a recorded event journal (haccrg
-// -record, or RunOptions.Record) back through a race detector offline
-// — no simulated device, no benchmark build — and checks the replayed
-// verdict against the verdict the live run journaled.
-//
-// Usage:
-//
-//	haccrg-replay -journal run.jnl
-//	haccrg-replay -journal run.jnl -detect grace-addr
-//	haccrg-replay -journal run.jnl -info
-//
-// Exit codes: 0 replay matches the recorded verdict (or no recorded
-// verdict to compare, e.g. a crashed run's journal); 3 the verdicts
-// differ; 1 failure; 2 usage.
 package main
 
 import (
@@ -22,46 +8,46 @@ import (
 
 	"haccrg/internal/harness"
 	"haccrg/internal/journal"
-	"haccrg/internal/version"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "haccrg-replay: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func main() {
+// replayMain feeds a recorded event journal (haccrg -record, or
+// RunOptions.Record) back through a race detector offline — no
+// simulated device, no benchmark build — and checks the replayed
+// verdict against the verdict the live run journaled. It exits 0 when
+// they match or the journal holds no verdict to compare (a crashed
+// run's), 3 when they differ:
+//
+//	haccrg replay -journal run.jnl
+//	haccrg replay -journal run.jnl -detect grace-addr
+//	haccrg replay -journal run.jnl -info
+func replayMain(args []string) int {
+	fs := flag.NewFlagSet("haccrg replay", flag.ExitOnError)
 	var (
-		journalPath = flag.String("journal", "", "journal file to replay (required)")
-		detect      = flag.String("detect", "", "replay through this detector instead of the recorded one (off, shared, global, shared+global, sw-haccrg, grace-addr)")
-		info        = flag.Bool("info", false, "describe the journal (meta, salvage, counts) without replaying")
-		verbose     = flag.Bool("v", false, "print the full replayed verdict")
-		showVersion = flag.Bool("version", false, "print version and exit")
+		journalPath = fs.String("journal", "", "journal file to replay (required)")
+		detect      = fs.String("detect", "", "replay through this detector instead of the recorded one (off, shared, global, shared+global, sw-haccrg, grace-addr)")
+		info        = fs.Bool("info", false, "describe the journal (meta, salvage, counts) without replaying")
+		verbose     = fs.Bool("v", false, "print the full replayed verdict")
 	)
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String("haccrg-replay"))
-		return
-	}
+	fs.Parse(args)
 	if *journalPath == "" {
-		fmt.Fprintln(os.Stderr, "haccrg-replay: -journal required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(os.Stderr, "haccrg: -journal required")
+		fs.Usage()
+		return exitUsage
 	}
 
 	f, err := os.Open(*journalPath)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(exitError, "", err)
 	}
 	defer f.Close()
 
 	if *info {
 		res, err := journal.Replay(f, nil)
 		if err != nil {
-			fatalf("%v", err)
+			return fail(exitError, "", err)
 		}
 		printInfo(res)
-		return
+		return exitOK
 	}
 
 	// First pass: pull the meta record so the detector can be rebuilt.
@@ -69,15 +55,15 @@ func main() {
 	// sequential reads beat holding every record in memory twice.)
 	det, _, err := harness.DetectorForJournal(f, harness.DetectorKind(*detect))
 	if err != nil {
-		fatalf("%v", err)
+		return specFailed(err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		fatalf("%v", err)
+		return fail(exitError, "", err)
 	}
 
 	res, err := journal.Replay(f, det)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(exitError, "", err)
 	}
 	printInfo(res)
 	fmt.Printf("replayed through %s: %d race(s)\n", det.Name(), len(res.Replayed))
@@ -96,8 +82,9 @@ func main() {
 		if *detect != "" {
 			fmt.Println("(expected when replaying through a different detector than the recorded one)")
 		}
-		os.Exit(3)
+		return exitFound
 	}
+	return exitOK
 }
 
 func printInfo(res *journal.ReplayResult) {

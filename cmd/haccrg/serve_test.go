@@ -18,29 +18,18 @@ import (
 	"haccrg/internal/service"
 )
 
-// TestMain doubles as the daemon when re-executed with the helper
-// variable set — the same trick the harness sweep tests use — so the
-// lifecycle test below can boot, signal, and restart a real
-// haccrg-server process without a separate build step.
-func TestMain(m *testing.M) {
-	if os.Getenv("HACCRG_SERVER_HELPER") == "1" {
-		main()
-		return
-	}
-	os.Exit(m.Run())
-}
-
-// startDaemon boots a helper-process daemon over dataDir and returns
-// the process plus the base URL scraped from its startup log line.
+// startDaemon boots `haccrg serve` over dataDir in a helper process
+// and returns the process plus the base URL scraped from its startup
+// log line.
 func startDaemon(t *testing.T, dataDir string, extra ...string) (*exec.Cmd, string) {
 	t.Helper()
 	args := append([]string{
+		"serve",
 		"-addr", "127.0.0.1:0",
 		"-data", dataDir,
 		"-drain-timeout", "200ms",
 	}, extra...)
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "HACCRG_SERVER_HELPER=1")
+	cmd := helperCommand(args...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +123,8 @@ func getStatus(t *testing.T, url string) int {
 	return resp.StatusCode
 }
 
-// TestServerDrainAndResume is the daemon-level statement of the PR's
-// acceptance invariant: SIGTERM mid-way through a journaled bench job
+// TestServerDrainAndResume is the daemon-level statement of the
+// drain-and-resume invariant: SIGTERM mid-way through a journaled bench job
 // makes the daemon checkpoint and exit with the resumable-state code,
 // and a restart over the same data directory finishes the job with
 // findings byte-identical to an uninterrupted control run.
@@ -219,23 +208,22 @@ func TestServerDrainAndResume(t *testing.T) {
 	}
 }
 
-// TestServerVersionFlag checks the ldflags-stamped version plumbing.
-func TestServerVersionFlag(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-version")
-	cmd.Env = append(os.Environ(), "HACCRG_SERVER_HELPER=1")
-	out, err := cmd.Output()
+// TestVersionFlag checks the ldflags-stamped version plumbing of the
+// one -version flag.
+func TestVersionFlag(t *testing.T) {
+	out, err := helperCommand("-version").Output()
 	if err != nil {
 		t.Fatalf("-version: %v", err)
 	}
-	if !strings.HasPrefix(string(out), "haccrg-server ") {
+	if !strings.HasPrefix(string(out), "haccrg ") {
 		t.Fatalf("-version output %q", out)
 	}
 }
 
-// TestServerUsageExit checks that a missing -data is a usage error.
+// TestServerUsageExit checks that serve without -data is a usage
+// error.
 func TestServerUsageExit(t *testing.T) {
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "HACCRG_SERVER_HELPER=1")
+	cmd := helperCommand("serve")
 	cmd.Stderr = io.Discard
 	err := cmd.Run()
 	var ee *exec.ExitError

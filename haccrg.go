@@ -156,7 +156,7 @@ type RunOptions struct {
 	// Record writes a durable event journal of the run — every kernel
 	// launch, warp memory event, fence response and verdict, in the
 	// CRC-framed format of internal/journal — suitable for offline
-	// replay through haccrg-replay (nil = no journal).
+	// replay through `haccrg replay` (nil = no journal).
 	Record io.Writer
 
 	// StaticFilter runs the static race prover (internal/staticrace)
@@ -218,8 +218,8 @@ func RunBenchmark(name string, opts RunOptions) (*RunResult, error) {
 // recorded — leaves a well-framed journal prefix behind.
 //
 // The execution itself is harness.ExecContext — the same job core the
-// CLIs, the experiment sweeps, and the haccrg-server workers run — so
-// a benchmark is validated and behaves identically no matter which
+// CLI, the experiment sweeps, and the daemon's job workers run — so a
+// benchmark is validated and behaves identically no matter which
 // entry point launched it. The facade adds only the mapping from the
 // public RunOptions to the harness run specification.
 func RunBenchmarkContext(ctx context.Context, name string, opts RunOptions) (*RunResult, error) {
@@ -315,8 +315,13 @@ func BuildStaticReport(analyses []*StaticAnalysis, withSites bool) *StaticReport
 
 func tlbDefaultConfig() tlb.Config { return tlb.DefaultConfig }
 
+// sweep is the zero sweep the Experiments drivers run under.
+var sweep harness.Sweep
+
 // Experiments re-exports the harness entry points so downstream users
-// can regenerate the paper's tables and figures programmatically.
+// can regenerate the paper's tables and figures programmatically. The
+// drivers that simulate are bound to a zero harness.Sweep: no
+// cancellation, no manifest, no fault defaults, GOMAXPROCS workers.
 var Experiments = struct {
 	Table1       func(GPUConfig) string
 	Table2       func(scale int) ([]harness.Table2Row, string, error)
@@ -339,16 +344,16 @@ var Experiments = struct {
 	FaultStudy       func(scale int, seed int64) ([]harness.FaultStudyRow, string, error)
 }{
 	Table1:       harness.Table1,
-	Table2:       harness.Table2,
-	Table3:       harness.Table3,
+	Table2:       sweep.Table2,
+	Table3:       sweep.Table3,
 	Table4:       harness.Table4,
-	Fig7:         harness.Fig7,
-	Fig8:         harness.Fig8,
-	Fig9:         harness.Fig9,
-	RealRaces:    harness.RealRaces,
-	Injected:     harness.Injected,
+	Fig7:         sweep.Fig7,
+	Fig8:         sweep.Fig8,
+	Fig9:         sweep.Fig9,
+	RealRaces:    sweep.RealRaces,
+	Injected:     sweep.Injected,
 	BloomStress:  harness.BloomStress,
-	IDUsage:      harness.IDUsage,
+	IDUsage:      sweep.IDUsage,
 	HardwareCost: harness.HardwareCost,
 	TLBStudy: func(scale int) ([]harness.TLBResult, string, error) {
 		return harness.TLBStudy(scale, tlbDefaultConfig())
@@ -358,26 +363,7 @@ var Experiments = struct {
 		return txt, err
 	},
 	BloomEndToEnd:  harness.BloomEndToEnd,
-	SyncIDGating:   harness.SyncIDGatingStudy,
-	SchedulerStudy: harness.SchedulerStudy,
-	FaultStudy:     harness.FaultStudy,
+	SyncIDGating:   sweep.SyncIDGatingStudy,
+	SchedulerStudy: sweep.SchedulerStudy,
+	FaultStudy:     sweep.FaultStudy,
 }
-
-// SweepDefaults mirrors harness.SweepDefaults for CLI use.
-type SweepDefaults = harness.SweepDefaults
-
-// SetSweepDefaults installs process-wide fault/guard-rail defaults
-// merged into every experiment sweep run (how the CLIs thread
-// -fault-plan/-seed/-timeout/-max-cycles through the experiment
-// drivers).
-func SetSweepDefaults(d SweepDefaults) { harness.SetSweepDefaults(d) }
-
-// SetParallelism sets how many simulations the experiment sweeps run
-// concurrently: n <= 0 restores the default (GOMAXPROCS), n == 1
-// forces serial sweeps. Each run owns its device and detector, and
-// results are assembled in input order, so sweep output is
-// byte-identical at any setting.
-func SetParallelism(n int) { harness.SetParallelism(n) }
-
-// Parallelism returns the resolved sweep worker count (always >= 1).
-func Parallelism() int { return harness.Parallelism() }

@@ -65,7 +65,7 @@ type Violation struct {
 
 // Repro renders the one-line reproduction command.
 func (v *Violation) Repro() string {
-	s := fmt.Sprintf("haccrg-chaos -scenario %s -sub-seed %d", v.Scenario, v.SubSeed)
+	s := fmt.Sprintf("haccrg chaos -scenario %s -sub-seed %d", v.Scenario, v.SubSeed)
 	if v.FSSched != "" {
 		s += fmt.Sprintf(" -fs %q", v.FSSched)
 	}
@@ -248,7 +248,7 @@ func (c *Campaign) Run(ctx context.Context) (*Report, error) {
 		for _, name := range c.Scenarios {
 			sd := findScenario(name)
 			if sd == nil {
-				return nil, fmt.Errorf("chaos: unknown scenario %q", name)
+				return nil, fmt.Errorf("chaos: %w scenario %q", harness.ErrUnknown, name)
 			}
 			selected = append(selected, sd)
 		}
@@ -374,7 +374,7 @@ func minimize(ctx context.Context, sd *scenarioDef, v *Violation, logf func(stri
 func Reproduce(ctx context.Context, scenario string, seed int64, fsSpec, httpSpec string, logw io.Writer) (*Violation, error) {
 	sd := findScenario(scenario)
 	if sd == nil {
-		return nil, fmt.Errorf("chaos: unknown scenario %q", scenario)
+		return nil, fmt.Errorf("chaos: %w scenario %q", harness.ErrUnknown, scenario)
 	}
 	fsSched, err := ParseSchedule(fsSpec)
 	if err != nil {
@@ -435,10 +435,17 @@ func summarizeAll(rs []*harness.RunResult) string {
 	return b.String()
 }
 
+// serialSweep is the sweep every chaos scenario runs: on one worker,
+// so manifest appends hit the fault schedule's per-clause counters in
+// one reproducible order.
+func serialSweep(ctx context.Context, m *harness.Manifest) harness.Sweep {
+	return harness.Sweep{Ctx: ctx, Manifest: m, Workers: 1}
+}
+
 // referenceSummaries runs the chaos sweep fault-free, no manifest —
 // the ground truth the invariants compare against.
 func referenceSummaries(ctx context.Context) (string, error) {
-	rs, err := harness.Sweep(ctx, chaosConfigs(), nil)
+	rs, err := serialSweep(ctx, nil).Run(chaosConfigs())
 	if err != nil {
 		return "", fmt.Errorf("fault-free reference sweep failed: %w", err)
 	}
@@ -472,12 +479,6 @@ func genManifestFaults(rng *rand.Rand) *Schedule {
 // fault-free results byte for byte — and a sweep that claimed success
 // under faults must have actually persisted what it claimed.
 func runManifestScenario(ctx context.Context, env *stepEnv) error {
-	// Serial sweeps: manifest appends must hit the fault schedule's
-	// per-clause counters in one reproducible order.
-	prev := harness.Parallelism()
-	harness.SetParallelism(1)
-	defer harness.SetParallelism(prev)
-
 	want, err := referenceSummaries(ctx)
 	if err != nil {
 		return err
@@ -490,7 +491,7 @@ func runManifestScenario(ctx context.Context, env *stepEnv) error {
 	claimedOK := false
 	m, _, err := harness.OpenManifestFS(ffs, path, true)
 	if err == nil {
-		rs, serr := harness.Sweep(ctx, cfgs, m)
+		rs, serr := serialSweep(ctx, m).Run(cfgs)
 		m.Close()
 		if serr == nil {
 			claimedOK = true
@@ -519,7 +520,7 @@ func runManifestScenario(ctx context.Context, env *stepEnv) error {
 				Detail: fmt.Sprintf("sweep claimed success but manifest was torn (%d bytes salvaged)", salvage.Bytes)}
 		}
 		for _, rc := range cfgs {
-			if _, ok := m2.Lookup(harness.WithSweepDefaults(rc)); !ok {
+			if _, ok := serialSweep(ctx, m2).Lookup(rc); !ok {
 				m2.Close()
 				return &InvariantError{Invariant: InvNeverSilent,
 					Detail: fmt.Sprintf("sweep claimed success but manifest misses %s/%s", rc.Bench, rc.Detector)}
@@ -537,7 +538,7 @@ func runManifestScenario(ctx context.Context, env *stepEnv) error {
 	}
 	defer m3.Close()
 	env.logf("manifest recovery: %d checkpointed run(s) salvaged", salvage.Records)
-	rs, err := harness.Sweep(ctx, cfgs, m3)
+	rs, err := serialSweep(ctx, m3).Run(cfgs)
 	if err != nil {
 		return &InvariantError{Invariant: InvCrashResume,
 			Detail: fmt.Sprintf("recovery sweep failed: %v", err)}

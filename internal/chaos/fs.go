@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,9 +40,9 @@ const (
 	// with ErrCrashed. The test then reopens the tree with a fresh FS
 	// and exercises recovery.
 	CrashSimulate CrashMode = iota
-	// CrashExit kills the process with exit code 137 — the helper-
-	// process mode haccrg-chaos uses so recovery is exercised across a
-	// real process boundary, not just a simulated one.
+	// CrashExit kills the process with exit code 137, so recovery can
+	// be exercised across a real process boundary, not just a
+	// simulated one.
 	CrashExit
 )
 
@@ -249,9 +248,6 @@ func NewFaultFS(real vfs.FS, sched *Schedule, mode CrashMode) *FaultFS {
 	}
 }
 
-// SetExit replaces the CrashExit process-kill hook (tests).
-func (f *FaultFS) SetExit(fn func(int)) { f.exit = fn }
-
 // Crashed reports whether a crash clause has fired.
 func (f *FaultFS) Crashed() bool {
 	f.mu.Lock()
@@ -322,18 +318,6 @@ func (f *FaultFS) crash(op, path string) {
 			h.Close()
 		}
 	}
-}
-
-// TouchedPaths returns every path the FS wrote, sorted (tests).
-func (f *FaultFS) TouchedPaths() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.files))
-	for p := range f.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // faultFile is one open handle. Position is per-handle; size and

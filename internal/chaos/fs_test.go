@@ -219,9 +219,7 @@ func TestManifestFsyncFailureIsHard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := harness.WithSweepDefaults(harness.RunConfig{
-		Bench: "baddiv", Detector: harness.DetSharedGlobal,
-	})
+	rc := harness.RunConfig{Bench: "baddiv", Detector: harness.DetSharedGlobal}
 	res := &harness.RunResult{Config: rc}
 	err = m.Append(rc, res)
 	if err == nil {

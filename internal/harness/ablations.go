@@ -153,7 +153,7 @@ func BloomEndToEnd() (string, error) {
 // block's sync ID only when it touched global memory since its last
 // barrier: without the gate, shared-memory-heavy kernels burn through
 // the 8-bit counters far faster.
-func SyncIDGatingStudy(scale int) (string, error) {
+func (s Sweep) SyncIDGatingStudy(scale int) (string, error) {
 	benches := []string{"scan", "sortnw", "fwalsh", "reduce"}
 	bumpCfg := gpu.DefaultConfig()
 	bumpCfg.AlwaysBumpSyncID = true
@@ -165,7 +165,7 @@ func SyncIDGatingStudy(scale int) (string, error) {
 			// to reuse across concurrent runs.
 			RunConfig{Bench: bench, Detector: DetSharedGlobal, Scale: scale, GPU: &bumpCfg})
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return "", err
 	}
@@ -184,7 +184,7 @@ func SyncIDGatingStudy(scale int) (string, error) {
 // Table I configuration) against greedy-then-oldest across the suite:
 // a simulator-credibility ablation showing the engine reacts to
 // scheduling policy, with functional results unchanged.
-func SchedulerStudy(scale int) (string, error) {
+func (s Sweep) SchedulerStudy(scale int) (string, error) {
 	benches := []string{"mcarlo", "fwalsh", "hist", "sortnw", "reduce", "psum"}
 	gtoCfg := gpu.DefaultConfig()
 	gtoCfg.Scheduler = gpu.SchedGTO
@@ -194,7 +194,7 @@ func SchedulerStudy(scale int) (string, error) {
 			RunConfig{Bench: bench, Detector: DetOff, Scale: scale},
 			RunConfig{Bench: bench, Detector: DetOff, Scale: scale, GPU: &gtoCfg})
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return "", err
 	}

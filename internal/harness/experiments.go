@@ -67,13 +67,13 @@ type Table2Row struct {
 
 // Table2 runs every benchmark with detection off and reports the
 // instruction mix (paper Table II's shared/global read percentages).
-func Table2(scale int) ([]Table2Row, string, error) {
+func (s Sweep) Table2(scale int) ([]Table2Row, string, error) {
 	bms := kernels.All()
 	cfgs := make([]RunConfig, len(bms))
 	for i, bm := range bms {
 		cfgs[i] = RunConfig{Bench: bm.Name, Detector: DetOff, Scale: scale}
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -113,7 +113,7 @@ var Table3Granularities = []int{4, 8, 16, 32, 64}
 // shared space every reported race is false (no benchmark has a real
 // shared race); for the global space the 4-byte run is the truth
 // baseline, as in the paper.
-func Table3(scale int) (shared, global []Table3Row, text string, err error) {
+func (s Sweep) Table3(scale int) (shared, global []Table3Row, text string, err error) {
 	bms := kernels.All()
 	ng := len(Table3Granularities)
 	cfgs := make([]RunConfig, 0, len(bms)*ng)
@@ -125,7 +125,7 @@ func Table3(scale int) (shared, global []Table3Row, text string, err error) {
 			})
 		}
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -216,7 +216,7 @@ type Fig7Row struct {
 
 // Fig7 measures the performance impact of every detector configuration
 // (paper Figure 7 plus the Section VI-B software comparison).
-func Fig7(scale int) ([]Fig7Row, string, error) {
+func (s Sweep) Fig7(scale int) ([]Fig7Row, string, error) {
 	bms := kernels.All()
 	kinds := []DetectorKind{DetOff, DetShared, DetSharedGlobal, DetSoftware, DetGRace}
 	cfgs := make([]RunConfig, 0, len(bms)*len(kinds))
@@ -225,7 +225,7 @@ func Fig7(scale int) ([]Fig7Row, string, error) {
 			cfgs = append(cfgs, RunConfig{Bench: bm.Name, Detector: kind, Scale: scale})
 		}
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -269,7 +269,7 @@ type Fig8Row struct {
 }
 
 // Fig8 runs the shared-shadow placement experiment.
-func Fig8(scale int) ([]Fig8Row, string, error) {
+func (s Sweep) Fig8(scale int) ([]Fig8Row, string, error) {
 	bms := kernels.All()
 	kinds := []DetectorKind{DetOff, DetSharedGlobal, DetFig8}
 	cfgs := make([]RunConfig, 0, len(bms)*len(kinds))
@@ -278,7 +278,7 @@ func Fig8(scale int) ([]Fig8Row, string, error) {
 			cfgs = append(cfgs, RunConfig{Bench: bm.Name, Detector: kind, Scale: scale})
 		}
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -307,7 +307,7 @@ type Fig9Row struct {
 }
 
 // Fig9 measures average DRAM bandwidth utilization (paper Figure 9).
-func Fig9(scale int) ([]Fig9Row, string, error) {
+func (s Sweep) Fig9(scale int) ([]Fig9Row, string, error) {
 	bms := kernels.All()
 	kinds := []DetectorKind{DetOff, DetShared, DetSharedGlobal}
 	cfgs := make([]RunConfig, 0, len(bms)*len(kinds))
@@ -316,7 +316,7 @@ func Fig9(scale int) ([]Fig9Row, string, error) {
 			cfgs = append(cfgs, RunConfig{Bench: bm.Name, Detector: kind, Scale: scale})
 		}
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -345,7 +345,7 @@ type RealRaceReport struct {
 }
 
 // RealRaces runs the effectiveness evaluation at word granularity.
-func RealRaces(scale int) ([]RealRaceReport, string, error) {
+func (s Sweep) RealRaces(scale int) ([]RealRaceReport, string, error) {
 	bms := kernels.All()
 	cfgs := make([]RunConfig, len(bms))
 	for i, bm := range bms {
@@ -354,7 +354,7 @@ func RealRaces(scale int) ([]RealRaceReport, string, error) {
 			SharedGranularity: 4, GlobalGranularity: 4,
 		}
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -397,7 +397,7 @@ type InjectedResult struct {
 
 // Injected runs the 41-site injection study (Section VI-A). Sites are
 // injected one at a time into otherwise race-free configurations.
-func Injected(scale int) ([]InjectedResult, string, error) {
+func (s Sweep) Injected(scale int) ([]InjectedResult, string, error) {
 	clean := func(name string) RunConfig {
 		rc := RunConfig{
 			Bench: name, Detector: DetSharedGlobal, Scale: scale,
@@ -428,7 +428,7 @@ func Injected(scale int) ([]InjectedResult, string, error) {
 			refs = append(refs, siteRef{bench: bm.Name, site: site})
 		}
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -487,13 +487,13 @@ func BloomStress() string {
 
 // IDUsage reports the observed logical-clock maxima (Section VI-A2's
 // sync/fence-ID sizing argument).
-func IDUsage(scale int) (string, error) {
+func (s Sweep) IDUsage(scale int) (string, error) {
 	bms := kernels.All()
 	cfgs := make([]RunConfig, len(bms))
 	for i, bm := range bms {
 		cfgs[i] = RunConfig{Bench: bm.Name, Detector: DetSharedGlobal, Scale: scale}
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return "", err
 	}

@@ -196,7 +196,7 @@ func TestMaxCyclesGuardRail(t *testing.T) {
 }
 
 func TestFaultStudyRenders(t *testing.T) {
-	rows, txt, err := FaultStudy(1, 1)
+	rows, txt, err := Sweep{}.FaultStudy(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

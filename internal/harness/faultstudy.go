@@ -46,7 +46,7 @@ type FaultStudyRow struct {
 // seed. The invariant on display — and the one the property test
 // enforces — is that a run whose findings diverge from baseline always
 // reports Degraded health, never a silent divergence.
-func FaultStudy(scale int, seed int64) ([]FaultStudyRow, string, error) {
+func (s Sweep) FaultStudy(scale int, seed int64) ([]FaultStudyRow, string, error) {
 	stride := 1 + len(FaultStudyPlans) // baseline + one run per plan
 	cfgs := make([]RunConfig, 0, len(faultStudyBenches)*stride)
 	for _, bench := range faultStudyBenches {
@@ -58,7 +58,7 @@ func FaultStudy(scale int, seed int64) ([]FaultStudyRow, string, error) {
 			})
 		}
 	}
-	results, err := sweepAll(cfgs)
+	results, err := s.Run(cfgs)
 	if err != nil {
 		return nil, "", err
 	}

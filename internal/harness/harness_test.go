@@ -162,7 +162,7 @@ func TestBloomEndToEnd(t *testing.T) {
 }
 
 func TestSyncIDGatingStudy(t *testing.T) {
-	txt, err := SyncIDGatingStudy(1)
+	txt, err := Sweep{}.SyncIDGatingStudy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,36 +191,11 @@ func TestTLBStudy(t *testing.T) {
 }
 
 func TestSchedulerStudy(t *testing.T) {
-	txt, err := SchedulerStudy(1)
+	txt, err := Sweep{}.SchedulerStudy(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(txt, "round-robin") {
 		t.Fatalf("study output malformed:\n%s", txt)
-	}
-}
-
-func TestCSVExports(t *testing.T) {
-	t2 := []Table2Row{{Bench: "scan", Input: "256", SharedReadPc: 10.9, GlobalReadPc: 0.7, Cycles: 5000}}
-	f7 := []Fig7Row{{Bench: "scan", BaseCycles: 5000, Shared: 1.01, SharedGlobal: 1.02, Software: 4.9, GRace: 532}}
-	f9 := []Fig9Row{{Bench: "scan", Off: 0.005, Shared: 0.004, SharedGlobal: 0.013}}
-	t3 := []Table3Row{{Bench: "hist", False: map[int]int{4: 0, 8: 0, 16: 1219, 32: 716, 64: 379}}}
-	for name, f := range map[string]func(*strings.Builder) error{
-		"table2": func(sb *strings.Builder) error { return WriteTable2CSV(sb, t2) },
-		"fig7":   func(sb *strings.Builder) error { return WriteFig7CSV(sb, f7) },
-		"fig9":   func(sb *strings.Builder) error { return WriteFig9CSV(sb, f9) },
-		"table3": func(sb *strings.Builder) error { return WriteTable3CSV(sb, t3) },
-	} {
-		var sb strings.Builder
-		if err := f(&sb); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-		if len(lines) != 2 {
-			t.Fatalf("%s: %d lines, want header + row:\n%s", name, len(lines), sb.String())
-		}
-		if !strings.Contains(lines[1], "scan") && !strings.Contains(lines[1], "hist") {
-			t.Fatalf("%s: row missing benchmark name: %s", name, lines[1])
-		}
 	}
 }

@@ -14,13 +14,6 @@ import (
 	"haccrg/internal/journal"
 )
 
-// installManifest makes m the process-wide sweep manifest for one test.
-func installManifest(t *testing.T, m *Manifest) {
-	t.Helper()
-	SetManifest(m)
-	t.Cleanup(func() { SetManifest(nil) })
-}
-
 // resumeTestConfigs is a sweep long enough to interrupt partway: the
 // mixed workload of sweepTestConfigs at several scales, all distinct
 // (the manifest keys on the whole config).
@@ -45,11 +38,11 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Errorf("fresh manifest salvage = %+v", s)
 	}
 	rc := RunConfig{Bench: "scan", Detector: DetSharedGlobal, GPU: testGPU(), SingleBlock: true}
-	res, err := sweepRun(rc)
+	res, err := Sweep{}.runOne(context.Background(), rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Append(applySweepDefaults(rc), res); err != nil {
+	if err := m.Append(rc, res); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -64,7 +57,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if s2.Truncated || s2.Records != 1 {
 		t.Fatalf("reopen salvage = %+v, want 1 clean record", s2)
 	}
-	got, ok := m2.Lookup(applySweepDefaults(rc))
+	got, ok := m2.Lookup(rc)
 	if !ok {
 		t.Fatal("completed run not found on reopen")
 	}
@@ -83,11 +76,11 @@ func TestManifestTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	rcA := RunConfig{Bench: "scan", Detector: DetOff, GPU: testGPU(), SingleBlock: true}
-	resA, err := sweepRun(rcA)
+	resA, err := Sweep{}.runOne(context.Background(), rcA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Append(applySweepDefaults(rcA), resA); err != nil {
+	if err := m.Append(rcA, resA); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
@@ -109,15 +102,15 @@ func TestManifestTornTailRecovery(t *testing.T) {
 	if !s.Truncated || s.Records != 1 {
 		t.Fatalf("torn manifest salvage = %+v, want 1 record with truncation", s)
 	}
-	if _, ok := m2.Lookup(applySweepDefaults(rcA)); !ok {
+	if _, ok := m2.Lookup(rcA); !ok {
 		t.Fatal("intact entry lost to the torn tail")
 	}
 	rcB := RunConfig{Bench: "reduce", Detector: DetOff, GPU: testGPU()}
-	resB, err := sweepRun(rcB)
+	resB, err := Sweep{}.runOne(context.Background(), rcB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.Append(applySweepDefaults(rcB), resB); err != nil {
+	if err := m2.Append(rcB, resB); err != nil {
 		t.Fatalf("append after torn-tail recovery: %v", err)
 	}
 	m2.Close()
@@ -137,10 +130,9 @@ func TestManifestTornTailRecovery(t *testing.T) {
 // byte-identical to an uninterrupted sweep, without re-running the
 // completed configurations.
 func TestSweepResumeDeterminism(t *testing.T) {
-	setParallelism(t, 4)
 	cfgs := resumeTestConfigs()
 
-	ref, err := sweepAll(cfgs) // uninterrupted, no manifest
+	ref, err := Sweep{Workers: 4}.Run(cfgs) // uninterrupted, no manifest
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +143,6 @@ func TestSweepResumeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	installManifest(t, m)
 
 	// Cancel the sweep once roughly half the runs have committed.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -162,7 +153,7 @@ func TestSweepResumeDeterminism(t *testing.T) {
 		}
 		cancel()
 	}()
-	if _, err := sweepAllCtx(ctx, cfgs); err == nil {
+	if _, err := (Sweep{Ctx: ctx, Manifest: m, Workers: 4}).Run(cfgs); err == nil {
 		t.Log("sweep finished before the cancellation landed; resume path still exercised")
 	}
 	m.Close()
@@ -179,18 +170,18 @@ func TestSweepResumeDeterminism(t *testing.T) {
 	if completed == 0 {
 		t.Fatal("no runs committed before cancellation")
 	}
-	SetManifest(m2)
+	resumed := Sweep{Manifest: m2, Workers: 4}
 
 	// Expected fresh executions: the attempts the reference run needed
 	// for every configuration the manifest does not already hold.
 	var expected int64
 	for i, rc := range cfgs {
-		if _, ok := m2.Lookup(applySweepDefaults(rc)); !ok {
+		if _, ok := resumed.Lookup(rc); !ok {
 			expected += int64(ref[i].Attempts)
 		}
 	}
 	before := SweepExecutions()
-	res, err := sweepAll(cfgs)
+	res, err := resumed.Run(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +206,13 @@ func TestJournalIOErrorNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Close() // every append now fails with an IOError
-	installManifest(t, m)
 
 	rc := RunConfig{
 		Bench: "scan", Detector: DetSharedGlobal, GPU: testGPU(), SingleBlock: true,
 		FaultPlan: "flip:rate=2e-4", FaultSeed: 7,
 	}
 	before := SweepExecutions()
-	_, err = sweepRun(rc)
+	_, err = Sweep{Manifest: m}.runOne(context.Background(), rc)
 	if err == nil {
 		t.Fatal("sweep run succeeded with a closed manifest")
 	}
@@ -295,7 +285,7 @@ func TestSweepSignalInterrupt(t *testing.T) {
 }
 
 // runSweepHelper is the child side of TestSweepSignalInterrupt: a
-// miniature haccrg-bench — signal-aware context, manifest-backed
+// miniature `haccrg bench` — signal-aware context, manifest-backed
 // sweep, exit code 5 on interruption.
 func runSweepHelper() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -304,9 +294,7 @@ func runSweepHelper() {
 	if err != nil {
 		os.Exit(1)
 	}
-	SetManifest(m)
-	SetParallelism(2)
-	_, err = sweepAllCtx(ctx, resumeTestConfigs())
+	_, err = Sweep{Ctx: ctx, Manifest: m, Workers: 2}.Run(resumeTestConfigs())
 	m.Close()
 	switch {
 	case err != nil && ctx.Err() != nil:
@@ -355,7 +343,7 @@ func TestResumeOldManifestEncoding(t *testing.T) {
 			t.Fatalf("%s: salvage %+v, want one clean record", name, salvage)
 		}
 		before := SweepExecutions()
-		got, err := sweepRunManifest(context.Background(), rc, m)
+		got, err := Sweep{Manifest: m}.runOne(context.Background(), rc)
 		m.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"haccrg/internal/core"
-	"haccrg/internal/fault"
 	"haccrg/internal/gpu"
 	"haccrg/internal/grace"
 	"haccrg/internal/isa"
@@ -189,9 +188,9 @@ func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
 // ExecOptions carries the per-run extras that are not part of a
 // RunConfig's serializable identity: the facade's arbitrary detector
 // options, output verification, event tracing, and journal recording.
-// Every execution path in the system — the haccrg facade, the five
-// CLIs, the experiment sweeps, and the haccrg-server job workers —
-// funnels through ExecContext with some ExecOptions, so they all run
+// Every execution path in the system — the haccrg facade, the haccrg
+// command's modes, the experiment sweeps, and the daemon's job workers
+// — funnels through ExecContext with some ExecOptions, so they all run
 // the exact same job core.
 type ExecOptions struct {
 	// Detection, when non-nil, builds the detector from these explicit
@@ -348,161 +347,6 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 		return res, fmt.Errorf("harness: journal recording failed: %w", jrec.Err())
 	}
 	return res, runErr
-}
-
-// SweepDefaults are fault/guard-rail settings merged into every
-// experiment sweep run whose own config leaves them unset — how the
-// CLIs thread -fault-plan/-seed/-timeout/-max-cycles through the
-// prebuilt experiment drivers.
-type SweepDefaults struct {
-	FaultPlan   string
-	FaultSeed   int64
-	Degradation string
-	MaxCycles   int64
-	Timeout     time.Duration
-}
-
-var sweepDefaults SweepDefaults
-
-// SetSweepDefaults installs the process-wide sweep defaults.
-func SetSweepDefaults(d SweepDefaults) { sweepDefaults = d }
-
-// WithSweepDefaults returns rc with the process-wide sweep defaults
-// merged in — the form under which the sweep engine keys manifests.
-// Callers that inspect a manifest directly (e.g. the haccrg-server
-// resume path asking which runs a checkpoint already holds) must look
-// up this canonical form, not the raw config.
-func WithSweepDefaults(rc RunConfig) RunConfig { return applySweepDefaults(rc) }
-
-func applySweepDefaults(rc RunConfig) RunConfig {
-	if rc.FaultPlan == "" {
-		rc.FaultPlan = sweepDefaults.FaultPlan
-		if rc.FaultSeed == 0 {
-			rc.FaultSeed = sweepDefaults.FaultSeed
-		}
-	}
-	if rc.Degradation == "" {
-		rc.Degradation = sweepDefaults.Degradation
-	}
-	if rc.MaxCycles == 0 {
-		rc.MaxCycles = sweepDefaults.MaxCycles
-	}
-	if rc.Timeout == 0 {
-		rc.Timeout = sweepDefaults.Timeout
-	}
-	return rc
-}
-
-// sweepRetries bounds sweepRun's attempts per configuration.
-const sweepRetries = 3
-
-// sweepRun is the experiment drivers' Run: it merges the process-wide
-// sweep defaults and retries failed fault-injected runs with backoff
-// under a salted seed (a different fault sequence each attempt). A
-// fault-free simulation is deterministic, so its failures are not
-// retried — they would fail identically.
-func sweepRun(rc RunConfig) (*RunResult, error) {
-	return sweepRunCtx(baseSweepContext(), rc)
-}
-
-// sweepRunCtx is sweepRun under a context: cancellation cuts both the
-// in-flight simulation (through RunContext) and the retry backoff, so
-// a failed sweep winds down promptly instead of finishing doomed runs.
-// When a sweep manifest is installed, configurations it already holds
-// are served from it without re-simulation, and each fresh completion
-// is appended (and synced) before being returned — the crash-safe
-// resume contract.
-func sweepRunCtx(ctx context.Context, rc RunConfig) (*RunResult, error) {
-	return sweepRunManifest(ctx, rc, ActiveManifest())
-}
-
-// cancelErr wraps a cancellation observed during the retry loop so the
-// caller classifies the run as an interruption casualty — errors.Is
-// reports context.Canceled (or DeadlineExceeded) — while still naming
-// the last real failure the retries were fighting.
-func cancelErr(ctx context.Context, rc RunConfig, attempt int, lastErr error) error {
-	if lastErr == nil {
-		return ctx.Err()
-	}
-	return fmt.Errorf("harness: run %s/%s interrupted after %d attempt(s) (last error: %v): %w",
-		rc.Bench, rc.Detector, attempt, lastErr, ctx.Err())
-}
-
-// sweepRunManifest is sweepRunCtx against an explicit manifest (nil =
-// no manifest) — the entry point for callers like the haccrg-server
-// job workers that run several manifest-backed sweeps concurrently in
-// one process and cannot share the global ActiveManifest.
-func sweepRunManifest(ctx context.Context, rc RunConfig, manifest *Manifest) (*RunResult, error) {
-	rc = applySweepDefaults(rc)
-	if manifest != nil {
-		if res, ok := manifest.Lookup(rc); ok {
-			return res, nil
-		}
-	}
-	requested := rc // manifest key: before any retry re-seeding
-	var lastErr error
-	for attempt := 1; attempt <= sweepRetries; attempt++ {
-		// A cancellation that landed between runs (or during a previous
-		// attempt) ends the retry budget immediately: the sweep is
-		// winding down to resumable state, not fighting for a result.
-		if ctx.Err() != nil {
-			return nil, cancelErr(ctx, rc, attempt-1, lastErr)
-		}
-		if attempt > 1 {
-			rc.FaultSeed += 1_000_003 // salt: explore a different sequence
-			select {
-			case <-ctx.Done():
-				return nil, cancelErr(ctx, rc, attempt-1, lastErr)
-			case <-time.After(time.Duration(attempt-1) * 50 * time.Millisecond):
-			}
-		}
-		sweepExecutions.Add(1)
-		res, err := execSweepRun(ctx, rc)
-		if err == nil {
-			res.Attempts = attempt
-			if manifest != nil {
-				// A manifest append failure is a journal I/O error:
-				// retrying the simulation cannot fix the disk, so it is
-				// returned as-is (and classified non-retryable below).
-				if aerr := manifest.Append(requested, res); aerr != nil {
-					return nil, aerr
-				}
-			}
-			return res, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, cancelErr(ctx, rc, attempt, lastErr)
-		}
-		if rc.FaultPlan == "" || journal.IsIO(err) {
-			break
-		}
-	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
-	}
-	return nil, lastErr
-}
-
-// execSweepRun executes the run behind manifest key rc. The sweep
-// defaults merge their fault plan into every key, detector-off
-// baselines included, and those keys must not move; but an off run has
-// no RDU pipeline to fault, so it executes without the plan (which must
-// still parse, as it must on every other run of the sweep). The result
-// carries the key's plan.
-func execSweepRun(ctx context.Context, rc RunConfig) (*RunResult, error) {
-	run := rc
-	if run.FaultPlan != "" && run.Detector.off() {
-		if _, err := fault.Parse(run.FaultPlan); err != nil {
-			return nil, err
-		}
-		run.FaultPlan, run.FaultSeed = "", 0
-	}
-	res, err := ExecContext(ctx, run, ExecOptions{})
-	if res != nil {
-		res.Config.FaultPlan, res.Config.FaultSeed = rc.FaultPlan, rc.FaultSeed
-	}
-	return res, err
 }
 
 // seedSet is a run's witness seed set per kernel name: the

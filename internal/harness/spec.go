@@ -13,7 +13,7 @@ import (
 	"haccrg/internal/staticrace"
 )
 
-// A RunConfig is the one run specification. The facade, the CLIs, the
+// A RunConfig is the one run specification. The facade, the CLI, the
 // experiment sweeps and the daemon all describe a run with one, and
 // this file is where a run is validated (Validate), expanded over
 // several benchmarks (Expand), given its detector options
@@ -255,7 +255,7 @@ func (rc RunConfig) AnalyzerConfig(opt core.Options) staticrace.Config {
 }
 
 // Analyze runs the static analyzer over ks under conf, in order: the
-// one analysis entry point of the facade, the CLIs and the daemon.
+// one analysis entry point of the facade, the CLI and the daemon.
 func Analyze(ks []*gpu.Kernel, conf staticrace.Config) ([]*staticrace.Analysis, error) {
 	out := make([]*staticrace.Analysis, 0, len(ks))
 	for _, k := range ks {

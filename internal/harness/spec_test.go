@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -48,15 +47,13 @@ func TestValidate(t *testing.T) {
 // still executes (without the plan, which it has no pipeline for); a
 // plan that does not parse fails it as it fails every other run.
 func TestSweepDefaultFaultPlanOnOffRuns(t *testing.T) {
-	t.Cleanup(func() { SetSweepDefaults(SweepDefaults{}) })
-	SetSweepDefaults(SweepDefaults{FaultPlan: "queue:cap=16,drain=1", FaultSeed: 7})
 	m, _, err := OpenManifest(filepath.Join(t.TempDir(), "sweep.manifest"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	rc := RunConfig{Bench: "scan", Detector: DetOff, GPU: testGPU(), SingleBlock: true}
-	res, err := Sweep(context.Background(), []RunConfig{rc}, m)
+	res, err := Sweep{Manifest: m, FaultPlan: "queue:cap=16,drain=1", FaultSeed: 7}.Run([]RunConfig{rc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +73,7 @@ func TestSweepDefaultFaultPlanOnOffRuns(t *testing.T) {
 		t.Error("manifest does not hold the run under its merged key")
 	}
 
-	SetSweepDefaults(SweepDefaults{FaultPlan: "nonsense:::"})
-	if _, err := Sweep(context.Background(), []RunConfig{rc}, nil); err == nil {
+	if _, err := (Sweep{FaultPlan: "nonsense:::"}).Run([]RunConfig{rc}); err == nil {
 		t.Error("a sweep default plan that does not parse was accepted")
 	}
 }

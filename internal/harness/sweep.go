@@ -3,63 +3,94 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"haccrg/internal/fault"
+	"haccrg/internal/journal"
 )
 
 // The sweep engine: every experiment driver enumerates its RunConfigs
-// up front and hands them to sweepAll, which fans them across a
+// up front and hands them to Sweep.Run, which fans them across a
 // bounded worker pool. Each run owns its Device and Detector, so runs
 // share no mutable state; results are assembled in input order, which
 // keeps every table and figure byte-identical to a serial sweep — the
 // determinism invariant the harness tests enforce.
 
-var (
-	parallelismMu sync.RWMutex
-	parallelismN  int // 0 = resolve to GOMAXPROCS at sweep time
-)
+// A Sweep is the state a sweep runs under, passed by value to every
+// experiment driver that simulates (they are its methods). The zero
+// value sweeps under context.Background(), with no manifest and no
+// defaults, on GOMAXPROCS workers.
+type Sweep struct {
+	// Ctx cancels every run of the sweep, in flight or queued, and
+	// its retry backoff (nil = context.Background()).
+	Ctx context.Context
+	// Manifest, when set, gets each completed run appended (and
+	// synced) before the run is returned, and serves the runs it
+	// already holds instead of re-simulating them: the crash-safe
+	// resume path.
+	Manifest *Manifest
 
-var (
-	sweepStateMu  sync.RWMutex
-	sweepManifest *Manifest
-	sweepCtx      context.Context
-)
+	// FaultPlan, FaultSeed, Degradation, MaxCycles and Timeout are
+	// merged into every run whose own config leaves them unset; the
+	// merged config is the run's manifest key.
+	FaultPlan   string
+	FaultSeed   int64
+	Degradation string
+	MaxCycles   int64
+	Timeout     time.Duration
 
-// SetManifest installs the process-wide sweep manifest: completed runs
-// are appended to it, and configurations it already holds are served
-// from it instead of re-simulated — the crash-safe resume path. nil
-// disables manifest use.
-func SetManifest(m *Manifest) {
-	sweepStateMu.Lock()
-	sweepManifest = m
-	sweepStateMu.Unlock()
+	// Workers bounds the concurrent runs (0 = GOMAXPROCS, 1 = serial).
+	// Output is byte-identical at any count.
+	Workers int
 }
 
-// ActiveManifest returns the installed sweep manifest (nil if none).
-func ActiveManifest() *Manifest {
-	sweepStateMu.RLock()
-	defer sweepStateMu.RUnlock()
-	return sweepManifest
-}
-
-// SetSweepContext installs the base context every sweep runs under —
-// how the CLIs thread SIGINT/SIGTERM cancellation through the prebuilt
-// experiment drivers, which take no context of their own. nil restores
-// context.Background().
-func SetSweepContext(ctx context.Context) {
-	sweepStateMu.Lock()
-	sweepCtx = ctx
-	sweepStateMu.Unlock()
-}
-
-func baseSweepContext() context.Context {
-	sweepStateMu.RLock()
-	defer sweepStateMu.RUnlock()
-	if sweepCtx != nil {
-		return sweepCtx
+func (s Sweep) context() context.Context {
+	if s.Ctx != nil {
+		return s.Ctx
 	}
 	return context.Background()
+}
+
+// workers resolves the worker count (always >= 1).
+func (s Sweep) workers() int {
+	if s.Workers > 0 {
+		return s.Workers
+	}
+	return max(runtime.GOMAXPROCS(0), 1)
+}
+
+// withDefaults returns rc with the sweep's defaults merged in: the
+// form under which the sweep keys its manifest.
+func (s Sweep) withDefaults(rc RunConfig) RunConfig {
+	if rc.FaultPlan == "" {
+		rc.FaultPlan = s.FaultPlan
+		if rc.FaultSeed == 0 {
+			rc.FaultSeed = s.FaultSeed
+		}
+	}
+	if rc.Degradation == "" {
+		rc.Degradation = s.Degradation
+	}
+	if rc.MaxCycles == 0 {
+		rc.MaxCycles = s.MaxCycles
+	}
+	if rc.Timeout == 0 {
+		rc.Timeout = s.Timeout
+	}
+	return rc
+}
+
+// Lookup returns the result the sweep's manifest holds for rc, under
+// the key the sweep would append it with; false without a manifest.
+func (s Sweep) Lookup(rc RunConfig) (*RunResult, bool) {
+	if s.Manifest == nil {
+		return nil, false
+	}
+	return s.Manifest.Lookup(s.withDefaults(rc))
 }
 
 // sweepExecutions counts actual simulations (manifest hits excluded);
@@ -70,68 +101,25 @@ var sweepExecutions atomic.Int64
 // (as opposed to served from the manifest) since process start.
 func SweepExecutions() int64 { return sweepExecutions.Load() }
 
-// SetParallelism sets the process-wide sweep worker count. n <= 0
-// restores the default (GOMAXPROCS); n == 1 forces serial sweeps.
-func SetParallelism(n int) {
-	parallelismMu.Lock()
-	if n < 0 {
-		n = 0
-	}
-	parallelismN = n
-	parallelismMu.Unlock()
-}
-
-// Parallelism returns the resolved sweep worker count (always >= 1).
-func Parallelism() int {
-	parallelismMu.RLock()
-	n := parallelismN
-	parallelismMu.RUnlock()
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// sweepAll runs every configuration through sweepRun across the worker
-// pool and returns the results in input order. The first failure
-// cancels the remaining runs; among the failures of a cancelled sweep
-// the lowest-index real error (not a cancellation casualty) is
-// returned, so the reported error does not depend on goroutine timing.
+// Run runs every configuration across the worker pool and returns the
+// results in input order. The first failure cancels the remaining
+// runs; among the failures of a cancelled sweep the lowest-index real
+// error (not a cancellation casualty) is returned, so the reported
+// error does not depend on goroutine timing.
 //
 // Caveat: when several configurations would fail even serially, the
 // serial engine reports the first and never starts the rest, while the
 // pool may have several in flight; the returned error is then the
 // lowest-index one among those that actually ran. Success paths are
 // byte-identical to serial by construction.
-func sweepAll(cfgs []RunConfig) ([]*RunResult, error) {
-	return sweepAllCtx(baseSweepContext(), cfgs)
-}
-
-func sweepAllCtx(ctx context.Context, cfgs []RunConfig) ([]*RunResult, error) {
-	return Sweep(ctx, cfgs, ActiveManifest())
-}
-
-// Sweep runs every configuration through the bounded worker pool
-// against an explicit manifest (nil = no manifest) and returns results
-// in input order — the entry point for callers like the haccrg-server
-// job workers that execute several manifest-backed sweeps concurrently
-// in one process and cannot share the global ActiveManifest. Completed
-// configurations the manifest already holds are served from it instead
-// of re-simulated; fresh completions are appended and synced before
-// being returned, so a kill at any point leaves resumable state.
-func Sweep(ctx context.Context, cfgs []RunConfig, m *Manifest) ([]*RunResult, error) {
+func (s Sweep) Run(cfgs []RunConfig) ([]*RunResult, error) {
+	ctx := s.context()
 	n := len(cfgs)
 	results := make([]*RunResult, n)
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
+	workers := min(s.workers(), n)
 	if workers <= 1 {
 		for i := range cfgs {
-			r, err := sweepRunManifest(ctx, cfgs[i], m)
+			r, err := s.runOne(ctx, cfgs[i])
 			if err != nil {
 				return nil, err
 			}
@@ -151,7 +139,7 @@ func Sweep(ctx context.Context, cfgs []RunConfig, m *Manifest) ([]*RunResult, er
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				r, err := sweepRunManifest(ctx, cfgs[i], m)
+				r, err := s.runOne(ctx, cfgs[i])
 				if err != nil {
 					errs[i] = err
 					cancel() // first failure stops the sweep
@@ -195,4 +183,100 @@ feed:
 		return nil, err
 	}
 	return results, nil
+}
+
+// sweepRetries bounds runOne's attempts per configuration.
+const sweepRetries = 3
+
+// runOne runs one configuration of the sweep under ctx: it merges the
+// sweep's defaults, serves the run from the manifest when it holds
+// it, and otherwise simulates it, retrying failed fault-injected runs
+// with backoff under a salted seed (a different fault sequence each
+// attempt). A fault-free simulation is deterministic, so its failures
+// are not retried — they would fail identically. Cancellation cuts
+// both the in-flight simulation and the backoff, so a failed sweep
+// winds down promptly instead of finishing doomed runs.
+func (s Sweep) runOne(ctx context.Context, rc RunConfig) (*RunResult, error) {
+	rc = s.withDefaults(rc)
+	if s.Manifest != nil {
+		if res, ok := s.Manifest.Lookup(rc); ok {
+			return res, nil
+		}
+	}
+	requested := rc // manifest key: before any retry re-seeding
+	var lastErr error
+	for attempt := 1; attempt <= sweepRetries; attempt++ {
+		// A cancellation that landed between runs (or during a previous
+		// attempt) ends the retry budget immediately: the sweep is
+		// winding down to resumable state, not fighting for a result.
+		if ctx.Err() != nil {
+			return nil, cancelErr(ctx, rc, attempt-1, lastErr)
+		}
+		if attempt > 1 {
+			rc.FaultSeed += 1_000_003 // salt: explore a different sequence
+			select {
+			case <-ctx.Done():
+				return nil, cancelErr(ctx, rc, attempt-1, lastErr)
+			case <-time.After(time.Duration(attempt-1) * 50 * time.Millisecond):
+			}
+		}
+		sweepExecutions.Add(1)
+		res, err := execSweepRun(ctx, rc)
+		if err == nil {
+			res.Attempts = attempt
+			if s.Manifest != nil {
+				// A manifest append failure is a journal I/O error:
+				// retrying the simulation cannot fix the disk, so it is
+				// returned as-is (and classified non-retryable below).
+				if aerr := s.Manifest.Append(requested, res); aerr != nil {
+					return nil, aerr
+				}
+			}
+			return res, nil
+		}
+		lastErr = err
+		if ctx.Err() != nil {
+			return nil, cancelErr(ctx, rc, attempt, lastErr)
+		}
+		if rc.FaultPlan == "" || journal.IsIO(err) {
+			break
+		}
+	}
+	if lastErr == nil {
+		lastErr = ctx.Err()
+	}
+	return nil, lastErr
+}
+
+// cancelErr wraps a cancellation observed during the retry loop so the
+// caller classifies the run as an interruption casualty — errors.Is
+// reports context.Canceled (or DeadlineExceeded) — while still naming
+// the last real failure the retries were fighting.
+func cancelErr(ctx context.Context, rc RunConfig, attempt int, lastErr error) error {
+	if lastErr == nil {
+		return ctx.Err()
+	}
+	return fmt.Errorf("harness: run %s/%s interrupted after %d attempt(s) (last error: %v): %w",
+		rc.Bench, rc.Detector, attempt, lastErr, ctx.Err())
+}
+
+// execSweepRun executes the run behind manifest key rc. The sweep
+// defaults merge their fault plan into every key, detector-off
+// baselines included, and those keys must not move; but an off run has
+// no RDU pipeline to fault, so it executes without the plan (which must
+// still parse, as it must on every other run of the sweep). The result
+// carries the key's plan.
+func execSweepRun(ctx context.Context, rc RunConfig) (*RunResult, error) {
+	run := rc
+	if run.FaultPlan != "" && run.Detector.off() {
+		if _, err := fault.Parse(run.FaultPlan); err != nil {
+			return nil, err
+		}
+		run.FaultPlan, run.FaultSeed = "", 0
+	}
+	res, err := ExecContext(ctx, run, ExecOptions{})
+	if res != nil {
+		res.Config.FaultPlan, res.Config.FaultSeed = rc.FaultPlan, rc.FaultSeed
+	}
+	return res, err
 }

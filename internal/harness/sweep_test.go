@@ -10,14 +10,6 @@ import (
 	"testing"
 )
 
-// setParallelism installs a sweep worker count for one test and
-// restores the default afterwards.
-func setParallelism(t *testing.T, n int) {
-	t.Helper()
-	SetParallelism(n)
-	t.Cleanup(func() { SetParallelism(0) })
-}
-
 // renderResults serializes everything an experiment table could be
 // built from — stats, races, health — so two sweeps can be compared
 // byte for byte.
@@ -58,21 +50,19 @@ func sweepTestConfigs() []RunConfig {
 }
 
 // TestSweepParallelMatchesSerial is the engine's determinism
-// invariant: a parallel sweep must be byte-identical to Parallelism=1
+// invariant: a parallel sweep must be byte-identical to a serial one
 // on the same configurations, fault-injected runs included.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	cfgs := sweepTestConfigs()
 
-	setParallelism(t, 1)
-	serial, err := sweepAll(cfgs)
+	serial, err := Sweep{Workers: 1}.Run(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := renderResults(t, serial)
 
 	for _, workers := range []int{4, 2 * runtime.GOMAXPROCS(0)} {
-		SetParallelism(workers)
-		par, err := sweepAll(cfgs)
+		par, err := Sweep{Workers: workers}.Run(cfgs)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", workers, err)
 		}
@@ -86,9 +76,8 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 // TestSweepResultOrder checks input-order assembly: results[i] must
 // belong to cfgs[i] regardless of completion order.
 func TestSweepResultOrder(t *testing.T) {
-	setParallelism(t, 8)
 	cfgs := sweepTestConfigs()
-	results, err := sweepAll(cfgs)
+	results, err := Sweep{Workers: 8}.Run(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,13 +101,11 @@ func TestSweepResultOrder(t *testing.T) {
 // experiment driver: the rendered fault-study table under a fixed seed
 // must not depend on the worker count.
 func TestFaultStudyParallelDeterminism(t *testing.T) {
-	setParallelism(t, 1)
-	_, serialTxt, err := FaultStudy(1, 7)
+	_, serialTxt, err := Sweep{Workers: 1}.FaultStudy(1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetParallelism(6)
-	_, parTxt, err := FaultStudy(1, 7)
+	_, parTxt, err := Sweep{Workers: 6}.FaultStudy(1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +118,12 @@ func TestFaultStudyParallelDeterminism(t *testing.T) {
 // TestSweepErrorSerial: with one worker the engine reports the first
 // failure in input order and stops, like the old serial loops.
 func TestSweepErrorSerial(t *testing.T) {
-	setParallelism(t, 1)
 	cfgs := []RunConfig{
 		{Bench: "scan", Detector: DetOff, GPU: testGPU(), SingleBlock: true},
 		{Bench: "no-such-bench-a"},
 		{Bench: "no-such-bench-b"},
 	}
-	_, err := sweepAll(cfgs)
+	_, err := Sweep{Workers: 1}.Run(cfgs)
 	if err == nil {
 		t.Fatal("sweep with unknown benchmark succeeded")
 	}
@@ -149,14 +135,13 @@ func TestSweepErrorSerial(t *testing.T) {
 // TestSweepErrorParallel: a failure anywhere surfaces as a genuine
 // error (never a cancellation casualty) and fails the whole sweep.
 func TestSweepErrorParallel(t *testing.T) {
-	setParallelism(t, 4)
 	cfgs := []RunConfig{
 		{Bench: "scan", Detector: DetOff, GPU: testGPU(), SingleBlock: true},
 		{Bench: "reduce", Detector: DetOff, GPU: testGPU()},
 		{Bench: "no-such-bench"},
 		{Bench: "hash", Detector: DetOff, GPU: testGPU()},
 	}
-	res, err := sweepAll(cfgs)
+	res, err := Sweep{Workers: 4}.Run(cfgs)
 	if err == nil {
 		t.Fatal("sweep with unknown benchmark succeeded")
 	}
@@ -171,27 +156,25 @@ func TestSweepErrorParallel(t *testing.T) {
 // TestSweepCancelled: an already-cancelled context fails fast without
 // running anything.
 func TestSweepCancelled(t *testing.T) {
-	setParallelism(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sweepAllCtx(ctx, sweepTestConfigs()); err == nil {
+	if _, err := (Sweep{Ctx: ctx, Workers: 4}).Run(sweepTestConfigs()); err == nil {
 		t.Fatal("cancelled sweep succeeded")
 	}
 }
 
-// TestParallelismResolution pins the setter/getter contract.
+// TestParallelismResolution pins how a sweep resolves its worker
+// count: 0 is GOMAXPROCS, a positive count is taken as given, and a
+// negative one still leaves at least one worker.
 func TestParallelismResolution(t *testing.T) {
-	setParallelism(t, 0)
-	if got := Parallelism(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default parallelism = %d, want GOMAXPROCS (%d)", got, runtime.GOMAXPROCS(0))
+	if got := (Sweep{}).workers(); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("default workers = %d, want GOMAXPROCS (%d)", got, runtime.GOMAXPROCS(0))
 	}
-	SetParallelism(5)
-	if got := Parallelism(); got != 5 {
-		t.Errorf("Parallelism() = %d after SetParallelism(5)", got)
+	if got := (Sweep{Workers: 5}).workers(); got != 5 {
+		t.Errorf("Workers 5 resolves to %d", got)
 	}
-	SetParallelism(-3)
-	if got := Parallelism(); got < 1 {
-		t.Errorf("Parallelism() = %d, want >= 1", got)
+	if got := (Sweep{Workers: -3}).workers(); got < 1 {
+		t.Errorf("Workers -3 resolves to %d, want >= 1", got)
 	}
 }
 
@@ -203,7 +186,7 @@ func TestSweepRunCancellationClassified(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rc := RunConfig{Bench: "psum", Detector: DetSharedGlobal, GPU: testGPU()}
-	if _, err := sweepRunManifest(ctx, rc, nil); !errors.Is(err, context.Canceled) {
+	if _, err := (Sweep{}).runOne(ctx, rc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep run: err = %v, want context.Canceled classification", err)
 	}
 }

@@ -68,7 +68,7 @@ func (t RecType) String() string {
 }
 
 // Meta describes the run that produced a journal, with enough detail
-// for haccrg-replay to rebuild an equivalent detector offline. It
+// for `haccrg replay` to rebuild an equivalent detector offline. It
 // mirrors the harness RunConfig fields that shape detection.
 type Meta struct {
 	Bench       string   `json:"bench,omitempty"`

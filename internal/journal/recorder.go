@@ -42,7 +42,7 @@ func NewRecorder(w io.Writer, inner gpu.Detector) (*Recorder, error) {
 }
 
 // SetMeta journals the run description; call it once, before the run,
-// so haccrg-replay can rebuild an equivalent detector.
+// so `haccrg replay` can rebuild an equivalent detector.
 func (r *Recorder) SetMeta(m *Meta) error {
 	r.append(&Record{Type: RecMeta, Meta: m})
 	return r.err

@@ -112,9 +112,6 @@ func MustNewCache(cfg CacheConfig) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-// LineAddr maps a byte address to its line-aligned address.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.LineBytes) - 1) }
-
 func (c *Cache) locate(addr uint64) (set []cacheLine, tag uint64) {
 	line := addr >> c.lineShift
 	return c.sets[line&c.setMask], line >> uint64(len64(c.setMask))

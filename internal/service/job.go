@@ -213,8 +213,9 @@ func (sp *JobSpec) RunConfigs(smallGPU bool) ([]harness.RunConfig, error) {
 	}.Expand(sp.Benches)
 }
 
-// execBench runs a bench job's sweep against its per-job manifest.
-// Completed configurations already in the manifest are served from it
+// execBench runs a bench job's sweep against its per-job manifest, on
+// one worker: the daemon's job workers are its parallelism. Completed
+// configurations already in the manifest are served from it
 // (Resumed=true); fresh completions are appended and synced one by
 // one, so a cancellation at any point leaves resumable state.
 func execBench(ctx context.Context, sp *JobSpec, m *harness.Manifest, smallGPU bool) ([]RunSummary, error) {
@@ -222,13 +223,12 @@ func execBench(ctx context.Context, sp *JobSpec, m *harness.Manifest, smallGPU b
 	if err != nil {
 		return nil, err
 	}
+	sw := harness.Sweep{Ctx: ctx, Manifest: m, Workers: 1}
 	resumable := make([]bool, len(cfgs))
-	if m != nil {
-		for i, rc := range cfgs {
-			_, resumable[i] = m.Lookup(harness.WithSweepDefaults(rc))
-		}
+	for i, rc := range cfgs {
+		_, resumable[i] = sw.Lookup(rc)
 	}
-	results, err := harness.Sweep(ctx, cfgs, m)
+	results, err := sw.Run(cfgs)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,6 @@ type CFG struct {
 	Prog    *isa.Program
 	Blocks  []*BBlock
 	blockOf []int // pc -> block index
-	idom    []int // block -> immediate dominator (-1 for entry/unreachable)
 }
 
 // BlockOf returns the basic block containing pc, or -1.
@@ -34,26 +33,6 @@ func (g *CFG) BlockOf(pc int) int {
 		return -1
 	}
 	return g.blockOf[pc]
-}
-
-// Idom returns the immediate dominator of block b (-1 for the entry
-// block and for blocks unreachable from it).
-func (g *CFG) Idom(b int) int {
-	if b < 0 || b >= len(g.idom) {
-		return -1
-	}
-	return g.idom[b]
-}
-
-// Dominates reports whether block a dominates block b.
-func (g *CFG) Dominates(a, b int) bool {
-	for b != -1 {
-		if a == b {
-			return true
-		}
-		b = g.idom[b]
-	}
-	return false
 }
 
 // BuildCFG splits the program into basic blocks and wires successor /
@@ -124,7 +103,6 @@ func BuildCFG(p *isa.Program) (*CFG, error) {
 			}
 		}
 	}
-	g.computeIdom()
 	return g, nil
 }
 
@@ -137,84 +115,4 @@ func (g *CFG) addEdge(from, to int) {
 	}
 	fb.Succs = append(fb.Succs, to)
 	tb.Preds = append(tb.Preds, from)
-}
-
-// computeIdom runs the Cooper–Harvey–Kennedy iterative dominator
-// algorithm over a reverse-postorder numbering.
-func (g *CFG) computeIdom() {
-	nb := len(g.Blocks)
-	g.idom = make([]int, nb)
-	for i := range g.idom {
-		g.idom[i] = -1
-	}
-	rpo := g.reversePostorder()
-	rpoNum := make([]int, nb)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	for i, b := range rpo {
-		rpoNum[b] = i
-	}
-	if len(rpo) == 0 {
-		return
-	}
-	g.idom[rpo[0]] = rpo[0]
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo[1:] {
-			newIdom := -1
-			for _, p := range g.Blocks[b].Preds {
-				if rpoNum[p] == -1 || g.idom[p] == -1 {
-					continue // unreachable or not yet processed
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = g.intersect(newIdom, p, rpoNum)
-				}
-			}
-			if newIdom != -1 && g.idom[b] != newIdom {
-				g.idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	// Convention: the entry's idom is -1 (it has no strict dominator).
-	g.idom[rpo[0]] = -1
-}
-
-func (g *CFG) intersect(a, b int, rpoNum []int) int {
-	for a != b {
-		for rpoNum[a] > rpoNum[b] {
-			a = g.idom[a]
-		}
-		for rpoNum[b] > rpoNum[a] {
-			b = g.idom[b]
-		}
-	}
-	return a
-}
-
-// reversePostorder returns reachable blocks in reverse postorder from
-// the entry block.
-func (g *CFG) reversePostorder() []int {
-	seen := make([]bool, len(g.Blocks))
-	var post []int
-	var walk func(int)
-	walk = func(b int) {
-		seen[b] = true
-		for _, s := range g.Blocks[b].Succs {
-			if !seen[s] {
-				walk(s)
-			}
-		}
-		post = append(post, b)
-	}
-	if len(g.Blocks) > 0 {
-		walk(0)
-	}
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
 }

@@ -147,9 +147,6 @@ func exprTop() Expr          { return Expr{top: true} }
 func exprConst(c int64) Expr { return Expr{c: c} }
 func exprSym(s symID) Expr   { return Expr{terms: []term{{sym: s, coef: 1}}} }
 
-// IsTop reports whether the value is statically unknown.
-func (e Expr) IsTop() bool { return e.top }
-
 // Const returns the constant value and whether the expression is one.
 func (e Expr) Const() (int64, bool) {
 	if e.top || len(e.terms) != 0 {

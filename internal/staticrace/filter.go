@@ -114,14 +114,3 @@ func (f *Filter) RaceSeeds(kernel string) []Witness {
 	}
 	return out
 }
-
-// WitnessTotals sums verified witnesses, checker drops, and
-// proof/witness conflicts across all analyzed kernels.
-func (f *Filter) WitnessTotals() (witnesses, dropped, conflicts int) {
-	for _, res := range f.analyses {
-		witnesses += len(res.Witnesses)
-		dropped += res.WitnessDropped
-		conflicts += res.Conflicts
-	}
-	return
-}

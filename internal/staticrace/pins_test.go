@@ -25,7 +25,7 @@ const analysisCorpusSHA256 = "e5dd58b17c618a7c38f10e2afa2db8fe4fd70178a57ba629b5
 
 // TestAnalysisPins pins the analyzer's outputs byte for byte:
 //
-//   - testdata/lint-all-sites.json holds what `haccrg-lint -all -json
+//   - testdata/lint-all-sites.json holds what `haccrg lint -all -json
 //     -sites` prints (Table I device, scale 1, 16 B shared / 4 B global
 //     granularity, warp-aware) — the shipped report of the clean suite;
 //   - analysisCorpusSHA256 covers the fields the report omits (the

@@ -1,6 +1,6 @@
-// Package version carries the build stamp shared by every haccrg
-// binary. The variables are plain strings so release builds can set
-// them through the linker:
+// Package version carries the haccrg binary's build stamp. The
+// variables are plain strings so release builds can set them through
+// the linker:
 //
 //	go build -ldflags "-X haccrg/internal/version.Version=v1.2.3 \
 //	                   -X haccrg/internal/version.Commit=$(git rev-parse --short HEAD)"
@@ -21,11 +21,11 @@ var Version = "dev"
 // local builds).
 var Commit = ""
 
-// String renders the one-line version banner the CLIs print for
+// String renders the one-line version banner the CLI prints for
 // -version: program name, version, optional commit, and the Go
-// toolchain, e.g. "haccrg-server v1.2.3 (abc1234) go1.24.0 linux/amd64".
-func String(prog string) string {
-	s := prog + " " + Version
+// toolchain, e.g. "haccrg v1.2.3 (abc1234) go1.24.0 linux/amd64".
+func String() string {
+	s := "haccrg " + Version
 	if Commit != "" {
 		s += " (" + Commit + ")"
 	}
