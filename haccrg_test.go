@@ -88,6 +88,28 @@ func TestBenchmarkRegistry(t *testing.T) {
 	}
 }
 
+// TestIssueSlotsPinned pins LaunchStats.IssueSlots, the SM-cycles in
+// which an SM holding warps had its issue pipeline free, for every
+// Table II benchmark at scale 1 on the Table I machine under the
+// paper's detection configuration. A scheduler step visits only the
+// SMs that hold warps; an SM it skipped wrongly would drop slots here.
+func TestIssueSlotsPinned(t *testing.T) {
+	want := map[string]int64{
+		"mcarlo": 63200, "scan": 5336, "fwalsh": 9344, "hist": 46740, "sortnw": 39562,
+		"reduce": 40329, "psum": 67406, "offt": 6794, "kmeans": 303576, "hash": 1865,
+	}
+	det := DefaultDetection()
+	for _, b := range Benchmarks() {
+		res, err := RunBenchmark(b.Name, RunOptions{Detection: &det, Scale: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if got := res.Stats.IssueSlots; got != want[b.Name] {
+			t.Errorf("%s: IssueSlots = %d, want %d", b.Name, got, want[b.Name])
+		}
+	}
+}
+
 func TestCustomKernelThroughFacade(t *testing.T) {
 	det := MustNewDetector(DefaultDetection())
 	dev := MustNewDevice(SmallGPU(), 1<<16, det)

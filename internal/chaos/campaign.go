@@ -111,7 +111,7 @@ type stepEnv struct {
 // faultFS builds (once) the step's fault filesystem.
 func (e *stepEnv) faultFS() *FaultFS {
 	if e.fsInst == nil {
-		e.fsInst = NewFaultFS(nil, e.FS, CrashSimulate)
+		e.fsInst = NewFaultFS(nil, e.FS)
 	}
 	return e.fsInst
 }

@@ -30,22 +30,6 @@ var (
 	ErrCrashed  = errors.New("chaos: filesystem crashed")
 )
 
-// CrashMode selects what a crash clause does when it fires.
-type CrashMode int
-
-const (
-	// CrashSimulate models the crash in-process: every file the FS has
-	// written is truncated to its last-synced length (unsynced bytes
-	// are what a real power cut loses), and every later operation fails
-	// with ErrCrashed. The test then reopens the tree with a fresh FS
-	// and exercises recovery.
-	CrashSimulate CrashMode = iota
-	// CrashExit kills the process with exit code 137, so recovery can
-	// be exercised across a real process boundary, not just a
-	// simulated one.
-	CrashExit
-)
-
 // Fault schedule clause kinds.
 const (
 	KindShortWrite = "shortwrite" // nth matching write stops halfway and errors
@@ -225,8 +209,6 @@ type FaultFS struct {
 	mu    sync.Mutex
 	real  vfs.FS
 	sched *Schedule
-	mode  CrashMode
-	exit  func(int) // CrashExit hook; os.Exit in production
 
 	crashed bool
 	files   map[string]*fileState
@@ -235,15 +217,13 @@ type FaultFS struct {
 
 // NewFaultFS wraps real (vfs.OS when nil) with the fault schedule.
 // The schedule's counters are private to this FS instance.
-func NewFaultFS(real vfs.FS, sched *Schedule, mode CrashMode) *FaultFS {
+func NewFaultFS(real vfs.FS, sched *Schedule) *FaultFS {
 	if sched == nil {
 		sched = &Schedule{}
 	}
 	return &FaultFS{
 		real:  vfs.Default(real),
 		sched: sched.clone(),
-		mode:  mode,
-		exit:  os.Exit,
 		files: map[string]*fileState{},
 	}
 }
@@ -295,16 +275,12 @@ func (f *FaultFS) enospcClause(path string) *Clause {
 	return nil
 }
 
-// crash fires a crash-point: in CrashExit mode the process dies here;
-// in CrashSimulate mode every written file is truncated to its synced
-// length and the FS goes dead. Caller holds f.mu.
+// crash fires a crash-point: every written file is truncated to its
+// synced length (unsynced bytes are what a real power cut loses) and
+// the FS goes dead, failing every later operation with ErrCrashed.
+// Caller holds f.mu.
 func (f *FaultFS) crash(op, path string) {
 	f.fired = append(f.fired, fmt.Sprintf("crash at %s %s", op, path))
-	if f.mode == CrashExit {
-		f.exit(137)
-		// An injected exit hook that returns falls through to the
-		// simulated crash, keeping tests runnable in-process.
-	}
 	f.crashed = true
 	for p, st := range f.files {
 		if st.open != nil {

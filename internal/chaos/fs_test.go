@@ -80,7 +80,7 @@ func mustSchedule(t *testing.T, spec string) *Schedule {
 
 func TestFaultFSShortWrite(t *testing.T) {
 	dir := t.TempDir()
-	ffs := NewFaultFS(nil, mustSchedule(t, "shortwrite:nth=2"), CrashSimulate)
+	ffs := NewFaultFS(nil, mustSchedule(t, "shortwrite:nth=2"))
 	f, err := ffs.Create(filepath.Join(dir, "x"))
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestFaultFSShortWrite(t *testing.T) {
 
 func TestFaultFSSyncErr(t *testing.T) {
 	dir := t.TempDir()
-	ffs := NewFaultFS(nil, mustSchedule(t, "syncerr:nth=1"), CrashSimulate)
+	ffs := NewFaultFS(nil, mustSchedule(t, "syncerr:nth=1"))
 	f, err := ffs.Create(filepath.Join(dir, "x"))
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestFaultFSSyncErr(t *testing.T) {
 
 func TestFaultFSENOSPC(t *testing.T) {
 	dir := t.TempDir()
-	ffs := NewFaultFS(nil, mustSchedule(t, "enospc:after=10"), CrashSimulate)
+	ffs := NewFaultFS(nil, mustSchedule(t, "enospc:after=10"))
 	f, err := ffs.Create(filepath.Join(dir, "x"))
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestFaultFSENOSPC(t *testing.T) {
 func TestFaultFSCrashTruncatesToSynced(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x")
-	ffs := NewFaultFS(nil, mustSchedule(t, "crash:op=write,nth=3"), CrashSimulate)
+	ffs := NewFaultFS(nil, mustSchedule(t, "crash:op=write,nth=3"))
 	f, err := ffs.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestFaultFSCrashTruncatesToSynced(t *testing.T) {
 func TestFaultFSTornRename(t *testing.T) {
 	dir := t.TempDir()
 	src, dst := filepath.Join(dir, "a.tmp"), filepath.Join(dir, "a.json")
-	ffs := NewFaultFS(nil, mustSchedule(t, "tornrename:path=a.json,nth=1"), CrashSimulate)
+	ffs := NewFaultFS(nil, mustSchedule(t, "tornrename:path=a.json,nth=1"))
 	f, err := ffs.Create(src)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestFaultFSTornRename(t *testing.T) {
 func TestManifestFsyncFailureIsHard(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.manifest")
-	ffs := NewFaultFS(nil, mustSchedule(t, "syncerr:nth=1"), CrashSimulate)
+	ffs := NewFaultFS(nil, mustSchedule(t, "syncerr:nth=1"))
 	m, _, err := harness.OpenManifestFS(ffs, path, false)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestManifestFsyncFailureIsHard(t *testing.T) {
 // failure and poisons every later operation.
 func TestJournalFileWriterFsyncFailureIsSticky(t *testing.T) {
 	dir := t.TempDir()
-	ffs := NewFaultFS(nil, mustSchedule(t, "syncerr:nth=1"), CrashSimulate)
+	ffs := NewFaultFS(nil, mustSchedule(t, "syncerr:nth=1"))
 	fw, err := journal.CreateFile(ffs, filepath.Join(dir, "j.journal"))
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,15 @@ type Device struct {
 	sms      []*sm
 	detector Detector
 
+	// busy lists the SMs that hold warps, in id order: the only SMs a
+	// scheduler step visits (DESIGN.md, "Scheduler step"). It is
+	// rebuilt after the launch places its blocks and after a step in
+	// which a block retired, never while a step walks it.
+	busy []*sm
+	// stepHook, when set (tests only), runs at the start of every
+	// scheduler step.
+	stepHook func()
+
 	// PartitionFor runs per lane per global access, so the div/mod is
 	// hoisted into a shift (SegmentBytes is validated power-of-two) and,
 	// when NumPartitions is also a power of two, a mask.
@@ -71,6 +80,7 @@ func NewDevice(cfg Config, globalBytes int, det Detector) (*Device, error) {
 	for i := 0; i < cfg.NumSMs; i++ {
 		d.sms = append(d.sms, newSM(i, d))
 	}
+	d.busy = make([]*sm, 0, cfg.NumSMs)
 	return d, nil
 }
 
@@ -184,6 +194,7 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 			d.placeNext(s, slot)
 		}
 	}
+	d.rebuildBusy()
 
 	var iter int64
 	for d.blocksLeft > 0 {
@@ -193,8 +204,11 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 				return d.finalize(st, k), d.hangError(k, HangCanceled, err)
 			}
 		}
+		if d.stepHook != nil {
+			d.stepHook()
+		}
 		next := int64(math.MaxInt64)
-		for _, s := range d.sms {
+		for _, s := range d.busy {
 			if t := s.earliestReady(); t < next {
 				next = t
 			}
@@ -206,14 +220,20 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 			return d.finalize(st, k), d.hangError(k, HangCycleBudget, nil)
 		}
 		d.now = next
-		for _, s := range d.sms {
-			if len(s.warps) > 0 && s.issueFree <= next {
+		left := d.blocksLeft
+		// An SM's blocks retire and are placed only inside its own
+		// issue, so each listed SM still holds warps when it is reached.
+		for _, s := range d.busy {
+			if s.issueFree <= next {
 				st.IssueSlots++
 			}
 			s.issue(next, k, st)
 			if s.pendingErr != nil {
 				return d.finalize(st, k), s.pendingErr
 			}
+		}
+		if d.blocksLeft != left {
+			d.rebuildBusy()
 		}
 	}
 
@@ -255,6 +275,16 @@ func (d *Device) finalize(st *LaunchStats, k *Kernel) *LaunchStats {
 	return st
 }
 
+// rebuildBusy lists the SMs that hold warps, in id order.
+func (d *Device) rebuildBusy() {
+	d.busy = d.busy[:0]
+	for _, s := range d.sms {
+		if len(s.warps) > 0 {
+			d.busy = append(d.busy, s)
+		}
+	}
+}
+
 // placeNext installs the next pending block on SM s at the given slot.
 func (d *Device) placeNext(s *sm, slot int) {
 	bid := d.nextBlock
@@ -263,29 +293,25 @@ func (d *Device) placeNext(s *sm, slot int) {
 	d.liveBlocks[bid] = s.blocks[slot]
 }
 
-// blockFinished is called by an SM when a block retires.
-func (d *Device) blockFinished(s *sm, slot int) {
+// blockFinished is called by an SM when block b retires from slot.
+func (d *Device) blockFinished(b *block, slot int) {
 	// Preserve final fence IDs for late RDU lookups, and track the
 	// logical-clock maxima (Section VI-A2's ID-sizing data).
-	for bid, b := range d.liveBlocks {
-		if b.sm == s && b.liveWarp == 0 {
-			ids := make([]uint32, len(b.warps))
-			for i, w := range b.warps {
-				ids[i] = w.fenceID
-				if w.fenceID > d.maxFence {
-					d.maxFence = w.fenceID
-				}
-			}
-			if b.syncID > d.maxSync {
-				d.maxSync = b.syncID
-			}
-			d.fenceHist[bid] = ids
-			delete(d.liveBlocks, bid)
+	ids := make([]uint32, len(b.warps))
+	for i, w := range b.warps {
+		ids[i] = w.fenceID
+		if w.fenceID > d.maxFence {
+			d.maxFence = w.fenceID
 		}
 	}
+	if b.syncID > d.maxSync {
+		d.maxSync = b.syncID
+	}
+	d.fenceHist[b.id] = ids
+	delete(d.liveBlocks, b.id)
 	d.blocksLeft--
 	if d.nextBlock < d.launch.GridDim && slot >= 0 {
-		d.placeNext(s, slot)
+		d.placeNext(b.sm, slot)
 	}
 }
 

@@ -260,6 +260,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				GridDim: 1, BlockDim: dtThreads,
 				Params: []uint64{scratch, out},
 			}
+			watchBusy(t, dev)
 			if _, err := dev.Launch(k); err != nil {
 				t.Fatalf("seed %d: %v\n%s", seed, err, prog.Disassemble())
 			}

@@ -136,19 +136,23 @@ func TestSharedAtomics(t *testing.T) {
 // forever in our model).
 func TestEarlyExitBeforeBarrier(t *testing.T) {
 	d := testDevice(t, 1<<16)
+	if _, err := d.Launch(earlyExitKernel(1)); err != nil {
+		t.Fatalf("early-exit kernel hung or failed: %v", err)
+	}
+}
+
+// earlyExitKernel: in each block, warp 0 exits immediately and warps
+// 1-3 meet at a barrier.
+func earlyExitKernel(grid int) *Kernel {
 	b := isa.NewBuilder("early")
 	b.Sreg(rTid, isa.SregTid)
-	// Warp 0 exits immediately; warps 1-3 hit the barrier.
 	b.Setpi(0, isa.CmpLT, rTid, 32)
 	b.If(0)
 	b.Exit()
 	b.EndIf()
 	b.Bar()
 	b.Exit()
-	k := &Kernel{Name: "early", Prog: b.MustBuild(), GridDim: 1, BlockDim: 128}
-	if _, err := d.Launch(k); err != nil {
-		t.Fatalf("early-exit kernel hung or failed: %v", err)
-	}
+	return &Kernel{Name: "early", Prog: b.MustBuild(), GridDim: grid, BlockDim: 128}
 }
 
 // TestWideWarps runs the engine at warp size 64 (AMD wavefronts, which

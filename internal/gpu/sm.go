@@ -93,25 +93,6 @@ func newSM(id int, dev *Device) *sm {
 	}
 }
 
-// freeSlot returns a residency slot index for a new block, or -1.
-func (s *sm) freeSlot(limit int) int {
-	resident := 0
-	for _, b := range s.blocks {
-		if b != nil {
-			resident++
-		}
-	}
-	if resident >= limit {
-		return -1
-	}
-	for i := 0; i < limit && i < len(s.blocks); i++ {
-		if s.blocks[i] == nil {
-			return i
-		}
-	}
-	return -1
-}
-
 // place installs a block into a residency slot and creates its warps.
 func (s *sm) place(slot int, bid int, k *Kernel, startCycle int64) {
 	ws := s.dev.cfg.WarpSize
@@ -339,7 +320,7 @@ func (s *sm) blockWarpDone(w *warp) {
 	b.liveWarp--
 	if b.liveWarp == 0 {
 		slot := s.retire(b)
-		s.dev.blockFinished(s, slot)
+		s.dev.blockFinished(b, slot)
 		return
 	}
 	if b.arrived >= b.liveWarp {

@@ -174,16 +174,6 @@ func (e Expr) termCoef(s symID) int64 {
 	return 0
 }
 
-// hasSym reports whether sym appears with a nonzero coefficient.
-func (e Expr) hasSym(s symID) bool {
-	for _, t := range e.terms {
-		if t.sym == s {
-			return true
-		}
-	}
-	return false
-}
-
 func (e Expr) equal(o Expr) bool {
 	if e.top != o.top {
 		return false
