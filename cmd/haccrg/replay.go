@@ -50,9 +50,8 @@ func replayMain(args []string) int {
 		return exitOK
 	}
 
-	// First pass: pull the meta record so the detector can be rebuilt.
-	// (Journals are small relative to the runs that made them; two
-	// sequential reads beat holding every record in memory twice.)
+	// Read the meta record so the detector can be rebuilt, then replay
+	// the journal from its start.
 	det, _, err := harness.DetectorForJournal(f, harness.DetectorKind(*detect))
 	if err != nil {
 		return specFailed(err)

@@ -11,8 +11,12 @@ type HangReason string
 
 // Abort reasons.
 const (
-	// HangDeadlock: no warp was runnable but blocks remained (e.g. a
-	// barrier some warps can never reach).
+	// HangDeadlock: no warp was runnable but blocks remained. No
+	// kernel reaches it: a barrier releases once every live warp of
+	// its block has arrived, checked at each arrival and each exit, so
+	// a live block always holds a ready warp; a barrier some warps
+	// never reach because they spin ends in HangCycleBudget instead.
+	// It guards the scheduler's own state.
 	HangDeadlock HangReason = "deadlock"
 	// HangCycleBudget: the simulated-cycle budget (LaunchLimits
 	// MaxCycles) was exhausted.

@@ -8,6 +8,7 @@ import (
 
 	"haccrg/internal/gpu"
 	"haccrg/internal/isa"
+	"haccrg/internal/journal"
 )
 
 // clobberer forwards every call to the detector chain it wraps and,
@@ -44,12 +45,18 @@ func (c clobberer) Health() *gpu.DetectorHealth {
 	return nil
 }
 
+// Inner exposes the wrapped chain, where a replay's verdict is read.
+func (c clobberer) Inner() gpu.Detector { return c.Detector }
+
 // TestBorrowedEventNotRetained runs every detector kind, under the
 // journal recorder and the trace recorder, with and without a
 // clobberer between the device and the chain. The simulator reuses
 // one event and one lane array per SM, so a detector that retained
 // either would see its findings, the cycles it charges, or the
-// journal it writes move; all must stay byte-identical.
+// journal it writes move; all must stay byte-identical. Replay lends
+// its one decoded event the same way: each journal replays through
+// the kind that recorded it, and the shared+global journals through
+// every kind, with and without a clobberer, to the same result.
 func TestBorrowedEventNotRetained(t *testing.T) {
 	kinds := []DetectorKind{DetShared, DetGlobal, DetSharedGlobal, DetFig8, DetSoftware, DetGRace}
 	found := map[DetectorKind]int{}
@@ -82,6 +89,30 @@ func TestBorrowedEventNotRetained(t *testing.T) {
 				t.Errorf("%s/%s: trace timeline moved", bench, kind)
 			}
 			found[kind] += len(want.Races)
+			for _, rkind := range kinds {
+				if rkind != kind && kind != DetSharedGlobal {
+					continue
+				}
+				replay := func(wrap func(gpu.Detector) gpu.Detector) *journal.ReplayResult {
+					det, _, err := DetectorForJournal(bytes.NewReader(wantJnl), rkind)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := journal.Replay(bytes.NewReader(wantJnl), wrap(det))
+					if err != nil {
+						t.Fatalf("%s/%s replayed through %s: %v", bench, kind, rkind, err)
+					}
+					return res
+				}
+				want := replay(func(d gpu.Detector) gpu.Detector { return d })
+				got := replay(func(d gpu.Detector) gpu.Detector { return clobberer{d} })
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s replayed through %s: the result moved under a clobberer", bench, kind, rkind)
+				}
+				if rkind == kind && !want.Match {
+					t.Errorf("%s/%s: replay through the recorded kind does not match", bench, kind)
+				}
+			}
 		}
 	}
 	for _, kind := range kinds {

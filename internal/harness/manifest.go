@@ -105,20 +105,27 @@ func OpenManifestFS(fsys vfs.FS, path string, resume bool) (*Manifest, journal.S
 		if err != nil {
 			break // clean EOF or salvage stop
 		}
+		// A CRC-intact record that is not an entry: stop trusting the
+		// file here, before it, as at a torn frame.
 		var e manifestEntry
-		if err := json.Unmarshal(payload, &e); err != nil || e.Result == nil {
-			// CRC-intact but undecodable: stop trusting the file here.
+		if err := json.Unmarshal(payload, &e); err != nil {
+			r.Reject(fmt.Sprintf("undecodable manifest entry: %v", err))
+			break
+		}
+		if e.Result == nil {
+			r.Reject("manifest entry without a result")
 			break
 		}
 		key, err := configKey(e.Config)
 		if err != nil {
+			r.Reject(err.Error())
 			break
 		}
 		m.entries[key] = e.Result
 	}
 	salvage = r.Salvage()
-	// Drop the torn tail (and anything after an undecodable record) so
-	// the next append starts at a frame boundary.
+	// Drop the torn tail (and an undecodable record with all after it)
+	// so the next append starts at a frame boundary.
 	if err := f.Truncate(salvage.Bytes); err != nil {
 		f.Close()
 		return nil, salvage, &journal.IOError{Op: "truncate manifest tail", Err: err}

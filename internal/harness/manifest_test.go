@@ -125,6 +125,60 @@ func TestManifestTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestManifestUndecodableRecordRecovery: a record whose CRC is intact
+// but which is not an entry ends the salvage before it. Resuming
+// reports the damage and truncates the record away, so an entry
+// appended after the resume survives the next one.
+func TestManifestUndecodableRecordRecovery(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.manifest")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := journal.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("not an entry")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	header := int64(len(journal.Magic) + 4)
+
+	m, s, err := OpenManifest(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Truncated || s.Records != 0 || s.Bytes != header {
+		t.Fatalf("salvage = %+v, want truncation before the first record, at %d bytes", s, header)
+	}
+	rc := RunConfig{Bench: "scan", Detector: DetOff, GPU: testGPU(), SingleBlock: true}
+	res, err := Sweep{}.runOne(context.Background(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Append(rc, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, s2, err := OpenManifest(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if s2.Truncated || s2.Records != 1 {
+		t.Errorf("second resume salvage = %+v, want 1 clean record", s2)
+	}
+	if _, ok := m2.Lookup(rc); !ok {
+		t.Error("the entry appended after the first resume is lost")
+	}
+}
+
 // TestSweepResumeDeterminism is the crash-safety invariant: a sweep
 // cancelled partway and resumed from its manifest produces results
 // byte-identical to an uninterrupted sweep, without re-running the

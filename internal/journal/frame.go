@@ -15,6 +15,7 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,6 +41,11 @@ const headerLen = len(Magic) + 4
 // frameLen is the per-record frame header size: payload length plus
 // CRC32C of the payload, both little-endian uint32.
 const frameLen = 8
+
+// readBufBytes sizes a Reader's buffer over its source: one read per
+// ~70 warp-memory records of a file, where reading the file directly
+// took two per record.
+const readBufBytes = 32 << 10
 
 // castagnoli is the CRC32C table (the polynomial used by iSCSI and
 // most storage formats; hardware-accelerated on amd64/arm64).
@@ -146,10 +152,15 @@ var ErrTruncated = errors.New("journal: truncated or corrupt tail")
 
 // Reader scans a framed journal, delivering intact record payloads in
 // order and stopping — never panicking — at the first sign of damage.
+// It buffers its source, so it may read past the last record Next
+// returned; a caller that reuses the source afterwards positions it
+// from Salvage's Bytes.
 type Reader struct {
-	r       io.Reader
+	r       *bufio.Reader
 	salvage Salvage
+	frame   [frameLen]byte
 	buf     []byte
+	last    int64 // framed size of the payload Next just returned
 	done    bool
 	err     error
 }
@@ -158,8 +169,9 @@ type Reader struct {
 // A missing or foreign header yields an error immediately; a damaged
 // body is reported later, through Next and Salvage.
 func NewReader(r io.Reader) (*Reader, error) {
+	br := bufio.NewReaderSize(r, readBufBytes)
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("journal: reading header: %w", err)
 	}
 	if string(hdr[:len(Magic)]) != Magic {
@@ -169,7 +181,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if v == 0 || v > Version {
 		return nil, fmt.Errorf("journal: unsupported format version %d (reader speaks <= %d)", v, Version)
 	}
-	return &Reader{r: r, salvage: Salvage{Bytes: int64(headerLen)}}, nil
+	return &Reader{r: br, salvage: Salvage{Bytes: int64(headerLen)}}, nil
 }
 
 // Next returns the next intact record payload. It returns io.EOF at a
@@ -180,16 +192,15 @@ func (r *Reader) Next() ([]byte, error) {
 	if r.done {
 		return nil, r.err
 	}
-	var frame [frameLen]byte
-	n, err := io.ReadFull(r.r, frame[:])
+	n, err := io.ReadFull(r.r, r.frame[:])
 	if err == io.EOF && n == 0 {
 		return nil, r.stop(io.EOF, "")
 	}
 	if err != nil {
 		return nil, r.stop(ErrTruncated, fmt.Sprintf("torn frame header (%d of %d bytes)", n, frameLen))
 	}
-	length := binary.LittleEndian.Uint32(frame[0:4])
-	want := binary.LittleEndian.Uint32(frame[4:8])
+	length := binary.LittleEndian.Uint32(r.frame[0:4])
+	want := binary.LittleEndian.Uint32(r.frame[4:8])
 	if length > MaxRecordBytes {
 		return nil, r.stop(ErrTruncated, fmt.Sprintf("implausible record length %d", length))
 	}
@@ -203,9 +214,25 @@ func (r *Reader) Next() ([]byte, error) {
 	if got := crc32.Checksum(payload, castagnoli); got != want {
 		return nil, r.stop(ErrTruncated, fmt.Sprintf("CRC mismatch (want %#x, got %#x)", want, got))
 	}
+	r.last = int64(frameLen) + int64(length)
 	r.salvage.Records++
-	r.salvage.Bytes += int64(frameLen) + int64(length)
+	r.salvage.Bytes += r.last
 	return payload, nil
+}
+
+// Reject refuses the payload Next just returned: intact on disk, but
+// unusable to the caller, such as a record that does not decode. The
+// scan ends before it, as at a corrupt frame: Salvage's Records and
+// Bytes move back to the previous record, the salvage reads truncated
+// with reason, and Next returns ErrTruncated from then on. Reject does
+// nothing unless the last Next call returned a payload.
+func (r *Reader) Reject(reason string) {
+	if r.done || r.last == 0 {
+		return
+	}
+	r.salvage.Records--
+	r.salvage.Bytes -= r.last
+	r.stop(ErrTruncated, reason)
 }
 
 func (r *Reader) stop(err error, reason string) error {

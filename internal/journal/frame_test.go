@@ -163,6 +163,32 @@ func TestResumeWriter(t *testing.T) {
 	}
 }
 
+// TestReject refuses the second of three intact records: the salvage
+// moves back before it and reads truncated with the reason, the scan
+// ends there, and a second Reject changes nothing.
+func TestReject(t *testing.T) {
+	data := buildJournal(t, []byte("kept"), []byte("refused"), []byte("never read"))
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Reject("nothing read yet")
+	for i := 0; i < 2; i++ {
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("Next %d: %v", i, err)
+		}
+	}
+	r.Reject("not a record")
+	r.Reject("again")
+	want := Salvage{Records: 1, Bytes: int64(headerLen + frameLen + len("kept")), Truncated: true, Reason: "not a record"}
+	if s := r.Salvage(); s != want {
+		t.Errorf("salvage = %+v, want %+v", s, want)
+	}
+	if _, err := r.Next(); !errors.Is(err, ErrTruncated) {
+		t.Errorf("Next after Reject = %v, want ErrTruncated", err)
+	}
+}
+
 // errWriter fails after n successful writes.
 type errWriter struct {
 	n   int

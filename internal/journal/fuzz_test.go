@@ -7,10 +7,12 @@ import (
 )
 
 // FuzzJournalReader feeds arbitrary bytes through the full decode
-// path — header validation, frame scanning, record decoding. Any
-// input must yield a clean error or a salvaged prefix; a panic, an
-// unbounded allocation, or a salvage report that overruns the input
-// is a bug.
+// path — header validation, frame scanning, record decoding — and
+// replays them. Any input must yield a clean error or a salvaged
+// prefix; a panic, an unbounded allocation, a salvage report that
+// overruns the input, or a streaming replay that differs from the
+// reference replay in its result, its calls or the fence responses
+// it serves is a bug.
 func FuzzJournalReader(f *testing.F) {
 	// Seed corpus: a well-formed journal, its truncations, and light
 	// corruptions, so the fuzzer starts near the interesting surface.
@@ -43,6 +45,9 @@ func FuzzJournalReader(f *testing.F) {
 	mutated[len(mutated)/2] ^= 0xff
 	f.Add(mutated)
 	f.Add([]byte{})
+	small := smallJournal(f)
+	f.Add(small)
+	f.Add(small[:len(small)*2/3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
@@ -68,6 +73,9 @@ func FuzzJournalReader(f *testing.F) {
 		}
 		if s.Bytes < int64(headerLen) || s.Bytes > int64(len(data)) {
 			t.Fatalf("salvage offset %d outside [header, %d]", s.Bytes, len(data))
+		}
+		if diff := sameReplay(data); diff != "" {
+			t.Fatal(diff)
 		}
 	})
 }

@@ -230,9 +230,11 @@ func appendWarpMem(b []byte, ev *gpu.WarpMemEvent) []byte {
 // --- decoding ---
 
 // decoder walks a record payload with bounds-checked reads; any
-// overrun surfaces as an error, never a panic.
+// overrun surfaces as an error, never a panic. After the first error
+// every read is garbage or zero, but none panics or reads past b.
 type decoder struct {
 	b   []byte
+	i   int // read offset in b
 	err error
 }
 
@@ -242,72 +244,136 @@ func (d *decoder) fail(what string) {
 	}
 }
 
+// rest is what the decoder has not read yet.
+func (d *decoder) rest() []byte { return d.b[d.i:] }
+
+// uvarint reads a varint. A one-byte value, most of a lane's fields,
+// skips binary.Uvarint's loop.
 func (d *decoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
+	if d.i < len(d.b) && d.b[d.i] < 0x80 {
+		d.i++
+		return uint64(d.b[d.i-1])
 	}
-	v, n := binary.Uvarint(d.b)
+	return d.uvarintLong(what)
+}
+
+func (d *decoder) uvarintLong(what string) uint64 {
+	v, n := binary.Uvarint(d.rest())
 	if n <= 0 {
 		d.fail(what)
 		return 0
 	}
-	d.b = d.b[n:]
+	d.i += n
 	return v
 }
 
+// varint reads a zig-zag signed varint, as binary.Varint does, with
+// uvarint's shortcut repeated here: half a replay's decode time is
+// lane fields, and this saves a call on each signed one.
 func (d *decoder) varint(what string) int64 {
-	if d.err != nil {
-		return 0
+	var u uint64
+	if d.i < len(d.b) && d.b[d.i] < 0x80 {
+		u = uint64(d.b[d.i])
+		d.i++
+	} else {
+		u = d.uvarintLong(what)
 	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 func (d *decoder) byteVal(what string) byte {
-	if d.err != nil {
-		return 0
+	if d.i < len(d.b) {
+		d.i++
+		return d.b[d.i-1]
 	}
-	if len(d.b) < 1 {
-		d.fail(what)
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
+	d.fail(what)
+	return 0
 }
 
 func (d *decoder) boolVal(what string) bool { return d.byteVal(what) != 0 }
 
+// bytes reads a length-prefixed field. The length's label is built
+// only on failure: concatenating it up front cost an allocation per
+// string field.
 func (d *decoder) bytes(what string) []byte {
-	n := d.uvarint(what + " length")
-	if d.err != nil {
+	n, k := binary.Uvarint(d.rest())
+	if k <= 0 {
+		d.fail(what + " length")
 		return nil
 	}
-	if n > uint64(len(d.b)) {
+	if n > uint64(len(d.b)-d.i-k) {
 		d.fail(what)
 		return nil
 	}
-	v := d.b[:n]
-	d.b = d.b[n:]
+	d.i += k
+	v := d.b[d.i : d.i+int(n)]
+	d.i += int(n)
 	return v
 }
 
 func (d *decoder) stringVal(what string) string { return string(d.bytes(what)) }
 
-// DecodeRecord parses one record payload. The input is normally
-// CRC-validated, but decoding is defensive regardless: corrupt bytes
-// yield an error, never a panic or unbounded allocation.
+// maxNames bounds a recordDecoder's interned names. A real journal
+// holds a few dozen (its kernels and annotated statements); a corrupt
+// or hostile one past the bound still decodes, allocating its names.
+const maxNames = 1 << 12
+
+// recordDecoder decodes record payloads into storage it reuses: one
+// Record and one WarpMemEvent, whose Lanes share a lane array that
+// grows to the widest warp seen, with kernel and statement names
+// interned. The record Decode returns, and its event, are valid until
+// the next decode, the borrowed-event contract of gpu.WarpMemEvent;
+// what a record owns outright (Meta, Env, Race, Verdict) is freshly
+// allocated. DecodeRecord is the copying wrapper.
+type recordDecoder struct {
+	rec   Record
+	ev    gpu.WarpMemEvent
+	lanes []gpu.LaneAccess
+	names map[string]string
+}
+
+// name returns b as a string, interned.
+func (dc *recordDecoder) name(b []byte) string {
+	if s, ok := dc.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if dc.names == nil {
+		dc.names = map[string]string{}
+	}
+	if len(dc.names) < maxNames {
+		dc.names[s] = s
+	}
+	return s
+}
+
+// DecodeRecord parses one record payload into a record it owns. The
+// input is normally CRC-validated, but decoding is defensive
+// regardless: corrupt bytes yield an error, never a panic or unbounded
+// allocation.
 func DecodeRecord(payload []byte) (*Record, error) {
+	var dc recordDecoder
+	rec, err := dc.decode(payload)
+	if err != nil {
+		return nil, err
+	}
+	out := *rec
+	if rec.Ev != nil {
+		ev := *rec.Ev
+		ev.Lanes = append([]gpu.LaneAccess(nil), rec.Ev.Lanes...)
+		out.Ev = &ev
+	}
+	return &out, nil
+}
+
+// decode parses one record payload into the decoder's storage.
+func (dc *recordDecoder) decode(payload []byte) (*Record, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("journal: empty record")
 	}
-	rec := &Record{Type: RecType(payload[0])}
-	d := &decoder{b: payload[1:]}
+	rec := &dc.rec
+	*rec = Record{Type: RecType(payload[0])}
+	d := decoder{b: payload, i: 1}
 	switch rec.Type {
 	case RecMeta:
 		js := d.bytes("meta json")
@@ -318,7 +384,7 @@ func DecodeRecord(payload []byte) (*Record, error) {
 			}
 		}
 	case RecKernelStart:
-		rec.Kernel = d.stringVal("kernel name")
+		rec.Kernel = dc.name(d.bytes("kernel name"))
 		js := d.bytes("env snapshot json")
 		if d.err == nil {
 			rec.Env = &EnvSnapshot{}
@@ -327,7 +393,7 @@ func DecodeRecord(payload []byte) (*Record, error) {
 			}
 		}
 	case RecKernelEnd:
-		rec.Kernel = d.stringVal("kernel name")
+		rec.Kernel = dc.name(d.bytes("kernel name"))
 	case RecBlockStart:
 		rec.SM = int(d.varint("sm"))
 		rec.SharedBase = int(d.varint("shared base"))
@@ -339,7 +405,7 @@ func DecodeRecord(payload []byte) (*Record, error) {
 		rec.SharedSize = int(d.varint("shared size"))
 		rec.Cycle = d.varint("cycle")
 	case RecWarpMem:
-		rec.Ev = decodeWarpMem(d)
+		rec.Ev = dc.warpMem(&d)
 	case RecFence:
 		rec.Block = int(d.varint("block"))
 		rec.Warp = int(d.varint("warp"))
@@ -349,7 +415,7 @@ func DecodeRecord(payload []byte) (*Record, error) {
 		rec.Race = d.stringVal("race")
 	case RecVerdict:
 		n := d.uvarint("verdict count")
-		if n > uint64(len(d.b)) { // each entry needs >= 1 byte
+		if n > uint64(len(d.rest())) { // each entry needs >= 1 byte
 			d.fail("verdict count")
 		}
 		for i := uint64(0); i < n && d.err == nil; i++ {
@@ -361,15 +427,18 @@ func DecodeRecord(payload []byte) (*Record, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("journal: %d trailing bytes after %v record", len(d.b), rec.Type)
+	if n := len(d.rest()); n != 0 {
+		return nil, fmt.Errorf("journal: %d trailing bytes after %v record", n, rec.Type)
 	}
 	return rec, nil
 }
 
-func decodeWarpMem(d *decoder) *gpu.WarpMemEvent {
-	ev := &gpu.WarpMemEvent{}
-	ev.Space = isa.Space(d.byteVal("space"))
+// warpMem decodes a warp memory event into the decoder's event,
+// overwriting every field, since a detector may have scribbled on the
+// event it borrowed.
+func (dc *recordDecoder) warpMem(d *decoder) *gpu.WarpMemEvent {
+	ev := &dc.ev
+	*ev = gpu.WarpMemEvent{Space: isa.Space(d.byteVal("space"))}
 	flags := d.byteVal("flags")
 	ev.Write = flags&1 != 0
 	ev.Atomic = flags&2 != 0
@@ -377,20 +446,24 @@ func decodeWarpMem(d *decoder) *gpu.WarpMemEvent {
 	ev.SM = int(d.varint("sm"))
 	ev.Block = int(d.varint("block"))
 	ev.WarpInBlock = int(d.varint("warp"))
-	ev.Kernel = d.stringVal("kernel")
-	ev.Stmt = d.stringVal("stmt")
+	ev.Kernel = dc.name(d.bytes("kernel"))
+	ev.Stmt = dc.name(d.bytes("stmt"))
 	ev.SyncID = uint32(d.uvarint("sync id"))
 	ev.FenceID = uint32(d.uvarint("fence id"))
 	ev.Cycle = d.varint("cycle")
 	n := d.uvarint("lane count")
 	// Each lane occupies at least 10 bytes; a corrupt count cannot
 	// force a large allocation past this check.
-	if n > uint64(len(d.b)) {
+	if n > uint64(len(d.rest()))/10 {
 		d.fail("lane count")
 		return ev
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var la gpu.LaneAccess
+	if uint64(cap(dc.lanes)) < n {
+		dc.lanes = make([]gpu.LaneAccess, n)
+	}
+	lanes := dc.lanes[:n]
+	for i := range lanes {
+		la := &lanes[i]
 		la.Lane = int(d.varint("lane"))
 		la.Tid = int(d.varint("tid"))
 		la.GTid = int(d.varint("gtid"))
@@ -401,7 +474,7 @@ func decodeWarpMem(d *decoder) *gpu.WarpMemEvent {
 		la.L1Hit = d.boolVal("l1-hit")
 		la.L1Fill = d.varint("l1-fill")
 		la.Arrival = d.varint("arrival")
-		ev.Lanes = append(ev.Lanes, la)
 	}
+	ev.Lanes = lanes
 	return ev
 }

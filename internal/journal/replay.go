@@ -39,51 +39,28 @@ type ReplayResult struct {
 // byte-identical verdicts. A damaged journal replays its longest
 // intact prefix and reports the salvage; only an unreadable header or
 // an encoding bug is an error.
+//
+// Replay reads the journal once, in order, through the Reader's
+// buffer, and decodes each warp memory event into one reused event
+// that it lends to det under gpu.WarpMemEvent's borrowed-event
+// contract. Through a detector that asks for fence responses as the
+// recorded one did, it holds one record of the journal at a time, or
+// on the sharded engines' layout the rest of one kernel (see stream).
 func Replay(src io.Reader, det gpu.Detector) (*ReplayResult, error) {
-	if det == nil {
-		det = gpu.NopDetector{}
-	}
-	jr, err := NewReader(src)
+	s, err := newStream(src)
 	if err != nil {
 		return nil, err
 	}
+	return s.replay(det)
+}
 
-	// Decode the whole journal first: the fence-response cursor must
-	// span records that appear *after* the event that consumes them
-	// (responses are journaled as the inner detector queries, mid
-	// event), and journals written by earlier versions whose sharded
-	// engine logged a kernel's fence responses just before its
-	// kernel-end record. The cursor serves responses in journal order
-	// regardless of where they sit.
-	var recs []*Record
-	fences := &fenceCursor{latest: map[fenceKey]uint32{}}
-	for {
-		payload, err := jr.Next()
-		if err != nil {
-			break // clean EOF or salvage stop; both end the scan
-		}
-		rec, err := DecodeRecord(payload)
-		if err != nil {
-			// A CRC-intact but undecodable record: treat like a torn
-			// tail — replay what came before it.
-			s := jr.Salvage()
-			s.Truncated = true
-			s.Reason = err.Error()
-			jr.salvage = s
-			break
-		}
-		recs = append(recs, rec)
-		if rec.Type == RecFence {
-			fences.recs = append(fences.recs, fenceRec{
-				key: fenceKey{block: rec.Block, warp: rec.Warp}, id: rec.FenceID,
-			})
-		}
+func (s *stream) replay(det gpu.Detector) (*ReplayResult, error) {
+	if det == nil {
+		det = gpu.NopDetector{}
 	}
-
-	res := &ReplayResult{Salvage: jr.Salvage()}
-	var env *replayEnv
+	res := &ReplayResult{}
 	inKernel := false
-	for _, rec := range recs {
+	for rec := s.next(); rec != nil; rec = s.next() {
 		switch rec.Type {
 		case RecMeta:
 			res.Meta = rec.Meta
@@ -91,10 +68,9 @@ func Replay(src io.Reader, det gpu.Detector) (*ReplayResult, error) {
 			if rec.Env == nil {
 				return nil, fmt.Errorf("journal: kernel-start record without env snapshot")
 			}
-			env = &replayEnv{snap: *rec.Env, fences: fences}
 			res.Kernels++
 			inKernel = true
-			det.KernelStart(env, rec.Kernel)
+			det.KernelStart(&replayEnv{snap: *rec.Env, fences: s}, rec.Kernel)
 		case RecKernelEnd:
 			if inKernel {
 				det.KernelEnd()
@@ -114,8 +90,8 @@ func Replay(src io.Reader, det gpu.Detector) (*ReplayResult, error) {
 				det.WarpMem(rec.Ev)
 			}
 		case RecFence, RecRace:
-			// Fence responses are consumed through the cursor; race
-			// records are forensic annotations, not replay inputs.
+			// Fence responses are served through lookup; race records
+			// are forensic annotations, not replay inputs.
 		case RecVerdict:
 			// An empty verdict (zero races) is still a verdict; keep
 			// Recorded non-nil so it is compared, not skipped.
@@ -131,6 +107,7 @@ func Replay(src io.Reader, det gpu.Detector) (*ReplayResult, error) {
 		det.KernelEnd()
 	}
 
+	res.Salvage = s.jr.Salvage()
 	res.Replayed = VerdictOf(det)
 	res.Match = res.Recorded != nil && equalVerdicts(res.Recorded, res.Replayed)
 	return res, nil
@@ -157,28 +134,143 @@ type fenceRec struct {
 	id  uint32
 }
 
-// fenceCursor serves recorded CurrentFenceID responses back to the
-// replayed detector. A detector configured like the recorded one
-// issues the exact same query sequence, so responses are consumed
-// strictly in order. Replaying through a *different* detector may
-// query off-sequence; then the cursor falls back to the latest value
-// it served for that (block, warp) — approximate, and documented as
-// such, since fence-race classification is the only thing it shifts.
-type fenceCursor struct {
-	recs   []fenceRec
-	next   int
+// stream reads a journal's records once, in order, for Replay, and
+// serves its fence responses back to the replayed detector.
+//
+// A response is journaled after the event whose check asked for it
+// (the recorder appends the event, then the detector's queries append
+// theirs), so the detector asks before the replay has read it. The
+// responses read but not yet served wait in a queue; when the
+// detector asks with none waiting, the stream reads ahead to the next
+// fence record and holds the raw payloads it passes until next
+// replays them. It serves what a cursor over all the journal's fence
+// records would. What it holds:
+//   - a detector that queries as the recorded one did finds each
+//     response in the very next record, so the stream holds no
+//     payload and at most one response;
+//   - journals written under the sharded detector engines of earlier
+//     versions put a kernel's responses just before its kernel-end
+//     record, so there it holds at most the rest of that kernel;
+//   - a detector that queries where the recorded one did not can make
+//     it read further ahead, to the journal's end at worst, holding
+//     raw bytes; responses a detector never asks for stay queued, at
+//     24 bytes each.
+type stream struct {
+	jr   *Reader
+	dec  recordDecoder // decodes the records next returns
+	peek recordDecoder // decodes the records readAhead passes
+	held lookahead
+
+	fences []fenceRec // read, and from served on not yet served
+	served int
 	latest map[fenceKey]uint32
 }
 
-func (c *fenceCursor) lookup(block, warpInBlock int) uint32 {
+func newStream(src io.Reader) (*stream, error) {
+	jr, err := NewReader(src)
+	if err != nil {
+		return nil, err
+	}
+	return &stream{jr: jr, latest: map[fenceKey]uint32{}}, nil
+}
+
+// next returns the next record to replay, in storage reused by the
+// following call, or nil at the end of the intact prefix.
+func (s *stream) next() *Record {
+	p, ok := s.held.pop()
+	if !ok {
+		var err error
+		if p, err = s.jr.Next(); err != nil {
+			return nil // clean EOF or salvage stop; both end the replay
+		}
+	}
+	rec, err := s.dec.decode(p)
+	if err != nil {
+		// A CRC-intact but undecodable record: treat like a torn tail
+		// and replay what came before it. Only a payload fresh from
+		// the reader can get here; readAhead decoded the others.
+		s.jr.Reject(err.Error())
+		return nil
+	}
+	if rec.Type == RecFence {
+		s.fences = append(s.fences, fenceRec{key: fenceKey{block: rec.Block, warp: rec.Warp}, id: rec.FenceID})
+	}
+	return rec
+}
+
+// lookup serves a CurrentFenceID query. A detector configured like
+// the recorded one issues the exact same query sequence, so responses
+// are consumed strictly in order. Replaying through a *different*
+// detector may query off-sequence; then lookup falls back to the
+// latest value it served for that (block, warp) — approximate, and
+// documented as such, since fence-race classification is the only
+// thing it shifts.
+func (s *stream) lookup(block, warpInBlock int) uint32 {
 	k := fenceKey{block: block, warp: warpInBlock}
-	if c.next < len(c.recs) && c.recs[c.next].key == k {
-		id := c.recs[c.next].id
-		c.next++
-		c.latest[k] = id
+	if s.served == len(s.fences) {
+		s.fences, s.served = s.fences[:0], 0
+		s.readAhead()
+	}
+	if s.served < len(s.fences) && s.fences[s.served].key == k {
+		id := s.fences[s.served].id
+		s.served++
+		s.latest[k] = id
 		return id
 	}
-	return c.latest[k]
+	return s.latest[k]
+}
+
+// readAhead reads on to the next fence record and queues its
+// response, keeping every payload it passes for next. It decodes the
+// payloads it passes, so it stops where next will, at a record that
+// does not decode, and never serves a response from beyond it.
+func (s *stream) readAhead() {
+	for {
+		p, err := s.jr.Next()
+		if err != nil {
+			return
+		}
+		rec, err := s.peek.decode(p)
+		if err != nil {
+			s.jr.Reject(err.Error())
+			return
+		}
+		if rec.Type == RecFence {
+			s.fences = append(s.fences, fenceRec{key: fenceKey{block: rec.Block, warp: rec.Warp}, id: rec.FenceID})
+			return
+		}
+		s.held.push(p)
+	}
+}
+
+// lookahead holds the raw payloads readAhead passed, back to back,
+// until next replays them in order.
+type lookahead struct {
+	buf  []byte
+	ends []int // where each payload ends in buf
+	head int   // payloads before head have been replayed
+}
+
+func (l *lookahead) push(p []byte) {
+	l.buf = append(l.buf, p...)
+	l.ends = append(l.ends, len(l.buf))
+}
+
+// pop returns the oldest payload held, valid until the next push.
+func (l *lookahead) pop() ([]byte, bool) {
+	if l.head == len(l.ends) {
+		return nil, false
+	}
+	start := 0
+	if l.head > 0 {
+		start = l.ends[l.head-1]
+	}
+	p := l.buf[start:l.ends[l.head]]
+	l.head++
+	if l.head == len(l.ends) {
+		l.buf, l.ends, l.head = l.buf[:0], l.ends[:0], 0
+	}
+	return p, true
 }
 
 // replayEnv implements gpu.Env from a journaled snapshot. Timing
@@ -186,7 +278,7 @@ func (c *fenceCursor) lookup(block, warpInBlock int) uint32 {
 // there is nothing to contend with, and verdicts never read them.
 type replayEnv struct {
 	snap   EnvSnapshot
-	fences *fenceCursor
+	fences *stream
 }
 
 // Config implements gpu.Env.
@@ -233,12 +325,13 @@ func ReadMeta(src io.Reader) (*Meta, error) {
 	if err != nil {
 		return nil, err
 	}
+	var dc recordDecoder
 	for {
 		payload, err := r.Next()
 		if err != nil {
 			return nil, nil
 		}
-		rec, err := DecodeRecord(payload)
+		rec, err := dc.decode(payload)
 		if err != nil {
 			return nil, nil
 		}
