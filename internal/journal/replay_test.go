@@ -150,56 +150,25 @@ func TestReplayTruncatedJournal(t *testing.T) {
 // fails the test unless at least one response actually moved.
 func kernelEndFences(t *testing.T, data []byte) []byte {
 	t.Helper()
-	r, err := journal.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	w, err := journal.NewWriter(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	emit := func(rec *journal.Record) {
-		b, err := journal.AppendRecord(nil, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var pending []*journal.Record
+	var pending [][]byte
 	moved := false
-	for {
-		payload, err := r.Next()
-		if err != nil {
-			break
-		}
-		rec, err := journal.DecodeRecord(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch rec.Type {
+	out := rewrite(t, data, func(_ int, p []byte) [][]byte {
+		switch journal.RecType(p[0]) {
 		case journal.RecFence:
-			pending = append(pending, rec)
-			continue
+			pending = append(pending, append([]byte(nil), p...))
+			return nil
 		case journal.RecKernelEnd:
-			for _, f := range pending {
-				emit(f)
-			}
+			emit := append(pending, p)
 			pending = nil
-		default:
-			moved = moved || len(pending) > 0
+			return emit
 		}
-		emit(rec)
-	}
-	if s := r.Salvage(); s.Truncated {
-		t.Fatalf("recorded journal truncated: %+v", s)
-	}
+		moved = moved || len(pending) > 0
+		return [][]byte{p}
+	})
 	if !moved {
 		t.Fatal("no fence response moved: the recording does not exercise the kernel-end layout")
 	}
-	return out.Bytes()
+	return out
 }
 
 // TestReplayParallelRecording: journals recorded by earlier versions
