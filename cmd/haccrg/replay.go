@@ -24,7 +24,7 @@ func replayMain(args []string) int {
 	fs := flag.NewFlagSet("haccrg replay", flag.ExitOnError)
 	var (
 		journalPath = fs.String("journal", "", "journal file to replay (required)")
-		detect      = fs.String("detect", "", "replay through this detector instead of the recorded one (off, shared, global, shared+global, sw-haccrg, grace-addr)")
+		detect      = fs.String("detect", "", "replay through this detector instead of the recorded one (off, shared, global, shared+global, shared-shadow-in-global, sw-haccrg, grace-addr)")
 		info        = fs.Bool("info", false, "describe the journal (meta, salvage, counts) without replaying")
 		verbose     = fs.Bool("v", false, "print the full replayed verdict")
 	)

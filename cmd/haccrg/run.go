@@ -73,7 +73,7 @@ func runMain(args []string) int {
 	default:
 		return fail(exitUsage, "", errors.New("-bench required (try -list)"))
 	}
-	if mode, flags := unhonouredFlags(fs, *serverURL != "", *allBenches, *staticReport); len(flags) > 0 {
+	if mode, flags := unhonouredFlags(fs, *serverURL != "", *allBenches, *staticReport, *jsonOut); len(flags) > 0 {
 		return fail(exitUsage, "", fmt.Errorf("%s cannot honour %s", mode, strings.Join(flags, ", ")))
 	}
 	// The run flags bind once, into the job spec the daemon takes; both
@@ -203,9 +203,9 @@ func runMain(args []string) int {
 		}
 		fmt.Printf("witness seed   %d race(s) reported from static witnesses on first touch\n", seeded)
 	}
-	if *traceOut && res.TraceRec != nil {
+	if *traceOut {
 		fmt.Println()
-		fmt.Print(res.TraceRec.Timeline())
+		fmt.Print(res.Timeline)
 	}
 
 	fmt.Printf("\n%d distinct data race(s) detected\n", len(res.Races))
@@ -229,8 +229,9 @@ var runOutputFlags = []string{"json", "max-races", "record", "static-report", "t
 // unhonouredFlags returns the run-output flags set on fs's command line
 // that the selected mode cannot honour, and names that mode: a daemon
 // run (-server-url) and a suite run (-all-benches) honour none of
-// them, and a static report honours only -json.
-func unhonouredFlags(fs *flag.FlagSet, remote, suite, staticReport bool) (mode string, flags []string) {
+// them, a static report honours only -json, and a JSON report only
+// -record and -verify.
+func unhonouredFlags(fs *flag.FlagSet, remote, suite, staticReport, jsonOut bool) (mode string, flags []string) {
 	var honoured []string
 	switch {
 	case remote:
@@ -239,6 +240,8 @@ func unhonouredFlags(fs *flag.FlagSet, remote, suite, staticReport bool) (mode s
 		mode = "-all-benches"
 	case staticReport:
 		mode, honoured = "-static-report", []string{"json", "static-report"}
+	case jsonOut:
+		mode, honoured = "-json", []string{"json", "record", "verify"}
 	default:
 		return "", nil
 	}

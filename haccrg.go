@@ -7,8 +7,8 @@
 //
 // The top-level API wraps the internal packages:
 //
-//	dev := haccrg.MustNewDevice(haccrg.DefaultGPU(), 1<<22, det)
 //	det := haccrg.MustNewDetector(haccrg.DefaultDetection())
+//	dev := haccrg.MustNewDevice(haccrg.DefaultGPU(), 1<<22, det)
 //	res, err := haccrg.RunBenchmark("reduce", haccrg.RunOptions{})
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -17,6 +17,7 @@ package haccrg
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"time"
 
@@ -28,7 +29,6 @@ import (
 	"haccrg/internal/kernels"
 	"haccrg/internal/staticrace"
 	"haccrg/internal/tlb"
-	"haccrg/internal/trace"
 )
 
 // Re-exported core types. Aliases keep the internal packages as the
@@ -137,6 +137,15 @@ func GetBenchmark(name string) *Benchmark { return kernels.Get(name) }
 // RunOptions configures RunBenchmark.
 type RunOptions struct {
 	// Detection enables HAccRG with these options (nil = detection off).
+	// RunBenchmark takes the options of a hardware -detect kind at any
+	// power-of-two granularities: DefaultDetection, with Global and
+	// DetectStaleL1 off (shared), Shared off (global), or
+	// SharedShadowInGlobal on (shared-shadow-in-global). It refuses
+	// others by field name before it builds anything, so every run it
+	// accepts replays from its journal to the live verdict; build other
+	// detectors with NewDetector and NewDevice. The fault plan,
+	// degradation policy, static filter and witness seeding are set
+	// through the RunOptions fields below.
 	Detection *DetectionOptions
 	// Scale multiplies the workload's input sizes (default 1).
 	Scale int
@@ -150,8 +159,8 @@ type RunOptions struct {
 	// Verify checks kernel output against the host reference where the
 	// benchmark defines one.
 	Verify bool
-	// Trace records an event timeline (kernel lifecycle, barriers,
-	// races) alongside the run.
+	// Trace renders an event timeline (kernel lifecycle, barriers,
+	// races) from the run's journal, held in memory until the run ends.
 	Trace bool
 	// Record writes a durable event journal of the run — every kernel
 	// launch, warp memory event, fence response and verdict, in the
@@ -200,8 +209,8 @@ type RunResult struct {
 	// Report is the machine-readable detection summary (nil when
 	// detection is off).
 	Report *core.Report
-	// Trace is the recorded event log (nil unless RunOptions.Trace).
-	Trace *trace.Recorder
+	// Trace is the event timeline (empty unless RunOptions.Trace).
+	Trace string
 	// Health is the detector's degradation report (nil when detection
 	// is off).
 	Health *DetectorHealth
@@ -221,7 +230,8 @@ func RunBenchmark(name string, opts RunOptions) (*RunResult, error) {
 // CLI, the experiment sweeps, and the daemon's job workers run — so a
 // benchmark is validated and behaves identically no matter which
 // entry point launched it. The facade adds only the mapping from the
-// public RunOptions to the harness run specification.
+// public RunOptions to the harness run specification; a recorded run
+// replays through harness.DetectorForJournal to its live verdict.
 func RunBenchmarkContext(ctx context.Context, name string, opts RunOptions) (*RunResult, error) {
 	rc := harness.RunConfig{
 		Bench:        name,
@@ -237,12 +247,13 @@ func RunBenchmarkContext(ctx context.Context, name string, opts RunOptions) (*Ru
 		MaxCycles:    opts.MaxCycles,
 		Timeout:      opts.Timeout,
 	}
-	xo := harness.ExecOptions{
-		Detection: opts.Detection,
-		Verify:    opts.Verify,
-		Trace:     opts.Trace,
-		Record:    opts.Record,
+	if opts.Detection != nil {
+		var err error
+		if rc, err = rc.WithDetection(*opts.Detection); err != nil {
+			return nil, fmt.Errorf("RunOptions.Detection: %w", err)
+		}
 	}
+	xo := harness.ExecOptions{Verify: opts.Verify, Trace: opts.Trace, Record: opts.Record}
 	hres, err := harness.ExecContext(ctx, rc, xo)
 	if hres == nil {
 		return nil, err
@@ -253,7 +264,7 @@ func RunBenchmarkContext(ctx context.Context, name string, opts RunOptions) (*Ru
 		Stats:  hres.Stats,
 		Races:  hres.Races,
 		Report: hres.Report,
-		Trace:  hres.TraceRec,
+		Trace:  hres.Timeline,
 		Health: hres.Health,
 	}, err
 }
@@ -313,8 +324,6 @@ func BuildStaticReport(analyses []*StaticAnalysis, withSites bool) *StaticReport
 	return staticrace.BuildReport(analyses, withSites)
 }
 
-func tlbDefaultConfig() tlb.Config { return tlb.DefaultConfig }
-
 // sweep is the zero sweep the Experiments drivers run under.
 var sweep harness.Sweep
 
@@ -356,7 +365,7 @@ var Experiments = struct {
 	IDUsage:      sweep.IDUsage,
 	HardwareCost: harness.HardwareCost,
 	TLBStudy: func(scale int) ([]harness.TLBResult, string, error) {
-		return harness.TLBStudy(scale, tlbDefaultConfig())
+		return harness.TLBStudy(scale, tlb.DefaultConfig)
 	},
 	WarpRegroupStudy: func() (string, error) {
 		_, _, txt, err := harness.WarpRegroupStudy()

@@ -1,10 +1,15 @@
 package haccrg
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"haccrg/internal/bloom"
+	"haccrg/internal/core"
+	"haccrg/internal/harness"
 	"haccrg/internal/isa"
+	"haccrg/internal/journal"
 )
 
 func TestRunBenchmarkBasics(t *testing.T) {
@@ -41,6 +46,97 @@ func TestRunBenchmarkWithDetection(t *testing.T) {
 	for _, r := range res.Races {
 		if r.Category != CatCrossBlock && r.Category != CatFence && r.Category != CatStaleL1 {
 			t.Errorf("unexpected category %v for scan", r.Category)
+		}
+	}
+}
+
+// noFilter and noSeeds are a static filter and a witness seeder that
+// know nothing: set inside DetectionOptions, where no run spec carries
+// them, they must still be refused.
+type noFilter struct{}
+
+func (noFilter) FilterSites(string) []bool { return nil }
+
+type noSeeds struct{}
+
+func (noSeeds) WitnessSeeds(string) []core.SeedWitness { return nil }
+
+// TestRunBenchmarkDetectionIsARunSpec: RunBenchmark accepts exactly the
+// DetectionOptions a detector kind and its granularities reproduce.
+// Every hardware kind, at granularities other than the paper's, records
+// a journal that replays to its live verdict through the detector its
+// meta record rebuilds. Every other shape is refused, naming the field,
+// before a device is built or a journal byte written.
+func TestRunBenchmarkDetectionIsARunSpec(t *testing.T) {
+	small := SmallGPU()
+	with := func(mod func(*DetectionOptions)) *DetectionOptions {
+		opt := DefaultDetection()
+		mod(&opt)
+		return &opt
+	}
+	accepted := map[string]*DetectionOptions{
+		"shared": with(func(o *DetectionOptions) {
+			o.Global, o.DetectStaleL1, o.SharedGranularity, o.GlobalGranularity = false, false, 4, 8
+		}),
+		"global": with(func(o *DetectionOptions) {
+			o.Shared, o.SharedGranularity, o.GlobalGranularity = false, 8, 16
+		}),
+		"shared+global": with(func(o *DetectionOptions) { o.SharedGranularity, o.GlobalGranularity = 8, 16 }),
+		"shared-shadow-in-global": with(func(o *DetectionOptions) {
+			o.SharedShadowInGlobal, o.SharedGranularity, o.GlobalGranularity = true, 32, 8
+		}),
+	}
+	for kind, opt := range accepted {
+		for _, bench := range []string{"scan", "reduce", "hist", "psum"} {
+			var jnl bytes.Buffer
+			res, err := RunBenchmark(bench, RunOptions{GPU: &small, Detection: opt, Record: &jnl})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", bench, kind, err)
+			}
+			det, rc, err := harness.DetectorForJournal(bytes.NewReader(jnl.Bytes()), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(rc.Detector) != kind {
+				t.Errorf("%s/%s: journaled as %s", bench, kind, rc.Detector)
+			}
+			rep, err := journal.Replay(bytes.NewReader(jnl.Bytes()), det)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Match || len(rep.Replayed) != len(res.Races) {
+				t.Errorf("%s/%s: %d live races, %d replayed, match %t", bench, kind, len(res.Races), len(rep.Replayed), rep.Match)
+			}
+		}
+	}
+
+	plan, err := ParseFaultPlan("queue:cap=16,drain=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := map[string]*DetectionOptions{
+		"WarpAware":     with(func(o *DetectionOptions) { o.WarpAware = false }),
+		"Bloom":         with(func(o *DetectionOptions) { o.Bloom = bloom.Config{SizeBits: 32, Bins: 4} }),
+		"MaxRaces":      with(func(o *DetectionOptions) { o.MaxRaces = 3 }),
+		"ModelTraffic":  with(func(o *DetectionOptions) { o.ModelTraffic = false }),
+		"DetectStaleL1": with(func(o *DetectionOptions) { o.DetectStaleL1 = false }),
+		"Global": with(func(o *DetectionOptions) {
+			o.SharedShadowInGlobal, o.Global, o.DetectStaleL1 = true, false, false
+		}),
+		"Fault":        with(func(o *DetectionOptions) { o.Fault = plan }),
+		"FaultSeed":    with(func(o *DetectionOptions) { o.FaultSeed = 7 }),
+		"Degradation":  with(func(o *DetectionOptions) { o.Degradation = core.DegradeReinit }),
+		"StaticFilter": with(func(o *DetectionOptions) { o.StaticFilter = noFilter{} }),
+		"WitnessSeeds": with(func(o *DetectionOptions) { o.WitnessSeeds = noSeeds{} }),
+	}
+	for field, opt := range refused {
+		var jnl bytes.Buffer
+		_, err := RunBenchmark("scan", RunOptions{GPU: &small, Detection: opt, Record: &jnl})
+		if err == nil || !strings.Contains(err.Error(), "Detection: "+field+" ") {
+			t.Errorf("%s: err = %v, want a refusal naming the field", field, err)
+		}
+		if jnl.Len() > 0 {
+			t.Errorf("%s: %d journal bytes written before the refusal", field, jnl.Len())
 		}
 	}
 }

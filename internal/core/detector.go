@@ -175,15 +175,6 @@ func (d *Detector) RaceGroups() map[string]int {
 	return m
 }
 
-// CategoryCounts returns distinct race counts per category.
-func (d *Detector) CategoryCounts() map[Category]int {
-	m := make(map[Category]int)
-	for _, r := range d.races {
-		m[r.Category]++
-	}
-	return m
-}
-
 // Reset drops all recorded races and shadow state (between
 // experiments; kernel boundaries reset shadow state automatically).
 func (d *Detector) Reset() {

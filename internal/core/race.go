@@ -123,7 +123,7 @@ func (r *Race) String() string {
 }
 
 // RacesOf returns the distinct races recorded by det or by any
-// detector it wraps, unwrapping recorder chains (trace, journal) until
+// detector it wraps, unwrapping recorders (a journal.Recorder) until
 // it finds a race source. Detectors that track no races yield nil.
 func RacesOf(det gpu.Detector) []*Race {
 	for det != nil {

@@ -117,22 +117,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// FermiConfig returns an NVIDIA Fermi-class machine, the configuration
-// Section VI-C2 sizes HAccRG's storage against: 16 SMs, 48KB shared
-// memory and 1536 threads (48 warps) per SM, 8 concurrent blocks.
-func FermiConfig() Config {
-	c := DefaultConfig()
-	c.NumSMs = 16
-	c.SIMDWidth = 32
-	c.MaxThreadsPerSM = 1536
-	c.MaxBlocksPerSM = 8
-	c.RegistersPerSM = 32768
-	c.Shared.SizeBytes = 48 << 10
-	c.Shared.Banks = 32
-	c.NumPartitions = 6
-	return c
-}
-
 // TestConfig returns a scaled-down machine for fast unit tests:
 // fewer SMs and partitions, same warp geometry.
 func TestConfig() Config {

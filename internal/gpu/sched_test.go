@@ -119,19 +119,3 @@ func TestMSHRMergesMisses(t *testing.T) {
 			st.L2.ReadMisses+st.L2.ReadHits)
 	}
 }
-
-func TestFermiConfigValid(t *testing.T) {
-	cfg := FermiConfig()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Shared.SizeBytes != 48<<10 || cfg.MaxThreadsPerSM != 1536 {
-		t.Fatalf("Fermi geometry wrong: %+v", cfg)
-	}
-	// And it runs.
-	d := MustNewDevice(cfg, 1<<20, nil)
-	out := d.MustMalloc(256 * 4)
-	if _, err := d.Launch(vecAddKernel(4, 64, out, out)); err != nil {
-		t.Fatal(err)
-	}
-}

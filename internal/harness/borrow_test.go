@@ -48,15 +48,15 @@ func (c clobberer) Health() *gpu.DetectorHealth {
 // Inner exposes the wrapped chain, where a replay's verdict is read.
 func (c clobberer) Inner() gpu.Detector { return c.Detector }
 
-// TestBorrowedEventNotRetained runs every detector kind, under the
-// journal recorder and the trace recorder, with and without a
-// clobberer between the device and the chain. The simulator reuses
-// one event and one lane array per SM, so a detector that retained
-// either would see its findings, the cycles it charges, or the
-// journal it writes move; all must stay byte-identical. Replay lends
-// its one decoded event the same way: each journal replays through
-// the kind that recorded it, and the shared+global journals through
-// every kind, with and without a clobberer, to the same result.
+// TestBorrowedEventNotRetained runs every detector kind, journaled and
+// traced, with and without a clobberer between the device and the
+// chain. The simulator reuses one event and one lane array per SM, so
+// a detector that retained either would see its findings, the cycles
+// it charges, the journal it writes or the timeline rendered from that
+// journal move; all must stay byte-identical. Replay lends its one
+// decoded event the same way: each journal replays through the kind
+// that recorded it, and the shared+global journals through every
+// kind, with and without a clobberer, to the same result.
 func TestBorrowedEventNotRetained(t *testing.T) {
 	kinds := []DetectorKind{DetShared, DetGlobal, DetSharedGlobal, DetFig8, DetSoftware, DetGRace}
 	found := map[DetectorKind]int{}
@@ -85,7 +85,7 @@ func TestBorrowedEventNotRetained(t *testing.T) {
 			if !bytes.Equal(gotJnl, wantJnl) {
 				t.Errorf("%s/%s: journal bytes moved (%d, want %d)", bench, kind, len(gotJnl), len(wantJnl))
 			}
-			if got.TraceRec.Timeline() != want.TraceRec.Timeline() {
+			if got.Timeline != want.Timeline {
 				t.Errorf("%s/%s: trace timeline moved", bench, kind)
 			}
 			found[kind] += len(want.Races)

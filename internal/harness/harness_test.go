@@ -7,6 +7,7 @@ import (
 
 	"haccrg/internal/gpu"
 	"haccrg/internal/kernels"
+	"haccrg/internal/tlb"
 )
 
 // testGPU returns a small device so harness tests stay fast.
@@ -172,7 +173,7 @@ func TestSyncIDGatingStudy(t *testing.T) {
 }
 
 func TestTLBStudy(t *testing.T) {
-	results, txt, err := TLBStudy(1, tlbDefault())
+	results, txt, err := TLBStudy(1, tlb.DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

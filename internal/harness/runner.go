@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -18,7 +19,6 @@ import (
 	"haccrg/internal/journal"
 	"haccrg/internal/staticrace"
 	"haccrg/internal/swdetect"
-	"haccrg/internal/trace"
 )
 
 // DetectorKind selects the detection configuration of a run.
@@ -112,32 +112,26 @@ type RunResult struct {
 	// manifest encoding, so resumed results carry a nil Report while
 	// every serialized field stays byte-identical.
 	Report *core.Report `json:"-"`
-	// TraceRec is the recorded event timeline (nil unless
-	// ExecOptions.Trace); like Report it is in-process state only.
-	TraceRec *trace.Recorder `json:"-"`
+	// Timeline is the run's journal rendered by journal.Timeline
+	// (empty unless ExecOptions.Trace); like Report it is in-process
+	// state only.
+	Timeline string `json:"-"`
 }
 
-// detectorFor builds the detector rc runs under: from explicit core
-// options when the caller passes them (the facade), else from rc's
-// kind and granularities, with rc's fault plan and degradation policy
-// merged in either way. The other returns are the core engine for race
-// extraction (nil for off and grace-addr) and the software detectors
-// for their stall counters.
-func detectorFor(rc RunConfig, explicit *core.Options) (gpu.Detector, *core.Detector, *swdetect.Detector, *grace.Detector, error) {
+// detectorFor builds the detector rc runs under, from rc's kind and
+// granularities with rc's fault plan and degradation policy merged in.
+// The other returns are the core engine for race extraction (nil for
+// off and grace-addr) and the software detectors for their stall
+// counters.
+func detectorFor(rc RunConfig) (gpu.Detector, *core.Detector, *swdetect.Detector, *grace.Detector, error) {
 	if err := rc.Detector.valid(); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	opt := rc.DetectorOptions()
-	if explicit != nil {
-		opt = *explicit
-	}
-	opt, err := rc.runOptions(opt)
+	opt, err := rc.runOptions(rc.DetectorOptions())
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	switch {
-	case explicit != nil:
-		// Explicit options always build the core engine, below.
 	case rc.Detector.off():
 		return gpu.NopDetector{}, nil, nil, nil, nil
 	case rc.Detector == DetSoftware:
@@ -164,7 +158,7 @@ func detectorFor(rc RunConfig, explicit *core.Options) (gpu.Detector, *core.Dete
 // how the replay tool reconstructs a recorded run's detector (or a
 // deliberately different one) without a device attached.
 func DetectorFor(rc RunConfig) (gpu.Detector, error) {
-	det, _, _, _, err := detectorFor(rc, nil)
+	det, _, _, _, err := detectorFor(rc)
 	return det, err
 }
 
@@ -186,26 +180,17 @@ func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
 }
 
 // ExecOptions carries the per-run extras that are not part of a
-// RunConfig's serializable identity: the facade's arbitrary detector
-// options, output verification, event tracing, and journal recording.
-// Every execution path in the system — the haccrg facade, the haccrg
-// command's modes, the experiment sweeps, and the daemon's job workers
-// — funnels through ExecContext with some ExecOptions, so they all run
-// the exact same job core.
+// RunConfig's serializable identity: output verification, the event
+// timeline, and journal recording. Every execution path in the system
+// — the haccrg facade, the haccrg command's modes, the experiment
+// sweeps, and the daemon's job workers — funnels through ExecContext
+// with some ExecOptions, so they all run the exact same job core.
 type ExecOptions struct {
-	// Detection, when non-nil, builds the detector from these explicit
-	// core options instead of deriving them from rc.Detector (the
-	// facade path, which admits configurations — custom Bloom layouts,
-	// shared-shadow-in-global with odd granularities — that no
-	// DetectorKind names). rc.Detector is set to the kind they
-	// correspond to, and rc's FaultPlan/FaultSeed and Degradation are
-	// still merged in.
-	Detection *core.Options
 	// Verify checks kernel output against the host reference where the
 	// benchmark defines one.
 	Verify bool
-	// Trace records an event timeline alongside the run (returned as
-	// RunResult.TraceRec).
+	// Trace journals the run, to Record too when that is set, and
+	// renders the journal's timeline into RunResult.Timeline.
 	Trace bool
 	// Record writes a durable event journal of the run in the
 	// internal/journal frame format (nil = no journal).
@@ -218,20 +203,20 @@ type ExecOptions struct {
 }
 
 // execMeta describes a run for the journal header so replay can
-// rebuild an equivalent detector without out-of-band knowledge.
-func execMeta(rc RunConfig, coreDet *core.Detector, seeds seedSet) *journal.Meta {
+// rebuild an equivalent detector without out-of-band knowledge: every
+// kind but off records the granularities it ran at, grace-addr too.
+func execMeta(rc RunConfig, seeds seedSet) *journal.Meta {
 	m := &journal.Meta{
 		Bench: rc.Bench, Detector: string(rc.Detector),
 		Scale: rc.Scale, SingleBlock: rc.SingleBlock, Inject: rc.Inject,
 		FaultPlan: rc.FaultPlan, FaultSeed: rc.FaultSeed, Degradation: rc.Degradation,
 		Seeds: seeds,
 	}
-	if m.Detector == "" {
+	if rc.Detector.off() {
 		m.Detector = string(DetOff)
-	}
-	if coreDet != nil {
-		m.SharedGranularity = coreDet.Options().SharedGranularity
-		m.GlobalGranularity = coreDet.Options().GlobalGranularity
+	} else {
+		opt := rc.DetectorOptions()
+		m.SharedGranularity, m.GlobalGranularity = opt.SharedGranularity, opt.GlobalGranularity
 	}
 	return m
 }
@@ -246,27 +231,27 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 			err = fmt.Errorf("harness: run %s/%s panicked: %v", rc.Bench, rc.Detector, r)
 		}
 	}()
-	if xo.Detection != nil {
-		rc.Detector = detectorKind(*xo.Detection)
-	}
 	if err := rc.Validate(); err != nil {
 		return nil, err
 	}
 	rc.Scale = max(rc.Scale, 1)
-	det, coreDet, swDet, grDet, err := detectorFor(rc, xo.Detection)
+	det, coreDet, swDet, grDet, err := detectorFor(rc)
 	if err != nil {
 		return nil, err
 	}
-	var traceRec *trace.Recorder
+	sink := xo.Record
+	var traced bytes.Buffer
 	if xo.Trace {
-		traceRec = trace.New(det)
-		det = traceRec
+		// The timeline is rendered from the run's journal, held in
+		// memory until the run ends.
+		sink = &traced
+		if xo.Record != nil {
+			sink = io.MultiWriter(&traced, xo.Record)
+		}
 	}
 	var jrec *journal.Recorder
-	if xo.Record != nil {
-		// Journal outermost so it sees the raw device event stream
-		// before any inner wrapper consumes it.
-		jr, jerr := journal.NewRecorder(xo.Record, det)
+	if sink != nil {
+		jr, jerr := journal.NewRecorder(sink, det)
 		if jerr != nil {
 			return nil, jerr
 		}
@@ -305,7 +290,7 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 	if jrec != nil {
 		// The meta record follows static analysis so it can carry the
 		// seed set, and precedes the first kernel's records.
-		if err := jrec.SetMeta(execMeta(rc, coreDet, seeds)); err != nil {
+		if err := jrec.SetMeta(execMeta(rc, seeds)); err != nil {
 			return nil, err
 		}
 	}
@@ -323,7 +308,12 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 			return nil, err
 		}
 	}
-	res = &RunResult{Config: rc, Stats: stats, Health: stats.Health, Attempts: 1, TraceRec: traceRec}
+	res = &RunResult{Config: rc, Stats: stats, Health: stats.Health, Attempts: 1}
+	if xo.Trace {
+		if res.Timeline, err = journal.Timeline(&traced); err != nil {
+			return nil, err
+		}
+	}
 	if coreDet != nil {
 		res.Races = coreDet.SortedRaces()
 		res.SharedSites = coreDet.SiteCount(isa.SpaceShared)
@@ -417,7 +407,7 @@ func DetectorForJournal(src io.Reader, override DetectorKind) (gpu.Detector, Run
 	if override != "" {
 		rc.Detector = override
 	}
-	det, coreDet, _, _, err := detectorFor(rc, nil)
+	det, coreDet, _, _, err := detectorFor(rc)
 	if err != nil {
 		return nil, rc, err
 	}

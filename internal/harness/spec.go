@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 
@@ -17,8 +18,8 @@ import (
 // experiment sweeps and the daemon all describe a run with one, and
 // this file is where a run is validated (Validate), expanded over
 // several benchmarks (Expand), given its detector options
-// (DetectorOptions), built (Kernels) and statically analyzed
-// (AnalyzerConfig, Analyze).
+// (DetectorOptions) or taken from explicit ones (WithDetection), built
+// (Kernels) and statically analyzed (AnalyzerConfig, Analyze).
 
 // ErrUnknown is wrapped by the errors for a benchmark, detector kind,
 // degradation policy or injection site that does not exist: usage
@@ -95,9 +96,33 @@ func (rc RunConfig) DetectorOptions() core.Options {
 	return opt
 }
 
+// WithDetection returns rc with its detector kind and granularities
+// taken from explicit detection options: how the facade turns its
+// DetectionOptions into a run spec, so that a journal's meta record, a
+// manifest key and a job spec describe every facade run. It refuses
+// options that the kind and granularities do not reproduce, naming the
+// first field that differs: among them warp-unaware or capped
+// reporting, a custom Bloom layout, untimed RDUs, and the settings a
+// RunConfig carries itself (fault plan, degradation, static filter,
+// witness seeds). core.New builds such detectors directly.
+func (rc RunConfig) WithDetection(opt core.Options) (RunConfig, error) {
+	if err := opt.Validate(); err != nil {
+		return rc, err
+	}
+	rc.Detector = detectorKind(opt)
+	rc.SharedGranularity = opt.SharedGranularity
+	rc.GlobalGranularity = opt.GlobalGranularity
+	got, want := reflect.ValueOf(opt), reflect.ValueOf(rc.DetectorOptions())
+	for i := range got.NumField() {
+		if !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {
+			return rc, fmt.Errorf("%s differs from detector kind %s's", got.Type().Field(i).Name, rc.Detector)
+		}
+	}
+	return rc, nil
+}
+
 // runOptions merges rc's fault plan and degradation policy into opt:
-// the knobs every detector build shares, whether opt comes from
-// DetectorOptions or from the facade's explicit options.
+// the knobs every detector build shares.
 func (rc RunConfig) runOptions(opt core.Options) (core.Options, error) {
 	if rc.FaultPlan != "" {
 		p, err := fault.Parse(rc.FaultPlan)

@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
+
+	"haccrg/internal/journal"
 )
 
 // TestValidate: every rejection class, and which of them name
@@ -75,5 +79,30 @@ func TestSweepDefaultFaultPlanOnOffRuns(t *testing.T) {
 
 	if _, err := (Sweep{FaultPlan: "nonsense:::"}).Run([]RunConfig{rc}); err == nil {
 		t.Error("a sweep default plan that does not parse was accepted")
+	}
+}
+
+// TestJournalReplaysAtRunGranularities: a run at granularities other
+// than the paper's records them in its journal's meta record under
+// every detector kind, grace-addr included, so the detector
+// DetectorForJournal rebuilds replays to the live verdict.
+func TestJournalReplaysAtRunGranularities(t *testing.T) {
+	for _, kind := range detectorKinds {
+		rc := RunConfig{Bench: "hist", Detector: kind, GPU: testGPU(), SharedGranularity: 4, GlobalGranularity: 8}
+		var jnl bytes.Buffer
+		if _, err := ExecContext(context.Background(), rc, ExecOptions{Record: &jnl}); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		det, _, err := DetectorForJournal(bytes.NewReader(jnl.Bytes()), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := journal.Replay(bytes.NewReader(jnl.Bytes()), det)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Match {
+			t.Errorf("%s: recorded %d races, replayed %d", kind, len(res.Recorded), len(res.Replayed))
+		}
 	}
 }

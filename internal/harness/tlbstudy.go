@@ -83,7 +83,3 @@ func TLBStudy(scale int, cfg tlb.Config) ([]TLBResult, string, error) {
 		[]string{"benchmark", "accesses", "appended-bit miss", "separate-TLB miss", "translation speedup"},
 		txt), nil
 }
-
-// tlbDefault re-exports the model's default configuration for tests
-// and the bench harness.
-func tlbDefault() tlb.Config { return tlb.DefaultConfig }

@@ -7,11 +7,11 @@
 // The format is built for crash forensics: a Reader never panics on a
 // damaged file — it salvages the longest intact prefix of records,
 // truncating at the first torn write or corrupt frame, and reports
-// exactly what survived. A Recorder slots into the gpu.Detector
-// wrapping chain (like trace.Recorder) and captures everything a
-// detector's verdict depends on, so Replay can feed the journal back
-// through a fresh detector offline and reproduce the recorded race
-// findings byte for byte.
+// exactly what survived. A Recorder wraps the gpu.Detector a run
+// checks with and captures everything the detector's verdict depends
+// on, so Replay can feed the journal back through a fresh detector
+// offline and reproduce the recorded race findings byte for byte, and
+// Timeline can render the run's event timeline from it.
 package journal
 
 import (

@@ -32,13 +32,13 @@ type ReplayResult struct {
 }
 
 // Replay feeds a journal back through det — any gpu.Detector: the
-// hardware RDU, the software builds, a tracing chain — with no device
-// attached; a synthetic Env built from the journaled snapshot stands
-// in. The journal's recorded fence responses are served back in
-// order, so a detector configured like the recorded one reaches
-// byte-identical verdicts. A damaged journal replays its longest
-// intact prefix and reports the salvage; only an unreadable header or
-// an encoding bug is an error.
+// hardware RDU, the software builds, either wrapped in another
+// Recorder — with no device attached; a synthetic Env built from the
+// journaled snapshot stands in. The journal's recorded fence responses
+// are served back in order, so a detector configured like the recorded
+// one reaches byte-identical verdicts. A damaged journal replays its
+// longest intact prefix and reports the salvage; only an unreadable
+// header or an encoding bug is an error.
 //
 // Replay reads the journal once, in order, through the Reader's
 // buffer, and decodes each warp memory event into one reused event
