@@ -148,3 +148,15 @@ func TestGuardRailAbortExits4(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceUnderDetectOff: -trace prints the timeline of a run without
+// detection too (its kernel and barrier lines; there are no races).
+func TestTraceUnderDetectOff(t *testing.T) {
+	code, stdout, stderr := runHelper(t, "-bench", "scan", "-small-gpu", "-detect", "off", "-trace")
+	if code != exitOK {
+		t.Fatalf("exit %d, want %d (%s)", code, exitOK, stderr)
+	}
+	if !strings.Contains(stdout, "kernel-start") || !strings.Contains(stdout, "barrier") {
+		t.Errorf("no timeline printed:\n%s", stdout)
+	}
+}

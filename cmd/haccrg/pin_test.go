@@ -83,7 +83,7 @@ func tracePinCases() [][]string {
 
 // pinnedTraceOutputs is the SHA-256 over tracePinCases, as
 // pinnedOutputs is over pinCases.
-const pinnedTraceOutputs = "c9e49a8574d388502177456a2a156c66517b2be53886b34ab1c90e2240c6be50"
+const pinnedTraceOutputs = "6c3d77e0889695f85c5fcf4e1a58aac67180b3edc1d3e092dd1d4d9892ba43e9"
 
 // runPinCase re-executes the test binary as the CLI on args (the
 // "@journal" argument names a journal path in dir) and returns the

@@ -188,9 +188,6 @@ func runMain(args []string) int {
 		fmt.Println(res.Health)
 	}
 
-	if rc.Detector == harness.DetOff {
-		return exitOK
-	}
 	if *staticFilter && res.Report != nil {
 		fmt.Printf("static filter  %d shadow checks skipped\n", res.Report.Summary.Checks["filtered"])
 	}
@@ -206,6 +203,11 @@ func runMain(args []string) int {
 	if *traceOut {
 		fmt.Println()
 		fmt.Print(res.Timeline)
+	}
+	// -static-filter and -witness-seed are refused under off, so only
+	// the timeline precedes this return.
+	if rc.Detector == harness.DetOff {
+		return exitOK
 	}
 
 	fmt.Printf("\n%d distinct data race(s) detected\n", len(res.Races))

@@ -50,17 +50,6 @@ func TestRunBenchmarkWithDetection(t *testing.T) {
 	}
 }
 
-// noFilter and noSeeds are a static filter and a witness seeder that
-// know nothing: set inside DetectionOptions, where no run spec carries
-// them, they must still be refused.
-type noFilter struct{}
-
-func (noFilter) FilterSites(string) []bool { return nil }
-
-type noSeeds struct{}
-
-func (noSeeds) WitnessSeeds(string) []core.SeedWitness { return nil }
-
 // TestRunBenchmarkDetectionIsARunSpec: RunBenchmark accepts exactly the
 // DetectionOptions a detector kind and its granularities reproduce.
 // Every hardware kind, at granularities other than the paper's, records
@@ -117,17 +106,14 @@ func TestRunBenchmarkDetectionIsARunSpec(t *testing.T) {
 	refused := map[string]*DetectionOptions{
 		"WarpAware":     with(func(o *DetectionOptions) { o.WarpAware = false }),
 		"Bloom":         with(func(o *DetectionOptions) { o.Bloom = bloom.Config{SizeBits: 32, Bins: 4} }),
-		"MaxRaces":      with(func(o *DetectionOptions) { o.MaxRaces = 3 }),
 		"ModelTraffic":  with(func(o *DetectionOptions) { o.ModelTraffic = false }),
 		"DetectStaleL1": with(func(o *DetectionOptions) { o.DetectStaleL1 = false }),
 		"Global": with(func(o *DetectionOptions) {
 			o.SharedShadowInGlobal, o.Global, o.DetectStaleL1 = true, false, false
 		}),
-		"Fault":        with(func(o *DetectionOptions) { o.Fault = plan }),
-		"FaultSeed":    with(func(o *DetectionOptions) { o.FaultSeed = 7 }),
-		"Degradation":  with(func(o *DetectionOptions) { o.Degradation = core.DegradeReinit }),
-		"StaticFilter": with(func(o *DetectionOptions) { o.StaticFilter = noFilter{} }),
-		"WitnessSeeds": with(func(o *DetectionOptions) { o.WitnessSeeds = noSeeds{} }),
+		"Fault":       with(func(o *DetectionOptions) { o.Fault = plan }),
+		"FaultSeed":   with(func(o *DetectionOptions) { o.FaultSeed = 7 }),
+		"Degradation": with(func(o *DetectionOptions) { o.Degradation = core.DegradeReinit }),
 	}
 	for field, opt := range refused {
 		var jnl bytes.Buffer

@@ -417,7 +417,7 @@ func chaosConfigs() []harness.RunConfig {
 // byte-identical contracts are stated over.
 func summarize(r *harness.RunResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s cycles=%d attempts-independent\n", r.Config.Bench, r.Config.Detector, r.Stats.Cycles)
+	fmt.Fprintf(&b, "%s/%s cycles=%d\n", r.Config.Bench, r.Config.Detector, r.Stats.Cycles)
 	for _, race := range r.Races {
 		fmt.Fprintf(&b, "%s count=%d\n", race, race.Count)
 	}

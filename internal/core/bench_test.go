@@ -34,13 +34,15 @@ func (e *benchEnv) ShadowBase() uint64                 { return 1 << 26 }
 func (e *benchEnv) CurrentFenceID(block, w int) uint32 { return 1 }
 func (e *benchEnv) GlobalMemSize() uint64              { return 1 << 26 }
 
-// benchDetector builds a detector attached to the stub env.
-func benchDetector(tb testing.TB, opt Options) *Detector {
+// benchDetector builds a detector with static filter f (nil = none)
+// attached to the stub env.
+func benchDetector(tb testing.TB, opt Options, f StaticFilter) *Detector {
 	tb.Helper()
 	d, err := New(opt)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	d.SetStaticFilter(f)
 	cfg := gpu.TestConfig()
 	d.KernelStart(&benchEnv{cfg: &cfg}, "bench")
 	return d
@@ -103,13 +105,13 @@ type rduHotRig struct {
 }
 
 func newRDUHotRig(tb testing.TB, c rduHotCase) *rduHotRig {
-	opt := DefaultOptions()
+	var f StaticFilter
 	if c.filtered {
 		mask := make([]bool, 8)
 		mask[4] = true // warpEvent PCs
-		opt.StaticFilter = maskFilter{"bench": mask}
+		f = maskFilter{"bench": mask}
 	}
-	return &rduHotRig{c: c, d: benchDetector(tb, opt), ev: warpEvent(c.space, c.write, rduHotLanes, 0, 4)}
+	return &rduHotRig{c: c, d: benchDetector(tb, DefaultOptions(), f), ev: warpEvent(c.space, c.write, rduHotLanes, 0, 4)}
 }
 
 // steps is how many steps sweep the working set once.
@@ -305,7 +307,7 @@ func BenchmarkSharedEntryEncoding(b *testing.B) {
 		// The warp size is loaded from the detector exactly as the old
 		// hot path loaded it — a runtime value, so the baseline pays the
 		// genuine division, not a constant-folded shift.
-		warpSize := benchDetector(b, DefaultOptions()).warpSize
+		warpSize := benchDetector(b, DefaultOptions(), nil).warpSize
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -314,7 +316,7 @@ func BenchmarkSharedEntryEncoding(b *testing.B) {
 		}
 	})
 	b.Run("packed", func(b *testing.B) {
-		d := benchDetector(b, DefaultOptions())
+		d := benchDetector(b, DefaultOptions(), nil)
 		shadow := make([]sharedWord, granules)
 		resetShared(shadow)
 		b.ReportAllocs()

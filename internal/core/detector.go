@@ -47,15 +47,21 @@ type Detector struct {
 	seen  map[raceKey]*Race
 	sites map[siteKey]struct{}
 
+	// filter and seeder are the static race-freedom filter and the
+	// witness seeder SetStaticFilter and SetWitnessSeeds attached (nil =
+	// none).
+	filter StaticFilter
+	seeder WitnessSeeder
+
 	// siteFilter is the running kernel's static race-freedom mask
-	// (Options.StaticFilter), cached at KernelStart; siteFilter[pc]
+	// (from filter), cached at KernelStart; siteFilter[pc]
 	// true lets the RDUs skip that pc's checks. nil when no filter is
 	// attached, the kernel is unknown to it, or a fault plan is live
 	// (filtering would desynchronize the injector streams).
 	siteFilter []bool
 
 	// seedPend maps pending witness-seeded global granules to their
-	// seeds (Options.WitnessSeeds), populated at KernelStart; the first
+	// seeds (from seeder), populated at KernelStart; the first
 	// touching lane fires the report and retires the entry. Unlike the
 	// filter it is NOT inert under fault plans — seeds add a report
 	// without consuming injector randomness or altering the check
@@ -131,12 +137,13 @@ func (d *Detector) Options() Options { return d.opt }
 // detector first, derives the analyzer configuration from its options,
 // and only then has kernels to analyze. Takes effect at the next
 // KernelStart.
-func (d *Detector) SetStaticFilter(f StaticFilter) { d.opt.StaticFilter = f }
+func (d *Detector) SetStaticFilter(f StaticFilter) { d.filter = f }
 
-// SetWitnessSeeds attaches (or, with nil, detaches) a witness seeder
-// after construction, mirroring SetStaticFilter. Takes effect at the
-// next KernelStart.
-func (d *Detector) SetWitnessSeeds(s WitnessSeeder) { d.opt.WitnessSeeds = s }
+// SetWitnessSeeds attaches (or, with nil, detaches) a witness seeder,
+// mirroring SetStaticFilter. Seeds fire before any filtering or fault
+// hook, so seeded findings are byte-identical with and without fault
+// plans. Takes effect at the next KernelStart.
+func (d *Detector) SetWitnessSeeds(s WitnessSeeder) { d.seeder = s }
 
 // pcFiltered reports whether the running kernel's mask proves the
 // site at pc race-free.
@@ -202,12 +209,12 @@ func (d *Detector) KernelStart(env gpu.Env, kernelName string) {
 		d.warpShift = bits.TrailingZeros(uint(d.warpSize))
 	}
 	d.siteFilter = nil
-	if f := d.opt.StaticFilter; f != nil && d.inj == nil {
-		d.siteFilter = f.FilterSites(kernelName)
+	if d.filter != nil && d.inj == nil {
+		d.siteFilter = d.filter.FilterSites(kernelName)
 	}
 	d.seedPend = nil
-	if s := d.opt.WitnessSeeds; s != nil {
-		for _, w := range s.WitnessSeeds(kernelName) {
+	if d.seeder != nil {
+		for _, w := range d.seeder.WitnessSeeds(kernelName) {
 			if w.Space != isa.SpaceGlobal {
 				continue
 			}
@@ -346,8 +353,8 @@ func (d *Detector) report(space isa.Space, kind Kind, cat Category, pc int, stmt
 
 // reportProv is report with an explicit provenance tag; pre-seeded
 // witness races pass "StaticWitness", the state machine passes "". It
-// materializes the report: dedup against the seen map, dynamic
-// counting, and the MaxRaces cap.
+// materializes the report: dynamic counting and dedup against the
+// seen map.
 func (d *Detector) reportProv(prov string, space isa.Space, kind Kind, cat Category, pc int, stmt string, granule, addr uint64,
 	firstTid int, firstBlock int, secondTid, secondBlock int, cycle int64) {
 	d.stats.Reports++
@@ -360,9 +367,6 @@ func (d *Detector) reportProv(prov string, space isa.Space, kind Kind, cat Categ
 	key := raceKey{d.kernel, space, kind, cat, pc, granule}
 	if r, ok := d.seen[key]; ok {
 		r.Count++
-		return
-	}
-	if d.opt.MaxRaces > 0 && len(d.races) >= d.opt.MaxRaces {
 		return
 	}
 	r := &Race{

@@ -614,21 +614,6 @@ func TestDetectorStatsAndDedup(t *testing.T) {
 	}
 }
 
-func TestMaxRacesCap(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Shared = false
-	opt.MaxRaces = 3
-	dev, det := newHarness(t, opt, 1<<16)
-	out := dev.MustMalloc(128)
-	launch(t, dev, crossBlockKernel(out))
-	if n := len(det.Races()); n > 3 {
-		t.Errorf("race cap exceeded: %d records", n)
-	}
-	if det.Stats().Reports <= 3 {
-		t.Errorf("reports should keep counting past the cap: %d", det.Stats().Reports)
-	}
-}
-
 func TestBarrierInvalidationStall(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Global = false

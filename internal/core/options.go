@@ -119,24 +119,6 @@ type Options struct {
 	// and charge their own instrumentation costs instead.
 	ModelTraffic bool
 
-	// MaxRaces caps distinct recorded races (0 = unlimited); detection
-	// continues counting but stops materializing new records.
-	MaxRaces int
-
-	// StaticFilter optionally skips RDU checks at statically-proven
-	// race-free sites (see the StaticFilter interface). Findings must
-	// stay byte-identical with the filter on; shadow traffic and cycle
-	// counts are preserved. Ignored while a fault plan is attached.
-	StaticFilter StaticFilter
-
-	// WitnessSeeds optionally pre-seeds detector quarantine with
-	// statically-proven racy granules (see SeedWitness): the first
-	// global access touching a seeded granule reports the witnessed
-	// race immediately, tagged with StaticWitness provenance. Seeds
-	// fire before any filtering or fault hook, so seeded findings are
-	// byte-identical with and without fault plans.
-	WitnessSeeds WitnessSeeder
-
 	// Fault optionally attaches a deterministic fault-injection plan
 	// to the RDUs and shadow memory (nil or empty = fault-free, the
 	// paper's idealized hardware). See internal/fault.
@@ -205,7 +187,7 @@ type Stats struct {
 	BarrierInval  int64 // shared shadow invalidation episodes
 	FenceLookups  int64 // race-register-file fence-ID reads
 	// FilteredChecks counts lane checks skipped because their site was
-	// statically proven race-free (Options.StaticFilter). Each filtered
+	// statically proven race-free (Detector.SetStaticFilter). Each filtered
 	// lane would otherwise have been a SharedChecks or GlobalChecks.
 	FilteredChecks int64
 }

@@ -161,7 +161,7 @@ func (s Sweep) SyncIDGatingStudy(scale int) (string, error) {
 	for _, bench := range benches {
 		cfgs = append(cfgs,
 			RunConfig{Bench: bench, Detector: DetSharedGlobal, Scale: scale},
-			// RunContext copies the shared config, so the pointer is safe
+			// ExecContext copies the shared config, so the pointer is safe
 			// to reuse across concurrent runs.
 			RunConfig{Bench: bench, Detector: DetSharedGlobal, Scale: scale, GPU: &bumpCfg})
 	}

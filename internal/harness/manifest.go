@@ -161,11 +161,11 @@ func (m *Manifest) Lookup(rc RunConfig) (*RunResult, bool) {
 }
 
 // Append journals one completed run under rc — the configuration as
-// the sweep requested it, before any retry re-seeding — and syncs it
-// to stable storage, so a kill arriving any time later cannot lose it.
+// the sweep requested it, its defaults merged in — and syncs it to
+// stable storage, so a kill arriving any time later cannot lose it.
 // An fsync failure is a hard write failure: the entry is not admitted
 // to the in-memory index and the error is surfaced as a journal I/O
-// error — non-retryable by the sweep runner.
+// error.
 func (m *Manifest) Append(rc RunConfig, res *RunResult) error {
 	key, err := configKey(rc)
 	if err != nil {

@@ -58,7 +58,7 @@ type RunConfig struct {
 	StaticFilter bool `json:"StaticFilter,omitempty"`
 
 	// WitnessSeed pre-seeds detector quarantine with the static
-	// analyzer's verified race witnesses (see core.Options.WitnessSeeds):
+	// analyzer's verified race witnesses (see core.Detector.SetWitnessSeeds):
 	// statically-proven racy global granules report on first touch with
 	// StaticWitness provenance. Hardware detector kinds only. The
 	// omitempty tag keeps manifest keys of seed-off configs stable
@@ -103,9 +103,6 @@ type RunResult struct {
 	// Health is the detector's degradation report (nil when the
 	// detector does not track health, e.g. detection off).
 	Health *gpu.DetectorHealth
-	// Attempts is how many tries the sweep runner needed (1 for a
-	// first-try success; only fault-injected runs are retried).
-	Attempts int
 
 	// Report is the machine-readable detection summary (nil when
 	// detection is off). It is derived state — excluded from the
@@ -162,21 +159,11 @@ func DetectorFor(rc RunConfig) (gpu.Detector, error) {
 	return det, err
 }
 
-// Run executes one configuration to completion. It is RunContext with
-// no external cancellation (the config's own Timeout still applies).
+// Run executes one configuration to completion: ExecContext with no
+// external cancellation (the config's own Timeout still applies) and
+// no extras.
 func Run(rc RunConfig) (*RunResult, error) {
-	return RunContext(context.Background(), rc)
-}
-
-// RunContext executes one configuration under a context. The config's
-// Timeout (wall clock) and MaxCycles (simulated) guard rails turn
-// runaway simulations into structured *gpu.HangError returns; a panic
-// anywhere in the pipeline is recovered into an error so one bad run
-// cannot take down a whole sweep. On an aborted launch the returned
-// RunResult is non-nil alongside the error, carrying the partial stats
-// and whatever races were found before the abort.
-func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
-	return ExecContext(ctx, rc, ExecOptions{})
+	return ExecContext(context.Background(), rc, ExecOptions{})
 }
 
 // ExecOptions carries the per-run extras that are not part of a
@@ -223,7 +210,12 @@ func execMeta(rc RunConfig, seeds seedSet) *journal.Meta {
 
 // ExecContext is the shared job core: it validates one configuration
 // (Validate) and executes it under a context with the given extras.
-// See RunContext for the guard-rail and partial-result semantics.
+// The config's Timeout (wall clock) and MaxCycles (simulated) guard
+// rails turn runaway simulations into structured *gpu.HangError
+// returns; a panic anywhere in the pipeline is recovered into an error
+// so one bad run cannot take down a whole sweep. On an aborted launch
+// the returned RunResult is non-nil alongside the error, carrying the
+// partial stats and whatever races were found before the abort.
 func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -308,7 +300,7 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 			return nil, err
 		}
 	}
-	res = &RunResult{Config: rc, Stats: stats, Health: stats.Health, Attempts: 1}
+	res = &RunResult{Config: rc, Stats: stats, Health: stats.Health}
 	if xo.Trace {
 		if res.Timeline, err = journal.Timeline(&traced); err != nil {
 			return nil, err

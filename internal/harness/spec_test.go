@@ -49,7 +49,7 @@ func TestValidate(t *testing.T) {
 // TestSweepDefaultFaultPlanOnOffRuns: the sweep defaults merge their
 // fault plan into a detector-off baseline's manifest key, and the run
 // still executes (without the plan, which it has no pipeline for); a
-// plan that does not parse fails it as it fails every other run.
+// plan that does not parse fails it, once, as it fails every other run.
 func TestSweepDefaultFaultPlanOnOffRuns(t *testing.T) {
 	m, _, err := OpenManifest(filepath.Join(t.TempDir(), "sweep.manifest"), false)
 	if err != nil {
@@ -77,8 +77,12 @@ func TestSweepDefaultFaultPlanOnOffRuns(t *testing.T) {
 		t.Error("manifest does not hold the run under its merged key")
 	}
 
+	before := SweepExecutions()
 	if _, err := (Sweep{FaultPlan: "nonsense:::"}).Run([]RunConfig{rc}); err == nil {
 		t.Error("a sweep default plan that does not parse was accepted")
+	}
+	if n := SweepExecutions() - before; n != 1 {
+		t.Errorf("the unparseable plan executed %d times, want once", n)
 	}
 }
 

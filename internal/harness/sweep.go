@@ -3,30 +3,28 @@ package harness
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"haccrg/internal/fault"
-	"haccrg/internal/journal"
 )
 
 // The sweep engine: every experiment driver enumerates its RunConfigs
 // up front and hands them to Sweep.Run, which fans them across a
 // bounded worker pool. Each run owns its Device and Detector, so runs
 // share no mutable state; results are assembled in input order, which
-// keeps every table and figure byte-identical to a serial sweep — the
-// determinism invariant the harness tests enforce.
+// keeps every table and figure byte-identical at any worker count —
+// the determinism invariant the harness tests enforce.
 
 // A Sweep is the state a sweep runs under, passed by value to every
 // experiment driver that simulates (they are its methods). The zero
 // value sweeps under context.Background(), with no manifest and no
 // defaults, on GOMAXPROCS workers.
 type Sweep struct {
-	// Ctx cancels every run of the sweep, in flight or queued, and
-	// its retry backoff (nil = context.Background()).
+	// Ctx cancels every run of the sweep, in flight or queued
+	// (nil = context.Background()).
 	Ctx context.Context
 	// Manifest, when set, gets each completed run appended (and
 	// synced) before the run is returned, and serves the runs it
@@ -43,7 +41,7 @@ type Sweep struct {
 	MaxCycles   int64
 	Timeout     time.Duration
 
-	// Workers bounds the concurrent runs (0 = GOMAXPROCS, 1 = serial).
+	// Workers bounds the concurrent runs (0 = GOMAXPROCS).
 	// Output is byte-identical at any count.
 	Workers int
 }
@@ -103,30 +101,16 @@ func SweepExecutions() int64 { return sweepExecutions.Load() }
 
 // Run runs every configuration across the worker pool and returns the
 // results in input order. The first failure cancels the remaining
-// runs; among the failures of a cancelled sweep the lowest-index real
-// error (not a cancellation casualty) is returned, so the reported
-// error does not depend on goroutine timing.
-//
-// Caveat: when several configurations would fail even serially, the
-// serial engine reports the first and never starts the rest, while the
-// pool may have several in flight; the returned error is then the
-// lowest-index one among those that actually ran. Success paths are
-// byte-identical to serial by construction.
+// runs, and the lowest-index real error (not a cancellation casualty)
+// is returned, so the reported error does not depend on goroutine
+// timing: at one worker it is the first failing configuration in input
+// order; at several, the lowest-index failure among the configurations
+// that actually ran. Results are byte-identical at any worker count.
 func (s Sweep) Run(cfgs []RunConfig) ([]*RunResult, error) {
 	ctx := s.context()
 	n := len(cfgs)
 	results := make([]*RunResult, n)
 	workers := min(s.workers(), n)
-	if workers <= 1 {
-		for i := range cfgs {
-			r, err := s.runOne(ctx, cfgs[i])
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
 
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -185,17 +169,13 @@ feed:
 	return results, nil
 }
 
-// sweepRetries bounds runOne's attempts per configuration.
-const sweepRetries = 3
-
-// runOne runs one configuration of the sweep under ctx: it merges the
-// sweep's defaults, serves the run from the manifest when it holds
-// it, and otherwise simulates it, retrying failed fault-injected runs
-// with backoff under a salted seed (a different fault sequence each
-// attempt). A fault-free simulation is deterministic, so its failures
-// are not retried — they would fail identically. Cancellation cuts
-// both the in-flight simulation and the backoff, so a failed sweep
-// winds down promptly instead of finishing doomed runs.
+// runOne runs one configuration of the sweep under ctx, once: it
+// merges the sweep's defaults, serves the run from the manifest when
+// it holds it, and otherwise executes it and appends the result. A run
+// is a deterministic function of its merged config, fault seed
+// included, so its failures are returned as they are. A run that
+// cancellation cuts short returns a *gpu.HangError, which unwraps to
+// the context's error, so callers classify it as an interruption.
 func (s Sweep) runOne(ctx context.Context, rc RunConfig) (*RunResult, error) {
 	rc = s.withDefaults(rc)
 	if s.Manifest != nil {
@@ -203,61 +183,20 @@ func (s Sweep) runOne(ctx context.Context, rc RunConfig) (*RunResult, error) {
 			return res, nil
 		}
 	}
-	requested := rc // manifest key: before any retry re-seeding
-	var lastErr error
-	for attempt := 1; attempt <= sweepRetries; attempt++ {
-		// A cancellation that landed between runs (or during a previous
-		// attempt) ends the retry budget immediately: the sweep is
-		// winding down to resumable state, not fighting for a result.
-		if ctx.Err() != nil {
-			return nil, cancelErr(ctx, rc, attempt-1, lastErr)
-		}
-		if attempt > 1 {
-			rc.FaultSeed += 1_000_003 // salt: explore a different sequence
-			select {
-			case <-ctx.Done():
-				return nil, cancelErr(ctx, rc, attempt-1, lastErr)
-			case <-time.After(time.Duration(attempt-1) * 50 * time.Millisecond):
-			}
-		}
-		sweepExecutions.Add(1)
-		res, err := execSweepRun(ctx, rc)
-		if err == nil {
-			res.Attempts = attempt
-			if s.Manifest != nil {
-				// A manifest append failure is a journal I/O error:
-				// retrying the simulation cannot fix the disk, so it is
-				// returned as-is (and classified non-retryable below).
-				if aerr := s.Manifest.Append(requested, res); aerr != nil {
-					return nil, aerr
-				}
-			}
-			return res, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, cancelErr(ctx, rc, attempt, lastErr)
-		}
-		if rc.FaultPlan == "" || journal.IsIO(err) {
-			break
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sweepExecutions.Add(1)
+	res, err := execSweepRun(ctx, rc)
+	if err != nil {
+		return nil, err
+	}
+	if s.Manifest != nil {
+		if err := s.Manifest.Append(rc, res); err != nil {
+			return nil, err
 		}
 	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
-	}
-	return nil, lastErr
-}
-
-// cancelErr wraps a cancellation observed during the retry loop so the
-// caller classifies the run as an interruption casualty — errors.Is
-// reports context.Canceled (or DeadlineExceeded) — while still naming
-// the last real failure the retries were fighting.
-func cancelErr(ctx context.Context, rc RunConfig, attempt int, lastErr error) error {
-	if lastErr == nil {
-		return ctx.Err()
-	}
-	return fmt.Errorf("harness: run %s/%s interrupted after %d attempt(s) (last error: %v): %w",
-		rc.Bench, rc.Detector, attempt, lastErr, ctx.Err())
+	return res, nil
 }
 
 // execSweepRun executes the run behind manifest key rc. The sweep

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"haccrg/internal/gpu"
 )
 
 // renderResults serializes everything an experiment table could be
@@ -20,8 +22,8 @@ func renderResults(t *testing.T, rs []*RunResult) string {
 		t.Fatal(err)
 	}
 	for _, r := range rs {
-		fmt.Fprintf(&buf, "%s/%s cycles=%d dram=%.6f attempts=%d\n",
-			r.Config.Bench, r.Config.Detector, r.Stats.Cycles, r.Stats.DRAMUtil, r.Attempts)
+		fmt.Fprintf(&buf, "%s/%s cycles=%d dram=%.6f\n",
+			r.Config.Bench, r.Config.Detector, r.Stats.Cycles, r.Stats.DRAMUtil)
 		for _, race := range r.Races {
 			fmt.Fprintf(&buf, "  %+v\n", *race)
 		}
@@ -178,15 +180,35 @@ func TestParallelismResolution(t *testing.T) {
 	}
 }
 
-// TestSweepRunCancellationClassified pins the retry-loop fix: a sweep
-// run cut down by context cancellation must surface an error that
-// errors.Is classifies as the cancellation, not as a genuine run
-// failure — SIGTERM during a retrying sweep is resumable state.
+// TestSweepRunCancellationClassified: a sweep run cut down by context
+// cancellation must surface an error that errors.Is classifies as the
+// cancellation, not as a genuine run failure — SIGTERM during a sweep
+// is resumable state.
 func TestSweepRunCancellationClassified(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rc := RunConfig{Bench: "psum", Detector: DetSharedGlobal, GPU: testGPU()}
 	if _, err := (Sweep{}).runOne(ctx, rc); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep run: err = %v, want context.Canceled classification", err)
+	}
+}
+
+// TestSweepFailedRunExecutesOnce: a fault-injected configuration that
+// fails is executed once and its error returned as it is. Its
+// cycle-budget trip draws no random number, so it recurs under any
+// seed, and a run is a function of its config, seed included.
+func TestSweepFailedRunExecutesOnce(t *testing.T) {
+	rc := RunConfig{
+		Bench: "hash", Detector: DetSharedGlobal, GPU: testGPU(),
+		FaultPlan: "spike:extra=500,period=32", FaultSeed: 7, MaxCycles: 50,
+	}
+	before := SweepExecutions()
+	_, err := Sweep{}.runOne(context.Background(), rc)
+	var hang *gpu.HangError
+	if !errors.As(err, &hang) {
+		t.Fatalf("err = %v, want a *gpu.HangError", err)
+	}
+	if n := SweepExecutions() - before; n != 1 {
+		t.Errorf("the failed run executed %d times, want once", n)
 	}
 }

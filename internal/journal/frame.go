@@ -52,9 +52,7 @@ const readBufBytes = 32 << 10
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // IOError marks a failure in the journal's underlying storage (as
-// opposed to corrupt journal *content*). Consumers use IsIO to
-// classify such failures as non-retryable: retrying a simulation on
-// top of a half-written journal would corrupt it further.
+// opposed to corrupt journal *content*); IsIO tells the two apart.
 type IOError struct {
 	Op  string
 	Err error

@@ -96,7 +96,6 @@ type RunSummary struct {
 	Detector string   `json:"detector"`
 	Cycles   int64    `json:"cycles"`
 	Races    []string `json:"races"`
-	Attempts int      `json:"attempts"`
 	// Resumed is true when this run was served from the job's manifest
 	// (a pre-drain completion) rather than simulated in this process.
 	Resumed bool `json:"resumed,omitempty"`
@@ -243,7 +242,6 @@ func execBench(ctx context.Context, sp *JobSpec, m *harness.Manifest, smallGPU b
 			Detector: string(r.Config.Detector),
 			Cycles:   r.Stats.Cycles,
 			Races:    races,
-			Attempts: r.Attempts,
 			Resumed:  resumable[i],
 			Degraded: r.Health != nil && r.Health.Degraded,
 		})

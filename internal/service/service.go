@@ -30,6 +30,8 @@ import (
 	"io"
 	"log"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -399,8 +401,9 @@ func (s *Server) submit(tenant string, spec *JobSpec, journalBody io.Reader) (id
 	return id, 0, nil
 }
 
-// JournalPath returns where a replay job's uploaded journal must be
-// stored before submission.
+// JournalPath returns where the spool keeps a replay job's uploaded
+// journal: SubmitReplay stores it there, and a caller may remove it
+// once the job has finished.
 func (s *Server) JournalPath(id string) string { return s.spool.journalPath(id) }
 
 // Job returns a job's status snapshot.
@@ -415,7 +418,8 @@ func (s *Server) Job(id string) (JobStatus, bool) {
 }
 
 // Jobs lists status snapshots for one tenant (all tenants when tenant
-// is empty), newest first by enqueue time.
+// is empty), newest first by enqueue time, ties by ID. Jobs recovered
+// from the spool still queued carry no enqueue time, so they list last.
 func (s *Server) Jobs(tenant string) []JobStatus {
 	s.mu.Lock()
 	out := make([]JobStatus, 0, len(s.jobs))
@@ -426,6 +430,12 @@ func (s *Server) Jobs(tenant string) []JobStatus {
 		}
 	}
 	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b JobStatus) int {
+		if c := b.EnqueuedAt.Compare(a.EnqueuedAt); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ID, b.ID)
+	})
 	return out
 }
 

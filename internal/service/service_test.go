@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -161,6 +162,35 @@ func TestQueueSaturationShedsLoad(t *testing.T) {
 	rep := s.Drain(expiredCtx(t))
 	if rep.Requeued != 2 {
 		t.Fatalf("Drain.Requeued = %d, want 2 (accepted jobs are never dropped)", rep.Requeued)
+	}
+}
+
+// TestJobsNewestFirst: the job list is ordered newest first by enqueue
+// time, ties by ID, the same on every call.
+func TestJobsNewestFirst(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	s := newTestServer(t, func(c *Config) { c.now = func() time.Time { return clock } })
+	defer s.Drain(expiredCtx(t))
+	var ids []string
+	for i := 0; i < 6; i++ {
+		if i != 5 { // the last two jobs share an enqueue time
+			clock = clock.Add(time.Second)
+		}
+		id, _, err := s.Submit("t", analyzeSpec())
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		ids = append(ids, id)
+	}
+	want := []string{min(ids[4], ids[5]), max(ids[4], ids[5]), ids[3], ids[2], ids[1], ids[0]}
+	for call := 0; call < 20; call++ {
+		var got []string
+		for _, st := range s.Jobs("t") {
+			got = append(got, st.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d listed %v, want %v", call, got, want)
+		}
 	}
 }
 

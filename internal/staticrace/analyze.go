@@ -6,7 +6,7 @@
 //     shared-memory OOB, fence misuse around election atomics);
 //   - a race-freedom prover that classifies each LD/ST/ATOM site per
 //     memory space;
-//   - the RDU static filter (core.Options.StaticFilter) that lets the
+//   - the RDU static filter (core.Detector.SetStaticFilter) that lets the
 //     dynamic detector skip shadow work for proven-race-free sites.
 package staticrace
 

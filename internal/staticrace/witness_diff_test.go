@@ -124,17 +124,16 @@ func provSummary(races []*core.Race) string {
 	return sb.String()
 }
 
-// runSeeded launches a plan's kernels in order under one seeded
-// detector and returns the provenance-tagged findings summary.
-func runSeeded(t *testing.T, plan *kernels.Plan, f *staticrace.Filter,
-	mut func(*core.Options)) (string, []*core.Race) {
+// runSeeded launches a plan's kernels in order under one detector
+// seeded from f, with f as its static filter too when filtered, and
+// returns the provenance-tagged findings summary.
+func runSeeded(t *testing.T, plan *kernels.Plan, f *staticrace.Filter, filtered bool) (string, []*core.Race) {
 	t.Helper()
-	opt := core.DefaultOptions()
-	if mut != nil {
-		mut(&opt)
-	}
-	det := core.MustNew(opt)
+	det := core.MustNew(core.DefaultOptions())
 	det.SetWitnessSeeds(seedAdapter{f})
+	if filtered {
+		det.SetStaticFilter(f)
+	}
 	dev, err := gpu.NewDevice(gpu.TestConfig(), 1<<20, det)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +166,7 @@ func TestWitnessSeededFindingsIdentical(t *testing.T) {
 		t.Fatal("scan produced no verified race seeds; the seeding path is untested")
 	}
 
-	base, races := runSeeded(t, plan, f, nil)
+	base, races := runSeeded(t, plan, f, false)
 	seeded := 0
 	for _, r := range races {
 		if r.Provenance == "StaticWitness" {
@@ -178,7 +177,7 @@ func TestWitnessSeededFindingsIdentical(t *testing.T) {
 		t.Fatalf("no finding carries StaticWitness provenance; seeds never fired\n%s", base)
 	}
 
-	got, _ := runSeeded(t, plan, f, func(o *core.Options) { o.StaticFilter = f })
+	got, _ := runSeeded(t, plan, f, true)
 	if got != base {
 		t.Errorf("filtered run diverged from unfiltered seeded findings\ngot:\n%s\nwant:\n%s", got, base)
 	}
