@@ -8,6 +8,7 @@ package haccrg
 // interesting output is the reported metric, not ns/op.
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -175,11 +176,11 @@ func BenchmarkSWComparison(b *testing.B) {
 	// The Section VI-B trio: SCAN, HIST, KMEANS under software HAccRG.
 	for i := 0; i < b.N; i++ {
 		for _, bench := range []string{"scan", "hist", "kmeans"} {
-			base, err := harness.Run(harness.RunConfig{Bench: bench, Detector: harness.DetOff, Scale: benchScale})
+			base, err := harness.ExecContext(context.Background(), harness.RunConfig{Bench: bench, Detector: harness.DetOff, Scale: benchScale}, harness.ExecOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			sw, err := harness.Run(harness.RunConfig{Bench: bench, Detector: harness.DetSoftware, Scale: benchScale})
+			sw, err := harness.ExecContext(context.Background(), harness.RunConfig{Bench: bench, Detector: harness.DetSoftware, Scale: benchScale}, harness.ExecOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

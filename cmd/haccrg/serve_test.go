@@ -139,7 +139,11 @@ func TestServerDrainAndResume(t *testing.T) {
 	// Control: the same spec, uninterrupted, on a throwaway daemon.
 	ctrlCmd, ctrlURL := startDaemon(t, t.TempDir())
 	ctrlClient := &service.Client{BaseURL: ctrlURL, Tenant: "ci"}
-	want, err := ctrlClient.Run(ctx, spec)
+	ctrlID, err := ctrlClient.Submit(ctx, spec)
+	if err != nil {
+		t.Fatalf("control submit: %v", err)
+	}
+	want, err := ctrlClient.Wait(ctx, ctrlID)
 	if err != nil {
 		t.Fatalf("control run: %v", err)
 	}

@@ -94,9 +94,6 @@ func (c Config) MayIntersect(a, b Sig) bool {
 // the set of locks that have protected the variable so far.
 func (c Config) Intersect(a, b Sig) Sig { return a & b }
 
-// Empty reports whether the signature represents the empty lockset.
-func (c Config) Empty(s Sig) bool { return s == 0 }
-
 // Mask returns the valid-bit mask for this configuration, useful for
 // hardware-cost accounting and tests.
 func (c Config) Mask() Sig {

@@ -228,13 +228,6 @@ func NewFaultFS(real vfs.FS, sched *Schedule) *FaultFS {
 	}
 }
 
-// Crashed reports whether a crash clause has fired.
-func (f *FaultFS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // Fired returns the log of fired faults, in firing order — what a
 // campaign prints alongside a violated invariant.
 func (f *FaultFS) Fired() []string {

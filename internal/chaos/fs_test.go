@@ -157,7 +157,7 @@ func TestFaultFSCrashTruncatesToSynced(t *testing.T) {
 	if _, err := f.Write([]byte("boom")); err == nil || !errors.Is(err, ErrCrashed) {
 		t.Fatalf("want crash on 3rd write, got %v", err)
 	}
-	if !ffs.Crashed() {
+	if !ffs.crashed {
 		t.Fatal("FS not marked crashed")
 	}
 	// Post-crash: only the synced prefix survives.

@@ -90,20 +90,3 @@ func (s *pagedShadow) reset() {
 // drop releases the pages entirely (Detector.Reset between
 // experiments).
 func (s *pagedShadow) drop() { s.pages = nil }
-
-// entries counts present entries (tests and diagnostics only; walks
-// every allocated page).
-func (s *pagedShadow) entries() int {
-	n := 0
-	for _, p := range s.pages {
-		if p == nil {
-			continue
-		}
-		for i := range p {
-			if p[i].meta&gwPresent != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -309,22 +309,6 @@ func New(p *Plan, seed int64) *Injector {
 	}
 }
 
-// Plan returns the injector's plan (zero Plan for nil injectors).
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
-// Seed returns the injector's PRNG seed.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Reset clears dynamic state (queue depths, spike phases) between
 // kernels while preserving the PRNG streams, so multi-kernel plans
 // stay reproducible end to end.

@@ -8,6 +8,16 @@ import (
 	"haccrg/internal/isa"
 )
 
+// mustNew is New failing the test on error.
+func mustNew(t testing.TB, opt core.Options, cost CostModel) *Detector {
+	t.Helper()
+	d, err := New(opt, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // sharedRaceKernel: warp 0 writes shared, warp 1 reads it, no barrier.
 func sharedRaceKernel() *gpu.Kernel {
 	b := isa.NewBuilder("sr")
@@ -34,7 +44,7 @@ func opts() core.Options {
 }
 
 func TestDetectsSharedRaces(t *testing.T) {
-	g := MustNew(opts(), DefaultCostModel)
+	g := mustNew(t, opts(), DefaultCostModel)
 	dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, g)
 	if _, err := dev.Launch(sharedRaceKernel()); err != nil {
 		t.Fatal(err)
@@ -54,7 +64,7 @@ func TestGRaceIgnoresGlobalMemory(t *testing.T) {
 	b.Exit()
 	k := &gpu.Kernel{Name: "g", Prog: b.MustBuild(), GridDim: 2, BlockDim: 32}
 
-	g := MustNew(opts(), DefaultCostModel)
+	g := mustNew(t, opts(), DefaultCostModel)
 	dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, g)
 	out := dev.MustMalloc(256)
 	k.Params = []uint64{out}
@@ -79,7 +89,7 @@ func TestLoggingAndScanCosts(t *testing.T) {
 		return st.Cycles
 	}
 	base := run(nil)
-	g := MustNew(opts(), DefaultCostModel)
+	g := mustNew(t, opts(), DefaultCostModel)
 	graceCycles := run(g)
 	if graceCycles <= base {
 		t.Fatalf("GRace instrumentation free: %d vs %d", graceCycles, base)
@@ -103,7 +113,7 @@ func TestBarrierScanChargesPerRecord(t *testing.T) {
 	b.Exit()
 	k := &gpu.Kernel{Name: "bar", Prog: b.MustBuild(), GridDim: 1, BlockDim: 64, SharedBytes: 256}
 
-	g := MustNew(opts(), DefaultCostModel)
+	g := mustNew(t, opts(), DefaultCostModel)
 	dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, g)
 	st, err := dev.Launch(k)
 	if err != nil {

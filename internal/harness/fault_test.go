@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -33,7 +34,7 @@ func raceFingerprint(races []*core.Race) string {
 // change results, but never silently.
 func TestFaultPlansNeverDivergeSilently(t *testing.T) {
 	for _, bench := range faultStudyBenches {
-		base, err := Run(RunConfig{Bench: bench, Detector: DetSharedGlobal, GPU: testGPU()})
+		base, err := ExecContext(context.Background(), RunConfig{Bench: bench, Detector: DetSharedGlobal, GPU: testGPU()}, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", bench, err)
 		}
@@ -46,10 +47,10 @@ func TestFaultPlansNeverDivergeSilently(t *testing.T) {
 		baseFP := raceFingerprint(base.Races)
 		for _, fp := range FaultStudyPlans {
 			for seed := int64(1); seed <= 3; seed++ {
-				res, err := Run(RunConfig{
+				res, err := ExecContext(context.Background(), RunConfig{
 					Bench: bench, Detector: DetSharedGlobal, GPU: testGPU(),
 					FaultPlan: fp.Plan, FaultSeed: seed,
-				})
+				}, ExecOptions{})
 				if err != nil {
 					t.Fatalf("%s %s seed %d: %v", bench, fp.Label, seed, err)
 				}
@@ -73,11 +74,11 @@ func TestFaultDeterminism(t *testing.T) {
 		FaultPlan: "queue:cap=8,drain=1;flip:rate=2e-4;spike:extra=300,period=16",
 		FaultSeed: 42,
 	}
-	a, err := Run(rc)
+	a, err := ExecContext(context.Background(), rc, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(rc)
+	b, err := ExecContext(context.Background(), rc, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestFaultDeterminism(t *testing.T) {
 	// A different seed with an aggressive plan should perturb at least
 	// the health counters (the PRNG stream differs).
 	rc.FaultSeed = 43
-	c, err := Run(rc)
+	c, err := ExecContext(context.Background(), rc, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +109,14 @@ func TestFaultDeterminism(t *testing.T) {
 // the seed behaviour — same cycles, same races, health "ok" — even
 // when a seed or degradation policy is set.
 func TestEmptyPlanIsFaultFree(t *testing.T) {
-	plain, err := Run(RunConfig{Bench: "reduce", Detector: DetSharedGlobal, GPU: testGPU()})
+	plain, err := ExecContext(context.Background(), RunConfig{Bench: "reduce", Detector: DetSharedGlobal, GPU: testGPU()}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgd, err := Run(RunConfig{
+	cfgd, err := ExecContext(context.Background(), RunConfig{
 		Bench: "reduce", Detector: DetSharedGlobal, GPU: testGPU(),
 		FaultSeed: 99, Degradation: "reinit",
-	})
+	}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +135,10 @@ func TestEmptyPlanIsFaultFree(t *testing.T) {
 // policies; both must flag Degraded via their respective counters.
 func TestReinitPolicy(t *testing.T) {
 	for _, pol := range []string{"quarantine", "reinit"} {
-		res, err := Run(RunConfig{
+		res, err := ExecContext(context.Background(), RunConfig{
 			Bench: "scan", Detector: DetSharedGlobal, GPU: testGPU(), SingleBlock: true,
 			FaultPlan: "stuck:perki=32,ecc", FaultSeed: 7, Degradation: pol,
-		})
+		}, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -157,10 +158,10 @@ func TestReinitPolicy(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Run(RunConfig{
+	if _, err := ExecContext(context.Background(), RunConfig{
 		Bench: "scan", Detector: DetSharedGlobal, GPU: testGPU(),
 		Degradation: "explode",
-	}); err == nil {
+	}, ExecOptions{}); err == nil {
 		t.Error("bogus degradation policy accepted")
 	}
 }
@@ -168,9 +169,9 @@ func TestReinitPolicy(t *testing.T) {
 // TestMaxCyclesGuardRail: an exhausted cycle budget surfaces as a
 // structured HangError with the partial result still attached.
 func TestMaxCyclesGuardRail(t *testing.T) {
-	res, err := Run(RunConfig{
+	res, err := ExecContext(context.Background(), RunConfig{
 		Bench: "hash", Detector: DetSharedGlobal, GPU: testGPU(), MaxCycles: 50,
-	})
+	}, ExecOptions{})
 	if err == nil {
 		t.Fatal("50-cycle budget did not abort the run")
 	}
@@ -188,9 +189,9 @@ func TestMaxCyclesGuardRail(t *testing.T) {
 		t.Errorf("partial stats have no cycles: %+v", res.Stats)
 	}
 	// A generous budget must not trip.
-	if _, err := Run(RunConfig{
+	if _, err := ExecContext(context.Background(), RunConfig{
 		Bench: "hash", Detector: DetSharedGlobal, GPU: testGPU(), MaxCycles: 1 << 40,
-	}); err != nil {
+	}, ExecOptions{}); err != nil {
 		t.Errorf("generous budget aborted: %v", err)
 	}
 }
@@ -218,10 +219,10 @@ func TestFaultStudyRenders(t *testing.T) {
 }
 
 func TestHealthCSV(t *testing.T) {
-	res, err := Run(RunConfig{
+	res, err := ExecContext(context.Background(), RunConfig{
 		Bench: "scan", Detector: DetSharedGlobal, GPU: testGPU(), SingleBlock: true,
 		FaultPlan: "flip:rate=2e-4", FaultSeed: 5,
-	})
+	}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

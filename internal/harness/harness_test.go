@@ -17,10 +17,10 @@ func testGPU() *gpu.Config {
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	if _, err := Run(RunConfig{Bench: "nope"}); err == nil {
+	if _, err := ExecContext(context.Background(), RunConfig{Bench: "nope"}, ExecOptions{}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, err := Run(RunConfig{Bench: "scan", Detector: "bogus"}); err == nil {
+	if _, err := ExecContext(context.Background(), RunConfig{Bench: "scan", Detector: "bogus"}, ExecOptions{}); err == nil {
 		t.Fatal("unknown detector accepted")
 	}
 }
@@ -28,7 +28,7 @@ func TestRunUnknownBenchmark(t *testing.T) {
 func TestRunAllDetectorKinds(t *testing.T) {
 	kinds := []DetectorKind{DetOff, DetShared, DetGlobal, DetSharedGlobal, DetFig8, DetSoftware, DetGRace}
 	for _, k := range kinds {
-		r, err := Run(RunConfig{Bench: "scan", Detector: k, GPU: testGPU(), SingleBlock: true})
+		r, err := ExecContext(context.Background(), RunConfig{Bench: "scan", Detector: k, GPU: testGPU(), SingleBlock: true}, ExecOptions{})
 		if err != nil {
 			t.Fatalf("detector %s: %v", k, err)
 		}
@@ -43,7 +43,7 @@ func TestDetectionOverheadOrdering(t *testing.T) {
 	// GRace slowest of all.
 	var cycles []int64
 	for _, k := range []DetectorKind{DetOff, DetShared, DetSoftware, DetGRace} {
-		r, err := Run(RunConfig{Bench: "scan", Detector: k, GPU: testGPU(), SingleBlock: true})
+		r, err := ExecContext(context.Background(), RunConfig{Bench: "scan", Detector: k, GPU: testGPU(), SingleBlock: true}, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestInjectedSmallDevice(t *testing.T) {
 		if bench == "scan" {
 			rc.SingleBlock = true
 		}
-		r, err := Run(rc)
+		r, err := ExecContext(context.Background(), rc, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

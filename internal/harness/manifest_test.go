@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -234,12 +235,12 @@ func TestSweepResumeDeterminism(t *testing.T) {
 			expected++
 		}
 	}
-	before := SweepExecutions()
+	before := sweepExecutions.Load()
 	res, err := resumed.Run(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	executed := SweepExecutions() - before
+	executed := sweepExecutions.Load() - before
 	if got := renderResults(t, res); got != want {
 		t.Errorf("resumed sweep diverged from uninterrupted sweep:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", want, got)
 	}
@@ -263,15 +264,16 @@ func TestJournalIOError(t *testing.T) {
 		Bench: "scan", Detector: DetSharedGlobal, GPU: testGPU(), SingleBlock: true,
 		FaultPlan: "flip:rate=2e-4", FaultSeed: 7,
 	}
-	before := SweepExecutions()
+	before := sweepExecutions.Load()
 	_, err = Sweep{Manifest: m}.runOne(context.Background(), rc)
 	if err == nil {
 		t.Fatal("sweep run succeeded with a closed manifest")
 	}
-	if !journal.IsIO(err) {
+	var ioe *journal.IOError
+	if !errors.As(err, &ioe) {
 		t.Fatalf("manifest failure surfaced as %v, want a journal I/O error", err)
 	}
-	if got := SweepExecutions() - before; got != 1 {
+	if got := sweepExecutions.Load() - before; got != 1 {
 		t.Errorf("the run executed %d times, want once", got)
 	}
 }
@@ -369,7 +371,7 @@ func TestResumeOldManifestEncoding(t *testing.T) {
 		Bench: "reduce", Detector: DetSharedGlobal, GPU: testGPU(),
 		FaultPlan: "queue:cap=16,drain=1", FaultSeed: 7,
 	}
-	fresh, err := Run(rc)
+	fresh, err := ExecContext(context.Background(), rc, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,13 +396,13 @@ func TestResumeOldManifestEncoding(t *testing.T) {
 		if salvage.Records != 1 || salvage.Truncated {
 			t.Fatalf("%s: salvage %+v, want one clean record", name, salvage)
 		}
-		before := SweepExecutions()
+		before := sweepExecutions.Load()
 		got, err := Sweep{Manifest: m}.runOne(context.Background(), rc)
 		m.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := SweepExecutions() - before; n != 0 {
+		if n := sweepExecutions.Load() - before; n != 0 {
 			t.Fatalf("%s: resume re-simulated %d run(s) instead of serving the manifest", name, n)
 		}
 		gotJSON, err := json.Marshal(got)

@@ -159,13 +159,6 @@ func DetectorFor(rc RunConfig) (gpu.Detector, error) {
 	return det, err
 }
 
-// Run executes one configuration to completion: ExecContext with no
-// external cancellation (the config's own Timeout still applies) and
-// no extras.
-func Run(rc RunConfig) (*RunResult, error) {
-	return ExecContext(context.Background(), rc, ExecOptions{})
-}
-
 // ExecOptions carries the per-run extras that are not part of a
 // RunConfig's serializable identity: output verification, the event
 // timeline, and journal recording. Every execution path in the system

@@ -61,7 +61,7 @@ func TestSweepDefaultFaultPlanOnOffRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(rc)
+	plain, err := ExecContext(context.Background(), rc, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestSweepDefaultFaultPlanOnOffRuns(t *testing.T) {
 		t.Error("manifest does not hold the run under its merged key")
 	}
 
-	before := SweepExecutions()
+	before := sweepExecutions.Load()
 	if _, err := (Sweep{FaultPlan: "nonsense:::"}).Run([]RunConfig{rc}); err == nil {
 		t.Error("a sweep default plan that does not parse was accepted")
 	}
-	if n := SweepExecutions() - before; n != 1 {
+	if n := sweepExecutions.Load() - before; n != 1 {
 		t.Errorf("the unparseable plan executed %d times, want once", n)
 	}
 }

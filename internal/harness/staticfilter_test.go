@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -43,13 +44,13 @@ func TestStaticFilterDifferential(t *testing.T) {
 					GPU: testGPU(), FaultPlan: fp, FaultSeed: 7,
 					MaxCycles: 40_000_000,
 				}
-				off, err := Run(base)
+				off, err := ExecContext(context.Background(), base, ExecOptions{})
 				if err != nil {
 					t.Fatalf("plan=%q off: %v", fp, err)
 				}
 				on := base
 				on.StaticFilter = true
-				res, err := Run(on)
+				res, err := ExecContext(context.Background(), on, ExecOptions{})
 				if err != nil {
 					t.Fatalf("plan=%q on: %v", fp, err)
 				}
@@ -71,10 +72,10 @@ func TestStaticFilterDifferential(t *testing.T) {
 func TestStaticFilterSavesWork(t *testing.T) {
 	saved := 0
 	for _, bm := range kernels.All() {
-		res, err := Run(RunConfig{
+		res, err := ExecContext(context.Background(), RunConfig{
 			Bench: bm.Name, Detector: DetSharedGlobal,
 			GPU: testGPU(), StaticFilter: true, MaxCycles: 40_000_000,
-		})
+		}, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
@@ -94,10 +95,10 @@ func TestStaticFilterSavesWork(t *testing.T) {
 // against the hardware RDU engines only.
 func TestStaticFilterRejectsSoftwareKinds(t *testing.T) {
 	for _, k := range []DetectorKind{DetOff, DetSoftware, DetGRace} {
-		_, err := Run(RunConfig{
+		_, err := ExecContext(context.Background(), RunConfig{
 			Bench: "scan", Detector: k, GPU: testGPU(),
 			SingleBlock: true, StaticFilter: true,
-		})
+		}, ExecOptions{})
 		if err == nil {
 			t.Errorf("detector %s accepted the static filter", k)
 		}

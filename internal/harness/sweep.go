@@ -95,10 +95,6 @@ func (s Sweep) Lookup(rc RunConfig) (*RunResult, bool) {
 // the resume tests use it to prove completed runs are not re-run.
 var sweepExecutions atomic.Int64
 
-// SweepExecutions returns how many sweep runs were actually simulated
-// (as opposed to served from the manifest) since process start.
-func SweepExecutions() int64 { return sweepExecutions.Load() }
-
 // Run runs every configuration across the worker pool and returns the
 // results in input order. The first failure cancels the remaining
 // runs, and the lowest-index real error (not a cancellation casualty)

@@ -202,13 +202,13 @@ func TestSweepFailedRunExecutesOnce(t *testing.T) {
 		Bench: "hash", Detector: DetSharedGlobal, GPU: testGPU(),
 		FaultPlan: "spike:extra=500,period=32", FaultSeed: 7, MaxCycles: 50,
 	}
-	before := SweepExecutions()
+	before := sweepExecutions.Load()
 	_, err := Sweep{}.runOne(context.Background(), rc)
 	var hang *gpu.HangError
 	if !errors.As(err, &hang) {
 		t.Fatalf("err = %v, want a *gpu.HangError", err)
 	}
-	if n := SweepExecutions() - before; n != 1 {
+	if n := sweepExecutions.Load() - before; n != 1 {
 		t.Errorf("the failed run executed %d times, want once", n)
 	}
 }

@@ -52,7 +52,7 @@ const readBufBytes = 32 << 10
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // IOError marks a failure in the journal's underlying storage (as
-// opposed to corrupt journal *content*); IsIO tells the two apart.
+// opposed to corrupt journal *content*); errors.As tells the two apart.
 type IOError struct {
 	Op  string
 	Err error
@@ -62,12 +62,6 @@ func (e *IOError) Error() string { return "journal: " + e.Op + ": " + e.Err.Erro
 
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *IOError) Unwrap() error { return e.Err }
-
-// IsIO reports whether err is (or wraps) a journal storage failure.
-func IsIO(err error) bool {
-	var ioe *IOError
-	return errors.As(err, &ioe)
-}
 
 // Writer appends CRC-framed records to an underlying stream. It is
 // not safe for concurrent use.
@@ -119,9 +113,6 @@ func (w *Writer) Append(payload []byte) error {
 	}
 	return nil
 }
-
-// Err returns the writer's sticky error, if any.
-func (w *Writer) Err() error { return w.err }
 
 // Salvage reports what a Reader recovered from a journal.
 type Salvage struct {

@@ -212,11 +212,12 @@ func TestWriterStickyIOError(t *testing.T) {
 	if err := w.Append([]byte("fits")); err != nil {
 		t.Fatalf("first append: %v", err)
 	}
+	var ioe *IOError
 	err = w.Append([]byte("fails"))
-	if err == nil || !IsIO(err) || !errors.Is(err, boom) {
+	if !errors.As(err, &ioe) || !errors.Is(err, boom) {
 		t.Fatalf("failed append returned %v, want an IOError wrapping the cause", err)
 	}
-	if err2 := w.Append([]byte("after")); err2 == nil || !IsIO(err2) {
+	if err2 := w.Append([]byte("after")); !errors.As(err2, &ioe) {
 		t.Fatalf("sticky error lost: %v", err2)
 	}
 }

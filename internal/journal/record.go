@@ -324,7 +324,7 @@ const maxNames = 1 << 12
 // interned. The record Decode returns, and its event, are valid until
 // the next decode, the borrowed-event contract of gpu.WarpMemEvent;
 // what a record owns outright (Meta, Env, Race, Verdict) is freshly
-// allocated. DecodeRecord is the copying wrapper.
+// allocated.
 type recordDecoder struct {
 	rec   Record
 	ev    gpu.WarpMemEvent
@@ -345,25 +345,6 @@ func (dc *recordDecoder) name(b []byte) string {
 		dc.names[s] = s
 	}
 	return s
-}
-
-// DecodeRecord parses one record payload into a record it owns. The
-// input is normally CRC-validated, but decoding is defensive
-// regardless: corrupt bytes yield an error, never a panic or unbounded
-// allocation.
-func DecodeRecord(payload []byte) (*Record, error) {
-	var dc recordDecoder
-	rec, err := dc.decode(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := *rec
-	if rec.Ev != nil {
-		ev := *rec.Ev
-		ev.Lanes = append([]gpu.LaneAccess(nil), rec.Ev.Lanes...)
-		out.Ev = &ev
-	}
-	return &out, nil
 }
 
 // decode parses one record payload into the decoder's storage.

@@ -8,6 +8,24 @@ import (
 	"haccrg/internal/isa"
 )
 
+// DecodeRecord parses one record payload into a record it owns: the
+// reference replay's, the fuzzer's and the record tests' decoder.
+// Corrupt bytes yield an error, never a panic or unbounded allocation.
+func DecodeRecord(payload []byte) (*Record, error) {
+	var dc recordDecoder
+	rec, err := dc.decode(payload)
+	if err != nil {
+		return nil, err
+	}
+	out := *rec
+	if rec.Ev != nil {
+		ev := *rec.Ev
+		ev.Lanes = append([]gpu.LaneAccess(nil), rec.Ev.Lanes...)
+		out.Ev = &ev
+	}
+	return &out, nil
+}
+
 func sampleEvent() *gpu.WarpMemEvent {
 	return &gpu.WarpMemEvent{
 		Space: isa.SpaceGlobal, Write: true, PC: 42,

@@ -20,7 +20,7 @@ func statsFor(t *testing.T, name string, p Params) *gpu.LaunchStats {
 func TestSharedHeavyBenchmarks(t *testing.T) {
 	// SCAN and HIST are the suite's shared-memory-dominated workloads.
 	for _, name := range []string{"scan", "hist"} {
-		p := DefaultParams()
+		p := Params{Scale: 1}
 		if name == "scan" {
 			p.SingleBlock = true
 		}
@@ -38,7 +38,7 @@ func TestSharedHeavyBenchmarks(t *testing.T) {
 func TestGlobalHeavyBenchmarks(t *testing.T) {
 	// PSUM and REDUCE stream global memory.
 	for _, name := range []string{"psum", "reduce"} {
-		st := statsFor(t, name, DefaultParams())
+		st := statsFor(t, name, Params{Scale: 1})
 		if st.GlobalReadPct() < 5 {
 			t.Errorf("%s: global reads %.2f%%, expected global-heavy (>5%%)", name, st.GlobalReadPct())
 		}
@@ -51,7 +51,7 @@ func TestGlobalHeavyBenchmarks(t *testing.T) {
 
 func TestHashUsesNoSharedMemory(t *testing.T) {
 	// Table II lists HASH at 0% shared reads.
-	st := statsFor(t, "hash", DefaultParams())
+	st := statsFor(t, "hash", Params{Scale: 1})
 	if st.SharedReads != 0 || st.SharedWrites != 0 {
 		t.Errorf("hash touched shared memory: %d reads, %d writes", st.SharedReads, st.SharedWrites)
 	}
@@ -61,7 +61,7 @@ func TestFenceUsers(t *testing.T) {
 	// The paper: REDUCE, PSUM and KMEANS use memory fencing for
 	// inter-thread-block communication; HASH fences before releases.
 	for _, name := range []string{"reduce", "psum", "kmeans", "hash"} {
-		p := DefaultParams()
+		p := Params{Scale: 1}
 		if name == "kmeans" {
 			p.SingleBlock = true
 		}
@@ -72,7 +72,7 @@ func TestFenceUsers(t *testing.T) {
 	}
 	// The independent-tile benchmarks use none.
 	for _, name := range []string{"mcarlo", "scan", "fwalsh", "hist", "sortnw", "offt"} {
-		p := DefaultParams()
+		p := Params{Scale: 1}
 		if name == "scan" {
 			p.SingleBlock = true
 		}
@@ -87,7 +87,7 @@ func TestBarrierUsers(t *testing.T) {
 	// Every benchmark except PSUM-lite patterns synchronizes with
 	// barriers; HASH synchronizes only with locks.
 	for _, name := range []string{"mcarlo", "scan", "fwalsh", "hist", "sortnw", "reduce", "offt", "kmeans", "psum"} {
-		p := DefaultParams()
+		p := Params{Scale: 1}
 		if name == "scan" || name == "kmeans" {
 			p.SingleBlock = true
 		}
@@ -96,7 +96,7 @@ func TestBarrierUsers(t *testing.T) {
 			t.Errorf("%s executed no barriers", name)
 		}
 	}
-	st := statsFor(t, "hash", DefaultParams())
+	st := statsFor(t, "hash", Params{Scale: 1})
 	if st.Barriers != 0 {
 		t.Errorf("hash executed %d barriers, expected lock-only synchronization", st.Barriers)
 	}
@@ -111,7 +111,7 @@ func TestHashUsesCriticalSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := bm.Build(dev, DefaultParams())
+	plan, err := bm.Build(dev, Params{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +150,8 @@ func (c *critProbe) WarpMem(ev *gpu.WarpMemEvent) int64 {
 func TestScaleGrowsWork(t *testing.T) {
 	// Scale must grow the executed work for every benchmark.
 	for _, bm := range All() {
-		p1 := DefaultParams()
-		p4 := DefaultParams()
+		p1 := Params{Scale: 1}
+		p4 := Params{Scale: 1}
 		p4.Scale = 4
 		if bm.Name == "scan" || bm.Name == "kmeans" {
 			p1.SingleBlock = true

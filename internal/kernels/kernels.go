@@ -45,7 +45,6 @@ const (
 	// benchmark state.
 	rInj0 = isa.Reg(28)
 	rInj1 = isa.Reg(29)
-	rInj2 = isa.Reg(30)
 )
 
 // InjectKind classifies an injection site (Section VI-A).
@@ -90,9 +89,6 @@ type Params struct {
 	// single-block configuration, removing their documented bugs.
 	SingleBlock bool
 }
-
-// DefaultParams returns the standard configuration.
-func DefaultParams() Params { return Params{Scale: 1} }
 
 func (p *Params) scale() int {
 	if p.Scale < 1 {
@@ -235,24 +231,6 @@ func AllIncludingDefective() []*Benchmark {
 		out = append(out, registry[n])
 	}
 	return out
-}
-
-// AllSites returns every injection site of every benchmark.
-func AllSites() []Site {
-	var out []Site
-	for _, b := range All() {
-		out = append(out, b.Sites...)
-	}
-	return out
-}
-
-// SiteCounts tallies sites by kind (the paper's 23/13/3/2).
-func SiteCounts() map[InjectKind]int {
-	m := make(map[InjectKind]int)
-	for _, s := range AllSites() {
-		m[s.Kind]++
-	}
-	return m
 }
 
 // --- emission helpers shared by the benchmarks ---

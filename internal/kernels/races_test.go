@@ -48,7 +48,7 @@ func TestRealRaces(t *testing.T) {
 	for _, bm := range All() {
 		bm := bm
 		t.Run(bm.Name, func(t *testing.T) {
-			det := runWithDetector(t, bm.Name, DefaultParams(), detectOptions())
+			det := runWithDetector(t, bm.Name, Params{Scale: 1}, detectOptions())
 			shared := det.SiteCount(isa.SpaceShared)
 			global := det.SiteCount(isa.SpaceGlobal)
 			if shared != 0 {
@@ -79,7 +79,7 @@ func firstRaces(det *core.Detector, n int) []*core.Race {
 // single thread-block".
 func TestDesignedForSingleBlockIsClean(t *testing.T) {
 	for _, name := range []string{"scan", "kmeans"} {
-		p := DefaultParams()
+		p := Params{Scale: 1}
 		p.SingleBlock = true
 		det := runWithDetector(t, name, p, detectOptions())
 		if n := len(det.Races()); n != 0 {
@@ -92,7 +92,7 @@ func TestDesignedForSingleBlockIsClean(t *testing.T) {
 // TestOFFTRaceIsWAR checks the documented OFFT bug manifests with a
 // write-after-read component, as the paper describes.
 func TestOFFTRaceIsWAR(t *testing.T) {
-	det := runWithDetector(t, "offt", DefaultParams(), detectOptions())
+	det := runWithDetector(t, "offt", Params{Scale: 1}, detectOptions())
 	for _, r := range det.Races() {
 		if r.Kind == core.KindWAR || r.Kind == core.KindWAW {
 			return
@@ -105,7 +105,14 @@ func TestOFFTRaceIsWAR(t *testing.T) {
 // 23 removable barriers, 13 cross-block dummies, 3 removable fences,
 // 2 critical-section dummies.
 func TestSiteInventory(t *testing.T) {
-	counts := SiteCounts()
+	var sites []Site
+	counts := map[InjectKind]int{}
+	for _, b := range All() {
+		for _, s := range b.Sites {
+			sites = append(sites, s)
+			counts[s.Kind]++
+		}
+	}
 	want := map[InjectKind]int{
 		InjRemoveBarrier: 23,
 		InjDummyCross:    13,
@@ -119,11 +126,11 @@ func TestSiteInventory(t *testing.T) {
 		}
 		total += n
 	}
-	if got := len(AllSites()); got != total {
+	if got := len(sites); got != total {
 		t.Errorf("total sites = %d, want %d", got, total)
 	}
 	seen := map[string]bool{}
-	for _, s := range AllSites() {
+	for _, s := range sites {
 		if seen[s.ID] {
 			t.Errorf("duplicate site id %s", s.ID)
 		}
@@ -145,7 +152,7 @@ func TestInjectedRaces41(t *testing.T) {
 	// single-block launches. OFFT keeps its real bug; injections must
 	// still stand out against it.
 	cleanParams := func(name string) Params {
-		p := DefaultParams()
+		p := Params{Scale: 1}
 		if name == "scan" || name == "kmeans" {
 			p.SingleBlock = true
 		}

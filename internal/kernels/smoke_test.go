@@ -38,7 +38,7 @@ func TestAllBenchmarksRunAndVerify(t *testing.T) {
 	for _, bm := range All() {
 		bm := bm
 		t.Run(bm.Name, func(t *testing.T) {
-			p := DefaultParams()
+			p := Params{Scale: 1}
 			if bm.Name == "scan" || bm.Name == "kmeans" {
 				p.SingleBlock = true // verify the designed-for configuration
 			}

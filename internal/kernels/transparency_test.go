@@ -26,7 +26,7 @@ func runImage(t *testing.T, name string, det gpu.Detector) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := DefaultParams()
+	p := Params{Scale: 1}
 	if name == "scan" || name == "kmeans" {
 		p.SingleBlock = true
 	}
@@ -54,11 +54,23 @@ func detectors(t *testing.T) map[string]func() gpu.Detector {
 	fig8 := opt
 	fig8.SharedShadowInGlobal = true
 	return map[string]func() gpu.Detector{
-		"off":     func() gpu.Detector { return gpu.NopDetector{} },
-		"haccrg":  func() gpu.Detector { return core.MustNew(opt) },
-		"fig8":    func() gpu.Detector { return core.MustNew(fig8) },
-		"swimpl":  func() gpu.Detector { return swdetect.MustNew(opt, swdetect.DefaultCostModel) },
-		"graceim": func() gpu.Detector { return grace.MustNew(opt, grace.DefaultCostModel) },
+		"off":    func() gpu.Detector { return gpu.NopDetector{} },
+		"haccrg": func() gpu.Detector { return core.MustNew(opt) },
+		"fig8":   func() gpu.Detector { return core.MustNew(fig8) },
+		"swimpl": func() gpu.Detector {
+			d, err := swdetect.New(opt, swdetect.DefaultCostModel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		},
+		"graceim": func() gpu.Detector {
+			d, err := grace.New(opt, grace.DefaultCostModel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		},
 	}
 }
 

@@ -109,9 +109,6 @@ func MustNewCache(cfg CacheConfig) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() CacheConfig { return c.cfg }
-
 func (c *Cache) locate(addr uint64) (set []cacheLine, tag uint64) {
 	line := addr >> c.lineShift
 	return c.sets[line&c.setMask], line >> uint64(len64(c.setMask))
@@ -218,19 +215,6 @@ func (c *Cache) FillStamp(addr uint64) (int64, bool) {
 func (c *Cache) reconstruct(tag, incoming uint64) uint64 {
 	setIdx := (incoming >> c.lineShift) & c.setMask
 	return (tag<<uint64(len64(c.setMask))|setIdx)<<c.lineShift | 0
-}
-
-// Probe reports whether addr is present without touching LRU or stats.
-// The global-memory RDU uses this to learn whether a read was an L1
-// hit (stale-data race detection, Section IV-B).
-func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.locate(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
 }
 
 // Invalidate drops a line if present (no writeback), returning whether

@@ -6,7 +6,9 @@ type DRAMConfig struct {
 	BurstCycles int64 // data-bus occupancy per transaction
 	RowBits     int   // log2 of the row size in bytes, for row-hit modelling
 	RowHitSave  int64 // cycles saved on a row-buffer hit
-	QueueDepth  int   // modelled queue depth (F-R-FCFS approximation)
+	// QueueDepth is read by nothing: no queue is modelled. It stays
+	// because journals and manifest keys serialize gpu.Config.
+	QueueDepth int
 }
 
 // DefaultDRAMConfig approximates the paper's GDDR3 timing at core clock.
@@ -24,10 +26,9 @@ var DefaultDRAMConfig = DRAMConfig{
 type DRAM struct {
 	cfg DRAMConfig
 
-	busFree   int64 // cycle at which the data bus is next free
-	openRow   uint64
-	rowValid  bool
-	queueLoad int64 // outstanding completions for queue modelling
+	busFree  int64 // cycle at which the data bus is next free
+	openRow  uint64
+	rowValid bool
 
 	// Stats.
 	BusyCycles int64 // data-bus busy cycles (the utilization numerator)

@@ -30,9 +30,6 @@ func NewMemory(name string, size int) *Memory {
 // Size returns the memory size in bytes.
 func (m *Memory) Size() int { return len(m.data) }
 
-// Name returns the diagnostic name of this memory.
-func (m *Memory) Name() string { return m.name }
-
 // Bytes exposes the backing storage for host-side initialization.
 func (m *Memory) Bytes() []byte { return m.data }
 

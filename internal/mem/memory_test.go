@@ -5,6 +5,18 @@ import (
 	"testing/quick"
 )
 
+// Probe reports whether addr is present without touching LRU or
+// stats: the cache tests' oracle for what a line holds.
+func (c *Cache) Probe(addr uint64) bool {
+	set, tag := c.locate(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
 func TestMemoryLoadStoreRoundTrip(t *testing.T) {
 	m := NewMemory("t", 1024)
 	for _, size := range []int{1, 2, 4, 8} {

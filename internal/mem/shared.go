@@ -35,9 +35,6 @@ func NewShared(cfg SharedConfig) *Shared {
 	return &Shared{cfg: cfg, Mem: NewMemory("shared", cfg.SizeBytes), perBank: make([]int64, cfg.Banks)}
 }
 
-// Config returns the tile geometry.
-func (s *Shared) Config() SharedConfig { return s.cfg }
-
 // ConflictCyclesFor computes how many cycles a warp's shared-memory
 // access occupies: the maximum number of distinct words mapped to any
 // single bank (accesses to the same word broadcast and count once).

@@ -45,9 +45,6 @@ func New(cfg Config, nPartitions int) *Network {
 	}
 }
 
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 func (n *Network) flits(payloadBytes int) int64 {
 	b := payloadBytes + n.cfg.MetaBytesBase
 	if n.cfg.RDUMetaEnabled {

@@ -1,0 +1,28 @@
+// Package impl plants what the source ratchet must report and pass.
+package impl
+
+type Widget struct{ n int }
+type gadget struct{ n int }
+type named struct{}
+
+func (w *Widget) Spin()    { w.n++ }                 // live: the root package aliases Widget
+func (g *gadget) tune()    { g.n++ }                 // dead method
+func unusedHelper() int    { return unusedHelper() } // dead function
+func (named) Name() string { return "named" }        // live: satisfies Count's assertion
+
+func Count(m map[string]int) (n int) {
+	if _, ok := any(named{}).(interface{ Name() string }); ok {
+		n++
+	}
+	for range m { // not listed
+		n++
+	}
+	return n
+}
+
+func Min(m map[string]int) (best int) {
+	for _, v := range m { // listed
+		best = min(best, v)
+	}
+	return best
+}

@@ -56,7 +56,7 @@ func TestSpoolRecoveryFIFO(t *testing.T) {
 	}
 	ids := []string{"jzz", "jmm", "jaa"} // admission order; glob order is jaa,jmm,jzz
 	for i, id := range ids {
-		if err := sp.putSpec(id, int64(i+1), "t", analyzeSpec()); err != nil {
+		if err := sp.putSpec(id, int64(i+1), "t", time.Time{}, analyzeSpec()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -255,25 +255,3 @@ func (c *Client) Wait(ctx context.Context, id string) (*JobStatus, error) {
 		}
 	}
 }
-
-// Run submits a bench/analyze job and waits for its result.
-func (c *Client) Run(ctx context.Context, spec *JobSpec) (*JobStatus, error) {
-	id, err := c.Submit(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.Wait(ctx, id)
-}
-
-// Stats fetches the daemon's /statsz snapshot.
-func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/statsz", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var st Stats
-	if err := decode(resp, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}

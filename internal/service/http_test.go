@@ -190,12 +190,20 @@ func TestHTTPStatsz(t *testing.T) {
 	cl := &Client{BaseURL: hs.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := cl.Run(ctx, analyzeSpec()); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	st, err := cl.Stats(ctx)
+	id, err := cl.Submit(ctx, analyzeSpec())
 	if err != nil {
-		t.Fatalf("Stats: %v", err)
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := cl.Wait(ctx, id); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	resp, err := http.Get(hs.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	if err := decode(resp, &st); err != nil {
+		t.Fatalf("GET /statsz: %v", err)
 	}
 	if st.Accepted != 1 || st.Completed != 1 {
 		t.Fatalf("stats accepted/completed = %d/%d, want 1/1", st.Accepted, st.Completed)

@@ -230,6 +230,7 @@ func (s *Server) recover() error {
 			done: make(chan struct{}),
 			status: JobStatus{
 				ID: e.ID, Tenant: e.Tenant, Kind: e.Spec.Kind, State: StateQueued,
+				EnqueuedAt: e.EnqueuedAt,
 			},
 		}
 		if e.Status != nil {
@@ -363,7 +364,8 @@ func (s *Server) submit(tenant string, spec *JobSpec, journalBody io.Reader) (id
 			return "", 0, err
 		}
 	}
-	if err := s.spool.putSpec(id, s.seq.Add(1), tenant, spec); err != nil {
+	enqueued := s.cfg.now()
+	if err := s.spool.putSpec(id, s.seq.Add(1), tenant, enqueued, spec); err != nil {
 		s.spool.dropJournal(id)
 		s.tenants.refund(tenant)
 		return "", 0, err
@@ -373,7 +375,7 @@ func (s *Server) submit(tenant string, spec *JobSpec, journalBody io.Reader) (id
 		done: make(chan struct{}),
 		status: JobStatus{
 			ID: id, Tenant: tenant, Kind: spec.Kind, State: StateQueued,
-			EnqueuedAt: s.cfg.now(),
+			EnqueuedAt: enqueued,
 		},
 	}
 	s.mu.Lock()
@@ -418,8 +420,8 @@ func (s *Server) Job(id string) (JobStatus, bool) {
 }
 
 // Jobs lists status snapshots for one tenant (all tenants when tenant
-// is empty), newest first by enqueue time, ties by ID. Jobs recovered
-// from the spool still queued carry no enqueue time, so they list last.
+// is empty), newest first by enqueue time, ties by ID. Queued jobs
+// recovered from a spool that predates spooled enqueue times list last.
 func (s *Server) Jobs(tenant string) []JobStatus {
 	s.mu.Lock()
 	out := make([]JobStatus, 0, len(s.jobs))

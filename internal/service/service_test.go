@@ -475,6 +475,58 @@ func TestRecoverRequeuesSpooledJobs(t *testing.T) {
 	}
 }
 
+// TestRecoverKeepsEnqueueTimes: jobs re-admitted from the spool keep
+// their enqueue times, so GET /v1/jobs lists them newest first after a
+// restart as before it.
+func TestRecoverKeepsEnqueueTimes(t *testing.T) {
+	dir := t.TempDir()
+	clock := time.Unix(1000, 0)
+	newServer := func() *Server {
+		s, err := New(Config{DataDir: dir, SmallGPU: true, Workers: 1, Tenant: openTenants, Log: testLogger(t),
+			now: func() time.Time { return clock }})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return s
+	}
+	s := newServer()
+	enqueued := map[string]time.Time{}
+	for i := 0; i < 4; i++ {
+		clock = clock.Add(time.Second)
+		id, _, err := s.Submit("t", analyzeSpec())
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		enqueued[id] = clock
+	}
+	ids := func(s *Server) []string {
+		var out []string
+		for _, st := range s.Jobs("t") {
+			out = append(out, st.ID)
+		}
+		return out
+	}
+	before := ids(s)
+	if rep := s.Drain(expiredCtx(t)); rep.Requeued != 4 {
+		t.Fatalf("Drain.Requeued = %d, want 4", rep.Requeued)
+	}
+
+	s2 := newServer()
+	defer s2.Drain(expiredCtx(t))
+	for id, at := range enqueued {
+		st, ok := s2.Job(id)
+		if !ok {
+			t.Fatalf("job %s lost in the restart", id)
+		}
+		if !st.EnqueuedAt.Equal(at) {
+			t.Errorf("job %s: enqueued_at %v after the restart, want %v", id, st.EnqueuedAt, at)
+		}
+	}
+	if after := ids(s2); !slices.Equal(after, before) {
+		t.Errorf("Jobs listed %v after the restart, %v before it", after, before)
+	}
+}
+
 // TestRecoverSpecWithRemovedEngineFields: a spec spooled by an earlier
 // version may carry detect_parallel, detect_parallel_shared and
 // sentinel_every, which named detector engines this version no longer

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"haccrg/internal/vfs"
 )
@@ -38,12 +39,15 @@ type spool struct {
 // sequence number: recovery re-admits unfinished jobs in ascending Seq
 // — original submission order — not in directory-listing order of
 // their random IDs. Older spools without Seq (all zero) fall back to
-// ID order, matching their pre-Seq behavior.
+// ID order, matching their pre-Seq behavior. EnqueuedAt is the job's
+// admission time, restored into its status on recovery; older spools
+// without it decode a zero time.
 type spoolSpec struct {
-	ID     string   `json:"id"`
-	Seq    int64    `json:"seq,omitempty"`
-	Tenant string   `json:"tenant"`
-	Spec   *JobSpec `json:"spec"`
+	ID         string    `json:"id"`
+	Seq        int64     `json:"seq,omitempty"`
+	Tenant     string    `json:"tenant"`
+	EnqueuedAt time.Time `json:"enqueued_at"`
+	Spec       *JobSpec  `json:"spec"`
 }
 
 func openSpool(fsys vfs.FS, dir string) (*spool, error) {
@@ -99,9 +103,9 @@ func writeSynced(fsys vfs.FS, path string, data []byte) error {
 }
 
 // putSpec durably records an accepted job under its admission sequence
-// number. Admission must not be acknowledged before this returns.
-func (s *spool) putSpec(id string, seq int64, tenant string, spec *JobSpec) error {
-	data, err := json.Marshal(&spoolSpec{ID: id, Seq: seq, Tenant: tenant, Spec: spec})
+// number and time. Admission must not be acknowledged before it returns.
+func (s *spool) putSpec(id string, seq int64, tenant string, enqueued time.Time, spec *JobSpec) error {
+	data, err := json.Marshal(&spoolSpec{ID: id, Seq: seq, Tenant: tenant, EnqueuedAt: enqueued, Spec: spec})
 	if err != nil {
 		return fmt.Errorf("service: spool spec: %w", err)
 	}

@@ -125,27 +125,28 @@ func Analyze(k *gpu.Kernel, conf Config) (*Analysis, error) {
 		Filterable: make([]bool, len(k.Prog.Code)),
 	}
 
-	// Prover: per-space classification of every live site.
-	infos := map[int]*SiteInfo{}
+	// Prover: per-space classification of every live site, indexed by
+	// pc in infos and listed in pc order in res.Sites.
+	infos := make([]*SiteInfo, len(k.Prog.Code))
 	for pc, s := range a.sites {
-		in := &k.Prog.Code[pc]
-		infos[pc] = &SiteInfo{
+		if s == nil {
+			continue
+		}
+		info := &SiteInfo{
 			PC:    pc,
 			Space: s.space.String(),
-			Op:    in.Op.String(),
+			Op:    k.Prog.Code[pc].Op.String(),
 			Dead:  s.dead,
 		}
-	}
-	a.proveSpace(isa.SpaceShared, conf.SharedGranularity, infos)
-	a.proveSpace(isa.SpaceGlobal, conf.GlobalGranularity, infos)
-	for pc, info := range infos {
-		if a.sites[pc].dead {
+		if s.dead {
 			// Provably never executed: trivially race-free.
 			info.Class = ClassPrivate
 		}
+		infos[pc] = info
 		res.Sites = append(res.Sites, info)
 	}
-	sort.Slice(res.Sites, func(i, j int) bool { return res.Sites[i].PC < res.Sites[j].PC })
+	a.proveSpace(isa.SpaceShared, conf.SharedGranularity, infos)
+	a.proveSpace(isa.SpaceGlobal, conf.GlobalGranularity, infos)
 
 	// Lints.
 	res.Findings = append(res.Findings, a.lintBarrierDivergence()...)
@@ -157,7 +158,7 @@ func Analyze(k *gpu.Kernel, conf Config) (*Analysis, error) {
 	// engine. Everything downstream re-checks its own claims.
 	a.witnessPhase(res, infos)
 
-	for _, info := range infos {
+	for _, info := range res.Sites {
 		info.ClassStr = info.Class.String()
 		if info.Class.filterable() {
 			res.Filterable[info.PC] = true
@@ -185,7 +186,7 @@ func Analyze(k *gpu.Kernel, conf Config) (*Analysis, error) {
 // consistency sweep. Witness emission order is deterministic: granule
 // tables walk their keys in ascending order, each granule's accesses in
 // (block, tid, pc, addr) order.
-func (a *analyzer) witnessPhase(res *Analysis, infos map[int]*SiteInfo) {
+func (a *analyzer) witnessPhase(res *Analysis, infos []*SiteInfo) {
 	rr := a.replayKernel()
 	var pending []Witness
 
@@ -223,7 +224,7 @@ func (a *analyzer) witnessPhase(res *Analysis, infos map[int]*SiteInfo) {
 				lo = hi
 			}
 			for _, s := range a.sites {
-				if s.space != sp.space || s.dead {
+				if s == nil || s.space != sp.space || s.dead {
 					continue
 				}
 				info := infos[s.pc]

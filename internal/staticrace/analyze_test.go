@@ -1,6 +1,7 @@
 package staticrace_test
 
 import (
+	"reflect"
 	"testing"
 
 	"haccrg/internal/gpu"
@@ -88,18 +89,29 @@ func TestDefectiveFixturesFlag(t *testing.T) {
 // race-free, so the detector can skip them.
 func TestProverClassifiesPsum(t *testing.T) {
 	plan := planFor(t, "psum", kernels.Params{})
-	f, err := staticrace.NewFilter(testConf(), plan.Kernels...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	filterable, total := 0, 0
 	for _, k := range plan.Kernels {
-		pcs := f.FilteredPCs(k.Name)
+		res, err := staticrace.Analyze(k, testConf())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pcs []int
+		for pc, ok := range res.Filterable {
+			if ok {
+				pcs = append(pcs, pc)
+			}
+		}
 		t.Logf("kernel %s: filtered pcs %v", k.Name, pcs)
 		if len(pcs) == 0 {
 			t.Errorf("kernel %s: expected at least one filterable site", k.Name)
 		}
+		for _, s := range res.Sites {
+			total++
+			if res.Filterable[s.PC] {
+				filterable++
+			}
+		}
 	}
-	filterable, total := f.FilterableSites()
 	t.Logf("filterable %d / %d sites", filterable, total)
 	if filterable == 0 {
 		t.Fatal("no filterable sites in psum")
@@ -172,6 +184,46 @@ func TestAnalyzeDivergentBarrierDirect(t *testing.T) {
 	}
 	if len(res2.Findings) != 0 {
 		t.Fatalf("uniform barrier flagged: %+v", res2.Findings)
+	}
+}
+
+// TestAnalyzeTiedFindingsOrdered: a BAR inside `if tid < 8` inside
+// `if tid < 16` draws one barrier-divergence finding per enclosing
+// branch, both at the BAR's pc. Every analysis must list the tied
+// findings in one order.
+func TestAnalyzeTiedFindingsOrdered(t *testing.T) {
+	b := isa.NewBuilder("nestbar")
+	b.Sreg(1, isa.SregTid)
+	b.Setpi(0, isa.CmpLT, 1, 16)
+	b.If(0)
+	b.Setpi(1, isa.CmpLT, 1, 8)
+	b.If(1)
+	b.Bar()
+	b.EndIf()
+	b.EndIf()
+	k := &gpu.Kernel{Name: "nestbar", Prog: b.MustBuild(), GridDim: 1, BlockDim: 64}
+	var first []staticrace.Finding
+	for i := 0; i < 50; i++ {
+		res, err := staticrace.Analyze(k, testConf())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res.Findings
+			n := 0
+			for _, f := range first {
+				if f.Pass == staticrace.PassBarrierDivergence && f.PC == first[0].PC {
+					n++
+				}
+			}
+			if n != 2 {
+				t.Fatalf("want two barrier-divergence findings at one pc, got %+v", first)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(res.Findings, first) {
+			t.Fatalf("analysis %d lists\n%+v\nthe first listed\n%+v", i, res.Findings, first)
+		}
 	}
 }
 

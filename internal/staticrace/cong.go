@@ -26,17 +26,6 @@ func congTop() cong           { return cong{mod: 1, off: 0} }
 func (c cong) isTop() bool   { return c.mod == 1 }
 func (c cong) isConst() bool { return c.mod == 0 }
 
-// contains reports whether the concrete value v is a member.
-func (c cong) contains(v uint64) bool {
-	switch c.mod {
-	case 0:
-		return v == c.off
-	case 1:
-		return true
-	}
-	return v&(c.mod-1) == c.off&(c.mod-1)
-}
-
 // minMod is the weaker (smaller) of two moduli, with 0 acting as the
 // infinite modulus of an exact constant.
 func minMod(a, b uint64) uint64 {

@@ -9,6 +9,18 @@ import (
 	"haccrg/internal/kernels"
 )
 
+// contains reports whether the concrete value v is a member: the
+// oracle of the congruence soundness tests.
+func (c cong) contains(v uint64) bool {
+	switch c.mod {
+	case 0:
+		return v == c.off
+	case 1:
+		return true
+	}
+	return v&(c.mod-1) == c.off&(c.mod-1)
+}
+
 // randCong returns a random congruence that contains v: the exact
 // constant, top, or v modulo a random power of two.
 func randCong(r *rand.Rand, v uint64) cong {

@@ -1,8 +1,6 @@
 package staticrace
 
 import (
-	"sort"
-
 	"haccrg/internal/gpu"
 )
 
@@ -45,34 +43,6 @@ func NewFilter(conf Config, kernels ...*gpu.Kernel) (*Filter, error) {
 // for a kernel, or nil when the kernel was never analyzed.
 func (f *Filter) FilterSites(kernel string) []bool {
 	return f.sites[kernel]
-}
-
-// Analyses returns the per-launch analysis results, in plan order.
-func (f *Filter) Analyses() []*Analysis { return f.analyses }
-
-// FilteredPCs lists the PCs the detector will skip for a kernel.
-func (f *Filter) FilteredPCs(kernel string) []int {
-	var pcs []int
-	for pc, ok := range f.sites[kernel] {
-		if ok {
-			pcs = append(pcs, pc)
-		}
-	}
-	sort.Ints(pcs)
-	return pcs
-}
-
-// FilterableSites counts filterable sites across all analyzed kernels.
-func (f *Filter) FilterableSites() (filterable, total int) {
-	for _, res := range f.analyses {
-		for _, s := range res.Sites {
-			total++
-			if s.Class.filterable() {
-				filterable++
-			}
-		}
-	}
-	return filterable, total
 }
 
 // RaceSeeds returns the verified global-space race witnesses for a

@@ -123,8 +123,8 @@ type analyzer struct {
 	visits []int
 
 	// Final-pass products.
-	sites   map[int]*siteAcc // mem pc -> access summary
-	brPred  map[int]predval  // predicated branch/exit pc -> guard value
+	sites   []*siteAcc      // by pc: access summary, nil if no mem site
+	brPred  map[int]predval // predicated branch/exit pc -> guard value
 	reached []bool
 
 	// Working data of the later phases, kept for this one analysis:
@@ -160,7 +160,7 @@ func newAnalyzer(k *gpu.Kernel, cfg *CFG, conf Config) *analyzer {
 		drvs:   map[int]symID{},
 		in:     make([]*state, len(cfg.Blocks)),
 		visits: make([]int, len(cfg.Blocks)),
-		sites:  map[int]*siteAcc{},
+		sites:  make([]*siteAcc, len(cfg.Prog.Code)),
 		brPred: map[int]predval{},
 		foots:  map[footKey]*footprint{},
 	}

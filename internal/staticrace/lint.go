@@ -22,12 +22,12 @@ const (
 // conditions fire — an unknown guard stays silent.
 func (a *analyzer) lintBarrierDivergence() []Finding {
 	var out []Finding
-	for pc, g := range a.brPred {
+	for pc := range a.prog.Code {
 		in := &a.prog.Code[pc]
 		if in.Op != isa.OpBra || in.Pred == isa.NoPred {
 			continue
 		}
-		if !a.divergentGuard(g, pc) {
+		if g, ok := a.brPred[pc]; !ok || !a.divergentGuard(g, pc) {
 			continue
 		}
 		lo, hi := pc+1, in.Rcv
@@ -172,7 +172,7 @@ func (a *analyzer) lintSharedOOB() []Finding {
 	var out []Finding
 	limit := int64(a.k.SharedBytes)
 	for _, s := range a.sites {
-		if s.space != isa.SpaceShared || s.dead || s.approx || s.addr.top {
+		if s == nil || s.space != isa.SpaceShared || s.dead || s.approx || s.addr.top {
 			continue
 		}
 		st := &state{ranges: s.ranges}
@@ -200,9 +200,11 @@ func (a *analyzer) lintSharedOOB() []Finding {
 func (a *analyzer) lintFenceMisuse() []Finding {
 	var out []Finding
 	for _, atom := range a.sites {
-		in := instrAt(a.prog, atom.pc)
-		if atom.dead || in == nil || in.Op != isa.OpAtom ||
-			atom.space != isa.SpaceGlobal || in.AOp != isa.AtomInc {
+		if atom == nil || atom.dead || atom.space != isa.SpaceGlobal {
+			continue
+		}
+		in := &a.prog.Code[atom.pc]
+		if in.Op != isa.OpAtom || in.AOp != isa.AtomInc {
 			continue
 		}
 		_, region := a.electRegion(atom.pc, in.Dst)
@@ -210,7 +212,7 @@ func (a *analyzer) lintFenceMisuse() []Finding {
 			continue
 		}
 		for _, ld := range a.sites {
-			if ld.dead || ld.space != isa.SpaceGlobal || ld.write || ld.atomic {
+			if ld == nil || ld.dead || ld.space != isa.SpaceGlobal || ld.write || ld.atomic {
 				continue
 			}
 			if int64(ld.pc) < region.lo || int64(ld.pc) > region.hi {
@@ -221,7 +223,7 @@ func (a *analyzer) lintFenceMisuse() []Finding {
 				continue
 			}
 			for _, st := range a.sites {
-				if st.dead || !st.write || st.space != isa.SpaceGlobal || st.pc >= atom.pc {
+				if st == nil || st.dead || !st.write || st.space != isa.SpaceGlobal || st.pc >= atom.pc {
 					continue
 				}
 				stOwn, ok := a.owners(st)
@@ -241,13 +243,6 @@ func (a *analyzer) lintFenceMisuse() []Finding {
 		}
 	}
 	return out
-}
-
-func instrAt(p *isa.Program, pc int) *isa.Instr {
-	if pc < 0 || pc >= len(p.Code) {
-		return nil
-	}
-	return &p.Code[pc]
 }
 
 // electRegion resolves atomDst → SETP → predicated branch and returns

@@ -2,7 +2,6 @@ package staticrace
 
 import (
 	"math/bits"
-	"sort"
 
 	"haccrg/internal/isa"
 )
@@ -115,18 +114,16 @@ const maxPairSpans = 1 << 18
 // writer would change what the unfiltered reader reports). Shared
 // sites whose footprint blows the point budget fall back to an
 // analytic strided form (strideOf) before poisoning.
-func (a *analyzer) proveSpace(space isa.Space, gran int, out map[int]*SiteInfo) {
+func (a *analyzer) proveSpace(space isa.Space, gran int, out []*SiteInfo) {
+	// The point budget is spent in site order, which is pc order.
 	var live []*siteAcc
 	unknownWrite, unknownRead := false, false
 	for _, s := range a.sites {
-		if s.space != space || s.dead {
+		if s == nil || s.space != space || s.dead {
 			continue
 		}
 		live = append(live, s)
 	}
-	// The point budget is spent in site order; pc order keeps the
-	// outcome independent of map iteration.
-	sort.Slice(live, func(i, j int) bool { return live[i].pc < live[j].pc })
 	// Shared shadow windows are slot-relative; if the block's window is
 	// not granule-aligned, one granule can span two co-resident blocks'
 	// windows and block-relative footprints no longer map 1:1 onto

@@ -41,17 +41,16 @@ func TestWitnessDifferentialSoundness(t *testing.T) {
 		if k == nil {
 			continue
 		}
-		f, err := staticrace.NewFilter(conf, k)
+		a, err := staticrace.Analyze(k, conf)
 		if err != nil {
 			t.Fatalf("sample %d: analysis failed: %v\n%s", n, err, k.Prog.Disassemble())
 		}
 		analyzed++
-		a := f.Analyses()[0]
 		if a.Conflicts != 0 {
 			t.Errorf("sample %d: %d race-free proofs coexist with witnesses\n%s",
 				n, a.Conflicts, k.Prog.Disassemble())
 		}
-		mask := f.FilterSites(k.Name)
+		mask := a.Filterable
 		var raceWits []staticrace.Witness
 		for _, w := range a.Witnesses {
 			if !w.Verified {

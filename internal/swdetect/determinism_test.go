@@ -1,6 +1,7 @@
 package swdetect_test
 
 import (
+	"context"
 	"testing"
 
 	"haccrg/internal/harness"
@@ -14,7 +15,7 @@ func TestRepeatedRunsIdentical(t *testing.T) {
 	for _, bench := range []string{"hash", "kmeans"} {
 		var cycles, stall int64
 		for i := 0; i < 4; i++ {
-			r, err := harness.Run(harness.RunConfig{Bench: bench, Detector: harness.DetSoftware, Scale: 1})
+			r, err := harness.ExecContext(context.Background(), harness.RunConfig{Bench: bench, Detector: harness.DetSoftware, Scale: 1}, harness.ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,15 +57,6 @@ func New(opt core.Options, cost CostModel) (*Detector, error) {
 	return &Detector{inner: inner, cost: cost}, nil
 }
 
-// MustNew is New panicking on invalid options.
-func MustNew(opt core.Options, cost CostModel) *Detector {
-	d, err := New(opt, cost)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Name implements gpu.Detector.
 func (d *Detector) Name() string { return "sw-haccrg" }
 

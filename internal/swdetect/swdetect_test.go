@@ -8,6 +8,16 @@ import (
 	"haccrg/internal/isa"
 )
 
+// mustNew is New failing the test on error.
+func mustNew(t testing.TB, opt core.Options, cost CostModel) *Detector {
+	t.Helper()
+	d, err := New(opt, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // racyKernel: two blocks write the same global words.
 func racyKernel(out uint64) *gpu.Kernel {
 	b := isa.NewBuilder("racy")
@@ -27,7 +37,7 @@ func opts() core.Options {
 }
 
 func TestDetectsSameRacesAsHardware(t *testing.T) {
-	sw := MustNew(opts(), DefaultCostModel)
+	sw := mustNew(t, opts(), DefaultCostModel)
 	dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, sw)
 	out := dev.MustMalloc(256)
 	if _, err := dev.Launch(racyKernel(out)); err != nil {
@@ -55,7 +65,7 @@ func TestInstrumentationSlowsExecution(t *testing.T) {
 	}
 	base := run(nil)
 	hw := run(core.MustNew(opts()))
-	sw := MustNew(opts(), DefaultCostModel)
+	sw := mustNew(t, opts(), DefaultCostModel)
 	swc := run(sw)
 	if swc <= hw || swc <= base {
 		t.Fatalf("software instrumentation should be the slowest: base %d, hw %d, sw %d", base, hw, swc)
@@ -70,7 +80,7 @@ func TestInstrumentationSlowsExecution(t *testing.T) {
 
 func TestCostModelKnobs(t *testing.T) {
 	run := func(cm CostModel) int64 {
-		det := MustNew(opts(), cm)
+		det := mustNew(t, opts(), cm)
 		dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, det)
 		out := dev.MustMalloc(256)
 		st, err := dev.Launch(racyKernel(out))
@@ -90,7 +100,7 @@ func TestSpaceFiltering(t *testing.T) {
 	o := opts()
 	o.Global = false
 	o.DetectStaleL1 = false
-	sw := MustNew(o, DefaultCostModel)
+	sw := mustNew(t, o, DefaultCostModel)
 	dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, sw)
 	out := dev.MustMalloc(256)
 	if _, err := dev.Launch(racyKernel(out)); err != nil {

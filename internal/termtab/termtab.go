@@ -21,7 +21,6 @@ const (
 	Red    Style = "\x1b[31m"
 	Yellow Style = "\x1b[33m"
 	Green  Style = "\x1b[32m"
-	Dim    Style = "\x1b[2m"
 )
 
 const reset = "\x1b[0m"

@@ -194,18 +194,6 @@ func New(cfg Config, mech Mechanism) (*Model, error) {
 	return m, nil
 }
 
-// MustNew is New panicking on error.
-func MustNew(cfg Config, mech Mechanism) *Model {
-	m, err := New(cfg, mech)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Mechanism returns the modelled design.
-func (m *Model) Mechanism() Mechanism { return m.mech }
-
 // Translate processes one access: the application address plus its
 // shadow address (both need translations when detection is on; pass
 // shadow = 0 and hasShadow = false for detection-off accesses).

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// mustNew is New failing the test on error.
+func mustNew(t testing.TB, cfg Config, mech Mechanism) *Model {
+	t.Helper()
+	m, err := New(cfg, mech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func shadowOf(addr uint64) uint64 { return 1<<32 + addr*2 }
 
 func TestConfigValidate(t *testing.T) {
@@ -25,7 +35,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestHitAfterFill(t *testing.T) {
-	m := MustNew(DefaultConfig, SeparateTLB)
+	m := mustNew(t, DefaultConfig, SeparateTLB)
 	m.Translate(0x1000, shadowOf(0x1000), true)
 	m.Translate(0x1008, shadowOf(0x1008), true) // same pages
 	if m.Stats.RegularHits != 1 || m.Stats.RegularMisses != 1 {
@@ -39,7 +49,7 @@ func TestHitAfterFill(t *testing.T) {
 func TestAppendedBitKeepsClassesDistinct(t *testing.T) {
 	// A shadow translation of page P must not satisfy an application
 	// lookup of page P: the tag bit distinguishes them.
-	m := MustNew(DefaultConfig, AppendedBit)
+	m := mustNew(t, DefaultConfig, AppendedBit)
 	m.Translate(0x5000, 0x5000, true) // shadow address == app address (adversarial)
 	m.Translate(0x5000, 0x5000, true)
 	if m.Stats.RegularMisses != 1 || m.Stats.ShadowMisses != 1 {
@@ -83,8 +93,8 @@ func TestCapacityPressure(t *testing.T) {
 // the appended design pays the sum of both lookups.
 func TestParallelLookupLatency(t *testing.T) {
 	cfg := DefaultConfig
-	a := MustNew(cfg, AppendedBit)
-	s := MustNew(cfg, SeparateTLB)
+	a := mustNew(t, cfg, AppendedBit)
+	s := mustNew(t, cfg, SeparateTLB)
 	a.Translate(0x9000, shadowOf(0x9000), true)
 	s.Translate(0x9000, shadowOf(0x9000), true)
 	if a.Stats.Cycles != 2*cfg.MissLatency {
@@ -120,7 +130,7 @@ func TestMechanismString(t *testing.T) {
 }
 
 func BenchmarkTranslateSeparate(b *testing.B) {
-	m := MustNew(DefaultConfig, SeparateTLB)
+	m := mustNew(b, DefaultConfig, SeparateTLB)
 	for i := 0; i < b.N; i++ {
 		a := uint64(i%4096) << 12
 		m.Translate(a, shadowOf(a), true)
