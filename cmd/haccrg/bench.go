@@ -34,13 +34,16 @@ type experiment struct {
 //	haccrg bench -exp injected
 func benchMain(args []string) (code int) {
 	fs := flag.NewFlagSet("haccrg bench", flag.ExitOnError)
+	// The guard-rail flags bind into the defaults the sweep merges into
+	// every run.
+	var defaults harness.RunConfig
+	parallel := bindGuardRails(fs, &defaults, "")
 	var (
 		all       = fs.Bool("all", false, "run every experiment")
 		tableNum  = fs.Int("table", 0, "regenerate one table (1-4)")
 		figNum    = fs.Int("fig", 0, "regenerate one figure (7-9)")
 		exp       = fs.String("exp", "", "named experiment: races, injected, bloom, ids, hw, tlb, regroup, bloom-e2e, syncid, sched, faults")
 		scale     = fs.Int("scale", 2, "input scale factor for timed experiments")
-		guard     = bindGuardRails(fs, "")
 		healthCSV = fs.String("health-csv", "", "write the fault study's health columns to this CSV file")
 
 		manifest = fs.String("manifest", "", "journal completed sweep runs to this file (crash-safe; see -resume)")
@@ -114,7 +117,7 @@ func benchMain(args []string) (code int) {
 			return sw.SyncIDGatingStudy(1)
 		}},
 		{*exp == "faults", "Fault injection: RDU degradation study (extension)", func(sw harness.Sweep) (string, error) {
-			rows, txt, err := sw.FaultStudy(1, guard.faultSeed)
+			rows, txt, err := sw.FaultStudy(1, defaults.FaultSeed)
 			if err != nil || *healthCSV == "" {
 				return txt, err
 			}
@@ -149,12 +152,12 @@ func benchMain(args []string) (code int) {
 	defer stop()
 	sw := harness.Sweep{
 		Ctx:         ctx,
-		FaultPlan:   guard.faultPlan,
-		FaultSeed:   guard.faultSeed,
-		Degradation: guard.degradation,
-		MaxCycles:   guard.maxCycles,
-		Timeout:     guard.timeout,
-		Workers:     guard.parallel,
+		FaultPlan:   defaults.FaultPlan,
+		FaultSeed:   defaults.FaultSeed,
+		Degradation: defaults.Degradation,
+		MaxCycles:   defaults.MaxCycles,
+		Timeout:     defaults.Timeout,
+		Workers:     *parallel,
 	}
 	if *manifest != "" {
 		m, salvage, err := harness.OpenManifest(*manifest, *resume)

@@ -25,7 +25,8 @@ import (
 //	haccrg lint -disasm -bench reduce -inject reduce.fence0
 func lintMain(args []string) int {
 	fs := flag.NewFlagSet("haccrg lint", flag.ExitOnError)
-	spec := bindRunSpec(fs)
+	sp := &service.JobSpec{Kind: service.JobAnalyze}
+	bindRunSpec(fs, sp)
 	var (
 		all       = fs.Bool("all", false, "analyze the whole clean suite")
 		checkFix  = fs.Bool("check-fixtures", false, "CI gate: every defective fixture must flag, every clean benchmark must not")
@@ -37,25 +38,23 @@ func lintMain(args []string) int {
 	)
 	fs.Parse(args)
 
-	var benches []string
 	switch {
 	case *checkFix:
 		for _, bm := range kernels.AllIncludingDefective() {
-			benches = append(benches, bm.Name)
+			sp.Benches = append(sp.Benches, bm.Name)
 		}
 	case *all:
 		for _, bm := range kernels.All() {
-			benches = append(benches, bm.Name)
+			sp.Benches = append(sp.Benches, bm.Name)
 		}
-	case spec.bench != "":
-		benches = []string{spec.bench}
+	case sp.Bench != "":
+		sp.Benches = []string{sp.Bench}
 	default:
 		fmt.Fprintln(os.Stderr, "haccrg: one of -bench, -all or -check-fixtures required")
 		fs.Usage()
 		return exitUsage
 	}
-	sp, err := spec.jobSpec(service.JobAnalyze, benches)
-	if err != nil {
+	if err := checkGranularities(sp.RunConfig); err != nil {
 		return fail(exitUsage, "", err)
 	}
 	runs, err := sp.RunConfigs(false)

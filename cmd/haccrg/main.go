@@ -33,7 +33,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"haccrg"
 	"haccrg/internal/harness"
@@ -136,78 +135,54 @@ func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// runSpecFlags are the flags that select what gets built: the
-// benchmark, its input scale and launch shape, injected races, the
-// device and the tracking granularities. Run mode and lint bind them
-// through bindRunSpec, so both parse and validate them alike.
-type runSpecFlags struct {
-	bench, inject          string
-	scale                  int
-	singleBlock, smallGPU  bool
-	sharedGran, globalGran int
+// bindRunSpec binds the flags that select what gets built straight
+// into sp: the benchmark, its input scale and launch shape, injected
+// races, the device and the tracking granularities. Run mode and lint
+// bind them alike, check them with checkGranularities and expand sp
+// with JobSpec.RunConfigs.
+func bindRunSpec(fs *flag.FlagSet, sp *service.JobSpec) {
+	fs.StringVar(&sp.Bench, "bench", "", "benchmark to run or analyze (see haccrg -list)")
+	fs.IntVar(&sp.Scale, "scale", 1, "input scale factor")
+	fs.BoolVar(&sp.SingleBlock, "single-block", false, "launch SCAN/KMEANS in their designed-for configuration")
+	fs.Func("inject", "comma-separated race-injection site `IDs`", func(ids string) error {
+		sp.Inject = nil
+		if ids != "" {
+			sp.Inject = strings.Split(ids, ",")
+		}
+		return nil
+	})
+	fs.BoolVar(&sp.SmallGPU, "small-gpu", false, "use the 4-SM test device instead of the Table I machine")
+	fs.IntVar(&sp.SharedGranularity, "shared-gran", 16, "shared-memory tracking granularity (bytes, a power of two)")
+	fs.IntVar(&sp.GlobalGranularity, "global-gran", 4, "global-memory tracking granularity (bytes, a power of two)")
 }
 
-func bindRunSpec(fs *flag.FlagSet) *runSpecFlags {
-	f := new(runSpecFlags)
-	fs.StringVar(&f.bench, "bench", "", "benchmark to run or analyze (see haccrg -list)")
-	fs.IntVar(&f.scale, "scale", 1, "input scale factor")
-	fs.BoolVar(&f.singleBlock, "single-block", false, "launch SCAN/KMEANS in their designed-for configuration")
-	fs.StringVar(&f.inject, "inject", "", "comma-separated race-injection site IDs")
-	fs.BoolVar(&f.smallGPU, "small-gpu", false, "use the 4-SM test device instead of the Table I machine")
-	fs.IntVar(&f.sharedGran, "shared-gran", 16, "shared-memory tracking granularity (bytes, a power of two)")
-	fs.IntVar(&f.globalGran, "global-gran", 4, "global-memory tracking granularity (bytes, a power of two)")
-	return f
-}
-
-// jobSpec returns the job spec of kind the flags describe for benches,
-// or a usage error for a granularity that is not a positive power of
-// two (a spec reads 0 as the default, so it must be caught here).
-func (f *runSpecFlags) jobSpec(kind service.JobKind, benches []string) (*service.JobSpec, error) {
+// checkGranularities returns a usage error for a tracking granularity
+// flag that is not a positive power of two (a RunConfig reads 0 as the
+// default, so it must be caught here).
+func checkGranularities(rc harness.RunConfig) error {
 	for _, g := range []struct {
 		flag  string
 		bytes int
-	}{{"-shared-gran", f.sharedGran}, {"-global-gran", f.globalGran}} {
+	}{{"-shared-gran", rc.SharedGranularity}, {"-global-gran", rc.GlobalGranularity}} {
 		if g.bytes <= 0 || g.bytes&(g.bytes-1) != 0 {
-			return nil, fmt.Errorf("%s %d is not a power of two", g.flag, g.bytes)
+			return fmt.Errorf("%s %d is not a power of two", g.flag, g.bytes)
 		}
 	}
-	sp := &service.JobSpec{
-		Kind:              kind,
-		Benches:           benches,
-		Scale:             f.scale,
-		SingleBlock:       f.singleBlock,
-		SmallGPU:          f.smallGPU,
-		SharedGranularity: f.sharedGran,
-		GlobalGranularity: f.globalGran,
-	}
-	if f.inject != "" {
-		sp.Inject = strings.Split(f.inject, ",")
-	}
-	return sp, nil
+	return nil
 }
 
-// guardRailFlags are the fault-injection, guard-rail and parallelism
-// flags run mode and bench share. Only -degradation's default differs:
-// run mode records "quarantine" in journal metadata, while bench
-// merges "" into manifest keys, and neither may move.
-type guardRailFlags struct {
-	faultPlan   string
-	faultSeed   int64
-	degradation string
-	timeout     time.Duration
-	maxCycles   int64
-	parallel    int
-}
-
-func bindGuardRails(fs *flag.FlagSet, degradation string) *guardRailFlags {
-	f := new(guardRailFlags)
-	fs.StringVar(&f.faultPlan, "fault-plan", "", "fault-injection plan for every run, e.g. queue:cap=16,drain=1;flip:rate=1e-5,ecc")
-	fs.Int64Var(&f.faultSeed, "seed", 0, "fault-injection PRNG seed (same plan+seed = same run)")
-	fs.StringVar(&f.degradation, "degradation", degradation, "corrupt-granule policy: quarantine or reinit")
-	fs.DurationVar(&f.timeout, "timeout", 0, "wall-clock watchdog per run (0 = none), e.g. 30s")
-	fs.Int64Var(&f.maxCycles, "max-cycles", 0, "simulated-cycle budget per run (0 = unlimited)")
-	fs.IntVar(&f.parallel, "parallel", 0, "concurrent runs of a suite or sweep (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
-	return f
+// bindGuardRails binds the fault-injection and guard-rail flags run
+// mode and bench share straight into rc, and returns -parallel. Only
+// -degradation's default differs: run mode records "quarantine" in
+// journal metadata, while bench merges "" into manifest keys, and
+// neither may move.
+func bindGuardRails(fs *flag.FlagSet, rc *harness.RunConfig, degradation string) (parallel *int) {
+	fs.StringVar(&rc.FaultPlan, "fault-plan", "", "fault-injection plan for every run, e.g. queue:cap=16,drain=1;flip:rate=1e-5,ecc")
+	fs.Int64Var(&rc.FaultSeed, "seed", 0, "fault-injection PRNG seed (same plan+seed = same run)")
+	fs.StringVar(&rc.Degradation, "degradation", degradation, "corrupt-granule policy: quarantine or reinit")
+	fs.DurationVar(&rc.Timeout, "timeout", 0, "wall-clock watchdog per run (0 = none), e.g. 30s")
+	fs.Int64Var(&rc.MaxCycles, "max-cycles", 0, "simulated-cycle budget per run (0 = unlimited)")
+	return fs.Int("parallel", 0, "concurrent runs of a suite or sweep (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
 }
 
 // printStaticReport analyzes the kernels of runs under conf and prints

@@ -116,6 +116,38 @@ func TestGranularityIsUsage(t *testing.T) {
 	}
 }
 
+// TestNegativeLimitsRefused: a negative scale, cycle budget or timeout
+// is refused before anything runs, by the same check the daemon's
+// admission makes: no stats (bench prints only the experiment's
+// title), and exit 1, since it names nothing that does not exist.
+func TestNegativeLimitsRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bench", "scan", "-small-gpu", "-scale", "-1"},
+		{"-bench", "scan", "-small-gpu", "-max-cycles", "-5"},
+		{"-bench", "scan", "-small-gpu", "-timeout", "-1s"},
+		{"-all-benches", "-small-gpu", "-scale", "-1"},
+		{"lint", "-bench", "scan", "-scale", "-1"},
+		{"bench", "-table", "2", "-scale", "-1"},
+		{"bench", "-table", "4", "-scale", "-1"},
+	} {
+		name := strings.Join(args, " ")
+		code, stdout, stderr := runHelper(t, args...)
+		if code != exitError {
+			t.Errorf("haccrg %s: exit %d, want %d (%s)", name, code, exitError, stderr)
+		}
+		if !strings.Contains(stderr, "is negative") {
+			t.Errorf("haccrg %s: stderr %q does not name the negative limit", name, stderr)
+		}
+		out := stdout
+		if args[0] == "bench" {
+			_, out, _ = strings.Cut(stdout, " ====\n") // after the title
+		}
+		if out != "" {
+			t.Errorf("haccrg %s: printed %q", name, stdout)
+		}
+	}
+}
+
 // TestUnknownSubcommandIsUsage: a first argument that is neither a flag
 // nor a subcommand exits 2 and lists the subcommands.
 func TestUnknownSubcommandIsUsage(t *testing.T) {

@@ -21,10 +21,18 @@ import (
 // simulated locally or submitted to a daemon with -server-url.
 func runMain(args []string) int {
 	fs := flag.NewFlagSet("haccrg", flag.ExitOnError)
-	spec := bindRunSpec(fs)
-	guard := bindGuardRails(fs, "quarantine")
+	// The run flags bind once, into the job spec the daemon takes; both
+	// modes expand it into runs through the same function, so a spec
+	// the daemon would refuse is refused here first.
+	sp := &service.JobSpec{Kind: service.JobBench}
+	bindRunSpec(fs, sp)
+	parallel := bindGuardRails(fs, &sp.RunConfig, "quarantine")
+	fs.StringVar((*string)(&sp.Detector), "detect", "shared+global", "detection: off, shared, global, shared+global, shared-shadow-in-global, sw-haccrg, grace-addr")
+	fs.BoolVar(&sp.StaticFilter, "static-filter", false,
+		"statically prove sites race-free and let the RDUs skip their shadow checks (findings and cycles are byte-identical; inert under -fault-plan)")
+	fs.BoolVar(&sp.WitnessSeed, "witness-seed", false,
+		"pre-seed detector quarantine with the static analyzer's verified race witnesses: proven-racy global granules report on first touch (Provenance StaticWitness)")
 	var (
-		detect     = fs.String("detect", "shared+global", "detection: off, shared, global, shared+global, shared-shadow-in-global, sw-haccrg, grace-addr")
 		verify     = fs.Bool("verify", false, "check kernel output against the host reference")
 		list       = fs.Bool("list", false, "list benchmarks and injection sites")
 		allBenches = fs.Bool("all-benches", false, "run the whole suite and print a race summary (CI mode)")
@@ -33,12 +41,8 @@ func runMain(args []string) int {
 		maxRaces   = fs.Int("max-races", 20, "maximum distinct races to print")
 		record     = fs.String("record", "", "write a durable event journal of the run to this file (replay with haccrg replay)")
 
-		staticFilter = fs.Bool("static-filter", false,
-			"statically prove sites race-free and let the RDUs skip their shadow checks (findings and cycles are byte-identical; inert under -fault-plan)")
 		staticReport = fs.Bool("static-report", false,
 			"print the static analyzer's findings and site classification for -bench, without simulating (haccrg lint is the full linter)")
-		witnessSeed = fs.Bool("witness-seed", false,
-			"pre-seed detector quarantine with the static analyzer's verified race witnesses: proven-racy global granules report on first touch (Provenance StaticWitness)")
 
 		serverURL = fs.String("server-url", "",
 			"submit the run to a haccrg serve daemon at this base URL instead of simulating locally (retries 429/503 with backoff)")
@@ -60,14 +64,13 @@ func runMain(args []string) int {
 		listBenchmarks()
 		return exitOK
 	}
-	var benches []string
 	switch {
 	case *allBenches:
 		for _, bm := range haccrg.Benchmarks() {
-			benches = append(benches, bm.Name)
+			sp.Benches = append(sp.Benches, bm.Name)
 		}
-	case spec.bench != "":
-		benches = []string{spec.bench}
+	case sp.Bench != "":
+		sp.Benches = []string{sp.Bench}
 	case *serverURL != "":
 		return fail(exitUsage, "", errors.New("-server-url needs -bench or -all-benches"))
 	default:
@@ -76,22 +79,13 @@ func runMain(args []string) int {
 	if mode, flags := unhonouredFlags(fs, *serverURL != "", *allBenches, *staticReport, *jsonOut); len(flags) > 0 {
 		return fail(exitUsage, "", fmt.Errorf("%s cannot honour %s", mode, strings.Join(flags, ", ")))
 	}
-	// The run flags bind once, into the job spec the daemon takes; both
-	// modes expand it into runs through the same function, so a spec
-	// the daemon would refuse is refused here first.
-	sp, err := spec.jobSpec(service.JobBench, benches)
-	if err != nil {
+	if err := checkGranularities(sp.RunConfig); err != nil {
 		return fail(exitUsage, "", err)
 	}
-	sp.Detector = *detect
-	sp.StaticFilter = *staticFilter
-	sp.WitnessSeed = *witnessSeed
-	sp.FaultPlan = guard.faultPlan
-	sp.FaultSeed = guard.faultSeed
-	sp.Degradation = guard.degradation
-	sp.MaxCycles = guard.maxCycles
-	if guard.timeout > 0 {
-		sp.TimeoutMS = guard.timeout.Milliseconds() // 0 = server default
+	// Locally -timeout is each run's watchdog; the daemon reads it as
+	// the job's deadline.
+	if sp.Timeout > 0 {
+		sp.TimeoutMS = sp.Timeout.Milliseconds() // 0 = server default
 	}
 	runs, err := sp.RunConfigs(false)
 	if err != nil {
@@ -109,13 +103,8 @@ func runMain(args []string) int {
 	if *serverURL != "" {
 		return runRemote(ctx, *serverURL, *tenant, sp)
 	}
-	for i := range runs {
-		// Locally -timeout is each run's watchdog; the daemon reads it
-		// as the job's deadline.
-		runs[i].Timeout = guard.timeout
-	}
 	if *allBenches {
-		return runSuite(ctx, runs, guard.parallel)
+		return runSuite(ctx, runs, *parallel)
 	}
 	rc := runs[0]
 	if *staticReport {
@@ -176,7 +165,7 @@ func runMain(args []string) int {
 	}
 
 	st := res.Stats
-	fmt.Printf("benchmark      %s (scale %d)\n", spec.bench, spec.scale)
+	fmt.Printf("benchmark      %s (scale %d)\n", sp.Bench, sp.Scale)
 	fmt.Printf("cycles         %d\n", st.Cycles)
 	fmt.Printf("warp instrs    %d (%d thread instrs)\n", st.WarpInstrs, st.ThreadInstrs)
 	fmt.Printf("shared reads   %.2f%% of instructions\n", st.SharedReadPct())
@@ -188,10 +177,10 @@ func runMain(args []string) int {
 		fmt.Println(res.Health)
 	}
 
-	if *staticFilter && res.Report != nil {
+	if rc.StaticFilter && res.Report != nil {
 		fmt.Printf("static filter  %d shadow checks skipped\n", res.Report.Summary.Checks["filtered"])
 	}
-	if *witnessSeed {
+	if rc.WitnessSeed {
 		seeded := 0
 		for _, r := range res.Races {
 			if r.Provenance == "StaticWitness" {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"haccrg/internal/harness"
 	"haccrg/internal/journal"
 	"haccrg/internal/service"
 )
@@ -132,7 +133,7 @@ func TestServerDrainAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots real daemon processes and runs multi-second simulations")
 	}
-	spec := &service.JobSpec{Kind: service.JobBench, Benches: []string{"hist", "mcarlo"}, Scale: 8}
+	spec := &service.JobSpec{Kind: service.JobBench, Benches: []string{"hist", "mcarlo"}, RunConfig: harness.RunConfig{Scale: 8}}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"haccrg/internal/bloom"
 	"haccrg/internal/core"
@@ -156,6 +157,22 @@ func TestRunBenchmarkUnknownSite(t *testing.T) {
 		_, err := RunBenchmark("reduce", RunOptions{GPU: &small, Detection: &opt, Inject: []string{id}})
 		if err == nil || !strings.Contains(err.Error(), "reduce.fence0") {
 			t.Errorf("inject %s: err = %v, want a rejection listing reduce's sites", id, err)
+		}
+	}
+}
+
+// TestRunBenchmarkNegativeLimits: a negative scale, cycle budget or
+// timeout is refused before anything runs, as the CLI and the daemon
+// refuse it.
+func TestRunBenchmarkNegativeLimits(t *testing.T) {
+	small := SmallGPU()
+	for _, opts := range []RunOptions{
+		{GPU: &small, Scale: -1},
+		{GPU: &small, MaxCycles: -5},
+		{GPU: &small, Timeout: -time.Second},
+	} {
+		if res, err := RunBenchmark("scan", opts); err == nil || res != nil {
+			t.Errorf("%+v: result %v, err %v; want a refusal", opts, res, err)
 		}
 	}
 }

@@ -120,52 +120,73 @@ type Schedule struct {
 // ParseSchedule parses a fault schedule spec. The empty string is the
 // empty (fault-free) schedule.
 func ParseSchedule(spec string) (*Schedule, error) {
-	s := &Schedule{}
-	if strings.TrimSpace(spec) == "" {
-		return s, nil
+	cs, err := parseClauses(spec, "clause", func(kind string) *Clause { return &Clause{Kind: kind, Nth: 1} })
+	if err != nil {
+		return nil, err
 	}
+	return &Schedule{Clauses: cs}, nil
+}
+
+// set applies one key=value param of a clause.
+func (c *Clause) set(k, v string) (err error) {
+	switch k {
+	case "op":
+		c.Op = v
+	case "path":
+		c.Path = v
+	case "nth":
+		c.Nth, err = strconv.Atoi(v)
+	case "after":
+		c.After, err = strconv.ParseInt(v, 10, 64)
+	default:
+		return fmt.Errorf("unknown param %q", k)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %v", k, err)
+	}
+	return nil
+}
+
+// A clause is one fault clause of either schedule grammar, filesystem
+// (*Clause) or HTTP (*HTTPClause), as parseClauses builds it.
+type clause interface {
+	set(k, v string) error
+	validate() error
+}
+
+// parseClauses runs the loop both schedule grammars share. A spec is
+// clauses separated by semicolons, blank ones skipped; each is a kind,
+// optionally followed by a colon and comma-separated key=value params.
+// newClause starts a clause of a kind, its params are set in order,
+// and it must validate. what names the grammar in the errors this
+// loop makes ("clause", "http clause").
+func parseClauses[C clause](spec, what string, newClause func(kind string) C) ([]C, error) {
+	var out []C
 	for _, cs := range strings.Split(spec, ";") {
 		cs = strings.TrimSpace(cs)
 		if cs == "" {
 			continue
 		}
 		kind, rest, _ := strings.Cut(cs, ":")
-		c := &Clause{Kind: strings.TrimSpace(kind), Nth: 1}
+		c := newClause(strings.TrimSpace(kind))
 		if rest != "" {
 			for _, kv := range strings.Split(rest, ",") {
 				k, v, ok := strings.Cut(kv, "=")
 				k, v = strings.TrimSpace(k), strings.TrimSpace(v)
 				if !ok || v == "" {
-					return nil, fmt.Errorf("chaos: clause %q: malformed param %q", cs, kv)
+					return nil, fmt.Errorf("chaos: %s %q: malformed param %q", what, cs, kv)
 				}
-				switch k {
-				case "op":
-					c.Op = v
-				case "path":
-					c.Path = v
-				case "nth":
-					n, err := strconv.Atoi(v)
-					if err != nil {
-						return nil, fmt.Errorf("chaos: clause %q: nth: %v", cs, err)
-					}
-					c.Nth = n
-				case "after":
-					n, err := strconv.ParseInt(v, 10, 64)
-					if err != nil {
-						return nil, fmt.Errorf("chaos: clause %q: after: %v", cs, err)
-					}
-					c.After = n
-				default:
-					return nil, fmt.Errorf("chaos: clause %q: unknown param %q", cs, k)
+				if err := c.set(k, v); err != nil {
+					return nil, fmt.Errorf("chaos: %s %q: %w", what, cs, err)
 				}
 			}
 		}
 		if err := c.validate(); err != nil {
 			return nil, err
 		}
-		s.Clauses = append(s.Clauses, c)
+		out = append(out, c)
 	}
-	return s, nil
+	return out, nil
 }
 
 // String renders the schedule in canonical spec form.

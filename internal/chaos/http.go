@@ -92,48 +92,31 @@ type HTTPSchedule struct {
 // ParseHTTPSchedule parses an HTTP fault schedule spec; "" is the
 // fault-free schedule.
 func ParseHTTPSchedule(spec string) (*HTTPSchedule, error) {
-	s := &HTTPSchedule{}
-	if strings.TrimSpace(spec) == "" {
-		return s, nil
+	cs, err := parseClauses(spec, "http clause", func(kind string) *HTTPClause { return &HTTPClause{Kind: kind, Nth: 1} })
+	if err != nil {
+		return nil, err
 	}
-	for _, cs := range strings.Split(spec, ";") {
-		cs = strings.TrimSpace(cs)
-		if cs == "" {
-			continue
-		}
-		kind, rest, _ := strings.Cut(cs, ":")
-		c := &HTTPClause{Kind: strings.TrimSpace(kind), Nth: 1}
-		if rest != "" {
-			for _, kv := range strings.Split(rest, ",") {
-				k, v, ok := strings.Cut(kv, "=")
-				k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-				if !ok || v == "" {
-					return nil, fmt.Errorf("chaos: http clause %q: malformed param %q", cs, kv)
-				}
-				var err error
-				switch k {
-				case "path":
-					c.Path = v
-				case "nth":
-					c.Nth, err = strconv.Atoi(v)
-				case "from":
-					c.From, err = strconv.Atoi(v)
-				case "count":
-					c.Count, err = strconv.Atoi(v)
-				default:
-					return nil, fmt.Errorf("chaos: http clause %q: unknown param %q", cs, k)
-				}
-				if err != nil {
-					return nil, fmt.Errorf("chaos: http clause %q: %s: %v", cs, k, err)
-				}
-			}
-		}
-		if err := c.validate(); err != nil {
-			return nil, err
-		}
-		s.Clauses = append(s.Clauses, c)
+	return &HTTPSchedule{Clauses: cs}, nil
+}
+
+// set applies one key=value param of an HTTP clause.
+func (c *HTTPClause) set(k, v string) (err error) {
+	switch k {
+	case "path":
+		c.Path = v
+	case "nth":
+		c.Nth, err = strconv.Atoi(v)
+	case "from":
+		c.From, err = strconv.Atoi(v)
+	case "count":
+		c.Count, err = strconv.Atoi(v)
+	default:
+		return fmt.Errorf("unknown param %q", k)
 	}
-	return s, nil
+	if err != nil {
+		return fmt.Errorf("%s: %v", k, err)
+	}
+	return nil
 }
 
 // String renders the schedule in canonical spec form.

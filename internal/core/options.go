@@ -63,13 +63,12 @@ type SeedWitness struct {
 
 	// The statically-proven racing pair, reported as the race's
 	// first/second accessors.
-	PC     int    `json:"pc"`
-	PC2    int    `json:"pc2"`
-	Block  int    `json:"block"`
-	Tid    int    `json:"tid"`
-	Block2 int    `json:"block2"`
-	Tid2   int    `json:"tid2"`
-	Stmt   string `json:"stmt,omitempty"`
+	PC     int `json:"pc"`
+	PC2    int `json:"pc2"`
+	Block  int `json:"block"`
+	Tid    int `json:"tid"`
+	Block2 int `json:"block2"`
+	Tid2   int `json:"tid2"`
 }
 
 // WitnessSeeder supplies the per-kernel seed set; the static analyzer

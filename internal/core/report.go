@@ -11,7 +11,6 @@ import (
 // Report is the machine-readable summary of a detection run, suitable
 // for CI integration or downstream tooling.
 type Report struct {
-	Kernel   string       `json:"kernel,omitempty"`
 	Detector string       `json:"detector"`
 	Options  ReportOpts   `json:"options"`
 	Summary  ReportTotals `json:"summary"`

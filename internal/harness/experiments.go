@@ -183,7 +183,11 @@ func Table4(scale int) (map[string]int64, string, error) {
 	var rows [][]string
 	for _, bm := range kernels.All() {
 		// AppBytes comes from building the plan (it depends on scale).
-		_, plan, err := RunConfig{Bench: bm.Name, Scale: scale}.build(gpu.TestConfig(), nil)
+		rc := RunConfig{Bench: bm.Name, Scale: scale}
+		if err := rc.Validate(); err != nil {
+			return nil, "", err
+		}
+		_, plan, err := rc.build(gpu.TestConfig(), nil)
 		if err != nil {
 			return nil, "", err
 		}

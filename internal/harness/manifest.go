@@ -7,7 +7,9 @@ import (
 	"io"
 	"os"
 	"sync"
+	"time"
 
+	"haccrg/internal/gpu"
 	"haccrg/internal/journal"
 	"haccrg/internal/vfs"
 )
@@ -29,15 +31,45 @@ type Manifest struct {
 
 // manifestEntry is one journaled completion.
 type manifestEntry struct {
-	Config RunConfig  `json:"config"`
-	Result *RunResult `json:"result"`
+	Config manifestConfig  `json:"config"`
+	Result *manifestResult `json:"result"`
+}
+
+// manifestConfig is the manifest's view of a RunConfig: every field
+// under its Go name, as manifests encoded runs before RunConfig took
+// the job spec's names, so their keys and entries keep their bytes.
+// The conversions to and from RunConfig stop compiling once the two
+// field lists drift apart.
+type manifestConfig struct {
+	Bench             string
+	Detector          DetectorKind
+	Scale             int
+	SharedGranularity int
+	GlobalGranularity int
+	SingleBlock       bool
+	Inject            []string
+	StaticFilter      bool `json:"StaticFilter,omitempty"`
+	WitnessSeed       bool `json:"WitnessSeed,omitempty"`
+	GPU               *gpu.Config
+	FaultPlan         string
+	FaultSeed         int64
+	Degradation       string
+	MaxCycles         int64
+	Timeout           time.Duration
+}
+
+// manifestResult is a RunResult whose Config, declared first so the
+// field order holds, shadows the embedded one with the manifest's view.
+type manifestResult struct {
+	Config manifestConfig
+	*RunResult
 }
 
 // configKey canonicalizes a RunConfig for manifest lookup. JSON of the
 // struct is deterministic (fixed field order, sorted maps), so equal
 // configs always collide and different configs never do.
 func configKey(rc RunConfig) (string, error) {
-	b, err := json.Marshal(rc)
+	b, err := json.Marshal(manifestConfig(rc))
 	if err != nil {
 		return "", fmt.Errorf("harness: manifest key: %w", err)
 	}
@@ -116,12 +148,17 @@ func OpenManifestFS(fsys vfs.FS, path string, resume bool) (*Manifest, journal.S
 			r.Reject("manifest entry without a result")
 			break
 		}
-		key, err := configKey(e.Config)
+		key, err := configKey(RunConfig(e.Config))
 		if err != nil {
 			r.Reject(err.Error())
 			break
 		}
-		m.entries[key] = e.Result
+		res := e.Result.RunResult
+		if res == nil { // a result that holds only its Config
+			res = new(RunResult)
+		}
+		res.Config = RunConfig(e.Result.Config)
+		m.entries[key] = res
 	}
 	salvage = r.Salvage()
 	// Drop the torn tail (and an undecodable record with all after it)
@@ -171,7 +208,10 @@ func (m *Manifest) Append(rc RunConfig, res *RunResult) error {
 	if err != nil {
 		return err
 	}
-	payload, err := json.Marshal(&manifestEntry{Config: rc, Result: res})
+	payload, err := json.Marshal(&manifestEntry{
+		Config: manifestConfig(rc),
+		Result: &manifestResult{Config: manifestConfig(res.Config), RunResult: res},
+	})
 	if err != nil {
 		return fmt.Errorf("harness: manifest entry: %w", err)
 	}

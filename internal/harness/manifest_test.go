@@ -417,3 +417,92 @@ func TestResumeOldManifestEncoding(t *testing.T) {
 		}
 	}
 }
+
+// specFieldsConfigs are runs that between them set every RunConfig
+// field. testdata/spec-fields.manifest is their one-worker sweep's
+// manifest, written by the version whose RunConfig had no JSON names,
+// so it pins the manifest encoding of every field.
+func specFieldsConfigs() []RunConfig {
+	return []RunConfig{
+		{
+			Bench: "scan", Detector: DetShared, Scale: 2, GPU: testGPU(), SingleBlock: true,
+			SharedGranularity: 8, GlobalGranularity: 8, StaticFilter: true,
+			MaxCycles: 50_000_000, Timeout: time.Hour,
+		},
+		{
+			Bench: "reduce", Detector: DetSharedGlobal, GPU: testGPU(), Inject: []string{"reduce.fence0"},
+			WitnessSeed: true, FaultPlan: "queue:cap=16,drain=1", FaultSeed: 7, Degradation: "reinit",
+		},
+		{Bench: "hist", Detector: DetGlobal, GPU: testGPU(), GlobalGranularity: 16},
+	}
+}
+
+// TestSpecFieldsManifest: a sweep over specFieldsConfigs rewrites
+// testdata/spec-fields.manifest byte for byte, and a resume of the
+// fixture serves every run from it, to results identical to the fresh
+// sweep's.
+func TestSpecFieldsManifest(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "spec-fields.manifest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fresh.manifest")
+	m, _, err := OpenManifest(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Sweep{Manifest: m, Workers: 1}.Run(specFieldsConfigs())
+	m.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		n := 0
+		for n < min(len(got), len(want)) && got[n] == want[n] {
+			n++
+		}
+		t.Fatalf("the sweep wrote %d manifest bytes, the fixture holds %d; first difference at byte %d", len(got), len(want), n)
+	}
+
+	// Resuming truncates and appends, so work on a copy.
+	old := filepath.Join(dir, "old.manifest")
+	if err := os.WriteFile(old, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2, salvage, err := OpenManifest(old, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if salvage.Records != len(fresh) || salvage.Truncated {
+		t.Fatalf("fixture salvage %+v, want %d clean records", salvage, len(fresh))
+	}
+	before := sweepExecutions.Load()
+	resumed, err := Sweep{Manifest: m2, Workers: 1}.Run(specFieldsConfigs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sweepExecutions.Load() - before; n != 0 {
+		t.Fatalf("resume re-simulated %d run(s) instead of serving the manifest", n)
+	}
+	encode := func(r *RunResult) []byte {
+		b, err := json.Marshal(&manifestResult{Config: manifestConfig(r.Config), RunResult: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for i := range fresh {
+		if g, w := encode(resumed[i]), encode(fresh[i]); !bytes.Equal(g, w) {
+			t.Errorf("run %d: resumed result differs from a fresh run\nresumed: %.400s\nfresh:   %.400s", i, g, w)
+		}
+	}
+	if renderResults(t, resumed) != renderResults(t, fresh) {
+		t.Error("resumed rendering differs from the fresh sweep's")
+	}
+}

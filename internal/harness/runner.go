@@ -35,54 +35,55 @@ const (
 	DetGRace        DetectorKind = "grace-addr"
 )
 
-// RunConfig describes one simulation run.
+// RunConfig describes one simulation run. Its JSON names are the job
+// spec's wire and spool names (service.JobSpec embeds it) and journal
+// metadata's; the benchmark, device and watchdog are not job fields,
+// so they have none. Manifests encode runs through their own view
+// (manifestConfig).
 type RunConfig struct {
-	Bench    string
-	Detector DetectorKind
-	Scale    int
+	Bench    string       `json:"-"`
+	Detector DetectorKind `json:"detector,omitempty"`
+	Scale    int          `json:"scale,omitempty"`
 
 	// SharedGranularity / GlobalGranularity override the detector's
 	// tracking granularities when non-zero.
-	SharedGranularity int
-	GlobalGranularity int
+	SharedGranularity int `json:"shared_granularity,omitempty"`
+	GlobalGranularity int `json:"global_granularity,omitempty"`
 
-	SingleBlock bool
-	Inject      []string
+	SingleBlock bool     `json:"single_block,omitempty"`
+	Inject      []string `json:"inject,omitempty"`
 
 	// StaticFilter analyzes the plan's kernels with the static race
 	// prover (internal/staticrace) and lets the RDUs skip checks at
 	// provably race-free sites. Findings and cycle counts stay
 	// byte-identical; only check work drops. Hardware detector kinds
-	// only. The omitempty tag keeps manifest keys of filter-off configs
-	// stable across versions.
-	StaticFilter bool `json:"StaticFilter,omitempty"`
+	// only.
+	StaticFilter bool `json:"static_filter,omitempty"`
 
 	// WitnessSeed pre-seeds detector quarantine with the static
 	// analyzer's verified race witnesses (see core.Detector.SetWitnessSeeds):
 	// statically-proven racy global granules report on first touch with
-	// StaticWitness provenance. Hardware detector kinds only. The
-	// omitempty tag keeps manifest keys of seed-off configs stable
-	// across versions.
-	WitnessSeed bool `json:"WitnessSeed,omitempty"`
+	// StaticWitness provenance. Hardware detector kinds only.
+	WitnessSeed bool `json:"witness_seed,omitempty"`
 
 	// GPU overrides the device configuration (nil = paper's Table I).
-	GPU *gpu.Config
+	GPU *gpu.Config `json:"-"`
 
 	// FaultPlan is an internal/fault plan spec (e.g.
 	// "queue:cap=16,drain=1;flip:rate=1e-5,ecc"); empty = fault-free.
-	FaultPlan string
+	FaultPlan string `json:"fault_plan,omitempty"`
 	// FaultSeed seeds the fault injector: the same plan and seed
 	// reproduce the same run byte for byte.
-	FaultSeed int64
+	FaultSeed int64 `json:"fault_seed,omitempty"`
 	// Degradation is the corrupt-granule policy: "quarantine" (default)
 	// or "reinit".
-	Degradation string
+	Degradation string `json:"degradation,omitempty"`
 
 	// MaxCycles bounds each run's simulated cycles (0 = unlimited);
 	// exceeding it aborts with a *gpu.HangError.
-	MaxCycles int64
+	MaxCycles int64 `json:"max_cycles,omitempty"`
 	// Timeout is the wall-clock watchdog per run (0 = none).
-	Timeout time.Duration
+	Timeout time.Duration `json:"-"`
 }
 
 // RunResult captures one run's outcome.

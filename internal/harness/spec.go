@@ -143,8 +143,9 @@ func (rc RunConfig) runOptions(opt core.Options) (core.Options, error) {
 // Validate reports whether rc describes a run ExecContext can execute:
 // a known benchmark and detector kind, power-of-two granularities, a
 // fault plan that parses and has a detector to fault, a known
-// degradation policy, the static filter and witness seeding only under
-// a hardware kind, and injection IDs that name sites of the benchmark.
+// degradation policy, no negative scale, cycle budget or timeout, the
+// static filter and witness seeding only under a hardware kind, and
+// injection IDs that name sites of the benchmark.
 // The errors it makes itself carry no package prefix; the surface
 // reporting one adds its own.
 func (rc RunConfig) Validate() error {
@@ -167,6 +168,12 @@ func (rc RunConfig) Validate() error {
 		return err
 	}
 	switch {
+	case rc.Scale < 0:
+		return fmt.Errorf("scale %d is negative", rc.Scale)
+	case rc.MaxCycles < 0:
+		return fmt.Errorf("cycle budget %d is negative", rc.MaxCycles)
+	case rc.Timeout < 0:
+		return fmt.Errorf("timeout %v is negative", rc.Timeout)
 	case rc.FaultPlan != "" && rc.Detector.off():
 		return errors.New("a fault plan needs a detector (there is no RDU pipeline to fault)")
 	case rc.StaticFilter && !rc.Detector.hardware():

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"haccrg/internal/journal"
 )
@@ -32,6 +33,9 @@ func TestValidate(t *testing.T) {
 		{func(rc *RunConfig) { rc.Detector, rc.FaultPlan = DetOff, "queue:cap=16,drain=1" }, false},
 		{func(rc *RunConfig) { rc.Detector, rc.StaticFilter = DetSoftware, true }, false},
 		{func(rc *RunConfig) { rc.Detector, rc.WitnessSeed = DetOff, true }, false},
+		{func(rc *RunConfig) { rc.Scale = -1 }, false},
+		{func(rc *RunConfig) { rc.MaxCycles = -5 }, false},
+		{func(rc *RunConfig) { rc.Timeout = -time.Second }, false},
 	} {
 		rc := ok
 		c.mod(&rc)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"haccrg/internal/harness"
 	"haccrg/internal/version"
 )
 
@@ -115,7 +116,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs/analyze", submitJSON(JobAnalyze))
 
 	mux.HandleFunc("POST /v1/jobs/replay", func(w http.ResponseWriter, r *http.Request) {
-		spec := JobSpec{Kind: JobReplay, Detector: r.URL.Query().Get("detector")}
+		spec := JobSpec{Kind: JobReplay}
+		spec.Detector = harness.DetectorKind(r.URL.Query().Get("detector"))
 		if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
 			v, err := strconv.ParseInt(ms, 10, 64)
 			if err != nil || v < 0 {

@@ -101,19 +101,30 @@ func TestHTTPBadSpecIs400(t *testing.T) {
 
 // TestHTTPRemovedEngineFieldsAre400: the bench API decodes specs with
 // DisallowUnknownFields, so the removed detector-engine fields are
-// rejected rather than silently ignored.
+// rejected rather than silently ignored, and so are the run fields a
+// job spec does not take: the benchmark (benches names them), the
+// device (small_gpu selects it) and the per-run watchdog (timeout_ms
+// is the job's deadline). The embedded run configuration is no key
+// either.
 func TestHTTPRemovedEngineFieldsAre400(t *testing.T) {
 	s, hs := newHTTPServer(t, nil)
 	defer s.Drain(expiredCtx(t))
-	for _, field := range []string{"detect_parallel", "detect_parallel_shared", "sentinel_every"} {
-		var v any = true
-		if field == "sentinel_every" {
-			v = 1
-		}
-		resp := postJSON(t, hs.URL+"/v1/jobs/bench", "t", map[string]any{"benches": []string{"psum"}, field: v})
+	for _, c := range []struct {
+		field string
+		v     any
+	}{
+		{"detect_parallel", true},
+		{"detect_parallel_shared", true},
+		{"sentinel_every", 1},
+		{"bench", "scan"},
+		{"gpu", map[string]any{}},
+		{"timeout", 1000},
+		{"RunConfig", map[string]any{"scale": 2}},
+	} {
+		resp := postJSON(t, hs.URL+"/v1/jobs/bench", "t", map[string]any{"benches": []string{"psum"}, c.field: c.v})
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("spec with %s: HTTP %d, want 400", field, resp.StatusCode)
+			t.Errorf("spec with %s: HTTP %d, want 400", c.field, resp.StatusCode)
 		}
 	}
 }

@@ -42,6 +42,13 @@ const (
 // what to execute. It is the durable identity of the job — specs are
 // spooled to disk before admission is acknowledged, so an accepted job
 // survives a daemon restart.
+//
+// The run fields are the embedded harness.RunConfig's, under its JSON
+// names; the benchmark, device and per-run watchdog are not among them
+// (Benches, SmallGPU and TimeoutMS say those for a job). Detector
+// defaults to shared+global for bench and analyze jobs; a replay job
+// reads only Detector, which overrides the journaled detector when
+// non-empty.
 type JobSpec struct {
 	Kind JobKind `json:"kind"`
 
@@ -49,30 +56,12 @@ type JobSpec struct {
 	// analyze kinds). A bench job runs them as one sweep under one
 	// manifest.
 	Benches []string `json:"benches,omitempty"`
-	// Detector is the harness.DetectorKind to run under (bench kind;
-	// default shared+global). For replay jobs it overrides the
-	// journaled detector when non-empty.
-	Detector string `json:"detector,omitempty"`
 
-	Scale             int      `json:"scale,omitempty"`
-	SingleBlock       bool     `json:"single_block,omitempty"`
-	Inject            []string `json:"inject,omitempty"`
-	SharedGranularity int      `json:"shared_granularity,omitempty"`
-	GlobalGranularity int      `json:"global_granularity,omitempty"`
-	StaticFilter      bool     `json:"static_filter,omitempty"`
-	// WitnessSeed pre-seeds the detector's global RDU with the static
-	// analyzer's verified race witnesses, so statically-proven racy
-	// granules report on first touch with StaticWitness provenance.
-	WitnessSeed bool   `json:"witness_seed,omitempty"`
-	FaultPlan   string `json:"fault_plan,omitempty"`
-	FaultSeed   int64  `json:"fault_seed,omitempty"`
-	Degradation string `json:"degradation,omitempty"`
+	harness.RunConfig
 
 	// SmallGPU runs on the 4-SM test device instead of the Table I
 	// machine.
 	SmallGPU bool `json:"small_gpu,omitempty"`
-	// MaxCycles bounds each run's simulated clock (0 = server default).
-	MaxCycles int64 `json:"max_cycles,omitempty"`
 	// TimeoutMS requests a per-job wall-clock deadline in milliseconds;
 	// the server clamps it to its configured maximum. 0 means the
 	// server default.
@@ -153,10 +142,15 @@ type JobStatus struct {
 
 // validate rejects malformed specs at admission, before any resources
 // are committed to them: a bench or analyze spec must expand into runs
-// that each validate, and a replay spec's detector must build.
+// that each validate, and a replay spec's detector must build. A spec
+// must not set the run fields its spooled form leaves out, or a
+// recovered job would run other runs than the admitted one.
 func (sp *JobSpec) validate() error {
-	if sp.TimeoutMS < 0 || sp.MaxCycles < 0 || sp.Scale < 0 {
-		return fmt.Errorf("service: negative limits are not valid")
+	switch {
+	case sp.TimeoutMS < 0:
+		return fmt.Errorf("service: timeout_ms %d is negative", sp.TimeoutMS)
+	case sp.Bench != "" || sp.GPU != nil || sp.Timeout != 0:
+		return fmt.Errorf("service: a job spec sets benches, small_gpu and timeout_ms, not a run's benchmark, device or watchdog")
 	}
 	switch sp.Kind {
 	case JobBench, JobAnalyze:
@@ -170,7 +164,7 @@ func (sp *JobSpec) validate() error {
 	case JobReplay:
 		// A replay runs the journal's benchmark, known only at execution;
 		// its own settings are the detector it replays under.
-		_, err := harness.DetectorFor(harness.RunConfig{Detector: harness.DetectorKind(sp.Detector), Degradation: sp.Degradation})
+		_, err := harness.DetectorFor(harness.RunConfig{Detector: sp.Detector, Degradation: sp.Degradation})
 		if err != nil {
 			return fmt.Errorf("service: %w", err)
 		}
@@ -186,30 +180,15 @@ func (sp *JobSpec) validate() error {
 // haccrg CLI expands its flags through the same function, locally and
 // before submitting them.
 func (sp *JobSpec) RunConfigs(smallGPU bool) ([]harness.RunConfig, error) {
-	det := harness.DetectorKind(sp.Detector)
-	if det == "" {
-		det = harness.DetSharedGlobal
+	rc := sp.RunConfig
+	if rc.Detector == "" {
+		rc.Detector = harness.DetSharedGlobal
 	}
-	var cfg *gpu.Config
 	if sp.SmallGPU || smallGPU {
 		c := gpu.TestConfig()
-		cfg = &c
+		rc.GPU = &c
 	}
-	return harness.RunConfig{
-		Detector:          det,
-		Scale:             sp.Scale,
-		SingleBlock:       sp.SingleBlock,
-		Inject:            sp.Inject,
-		SharedGranularity: sp.SharedGranularity,
-		GlobalGranularity: sp.GlobalGranularity,
-		StaticFilter:      sp.StaticFilter,
-		WitnessSeed:       sp.WitnessSeed,
-		GPU:               cfg,
-		FaultPlan:         sp.FaultPlan,
-		FaultSeed:         sp.FaultSeed,
-		Degradation:       sp.Degradation,
-		MaxCycles:         sp.MaxCycles,
-	}.Expand(sp.Benches)
+	return rc.Expand(sp.Benches)
 }
 
 // execBench runs a bench job's sweep against its per-job manifest, on
@@ -260,7 +239,7 @@ func execReplay(ctx context.Context, sp *JobSpec, journalPath string) (*ReplaySu
 		return nil, err
 	}
 	defer f.Close()
-	det, rc, err := harness.DetectorForJournal(f, harness.DetectorKind(sp.Detector))
+	det, rc, err := harness.DetectorForJournal(f, sp.Detector)
 	if err != nil {
 		return nil, err
 	}

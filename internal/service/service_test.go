@@ -7,11 +7,14 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"haccrg/internal/gpu"
+	"haccrg/internal/harness"
 	"haccrg/internal/journal"
 )
 
@@ -65,18 +68,24 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: JobBench},
 		{Kind: JobBench, Benches: []string{"no-such-bench"}},
 		{Kind: JobAnalyze, Benches: []string{"psum"}, TimeoutMS: -1},
-		{Kind: JobBench, Benches: []string{"psum"}, Degradation: "explode"},
+		{Kind: JobBench, Benches: []string{"psum"}, RunConfig: harness.RunConfig{Degradation: "explode"}},
 		// Each of these used to be spooled and charged, then failed (or
 		// ran under a silently different setting) in the worker.
-		{Kind: JobBench, Benches: []string{"psum"}, Detector: "bogus"},
-		{Kind: JobBench, Benches: []string{"psum"}, FaultPlan: "nonsense:::"},
-		{Kind: JobBench, Benches: []string{"psum"}, SharedGranularity: 3},
-		{Kind: JobBench, Benches: []string{"psum"}, Detector: "off", StaticFilter: true},
-		{Kind: JobBench, Benches: []string{"psum"}, SharedGranularity: -5},
-		{Kind: JobAnalyze, Benches: []string{"psum"}, SharedGranularity: -5},
-		{Kind: JobBench, Benches: []string{"reduce"}, Inject: []string{"reduce.fenc0"}},
-		{Kind: JobBench, Benches: []string{"psum", "scan"}, Inject: []string{"reduce.fence0"}},
-		{Kind: JobReplay, Detector: "bogus"},
+		{Kind: JobBench, Benches: []string{"psum"}, RunConfig: harness.RunConfig{Detector: "bogus"}},
+		{Kind: JobBench, Benches: []string{"psum"}, RunConfig: harness.RunConfig{FaultPlan: "nonsense:::"}},
+		{Kind: JobBench, Benches: []string{"psum"}, RunConfig: harness.RunConfig{SharedGranularity: 3}},
+		{Kind: JobBench, Benches: []string{"psum"}, RunConfig: harness.RunConfig{Detector: "off", StaticFilter: true}},
+		{Kind: JobBench, Benches: []string{"psum"}, RunConfig: harness.RunConfig{SharedGranularity: -5}},
+		{Kind: JobAnalyze, Benches: []string{"psum"}, RunConfig: harness.RunConfig{SharedGranularity: -5}},
+		{Kind: JobBench, Benches: []string{"reduce"}, RunConfig: harness.RunConfig{Inject: []string{"reduce.fenc0"}}},
+		{Kind: JobBench, Benches: []string{"psum", "scan"}, RunConfig: harness.RunConfig{Inject: []string{"reduce.fence0"}}},
+		{Kind: JobBench, Benches: []string{"psum"}, RunConfig: harness.RunConfig{Scale: -1}},
+		{Kind: JobAnalyze, Benches: []string{"psum"}, RunConfig: harness.RunConfig{MaxCycles: -5}},
+		// What the spool cannot keep: the spooled spec would describe
+		// other runs than the admitted one.
+		{Kind: JobBench, Benches: []string{"psum"}, RunConfig: harness.RunConfig{GPU: &gpu.Config{}}},
+		{Kind: JobBench, Benches: []string{"psum"}, RunConfig: harness.RunConfig{Timeout: time.Second}},
+		{Kind: JobReplay, RunConfig: harness.RunConfig{Detector: "bogus"}},
 	}
 	for _, sp := range cases {
 		var err error
@@ -105,7 +114,7 @@ func TestSubmitValidation(t *testing.T) {
 // job keeps its list as given (its manifest keys do not move).
 func TestMultiBenchInjectRouting(t *testing.T) {
 	sp := &JobSpec{Kind: JobBench, Benches: []string{"psum", "scan", "reduce"},
-		Inject: []string{"reduce.fence0", "psum.fence0", "reduce.bar0"}}
+		RunConfig: harness.RunConfig{Inject: []string{"reduce.fence0", "psum.fence0", "reduce.bar0"}}}
 	runs, err := sp.RunConfigs(true)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +128,8 @@ func TestMultiBenchInjectRouting(t *testing.T) {
 			t.Errorf("scan's injection list is %#v, want nil (the key of a run without injections)", rc.Inject)
 		}
 	}
-	single := &JobSpec{Kind: JobBench, Benches: []string{"reduce"}, Inject: []string{"reduce.bar0", "reduce.fence0"}}
+	single := &JobSpec{Kind: JobBench, Benches: []string{"reduce"},
+		RunConfig: harness.RunConfig{Inject: []string{"reduce.bar0", "reduce.fence0"}}}
 	runs, err = single.RunConfigs(true)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +342,7 @@ func TestDrainCheckpointResume(t *testing.T) {
 	}
 	// hist finishes first and lands in the job's manifest; mcarlo is
 	// still simulating when the drain cancels it.
-	spec := &JobSpec{Kind: JobBench, Benches: []string{"hist", "mcarlo"}, Scale: 8}
+	spec := &JobSpec{Kind: JobBench, Benches: []string{"hist", "mcarlo"}, RunConfig: harness.RunConfig{Scale: 8}}
 
 	// Control: the same spec run to completion without interruption.
 	control := newTestServer(t, func(c *Config) { c.SmallGPU = false })
@@ -582,5 +592,48 @@ func TestRecoverSpecWithRemovedEngineFields(t *testing.T) {
 	if len(st.Runs) != 1 || strings.Join(st.Runs[0].Races, "\n") != strings.Join(fresh[0].Races, "\n") ||
 		st.Runs[0].Cycles != fresh[0].Cycles {
 		t.Fatalf("recovered run %+v differs from a fresh run %+v", st.Runs, fresh)
+	}
+}
+
+// TestSpooledSpecEveryRunField: a spec spooled by the version whose
+// JobSpec declared each run field itself, in that version's field
+// order and with every run field set, recovers to the same runs.
+func TestSpooledSpecEveryRunField(t *testing.T) {
+	sp, err := openSpool(nil, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const spooled = `{"id":"0123456789abcdef","seq":3,"tenant":"ci","enqueued_at":"2026-01-02T03:04:05Z",` +
+		`"spec":{"kind":"bench","benches":["reduce","psum"],"detector":"shared+global","scale":2,"single_block":true,` +
+		`"inject":["reduce.fence0","psum.fence0"],"shared_granularity":8,"global_granularity":8,"static_filter":true,` +
+		`"witness_seed":true,"fault_plan":"queue:cap=16,drain=1","fault_seed":7,"degradation":"reinit","small_gpu":true,` +
+		`"max_cycles":50000000,"timeout_ms":60000}}`
+	if err := os.WriteFile(sp.specPath("0123456789abcdef"), []byte(spooled), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, skipped, err := sp.load()
+	if err != nil || len(skipped) != 0 || len(entries) != 1 {
+		t.Fatalf("load: %d entries, skipped %v, err %v", len(entries), skipped, err)
+	}
+	e := entries[0]
+	if e.Seq != 3 || e.Tenant != "ci" || e.Spec.Kind != JobBench || e.Spec.TimeoutMS != 60000 ||
+		!e.EnqueuedAt.Equal(time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)) {
+		t.Errorf("recovered entry %+v, spec %+v", e.spoolSpec, e.Spec)
+	}
+	runs, err := e.Spec.RunConfigs(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := gpu.TestConfig()
+	base := harness.RunConfig{
+		Detector: harness.DetSharedGlobal, Scale: 2, SingleBlock: true,
+		SharedGranularity: 8, GlobalGranularity: 8, StaticFilter: true, WitnessSeed: true, GPU: &small,
+		FaultPlan: "queue:cap=16,drain=1", FaultSeed: 7, Degradation: "reinit", MaxCycles: 50000000,
+	}
+	want := []harness.RunConfig{base, base}
+	want[0].Bench, want[0].Inject = "reduce", []string{"reduce.fence0"}
+	want[1].Bench, want[1].Inject = "psum", []string{"psum.fence0"}
+	if !reflect.DeepEqual(runs, want) {
+		t.Errorf("recovered spec expands to\n%+v\nwant\n%+v", runs, want)
 	}
 }

@@ -31,11 +31,6 @@ type Config struct {
 	// detector treats same-warp conflicts as benign lockstep sharing,
 	// and the prover may discharge conflicts confined to one warp.
 	WarpAware bool
-
-	// Replay budgets for the concrete witness engine; zero selects the
-	// defaults (1<<23 total steps, 8192 threads).
-	MaxReplaySteps   int64
-	MaxReplayThreads int
 }
 
 // withDefaults fills the zero fields of c with their defaults.
@@ -51,12 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFootprintPoints <= 0 {
 		c.MaxFootprintPoints = 1 << 22
-	}
-	if c.MaxReplaySteps <= 0 {
-		c.MaxReplaySteps = replayTotalSteps
-	}
-	if c.MaxReplayThreads <= 0 {
-		c.MaxReplayThreads = replayMaxThreads
 	}
 	return c
 }

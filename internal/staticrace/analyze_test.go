@@ -190,7 +190,7 @@ func TestAnalyzeDivergentBarrierDirect(t *testing.T) {
 // TestAnalyzeTiedFindingsOrdered: a BAR inside `if tid < 8` inside
 // `if tid < 16` draws one barrier-divergence finding per enclosing
 // branch, both at the BAR's pc. Every analysis must list the tied
-// findings in one order.
+// findings in one order, and witness the pc once.
 func TestAnalyzeTiedFindingsOrdered(t *testing.T) {
 	b := isa.NewBuilder("nestbar")
 	b.Sreg(1, isa.SregTid)
@@ -218,6 +218,9 @@ func TestAnalyzeTiedFindingsOrdered(t *testing.T) {
 			}
 			if n != 2 {
 				t.Fatalf("want two barrier-divergence findings at one pc, got %+v", first)
+			}
+			if len(res.Witnesses) != 1 || !res.Witnesses[0].Verified || res.Witnesses[0].PC != first[0].PC {
+				t.Fatalf("want one verified divergence witness at pc %d, got %+v", first[0].PC, res.Witnesses)
 			}
 			continue
 		}

@@ -17,8 +17,7 @@ import "haccrg/internal/isa"
 // quiet-granule refinement and the provable-race witnesses (witness.go)
 // stand on.
 
-// Replay budgets; MaxReplaySteps and MaxReplayThreads in Config
-// override the total and the thread cap.
+// Replay budgets.
 const (
 	replayPerThreadSteps = 1 << 17
 	replayTotalSteps     = 1 << 23
@@ -78,7 +77,7 @@ type replayResult struct {
 // the launch exceeds the thread budget and replay was not attempted.
 func (a *analyzer) replayKernel() *replayResult {
 	nThreads := a.k.GridDim * a.k.BlockDim
-	if nThreads <= 0 || nThreads > a.conf.MaxReplayThreads {
+	if nThreads <= 0 || nThreads > replayMaxThreads {
 		return nil
 	}
 	rr := &replayResult{complete: true, threads: make([]rthread, 0, nThreads)}
@@ -86,7 +85,7 @@ func (a *analyzer) replayKernel() *replayResult {
 	for bid := 0; bid < a.k.GridDim; bid++ {
 		for tid := 0; tid < a.k.BlockDim; tid++ {
 			budget := int64(replayPerThreadSteps)
-			if rem := a.conf.MaxReplaySteps - rr.steps; rem < budget {
+			if rem := replayTotalSteps - rr.steps; rem < budget {
 				budget = rem
 			}
 			if budget <= 0 {

@@ -385,15 +385,19 @@ func (a *analyzer) verifyRaceWitness(w *Witness, space isa.Space, gran int) bool
 	return false
 }
 
-// divergenceWitnesses pairs each barrier-divergence finding with two
-// concrete same-block threads that retire different barrier counts —
-// the observable fact the lint's abstract argument predicts.
+// divergenceWitnesses pairs each barrier pc with a barrier-divergence
+// finding with two concrete same-block threads that retire different
+// barrier counts — the observable fact the lint's abstract argument
+// predicts. The search depends only on the replay, so findings that
+// share a pc share one witness.
 func (a *analyzer) divergenceWitnesses(rr *replayResult, findings []Finding) []Witness {
 	var out []Witness
+	seen := map[int]bool{}
 	for _, f := range findings {
-		if f.Pass != PassBarrierDivergence {
+		if f.Pass != PassBarrierDivergence || seen[f.PC] {
 			continue
 		}
+		seen[f.PC] = true
 		found := false
 		for b := 0; b < a.k.GridDim && !found; b++ {
 			base := b * a.k.BlockDim
