@@ -34,10 +34,10 @@ type experiment struct {
 //	haccrg bench -exp injected
 func benchMain(args []string) (code int) {
 	fs := flag.NewFlagSet("haccrg bench", flag.ExitOnError)
-	// The guard-rail flags bind into the defaults the sweep merges into
-	// every run.
-	var defaults harness.RunConfig
-	parallel := bindGuardRails(fs, &defaults, "")
+	// The guard rails bind into the sweep, which merges them into every
+	// run; -seed is the fault study's.
+	var rails harness.RunConfig
+	parallel := bindGuardRails(fs, &rails)
 	var (
 		all       = fs.Bool("all", false, "run every experiment")
 		tableNum  = fs.Int("table", 0, "regenerate one table (1-4)")
@@ -117,7 +117,7 @@ func benchMain(args []string) (code int) {
 			return sw.SyncIDGatingStudy(1)
 		}},
 		{*exp == "faults", "Fault injection: RDU degradation study (extension)", func(sw harness.Sweep) (string, error) {
-			rows, txt, err := sw.FaultStudy(1, defaults.FaultSeed)
+			rows, txt, err := sw.FaultStudy(1, rails.FaultSeed)
 			if err != nil || *healthCSV == "" {
 				return txt, err
 			}
@@ -150,15 +150,7 @@ func benchMain(args []string) (code int) {
 	// manifest, so the sweep exits with resumable state.
 	ctx, stop := signalContext()
 	defer stop()
-	sw := harness.Sweep{
-		Ctx:         ctx,
-		FaultPlan:   defaults.FaultPlan,
-		FaultSeed:   defaults.FaultSeed,
-		Degradation: defaults.Degradation,
-		MaxCycles:   defaults.MaxCycles,
-		Timeout:     defaults.Timeout,
-		Workers:     *parallel,
-	}
+	sw := harness.Sweep{Ctx: ctx, MaxCycles: rails.MaxCycles, Timeout: rails.Timeout, Workers: *parallel}
 	if *manifest != "" {
 		m, salvage, err := harness.OpenManifest(*manifest, *resume)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"haccrg/internal/kernels"
 	"haccrg/internal/service"
 	"haccrg/internal/staticrace"
+	"haccrg/internal/termtab"
 )
 
 // lintMain runs the static kernel analyzer — CFG construction, abstract
@@ -28,13 +29,11 @@ func lintMain(args []string) int {
 	sp := &service.JobSpec{Kind: service.JobAnalyze}
 	bindRunSpec(fs, sp)
 	var (
-		all       = fs.Bool("all", false, "analyze the whole clean suite")
-		checkFix  = fs.Bool("check-fixtures", false, "CI gate: every defective fixture must flag, every clean benchmark must not")
-		jsonOut   = fs.Bool("json", false, "emit the report as JSON")
-		sites     = fs.Bool("sites", false, "include the prover's per-site race-freedom classification")
-		contextN  = fs.Int("context", 2, "disassembly context lines around each finding")
-		warpAware = fs.Bool("warp-aware", true, "model the detector's warp-aware suppression (core default)")
-		disasm    = fs.Bool("disasm", false, "print the kernels' disassembly (race PCs index it) instead of analyzing them")
+		all      = fs.Bool("all", false, "analyze the whole clean suite")
+		checkFix = fs.Bool("check-fixtures", false, "CI gate: every defective fixture must flag, every clean benchmark must not")
+		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
+		sites    = fs.Bool("sites", false, "include the prover's per-site race-freedom classification")
+		disasm   = fs.Bool("disasm", false, "print the kernels' disassembly (race PCs index it) instead of analyzing them")
 	)
 	fs.Parse(args)
 
@@ -64,13 +63,45 @@ func lintMain(args []string) int {
 	if *disasm {
 		return printDisassembly(runs)
 	}
-	opt := runs[0].DetectorOptions()
-	opt.WarpAware = *warpAware
-	conf := runs[0].AnalyzerConfig(opt)
+	// The detector configuration run mode and the daemon analyze under.
+	conf := runs[0].AnalyzerConfig(runs[0].DetectorOptions())
 	if *checkFix {
 		return checkFixtures(runs, conf)
 	}
-	return printStaticReport(runs, conf, *jsonOut, *sites, *contextN)
+	return printStaticReport(runs, conf, *jsonOut, *sites)
+}
+
+// printStaticReport analyzes the kernels of runs under conf and prints
+// the findings, plus the prover's per-site classification with sites:
+// as JSON, or as text with two disassembly lines around each finding.
+func printStaticReport(runs []harness.RunConfig, conf staticrace.Config, jsonOut, sites bool) int {
+	var analyses []*staticrace.Analysis
+	for _, rc := range runs {
+		as, err := analyzeRun(rc, conf)
+		if err != nil {
+			return fail(exitError, rc.Bench, err)
+		}
+		analyses = append(analyses, as...)
+	}
+	rep := staticrace.BuildReport(analyses, sites)
+	if jsonOut {
+		fmt.Println(rep.JSON())
+	} else {
+		fmt.Print(rep.Human(analyses, 2, termtab.IsTTY(os.Stdout)))
+	}
+	if rep.Findings > 0 {
+		return exitFound
+	}
+	return exitOK
+}
+
+// analyzeRun builds one run's kernels and analyzes each under conf.
+func analyzeRun(rc harness.RunConfig, conf staticrace.Config) ([]*staticrace.Analysis, error) {
+	ks, err := rc.Kernels()
+	if err != nil {
+		return nil, err
+	}
+	return harness.Analyze(ks, conf)
 }
 
 // printDisassembly prints each run's kernels: launch shape, then the

@@ -37,8 +37,6 @@ import (
 	"haccrg"
 	"haccrg/internal/harness"
 	"haccrg/internal/service"
-	"haccrg/internal/staticrace"
-	"haccrg/internal/termtab"
 )
 
 // Exit codes, shared by every mode.
@@ -171,50 +169,12 @@ func checkGranularities(rc harness.RunConfig) error {
 	return nil
 }
 
-// bindGuardRails binds the fault-injection and guard-rail flags run
-// mode and bench share straight into rc, and returns -parallel. Only
-// -degradation's default differs: run mode records "quarantine" in
-// journal metadata, while bench merges "" into manifest keys, and
-// neither may move.
-func bindGuardRails(fs *flag.FlagSet, rc *harness.RunConfig, degradation string) (parallel *int) {
-	fs.StringVar(&rc.FaultPlan, "fault-plan", "", "fault-injection plan for every run, e.g. queue:cap=16,drain=1;flip:rate=1e-5,ecc")
+// bindGuardRails binds the flags run mode and bench share straight
+// into rc — the fault-injection seed and the two guard rails — and
+// returns -parallel.
+func bindGuardRails(fs *flag.FlagSet, rc *harness.RunConfig) (parallel *int) {
 	fs.Int64Var(&rc.FaultSeed, "seed", 0, "fault-injection PRNG seed (same plan+seed = same run)")
-	fs.StringVar(&rc.Degradation, "degradation", degradation, "corrupt-granule policy: quarantine or reinit")
 	fs.DurationVar(&rc.Timeout, "timeout", 0, "wall-clock watchdog per run (0 = none), e.g. 30s")
 	fs.Int64Var(&rc.MaxCycles, "max-cycles", 0, "simulated-cycle budget per run (0 = unlimited)")
 	return fs.Int("parallel", 0, "concurrent runs of a suite or sweep (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
-}
-
-// printStaticReport analyzes the kernels of runs under conf and prints
-// the findings, plus the prover's per-site classification with sites:
-// as JSON, or as text with contextN disassembly lines around each
-// finding. Run mode's -static-report and lint both print through it.
-func printStaticReport(runs []harness.RunConfig, conf staticrace.Config, jsonOut, sites bool, contextN int) int {
-	var analyses []*staticrace.Analysis
-	for _, rc := range runs {
-		as, err := analyzeRun(rc, conf)
-		if err != nil {
-			return fail(exitError, rc.Bench, err)
-		}
-		analyses = append(analyses, as...)
-	}
-	rep := staticrace.BuildReport(analyses, sites)
-	if jsonOut {
-		fmt.Println(rep.JSON())
-	} else {
-		fmt.Print(rep.Human(analyses, contextN, termtab.IsTTY(os.Stdout)))
-	}
-	if rep.Findings > 0 {
-		return exitFound
-	}
-	return exitOK
-}
-
-// analyzeRun builds one run's kernels and analyzes each under conf.
-func analyzeRun(rc harness.RunConfig, conf staticrace.Config) ([]*staticrace.Analysis, error) {
-	ks, err := rc.Kernels()
-	if err != nil {
-		return nil, err
-	}
-	return harness.Analyze(ks, conf)
 }

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -93,7 +95,7 @@ func TestGranularityIsUsage(t *testing.T) {
 		{[]string{"lint", "-bench", "scan", "-shared-gran", "3"}, "-shared-gran 3 is not a power of two"},
 		{[]string{"lint", "-all", "-global-gran", "12"}, "-global-gran 12 is not a power of two"},
 		{[]string{"lint", "-bench", "scan", "-shared-gran", "4", "-global-gran", "8"}, ""},
-		{[]string{"-bench", "psum", "-small-gpu", "-static-report", "-shared-gran", "32"}, ""},
+		{[]string{"lint", "-bench", "psum", "-small-gpu", "-shared-gran", "32"}, ""},
 	}
 	for _, c := range cases {
 		name := strings.Join(c.args, " ")
@@ -163,6 +165,64 @@ func TestUnknownSubcommandIsUsage(t *testing.T) {
 	}
 }
 
+// TestRemovedFlagsAreUsage: flags no caller set are gone from their
+// modes, so setting one exits 2 and names it, before anything runs.
+func TestRemovedFlagsAreUsage(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-static-report", []string{"-bench", "scan", "-small-gpu", "-static-report"}},
+		{"-max-races", []string{"-bench", "scan", "-small-gpu", "-max-races", "3"}},
+		{"-warp-aware", []string{"lint", "-bench", "scan", "-small-gpu", "-warp-aware=false"}},
+		{"-context", []string{"lint", "-bench", "scan", "-small-gpu", "-context", "4"}},
+		{"-fault-plan", []string{"bench", "-table", "1", "-fault-plan", "queue:cap=16,drain=1"}},
+		{"-degradation", []string{"bench", "-table", "1", "-degradation", "reinit"}},
+	} {
+		name := strings.Join(c.args, " ")
+		code, stdout, stderr := runHelper(t, c.args...)
+		if code != exitUsage {
+			t.Errorf("haccrg %s: exit %d, want %d", name, code, exitUsage)
+		}
+		if !strings.Contains(stderr, "flag provided but not defined: "+c.flag) {
+			t.Errorf("haccrg %s: stderr does not name %s:\n%s", name, c.flag, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("haccrg %s: printed %d bytes", name, len(stdout))
+		}
+	}
+}
+
+// TestUsageGolden: every mode's -h output is testdata/usage.txt, so a
+// flag added, removed or re-described shows in the diff. Regenerate it
+// with
+//
+//	for m in "" bench lint replay chaos serve; do
+//		echo "\$ haccrg${m:+ $m} -h"; go run ./cmd/haccrg $m -h 2>&1
+//	done > cmd/haccrg/testdata/usage.txt
+func TestUsageGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/usage.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, args := range [][]string{{"-h"}, {"bench", "-h"}, {"lint", "-h"}, {"replay", "-h"}, {"chaos", "-h"}, {"serve", "-h"}} {
+		code, stdout, stderr := runHelper(t, args...)
+		if code != exitOK || stdout != "" {
+			t.Errorf("haccrg %s: exit %d, stdout %q", strings.Join(args, " "), code, stdout)
+		}
+		fmt.Fprintf(&got, "$ haccrg %s\n%s", strings.Join(args, " "), stderr)
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.SplitAfter(got.String(), "\n"), strings.SplitAfter(string(want), "\n")
+		i := 0
+		for i < min(len(gl), len(wl)) && gl[i] == wl[i] {
+			i++
+		}
+		t.Errorf("usage differs from testdata/usage.txt from line %d on; it now reads:\n%s", i+1, strings.Join(gl[i:], ""))
+	}
+}
+
 // TestGuardRailAbortExits4: a run a guard rail aborts exits 4 in every
 // mode that simulates — one run, the suite, and an experiment sweep.
 func TestGuardRailAbortExits4(t *testing.T) {
@@ -178,6 +238,28 @@ func TestGuardRailAbortExits4(t *testing.T) {
 		if !strings.Contains(stderr, "cycle-budget") {
 			t.Errorf("haccrg %s: stderr %q does not name the cycle budget", strings.Join(args, " "), stderr)
 		}
+	}
+}
+
+// TestBenchSeedLeavesSweepKeys: bench's -seed feeds only the fault
+// study, so a sweep that differs from a manifest's only in -seed
+// resumes every run from it instead of re-simulating and appending.
+func TestBenchSeedLeavesSweepKeys(t *testing.T) {
+	manifest := filepath.Join(t.TempDir(), "sweep.jnl")
+	code, first, stderr := runHelper(t, "bench", "-exp", "syncid", "-seed", "9", "-manifest", manifest)
+	if code != exitOK {
+		t.Fatalf("seeded sweep: exit %d (%s)", code, stderr)
+	}
+	n := manifestRecords(manifest)
+	code, resumed, stderr := runHelper(t, "bench", "-exp", "syncid", "-manifest", manifest, "-resume")
+	if code != exitOK {
+		t.Fatalf("resumed sweep: exit %d (%s)", code, stderr)
+	}
+	if got := manifestRecords(manifest); n == 0 || got != n {
+		t.Errorf("manifest holds %d record(s) after the seedless resume, %d before", got, n)
+	}
+	if resumed != first {
+		t.Errorf("resumed sweep printed\n%s\nthe seeded one\n%s", resumed, first)
 	}
 }
 

@@ -17,13 +17,12 @@ import (
 // pinnedOutputs is the SHA-256 over every pinCases run's exit code,
 // stdout and -record journal bytes. A change that moves it changes what
 // the CLI prints, records or exits with for some flag combination.
-const pinnedOutputs = "944ec701cc59b39c4190e26ef6779b4e21cbbb8f478396a52fee891132f73dce"
+const pinnedOutputs = "a36e76ecb0376617695c6bdf8ad48823692b4714da818bd6a78e7fef9ef7cb7d"
 
 // pinCases are the pinned command lines: each -detect kind the CLI
 // has always accepted, crossed with the static filter, witness seeding
-// and a fault plan, on scan and psum; plus the static report and the
-// whole-suite summary. Combinations the CLI rejects are pinned too, by
-// their exit code.
+// and a fault plan, on scan and psum; plus the whole-suite summary.
+// Combinations the CLI rejects are pinned too, by their exit code.
 func pinCases() [][]string {
 	var cases [][]string
 	for _, bench := range []string{"scan", "psum"} {
@@ -38,7 +37,6 @@ func pinCases() [][]string {
 				cases = append(cases, args)
 			}
 		}
-		cases = append(cases, []string{"-bench", bench, "-small-gpu", "-static-report", "-json"})
 	}
 	return append(cases, []string{"-all-benches", "-small-gpu", "-shared-gran", "4"})
 }
@@ -50,6 +48,8 @@ func pinCases() [][]string {
 func subcommandPinCases() [][][]string {
 	return [][][]string{
 		{{"lint", "-all", "-json", "-sites"}},
+		{{"lint", "-bench", "scan", "-small-gpu", "-sites", "-json"}},
+		{{"lint", "-bench", "psum", "-small-gpu", "-sites", "-json"}},
 		{{"lint", "-disasm", "-small-gpu", "-bench", "reduce", "-inject", "reduce.fence0"}},
 		{{"bench", "-table", "1"}},
 		{{"-bench", "scan", "-small-gpu", "-record", "@journal"}, {"replay", "-journal", "@journal"}},
@@ -60,7 +60,7 @@ func subcommandPinCases() [][][]string {
 
 // pinnedSubcommandOutputs is the SHA-256 over subcommandPinCases, as
 // pinnedOutputs is over pinCases.
-const pinnedSubcommandOutputs = "2284e7f1a8bd1b8001cfc65878dd1a0eed96251d640ad8453b569e6eb61c7825"
+const pinnedSubcommandOutputs = "b6dbfaa35a425a5501bce7f27f99d8d2c4d0453acdb0def779b0bb283ee35948"
 
 // tracePinCases are the -trace command lines pinned by
 // pinnedTraceOutputs: every -detect kind on scan, reduce and hist,
@@ -257,14 +257,12 @@ func TestUnhonouredOutputFlagsAreUsage(t *testing.T) {
 	}{
 		{[]string{"-all-benches", "-small-gpu", "-record", journal, "-verify", "-json"},
 			"-all-benches cannot honour -json, -record, -verify"},
-		{[]string{"-all-benches", "-small-gpu", "-static-report", "-max-races", "3", "-trace"},
-			"-all-benches cannot honour -max-races, -static-report, -trace"},
+		{[]string{"-all-benches", "-small-gpu", "-trace"},
+			"-all-benches cannot honour -trace"},
 		{[]string{"-bench", "scan", "-small-gpu", "-server-url", "http://127.0.0.1:1", "-json", "-record", journal},
 			"-server-url cannot honour -json, -record"},
-		{[]string{"-bench", "scan", "-small-gpu", "-static-report", "-json", "-record", journal, "-verify"},
-			"-static-report cannot honour -record, -verify"},
-		{[]string{"-bench", "scan", "-small-gpu", "-json", "-trace", "-max-races", "1", "-record", journal, "-verify"},
-			"-json cannot honour -max-races, -trace"},
+		{[]string{"-bench", "scan", "-small-gpu", "-json", "-trace", "-record", journal, "-verify"},
+			"-json cannot honour -trace"},
 		{[]string{"-bench", "scan", "-small-gpu", "-detect", "grace-addr", "-json", "-record", journal},
 			"-json needs a detector with a race report (off and grace-addr have none)"},
 		{[]string{"-bench", "scan", "-small-gpu", "-detect", "off", "-json", "-record", journal},

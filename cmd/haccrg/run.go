@@ -26,7 +26,9 @@ func runMain(args []string) int {
 	// the daemon would refuse is refused here first.
 	sp := &service.JobSpec{Kind: service.JobBench}
 	bindRunSpec(fs, sp)
-	parallel := bindGuardRails(fs, &sp.RunConfig, "quarantine")
+	parallel := bindGuardRails(fs, &sp.RunConfig)
+	fs.StringVar(&sp.FaultPlan, "fault-plan", "", "fault-injection plan for every run, e.g. queue:cap=16,drain=1;flip:rate=1e-5,ecc")
+	fs.StringVar(&sp.Degradation, "degradation", "quarantine", "corrupt-granule policy: quarantine or reinit")
 	fs.StringVar((*string)(&sp.Detector), "detect", "shared+global", "detection: off, shared, global, shared+global, shared-shadow-in-global, sw-haccrg, grace-addr")
 	fs.BoolVar(&sp.StaticFilter, "static-filter", false,
 		"statically prove sites race-free and let the RDUs skip their shadow checks (findings and cycles are byte-identical; inert under -fault-plan)")
@@ -38,11 +40,7 @@ func runMain(args []string) int {
 		allBenches = fs.Bool("all-benches", false, "run the whole suite and print a race summary (CI mode)")
 		jsonOut    = fs.Bool("json", false, "emit a machine-readable JSON race report")
 		traceOut   = fs.Bool("trace", false, "print an event timeline after the run")
-		maxRaces   = fs.Int("max-races", 20, "maximum distinct races to print")
 		record     = fs.String("record", "", "write a durable event journal of the run to this file (replay with haccrg replay)")
-
-		staticReport = fs.Bool("static-report", false,
-			"print the static analyzer's findings and site classification for -bench, without simulating (haccrg lint is the full linter)")
 
 		serverURL = fs.String("server-url", "",
 			"submit the run to a haccrg serve daemon at this base URL instead of simulating locally (retries 429/503 with backoff)")
@@ -76,7 +74,7 @@ func runMain(args []string) int {
 	default:
 		return fail(exitUsage, "", errors.New("-bench required (try -list)"))
 	}
-	if mode, flags := unhonouredFlags(fs, *serverURL != "", *allBenches, *staticReport, *jsonOut); len(flags) > 0 {
+	if mode, flags := unhonouredFlags(fs, *serverURL != "", *allBenches, *jsonOut); len(flags) > 0 {
 		return fail(exitUsage, "", fmt.Errorf("%s cannot honour %s", mode, strings.Join(flags, ", ")))
 	}
 	if err := checkGranularities(sp.RunConfig); err != nil {
@@ -91,7 +89,7 @@ func runMain(args []string) int {
 	if err != nil {
 		return specFailed(err)
 	}
-	if det := runs[0].Detector; *jsonOut && !*staticReport && (det == harness.DetOff || det == harness.DetGRace) {
+	if det := runs[0].Detector; *jsonOut && (det == harness.DetOff || det == harness.DetGRace) {
 		return fail(exitUsage, "", errors.New("-json needs a detector with a race report (off and grace-addr have none)"))
 	}
 
@@ -107,10 +105,6 @@ func runMain(args []string) int {
 		return runSuite(ctx, runs, *parallel)
 	}
 	rc := runs[0]
-	if *staticReport {
-		return printStaticReport(runs, rc.AnalyzerConfig(rc.DetectorOptions()), *jsonOut, true, 2)
-	}
-
 	xo := harness.ExecOptions{Verify: *verify, Trace: *traceOut}
 	var journalFile *journal.FileWriter
 	if *record != "" {
@@ -201,7 +195,7 @@ func runMain(args []string) int {
 
 	fmt.Printf("\n%d distinct data race(s) detected\n", len(res.Races))
 	for i, r := range res.Races {
-		if i >= *maxRaces {
+		if i >= maxPrintedRaces {
 			fmt.Printf("... and %d more\n", len(res.Races)-i)
 			break
 		}
@@ -213,24 +207,25 @@ func runMain(args []string) int {
 	return exitOK
 }
 
+// maxPrintedRaces caps the races a text report lists; -json and
+// -trace show every race.
+const maxPrintedRaces = 20
+
 // runOutputFlags shape the output of one local run. The other modes
 // honour few or none of them.
-var runOutputFlags = []string{"json", "max-races", "record", "static-report", "trace", "verify"}
+var runOutputFlags = []string{"json", "record", "trace", "verify"}
 
 // unhonouredFlags returns the run-output flags set on fs's command line
 // that the selected mode cannot honour, and names that mode: a daemon
 // run (-server-url) and a suite run (-all-benches) honour none of
-// them, a static report honours only -json, and a JSON report only
-// -record and -verify.
-func unhonouredFlags(fs *flag.FlagSet, remote, suite, staticReport, jsonOut bool) (mode string, flags []string) {
+// them, and a JSON report only -record and -verify.
+func unhonouredFlags(fs *flag.FlagSet, remote, suite, jsonOut bool) (mode string, flags []string) {
 	var honoured []string
 	switch {
 	case remote:
 		mode = "-server-url"
 	case suite:
 		mode = "-all-benches"
-	case staticReport:
-		mode, honoured = "-static-report", []string{"json", "static-report"}
 	case jsonOut:
 		mode, honoured = "-json", []string{"json", "record", "verify"}
 	default:

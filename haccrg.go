@@ -330,7 +330,7 @@ var sweep harness.Sweep
 // Experiments re-exports the harness entry points so downstream users
 // can regenerate the paper's tables and figures programmatically. The
 // drivers that simulate are bound to a zero harness.Sweep: no
-// cancellation, no manifest, no fault defaults, GOMAXPROCS workers.
+// cancellation, no manifest, no guard rails, GOMAXPROCS workers.
 var Experiments = struct {
 	Table1       func(GPUConfig) string
 	Table2       func(scale int) ([]harness.Table2Row, string, error)

@@ -365,7 +365,7 @@ func runSweepHelper() {
 // Their config keys carry the engine field, and their results the
 // engine's queue-peak stat and four self-healing health counters. Each
 // resumes — served from the manifest, not re-simulated — to a result
-// byte-identical to a fresh run.
+// whose manifest encoding is byte-identical to a fresh run's.
 func TestResumeOldManifestEncoding(t *testing.T) {
 	rc := RunConfig{
 		Bench: "reduce", Detector: DetSharedGlobal, GPU: testGPU(),
@@ -375,10 +375,7 @@ func TestResumeOldManifestEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := manifestEncoding(t, fresh)
 	for _, name := range []string{"engine-serial.manifest", "engine-parallel.manifest"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -405,10 +402,7 @@ func TestResumeOldManifestEncoding(t *testing.T) {
 		if n := sweepExecutions.Load() - before; n != 0 {
 			t.Fatalf("%s: resume re-simulated %d run(s) instead of serving the manifest", name, n)
 		}
-		gotJSON, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gotJSON := manifestEncoding(t, got)
 		if !bytes.Equal(gotJSON, want) {
 			t.Errorf("%s: resumed result differs from a fresh run\nresumed: %s\nfresh:   %s", name, gotJSON, want)
 		}
@@ -490,19 +484,24 @@ func TestSpecFieldsManifest(t *testing.T) {
 	if n := sweepExecutions.Load() - before; n != 0 {
 		t.Fatalf("resume re-simulated %d run(s) instead of serving the manifest", n)
 	}
-	encode := func(r *RunResult) []byte {
-		b, err := json.Marshal(&manifestResult{Config: manifestConfig(r.Config), RunResult: r})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	for i := range fresh {
-		if g, w := encode(resumed[i]), encode(fresh[i]); !bytes.Equal(g, w) {
+		if g, w := manifestEncoding(t, resumed[i]), manifestEncoding(t, fresh[i]); !bytes.Equal(g, w) {
 			t.Errorf("run %d: resumed result differs from a fresh run\nresumed: %.400s\nfresh:   %.400s", i, g, w)
 		}
 	}
 	if renderResults(t, resumed) != renderResults(t, fresh) {
 		t.Error("resumed rendering differs from the fresh sweep's")
 	}
+}
+
+// manifestEncoding encodes r as the manifest stores it, so a
+// comparison also covers the config fields RunConfig's own JSON leaves
+// out (Bench, GPU and Timeout).
+func manifestEncoding(t *testing.T, r *RunResult) []byte {
+	t.Helper()
+	b, err := json.Marshal(&manifestResult{Config: manifestConfig(r.Config), RunResult: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

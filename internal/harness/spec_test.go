@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -47,46 +46,6 @@ func TestValidate(t *testing.T) {
 		if errors.Is(err, ErrUnknown) != c.unknown {
 			t.Errorf("%+v: %v; wraps ErrUnknown = %t, want %t", rc, err, !c.unknown, c.unknown)
 		}
-	}
-}
-
-// TestSweepDefaultFaultPlanOnOffRuns: the sweep defaults merge their
-// fault plan into a detector-off baseline's manifest key, and the run
-// still executes (without the plan, which it has no pipeline for); a
-// plan that does not parse fails it, once, as it fails every other run.
-func TestSweepDefaultFaultPlanOnOffRuns(t *testing.T) {
-	m, _, err := OpenManifest(filepath.Join(t.TempDir(), "sweep.manifest"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	rc := RunConfig{Bench: "scan", Detector: DetOff, GPU: testGPU(), SingleBlock: true}
-	res, err := Sweep{Manifest: m, FaultPlan: "queue:cap=16,drain=1", FaultSeed: 7}.Run([]RunConfig{rc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := ExecContext(context.Background(), rc, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res[0].Config; got.FaultPlan != "queue:cap=16,drain=1" || got.FaultSeed != 7 {
-		t.Errorf("result config %+v lost the merged plan", got)
-	}
-	if res[0].Stats.Cycles != plain.Stats.Cycles {
-		t.Errorf("off run with a merged plan: %d cycles, %d without", res[0].Stats.Cycles, plain.Stats.Cycles)
-	}
-	key := rc
-	key.FaultPlan, key.FaultSeed = "queue:cap=16,drain=1", 7
-	if _, ok := m.Lookup(key); !ok {
-		t.Error("manifest does not hold the run under its merged key")
-	}
-
-	before := sweepExecutions.Load()
-	if _, err := (Sweep{FaultPlan: "nonsense:::"}).Run([]RunConfig{rc}); err == nil {
-		t.Error("a sweep default plan that does not parse was accepted")
-	}
-	if n := sweepExecutions.Load() - before; n != 1 {
-		t.Errorf("the unparseable plan executed %d times, want once", n)
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"haccrg/internal/fault"
 )
 
 // The sweep engine: every experiment driver enumerates its RunConfigs
@@ -21,7 +19,7 @@ import (
 // A Sweep is the state a sweep runs under, passed by value to every
 // experiment driver that simulates (they are its methods). The zero
 // value sweeps under context.Background(), with no manifest and no
-// defaults, on GOMAXPROCS workers.
+// guard rails, on GOMAXPROCS workers.
 type Sweep struct {
 	// Ctx cancels every run of the sweep, in flight or queued
 	// (nil = context.Background()).
@@ -32,14 +30,11 @@ type Sweep struct {
 	// resume path.
 	Manifest *Manifest
 
-	// FaultPlan, FaultSeed, Degradation, MaxCycles and Timeout are
-	// merged into every run whose own config leaves them unset; the
-	// merged config is the run's manifest key.
-	FaultPlan   string
-	FaultSeed   int64
-	Degradation string
-	MaxCycles   int64
-	Timeout     time.Duration
+	// MaxCycles and Timeout are the guard rails merged into every run
+	// whose own config leaves them unset; the merged config is the
+	// run's manifest key.
+	MaxCycles int64
+	Timeout   time.Duration
 
 	// Workers bounds the concurrent runs (0 = GOMAXPROCS).
 	// Output is byte-identical at any count.
@@ -61,18 +56,9 @@ func (s Sweep) workers() int {
 	return max(runtime.GOMAXPROCS(0), 1)
 }
 
-// withDefaults returns rc with the sweep's defaults merged in: the
+// withDefaults returns rc with the sweep's guard rails merged in: the
 // form under which the sweep keys its manifest.
 func (s Sweep) withDefaults(rc RunConfig) RunConfig {
-	if rc.FaultPlan == "" {
-		rc.FaultPlan = s.FaultPlan
-		if rc.FaultSeed == 0 {
-			rc.FaultSeed = s.FaultSeed
-		}
-	}
-	if rc.Degradation == "" {
-		rc.Degradation = s.Degradation
-	}
 	if rc.MaxCycles == 0 {
 		rc.MaxCycles = s.MaxCycles
 	}
@@ -166,7 +152,7 @@ feed:
 }
 
 // runOne runs one configuration of the sweep under ctx, once: it
-// merges the sweep's defaults, serves the run from the manifest when
+// merges the sweep's guard rails, serves the run from the manifest when
 // it holds it, and otherwise executes it and appends the result. A run
 // is a deterministic function of its merged config, fault seed
 // included, so its failures are returned as they are. A run that
@@ -183,7 +169,7 @@ func (s Sweep) runOne(ctx context.Context, rc RunConfig) (*RunResult, error) {
 		return nil, err
 	}
 	sweepExecutions.Add(1)
-	res, err := execSweepRun(ctx, rc)
+	res, err := ExecContext(ctx, rc, ExecOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -193,25 +179,4 @@ func (s Sweep) runOne(ctx context.Context, rc RunConfig) (*RunResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// execSweepRun executes the run behind manifest key rc. The sweep
-// defaults merge their fault plan into every key, detector-off
-// baselines included, and those keys must not move; but an off run has
-// no RDU pipeline to fault, so it executes without the plan (which must
-// still parse, as it must on every other run of the sweep). The result
-// carries the key's plan.
-func execSweepRun(ctx context.Context, rc RunConfig) (*RunResult, error) {
-	run := rc
-	if run.FaultPlan != "" && run.Detector.off() {
-		if _, err := fault.Parse(run.FaultPlan); err != nil {
-			return nil, err
-		}
-		run.FaultPlan, run.FaultSeed = "", 0
-	}
-	res, err := ExecContext(ctx, run, ExecOptions{})
-	if res != nil {
-		res.Config.FaultPlan, res.Config.FaultSeed = rc.FaultPlan, rc.FaultSeed
-	}
-	return res, err
 }

@@ -359,9 +359,9 @@ func (s *Server) submit(tenant string, spec *JobSpec, journalBody io.Reader) (id
 	// orphaned journal without a spec is inert, while a spec whose
 	// journal vanished would fail its job.
 	if journalBody != nil {
-		if err := spoolJournal(s.spool.fsys, s.spool.journalPath(id), journalBody); err != nil {
+		if err := writeSynced(s.spool.fsys, s.spool.journalPath(id), journalBody); err != nil {
 			s.tenants.refund(tenant)
-			return "", 0, err
+			return "", 0, fmt.Errorf("service: spool journal: %w", err)
 		}
 	}
 	enqueued := s.cfg.now()

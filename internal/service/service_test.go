@@ -4,18 +4,21 @@ import (
 	"context"
 	"errors"
 	"io"
+	"io/fs"
 	"log"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"haccrg/internal/gpu"
 	"haccrg/internal/harness"
-	"haccrg/internal/journal"
+	"haccrg/internal/vfs"
 )
 
 func testLogger(t *testing.T) *log.Logger {
@@ -106,6 +109,30 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if n := s.Stats().Tenants["t"].Admitted; n != 0 {
 		t.Fatalf("rejected specs charged the tenant %d admissions", n)
+	}
+}
+
+// TestSubmitReplayOversizedUpload: an upload that http.MaxBytesReader
+// cuts off mid-copy fails the submission with the *http.MaxBytesError
+// still reachable (the HTTP layer answers 413 for it), names the spool
+// step, and leaves nothing in the spool or charged to the tenant.
+func TestSubmitReplayOversizedUpload(t *testing.T) {
+	s := newTestServer(t, nil)
+	defer s.Drain(expiredCtx(t))
+	body := http.MaxBytesReader(nil, io.NopCloser(strings.NewReader("a journal past its cap")), 8)
+	_, _, err := s.SubmitReplay("t", &JobSpec{Kind: JobReplay}, body)
+	var tooBig *http.MaxBytesError
+	if !errors.As(err, &tooBig) || tooBig.Limit != 8 {
+		t.Fatalf("SubmitReplay = %v, want a *http.MaxBytesError with limit 8", err)
+	}
+	if !strings.HasPrefix(err.Error(), "service: spool journal: ") {
+		t.Errorf("error %q does not name the spool step", err)
+	}
+	if spooled, _ := filepath.Glob(filepath.Join(s.spool.dir, "jobs", "*")); len(spooled) != 0 {
+		t.Errorf("the failed upload left spool entries %v", spooled)
+	}
+	if n := s.Stats().Tenants["t"].Admitted; n != 0 {
+		t.Errorf("the failed upload charged the tenant %d admissions", n)
 	}
 }
 
@@ -332,17 +359,47 @@ func TestJobDeadlineClamp(t *testing.T) {
 	}
 }
 
+// parkFS is the real filesystem, except that the first Sync of a file
+// opened with OpenFile under a .manifest name (a bench job's
+// checkpoint; its first sync follows the first completed run's record)
+// signals parked and then blocks until release is closed.
+type parkFS struct {
+	vfs.OS
+	parked  chan struct{}
+	release <-chan struct{}
+	once    sync.Once
+}
+
+func (p *parkFS) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
+	f, err := p.OS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(name, ".manifest") {
+		return f, err
+	}
+	return &parkFile{File: f, fs: p}, nil
+}
+
+type parkFile struct {
+	vfs.File
+	fs *parkFS
+}
+
+func (f *parkFile) Sync() error {
+	f.fs.once.Do(func() {
+		close(f.fs.parked)
+		<-f.fs.release
+	})
+	return f.File.Sync()
+}
+
 // TestDrainCheckpointResume is the core robustness invariant: a drain
 // that cuts a bench job mid-sweep leaves resumable state, and a
 // restarted daemon finishes the job with findings byte-identical to an
 // uninterrupted run.
 func TestDrainCheckpointResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second simulation")
-	}
-	// hist finishes first and lands in the job's manifest; mcarlo is
-	// still simulating when the drain cancels it.
-	spec := &JobSpec{Kind: JobBench, Benches: []string{"hist", "mcarlo"}, RunConfig: harness.RunConfig{Scale: 8}}
+	// hist finishes first and lands in the job's manifest, whose first
+	// sync parks the job until the drain has cancelled it, so mcarlo
+	// never gets to run.
+	spec := &JobSpec{Kind: JobBench, Benches: []string{"hist", "mcarlo"}, RunConfig: harness.RunConfig{Scale: 1}}
 
 	// Control: the same spec run to completion without interruption.
 	control := newTestServer(t, func(c *Config) { c.SmallGPU = false })
@@ -360,27 +417,23 @@ func TestDrainCheckpointResume(t *testing.T) {
 	control.Drain(expiredCtx(t))
 
 	dir := t.TempDir()
-	s, err := New(Config{DataDir: dir, Workers: 1, Tenant: openTenants, Log: testLogger(t)})
+	pfs := &parkFS{parked: make(chan struct{})}
+	s, err := New(Config{DataDir: dir, Workers: 1, Tenant: openTenants, Log: testLogger(t), FS: pfs})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	pfs.release = s.jobsCtx.Done() // before Start: the workers read it
 	s.Start()
 	id, _, err := s.Submit("t", spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	// Wait for the first completed run to be checkpointed — the
-	// journal header alone does not count, only an intact record —
-	// then slam the drain window shut while the second is mid-flight.
-	manifest := s.spool.manifestPath(id)
-	for deadline := time.Now().Add(time.Minute); ; {
-		if manifestRecords(manifest) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("manifest never got its first checkpoint")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Wait until the first completed run is being checkpointed, then
+	// slam the drain window shut.
+	select {
+	case <-pfs.parked:
+	case <-ctx.Done():
+		t.Fatal("the job never checkpointed its first run")
 	}
 	rep := s.Drain(expiredCtx(t))
 	st, ok := s.Job(id)
@@ -428,27 +481,6 @@ func TestDrainCheckpointResume(t *testing.T) {
 	}
 	if !resumedAny {
 		t.Error("no run was served from the checkpoint manifest")
-	}
-}
-
-// manifestRecords counts the intact framed records in a (possibly
-// still-growing) manifest file, without disturbing it.
-func manifestRecords(path string) int {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	r, err := journal.NewReader(f)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for {
-		if _, err := r.Next(); err != nil {
-			return n
-		}
-		n++
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -75,17 +76,18 @@ func (s *spool) journalPath(id string) string {
 	return filepath.Join(s.dir, "jobs", id+".journal")
 }
 
-// writeSynced writes data to path through a temp file, fsyncs, and
+// writeSynced streams src to path through a temp file, fsyncs, and
 // renames — a crash leaves either the old file or the new one, never a
 // torn half of each. An fsync failure is a hard write failure: the
-// temp file is removed and the target untouched.
-func writeSynced(fsys vfs.FS, path string, data []byte) error {
+// temp file is removed and the target untouched. Specs, statuses and
+// uploaded journals all commit through it.
+func writeSynced(fsys vfs.FS, path string, src io.Reader) error {
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	if _, err := io.Copy(f, src); err != nil {
 		f.Close()
 		fsys.Remove(tmp)
 		return err
@@ -109,7 +111,7 @@ func (s *spool) putSpec(id string, seq int64, tenant string, enqueued time.Time,
 	if err != nil {
 		return fmt.Errorf("service: spool spec: %w", err)
 	}
-	return writeSynced(s.fsys, s.specPath(id), data)
+	return writeSynced(s.fsys, s.specPath(id), bytes.NewReader(data))
 }
 
 // putStatus durably records a terminal status.
@@ -118,7 +120,7 @@ func (s *spool) putStatus(st *JobStatus) error {
 	if err != nil {
 		return fmt.Errorf("service: spool status: %w", err)
 	}
-	return writeSynced(s.fsys, s.statusPath(st.ID), data)
+	return writeSynced(s.fsys, s.statusPath(st.ID), bytes.NewReader(data))
 }
 
 // drop removes every trace of a job that was never fully admitted
@@ -132,31 +134,6 @@ func (s *spool) drop(id string) {
 // after the journal landed).
 func (s *spool) dropJournal(id string) {
 	s.fsys.Remove(s.journalPath(id))
-}
-
-// spoolJournal streams an uploaded journal to path and syncs it, via
-// the same temp-and-rename discipline as every other spool write.
-func spoolJournal(fsys vfs.FS, path string, src io.Reader) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(f, src); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("service: spool journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.Rename(tmp, path)
 }
 
 // spoolEntry is one recovered job: its admission record and, when the
