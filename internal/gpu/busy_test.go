@@ -28,7 +28,8 @@ func loopKernel(grid, blockDim int, trips, skew int64) *Kernel {
 
 // watchBusy makes every scheduler step of d check the SMs it is about
 // to visit against a full scan of the device: exactly the SMs that
-// hold warps, in id order. It returns the count of steps checked.
+// hold warps, in id order, each with a cached next issue cycle equal to
+// a fresh scan of its warps. It returns the count of steps checked.
 func watchBusy(t *testing.T, d *Device) *int {
 	t.Helper()
 	steps := new(int)
@@ -42,6 +43,10 @@ func watchBusy(t *testing.T, d *Device) *int {
 		}
 		for _, s := range d.busy {
 			got = append(got, s.id)
+			if fresh := s.earliestReady(); s.nextIssue != fresh {
+				t.Fatalf("step %d (cycle %d): SM %d caches next issue cycle %d; its warps say %d",
+					*steps, d.now, s.id, s.nextIssue, fresh)
+			}
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("step %d (cycle %d) visits SMs %v; the SMs holding warps are %v",
@@ -93,7 +98,8 @@ func TestStepVisitsExactlyTheBusySMs(t *testing.T) {
 // TestDeadlockWithBusyList: a step in which no warp on any busy SM can
 // issue still aborts with HangDeadlock and diagnoses every live block.
 // No program deadlocks the barrier model (the last warp to arrive
-// releases the rest), so the step hook parks every resident warp.
+// releases the rest), so the step hook parks every resident warp, and
+// rescans each SM as the scheduler does after a change to its warps.
 func TestDeadlockWithBusyList(t *testing.T) {
 	d, err := NewDevice(DefaultConfig(), 1<<16, nil)
 	if err != nil {
@@ -110,6 +116,7 @@ func TestDeadlockWithBusyList(t *testing.T) {
 			for _, w := range s.warps {
 				w.state = warpAtBarrier
 			}
+			s.nextIssue = s.earliestReady()
 		}
 	}
 	_, err = d.Launch(loopKernel(3, 64, 100, 0))

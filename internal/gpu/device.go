@@ -195,6 +195,9 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 		}
 	}
 	d.rebuildBusy()
+	for _, s := range d.busy {
+		s.nextIssue = s.earliestReady()
+	}
 
 	var iter int64
 	for d.blocksLeft > 0 {
@@ -209,9 +212,7 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 		}
 		next := int64(math.MaxInt64)
 		for _, s := range d.busy {
-			if t := s.earliestReady(); t < next {
-				next = t
-			}
+			next = min(next, s.nextIssue)
 		}
 		if next == math.MaxInt64 {
 			return d.finalize(st, k), d.hangError(k, HangDeadlock, nil)
@@ -223,14 +224,20 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 		left := d.blocksLeft
 		// An SM's blocks retire and are placed only inside its own
 		// issue, so each listed SM still holds warps when it is reached.
+		// An SM whose next issue cycle is later than this step's cannot
+		// issue in it, and nothing outside its own issue moves that cycle.
 		for _, s := range d.busy {
 			if s.issueFree <= next {
 				st.IssueSlots++
+			}
+			if s.nextIssue > next {
+				continue
 			}
 			s.issue(next, k, st)
 			if s.pendingErr != nil {
 				return d.finalize(st, k), s.pendingErr
 			}
+			s.nextIssue = s.earliestReady()
 		}
 		if d.blocksLeft != left {
 			d.rebuildBusy()

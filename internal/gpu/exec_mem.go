@@ -19,15 +19,15 @@ func (s *sm) memInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k *K
 	switch in.Space {
 	case isa.SpaceParam:
 		for m := execMask; m != 0; m &= m - 1 {
-			ln := &w.lanes[bits.TrailingZeros64(m)]
-			addr := ln.Regs[in.SrcA] + uint64(in.Imm)
+			r := &w.regs[bits.TrailingZeros64(m)]
+			addr := r.Regs[in.SrcA] + uint64(in.Imm)
 			idx := int(addr / 8)
 			if in.Op != isa.OpLd || idx >= len(k.Params) {
 				s.fail(fmt.Errorf("gpu: kernel %q pc %d: bad param access (idx %d of %d)",
 					k.Name, w.pc, idx, len(k.Params)))
 				continue
 			}
-			ln.Regs[in.Dst] = k.Params[idx]
+			r.Regs[in.Dst] = k.Params[idx]
 		}
 		w.readyAt = issueDone
 		return
@@ -76,8 +76,8 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	tileAddrs := s.flat[:0]
 	for m := execMask; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
-		ln := &w.lanes[l]
-		rel := ln.Regs[in.SrcA] + uint64(in.Imm)
+		r, lk := &w.regs[l], &w.locks[l]
+		rel := r.Regs[in.SrcA] + uint64(in.Imm)
 		if !isa.InWindow(rel, in.Size, b.sharedSize) {
 			s.fail(fmt.Errorf("gpu: kernel %q pc %d: shared access %#x+%d outside block's %d bytes",
 				k.Name, w.pc, rel, in.Size, b.sharedSize))
@@ -85,7 +85,7 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 		}
 		tile := uint64(b.sharedBase) + rel
 		tileAddrs = append(tileAddrs, tile)
-		if err := s.sharedLane(in, ln, tile); err != nil {
+		if err := s.sharedLane(in, r, tile); err != nil {
 			s.fail(err)
 			continue
 		}
@@ -95,8 +95,8 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			GTid:      b.id*b.dim + w.tidOf(l),
 			Addr:      tile,
 			Size:      in.Size,
-			AtomicSig: ln.sig,
-			InCrit:    ln.critDepth > 0,
+			AtomicSig: lk.sig,
+			InCrit:    lk.critDepth > 0,
 			Arrival:   cycle,
 		})
 	}
@@ -122,15 +122,15 @@ func (s *sm) sharedInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 }
 
 // sharedLane applies the functional effect of one lane's shared access.
-func (s *sm) sharedLane(in *isa.Instr, ln *lane, tile uint64) error {
+func (s *sm) sharedLane(in *isa.Instr, r *isa.State, tile uint64) error {
 	m := s.shared.Mem
 	switch in.Op {
 	case isa.OpLd:
-		return loadReg(m, in, ln, tile)
+		return loadReg(m, in, r, tile)
 	case isa.OpSt:
-		return storeReg(m, in, ln, tile)
+		return storeReg(m, in, r, tile)
 	case isa.OpAtom:
-		return atomicApply(m, in, ln, tile)
+		return atomicApply(m, in, r, tile)
 	}
 	return nil
 }
@@ -145,7 +145,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	addrs, flat := s.addrs[:0], s.flat[:0]
 	for m := execMask; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
-		a := w.lanes[l].Regs[in.SrcA] + uint64(in.Imm)
+		a := w.regs[l].Regs[in.SrcA] + uint64(in.Imm)
 		if local {
 			if !isa.InWindow(a, in.Size, dev.cfg.LocalBytesPerThread) {
 				s.fail(fmt.Errorf("gpu: kernel %q pc %d: local access %#x+%d outside the thread's %d bytes",
@@ -167,15 +167,15 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	// Functional effect, in lane order (atomics thereby serialize
 	// deterministically within the warp).
 	for _, la := range addrs {
-		ln := &w.lanes[la.lane]
+		r := &w.regs[la.lane]
 		var err error
 		switch in.Op {
 		case isa.OpLd:
-			err = loadReg(dev.Global, in, ln, la.addr)
+			err = loadReg(dev.Global, in, r, la.addr)
 		case isa.OpSt:
-			err = storeReg(dev.Global, in, ln, la.addr)
+			err = storeReg(dev.Global, in, r, la.addr)
 		case isa.OpAtom:
-			err = atomicApply(dev.Global, in, ln, la.addr)
+			err = atomicApply(dev.Global, in, r, la.addr)
 		}
 		if err != nil {
 			s.fail(fmt.Errorf("gpu: kernel %q pc %d: %w", k.Name, w.pc, err))
@@ -207,7 +207,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	// paper's Section IV-B discussion notes.
 	volatileCS := true
 	for _, la := range addrs {
-		if w.lanes[la.lane].critDepth == 0 {
+		if w.locks[la.lane].critDepth == 0 {
 			volatileCS = false
 			break
 		}
@@ -306,7 +306,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 	// byte: its atomic address, or the line that byte lies in.
 	ev := s.event(w, in, isa.SpaceGlobal, cycle, k)
 	for _, la := range addrs {
-		ln := &w.lanes[la.lane]
+		lk := &w.locks[la.lane]
 		key := la.addr
 		if in.Op != isa.OpAtom {
 			key = la.addr &^ uint64(seg-1)
@@ -318,8 +318,8 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			GTid:      b.id*b.dim + w.tidOf(la.lane),
 			Addr:      la.addr,
 			Size:      in.Size,
-			AtomicSig: ln.sig,
-			InCrit:    ln.critDepth > 0,
+			AtomicSig: lk.sig,
+			InCrit:    lk.critDepth > 0,
 			L1Hit:     ls.hit,
 			L1Fill:    ls.fill,
 			Arrival:   ls.arrival,
@@ -333,41 +333,41 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 }
 
 // loadReg performs a lane load into the destination register.
-func loadReg(m *mem.Memory, in *isa.Instr, ln *lane, addr uint64) error {
+func loadReg(m *mem.Memory, in *isa.Instr, r *isa.State, addr uint64) error {
 	if in.Float && in.Size == 4 {
 		f, err := m.LoadF32(addr)
 		if err != nil {
 			return err
 		}
-		ln.Regs[in.Dst] = math.Float64bits(f)
+		r.Regs[in.Dst] = math.Float64bits(f)
 		return nil
 	}
 	v, err := m.Load(addr, int(in.Size))
 	if err != nil {
 		return err
 	}
-	ln.Regs[in.Dst] = v
+	r.Regs[in.Dst] = v
 	return nil
 }
 
 // storeReg performs a lane store from the source register.
-func storeReg(m *mem.Memory, in *isa.Instr, ln *lane, addr uint64) error {
+func storeReg(m *mem.Memory, in *isa.Instr, r *isa.State, addr uint64) error {
 	if in.Float && in.Size == 4 {
-		return m.StoreF32(addr, math.Float64frombits(ln.Regs[in.SrcB]))
+		return m.StoreF32(addr, math.Float64frombits(r.Regs[in.SrcB]))
 	}
-	return m.Store(addr, int(in.Size), ln.Regs[in.SrcB])
+	return m.Store(addr, int(in.Size), r.Regs[in.SrcB])
 }
 
 // atomicApply performs the read-modify-write of an atomic for one
 // lane; the old value lands in the destination register.
-func atomicApply(m *mem.Memory, in *isa.Instr, ln *lane, addr uint64) error {
+func atomicApply(m *mem.Memory, in *isa.Instr, r *isa.State, addr uint64) error {
 	old, err := m.Load(addr, int(in.Size))
 	if err != nil {
 		return err
 	}
-	if err := m.Store(addr, int(in.Size), isa.Atomic(in.AOp, old, ln.Regs[in.SrcB], ln.Regs[in.SrcC])); err != nil {
+	if err := m.Store(addr, int(in.Size), isa.Atomic(in.AOp, old, r.Regs[in.SrcB], r.Regs[in.SrcC])); err != nil {
 		return err
 	}
-	ln.Regs[in.Dst] = old
+	r.Regs[in.Dst] = old
 	return nil
 }

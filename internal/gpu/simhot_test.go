@@ -78,6 +78,29 @@ func hotCases() []hotCase {
 	}
 }
 
+// regCases are register instructions issued through (*sm).exec, each
+// under a full and a divergent mask.
+func regCases() []hotCase {
+	lane := func(l int) uint64 { return uint64(l) }
+	var cases []hotCase
+	for _, c := range []struct {
+		name string
+		in   isa.Instr
+	}{
+		{"add-imm", isa.Instr{Op: isa.OpAdd, Dst: rTmp, SrcA: rVal, Imm: 3, UseImm: true}},
+		{"mad", isa.Instr{Op: isa.OpMad, Dst: rTmp, SrcA: rVal, SrcB: rAddr, SrcC: rTmp}},
+		{"setp", isa.Instr{Op: isa.OpSetp, PD: 1, Cmp: isa.CmpLT, SrcA: rVal, SrcB: rAddr}},
+		{"fmul", isa.Instr{Op: isa.OpFMul, Dst: rTmp, SrcA: rVal, SrcB: rAddr}},
+		{"sreg", isa.Instr{Op: isa.OpSreg, Dst: rTmp, Imm: int64(isa.SregGtid)}},
+	} {
+		c.in.Pred = isa.NoPred
+		cases = append(cases,
+			hotCase{name: c.name, in: c.in, mask: fullMask(32), addr: lane},
+			hotCase{name: c.name + "-divergent", in: c.in, mask: 0x5555_5555, addr: lane})
+	}
+	return cases
+}
+
 // hotRig is one SM holding one resident 32-thread block, on which a
 // hotCase executes outside a launch loop.
 type hotRig struct {
@@ -99,30 +122,34 @@ func newHotRig(tb testing.TB, det Detector, c hotCase) *hotRig {
 	}
 	dev.MustMalloc(hotGlobal + 64<<10)
 	dev.localBase = dev.MustMalloc(32 * cfg.LocalBytesPerThread)
-	k := &Kernel{Name: "hot", GridDim: 1, BlockDim: 32, SharedBytes: 4 << 10}
+	k := &Kernel{Name: "hot", Prog: &isa.Program{Code: []isa.Instr{c.in}}, GridDim: 1, BlockDim: 32, SharedBytes: 4 << 10}
 	dev.launch = k
 	det.KernelStart(dev, k.Name)
 	s := dev.sms[0]
 	s.place(0, 0, k, 0)
 	w := s.warps[0]
-	for l := range w.lanes {
-		ln := &w.lanes[l]
-		ln.Regs[rAddr] = c.addr(l)
-		ln.Regs[rVal] = uint64(l + 1)
+	for l := range w.regs {
+		w.regs[l].Regs[rAddr] = c.addr(l)
+		w.regs[l].Regs[rVal] = uint64(l + 1)
 		if c.crit {
-			ln.critDepth = 1
-			ln.sig = 1
+			w.locks[l] = lockState{sig: 1, critDepth: 1}
 		}
 	}
 	return &hotRig{s: s, w: w, k: k, c: c}
 }
 
 // step executes the case's instruction once, well after the previous
-// one has drained.
+// one has drained: a register instruction through exec, as issue runs
+// it, a memory instruction through memInstr.
 func (r *hotRig) step() {
 	r.cycle += 10000
+	if r.c.in.Op.IsReg() {
+		r.w.pc, r.w.mask = 0, r.c.mask
+		r.s.exec(r.w, r.cycle, r.k, &r.st)
+		return
+	}
 	if r.c.miss {
-		for l := range r.w.lanes {
+		for l := range r.w.regs {
 			r.s.l1.Invalidate(r.c.addr(l) &^ 127)
 		}
 	}
@@ -160,12 +187,27 @@ func TestSimMemPathAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkSimHotPath measures the simulator's cost per warp memory
-// instruction on each hotCase, next to core's BenchmarkRDUHotPath for
-// the detector's share of the same instruction. allocs/op must read 0
-// (TestSimMemPathAllocFree enforces it).
+// TestSimRegPathAllocFree: a register instruction issued through exec
+// allocates nothing.
+func TestSimRegPathAllocFree(t *testing.T) {
+	for _, c := range regCases() {
+		t.Run(c.name, func(t *testing.T) {
+			r := newHotRig(t, &laneReader{}, c)
+			r.step()
+			if n := testing.AllocsPerRun(100, r.step); n != 0 {
+				t.Errorf("%v allocs per instruction, want 0", n)
+			}
+		})
+	}
+}
+
+// BenchmarkSimHotPath measures the simulator's cost per warp
+// instruction on each hotCase and regCase: memory instructions next to
+// core's BenchmarkRDUHotPath for the detector's share of the same
+// instruction, register instructions as exec issues them. allocs/op
+// must read 0 (TestSimMemPathAllocFree, TestSimRegPathAllocFree).
 func BenchmarkSimHotPath(b *testing.B) {
-	for _, c := range hotCases() {
+	for _, c := range append(hotCases(), regCases()...) {
 		b.Run(c.name, func(b *testing.B) {
 			r := newHotRig(b, &laneReader{}, c)
 			r.step()

@@ -35,10 +35,16 @@ type sm struct {
 	shared *mem.Shared
 	l1     *mem.Cache
 
-	blocks    []*block // resident blocks (slot-indexed; nil when free)
-	warps     []*warp  // flattened resident warps for scheduling
-	rr        int      // round-robin pointer
-	issueFree int64    // next cycle the issue pipeline is free
+	blocks    []*block  // resident blocks (slot-indexed; nil when free)
+	slotWarps [][]*warp // each slot's warps, reused by every block placed there
+	warps     []*warp   // flattened resident warps for scheduling
+	rr        int       // round-robin pointer
+	issueFree int64     // next cycle the issue pipeline is free
+	// nextIssue caches earliestReady. Only this SM's own issue changes
+	// its warps, their readyAt or issueFree, so the scheduler rescans
+	// it after the SM issues and at launch, and never otherwise
+	// (DESIGN.md, "Scheduler step").
+	nextIssue int64
 
 	// mshr merges concurrent misses to the same line: a second warp
 	// missing on a line already in flight waits for the outstanding
@@ -77,15 +83,16 @@ type lineState struct {
 func newSM(id int, dev *Device) *sm {
 	ws := dev.cfg.WarpSize
 	return &sm{
-		id:     id,
-		dev:    dev,
-		shared: mem.NewShared(dev.cfg.Shared),
-		l1:     mem.MustNewCache(dev.cfg.L1),
-		blocks: make([]*block, dev.cfg.MaxBlocksPerSM),
-		mshr:   make(map[uint64]int64),
-		ev:     WarpMemEvent{Lanes: make([]LaneAccess, 0, ws)},
-		addrs:  make([]laneAddr, 0, ws),
-		flat:   make([]uint64, 0, ws),
+		id:        id,
+		dev:       dev,
+		shared:    mem.NewShared(dev.cfg.Shared),
+		l1:        mem.MustNewCache(dev.cfg.L1),
+		blocks:    make([]*block, dev.cfg.MaxBlocksPerSM),
+		slotWarps: make([][]*warp, dev.cfg.MaxBlocksPerSM),
+		mshr:      make(map[uint64]int64),
+		ev:        WarpMemEvent{Lanes: make([]LaneAccess, 0, ws)},
+		addrs:     make([]laneAddr, 0, ws),
+		flat:      make([]uint64, 0, ws),
 		// An access can straddle a segment boundary, so a warp touches
 		// up to two lines per lane.
 		lines:  make([]uint64, 0, 2*ws),
@@ -93,7 +100,9 @@ func newSM(id int, dev *Device) *sm {
 	}
 }
 
-// place installs a block into a residency slot and creates its warps.
+// place installs a block into a residency slot, on the warps of the
+// block that last held the slot; only a slot that needs more warps
+// than it has allocates.
 func (s *sm) place(slot int, bid int, k *Kernel, startCycle int64) {
 	ws := s.dev.cfg.WarpSize
 	nw := (k.BlockDim + ws - 1) / ws
@@ -109,12 +118,14 @@ func (s *sm) place(slot int, bid int, k *Kernel, startCycle int64) {
 		s.shared.Clear(b.sharedBase, k.SharedBytes)
 	}
 	s.dev.detector.BlockStart(s.id, b.sharedBase, k.SharedBytes)
-	for wi := 0; wi < nw; wi++ {
-		w := newWarp(b, wi, ws)
-		w.readyAt = startCycle
-		b.warps = append(b.warps, w)
-		s.warps = append(s.warps, w)
+	for len(s.slotWarps[slot]) < nw {
+		s.slotWarps[slot] = append(s.slotWarps[slot], new(warp))
 	}
+	b.warps = s.slotWarps[slot][:nw]
+	for wi, w := range b.warps {
+		w.reset(b, wi, ws, startCycle)
+	}
+	s.warps = append(s.warps, b.warps...)
 	s.blocks[slot] = b
 }
 
@@ -162,19 +173,11 @@ func (s *sm) earliestReady() int64 {
 	return earliest
 }
 
-// issue attempts to issue one warp instruction at the given cycle.
-// Returns true if an instruction was issued.
-func (s *sm) issue(cycle int64, k *Kernel, st *LaunchStats) bool {
-	if s.issueFree > cycle || len(s.warps) == 0 {
-		return false
-	}
-	w := s.pick(cycle)
-	if w == nil {
-		return false
-	}
-	s.exec(w, cycle, k, st)
+// issue issues one warp instruction at cycle, the SM's next issue
+// cycle: its issue pipeline is free and a ready warp is due.
+func (s *sm) issue(cycle int64, k *Kernel, st *LaunchStats) {
+	s.exec(s.pick(cycle), cycle, k, st)
 	s.issueFree = cycle + s.dev.cfg.IssueInterval()
-	return true
 }
 
 // pick selects the next warp under the configured scheduling policy.
@@ -265,9 +268,10 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 
 	case isa.OpAcqMark:
 		for m := execMask; m != 0; m &= m - 1 {
-			ln := &w.lanes[bits.TrailingZeros64(m)]
-			ln.sig = s.dev.cfg.Bloom.Add(ln.sig, ln.Regs[in.SrcA])
-			ln.critDepth++
+			l := bits.TrailingZeros64(m)
+			lk := &w.locks[l]
+			lk.sig = s.dev.cfg.Bloom.Add(lk.sig, w.regs[l].Regs[in.SrcA])
+			lk.critDepth++
 		}
 		w.readyAt = issueDone
 		w.pc++
@@ -275,12 +279,12 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 
 	case isa.OpRelMark:
 		for m := execMask; m != 0; m &= m - 1 {
-			ln := &w.lanes[bits.TrailingZeros64(m)]
-			if ln.critDepth > 0 {
-				ln.critDepth--
+			lk := &w.locks[bits.TrailingZeros64(m)]
+			if lk.critDepth > 0 {
+				lk.critDepth--
 			}
-			if ln.critDepth == 0 {
-				ln.sig = 0 // whole-signature clear, as in the paper
+			if lk.critDepth == 0 {
+				lk.sig = 0 // whole-signature clear, as in the paper
 			}
 		}
 		w.readyAt = issueDone
@@ -293,14 +297,10 @@ func (s *sm) exec(w *warp, cycle int64, k *Kernel, st *LaunchStats) {
 		return
 	}
 
-	// Plain ALU / SFU instruction.
-	code := k.Prog.Code[w.pc : w.pc+1]
-	c := isa.Coord{Ntid: w.block.dim, Ctaid: w.block.id, Nctaid: k.GridDim, WarpSize: len(w.lanes)}
-	for m := execMask; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		c.Tid = w.tidOf(l)
-		w.lanes[l].Exec(code, &c)
-	}
+	// Plain ALU / SFU instruction, once over the warp.
+	isa.ExecLanes(in, w.regs, execMask, isa.Coord{
+		Tid: w.tidOf(0), Ntid: w.block.dim, Ctaid: w.block.id, Nctaid: k.GridDim, WarpSize: len(w.regs),
+	})
 	lat := s.dev.cfg.IssueInterval()
 	switch in.Op {
 	case isa.OpFDiv, isa.OpFSqrt, isa.OpFExp, isa.OpFLog, isa.OpFSin, isa.OpFCos:

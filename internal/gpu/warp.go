@@ -24,10 +24,8 @@ type divCtx struct {
 	rcv  int // -1 for the top-level context
 }
 
-// lane holds one thread's architectural state.
-type lane struct {
-	isa.State
-
+// lockState is one thread's lockset state.
+type lockState struct {
 	sig       bloom.Sig // lockset signature (the paper's atomic ID register)
 	critDepth int       // lock nesting depth; signature clears at zero
 }
@@ -43,7 +41,11 @@ type warp struct {
 	rcv   int    // reconvergence PC of the current context
 	stack []divCtx
 
-	lanes []lane
+	// regs[l] and locks[l] are lane l's thread state. The register
+	// files are one contiguous slice so that a register instruction
+	// runs over the whole warp in one isa.ExecLanes call.
+	regs  []isa.State
+	locks []lockState
 
 	state     warpState
 	readyAt   int64
@@ -59,27 +61,36 @@ func fullMask(n int) uint64 {
 	return 1<<uint(n) - 1
 }
 
-// newWarp builds warp w of a block; tail warps of a non-multiple block
-// dimension start with only the valid lanes alive.
-func newWarp(b *block, inBlock, warpSize int) *warp {
-	base := inBlock * warpSize
-	n := b.dim - base
-	if n > warpSize {
-		n = warpSize
+// reset makes w warp inBlock of block b, ready at cycle at, in the
+// state a new warp starts in: zeroed registers and lock state, an empty
+// divergence stack, fence ID 0. Tail warps of a non-multiple block
+// dimension start with only the valid lanes alive. The register files
+// and the stack keep their memory, so a residency slot's warps serve
+// every block placed in it.
+func (w *warp) reset(b *block, inBlock, warpSize int, at int64) {
+	regs, locks := w.regs, w.locks
+	if len(regs) == warpSize {
+		clear(regs)
+		clear(locks)
+	} else {
+		regs, locks = make([]isa.State, warpSize), make([]lockState, warpSize)
 	}
-	w := &warp{
+	n := min(b.dim-inBlock*warpSize, warpSize)
+	*w = warp{
 		block:   b,
 		inBlock: inBlock,
-		rcv:     -1,
-		lanes:   make([]lane, warpSize),
 		mask:    fullMask(n),
 		alive:   fullMask(n),
+		rcv:     -1,
+		stack:   w.stack[:0],
+		regs:    regs,
+		locks:   locks,
+		readyAt: at,
 	}
-	return w
 }
 
 // tidOf returns the block-relative thread id of a lane.
-func (w *warp) tidOf(laneIdx int) int { return w.inBlock*len(w.lanes) + laneIdx }
+func (w *warp) tidOf(laneIdx int) int { return w.inBlock*len(w.regs) + laneIdx }
 
 // guardMask evaluates an instruction's guard over the active lanes.
 func (w *warp) guardMask(in *isa.Instr) uint64 {
@@ -89,7 +100,7 @@ func (w *warp) guardMask(in *isa.Instr) uint64 {
 	var m uint64
 	for a := w.mask; a != 0; a &= a - 1 {
 		l := bits.TrailingZeros64(a)
-		p := w.lanes[l].Preds[in.Pred]
+		p := w.regs[l].Preds[in.Pred]
 		if in.PredNeg {
 			p = !p
 		}

@@ -1,11 +1,14 @@
 package isa
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // The ISA's executable semantics: what a register instruction computes,
 // what an atomic stores, which operands an instruction reads and
 // writes, and the bounds of a windowed memory space. The simulator runs
-// them per lane, the static analyzer's concrete replay per thread and
+// them per warp, the static analyzer's concrete replay per thread and
 // its lint over the program text, so all three agree by construction.
 
 // State is one thread's register file.
@@ -51,14 +54,13 @@ func (o Op) IsReg() bool { return o >= OpMov && o <= OpFSetp }
 // Exec runs the register instructions of code on s in order; c
 // supplies OpSreg. Other opcodes leave s unchanged. Integer ops are
 // signed 64-bit and wrap; division and remainder by zero yield 0, and
-// shift counts are taken mod 64. The simulator runs one instruction
-// per call, the concrete replay whole straight-line runs.
+// shift counts are taken mod 64. The concrete replay runs whole
+// straight-line runs per call; ExecLanes is the warp-wide form.
 func (s *State) Exec(code []Instr, c *Coord) {
 	for i := range code {
 		in := &code[i]
-		// Operands load on use: in the simulator each lane's registers
-		// span several cache lines, and most instructions read one
-		// register and an immediate.
+		// Operands load on use: most instructions read one register
+		// and an immediate.
 		a := func() uint64 { return s.Regs[in.SrcA] }
 		b := func() uint64 {
 			if in.UseImm {
@@ -154,6 +156,163 @@ func (s *State) Exec(code []Instr, c *Coord) {
 			continue
 		}
 		s.Regs[in.Dst] = d
+	}
+}
+
+// ExecLanes runs register instruction in once over a warp: on ws[l],
+// as thread c.Tid+l, for every lane l set in mask. Lanes outside mask
+// are untouched, and so is every lane for an opcode that is not a
+// register instruction. Each lane computes what Exec computes for that
+// thread alone (TestExecLanesMatchesExec). The simulator issues a
+// whole warp's instruction here, switching on the opcode once rather
+// than once per lane; the static analyzer's replay runs one thread
+// through straight-line runs and stays on Exec, which costs less there.
+func ExecLanes(in *Instr, ws []State, mask uint64, c Coord) {
+	switch in.Op {
+	case OpMov:
+		if !in.UseImm {
+			unaryLanes(in, ws, mask, func(a uint64) uint64 { return a })
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				ws[bits.TrailingZeros64(m)].Regs[in.Dst] = uint64(in.Imm)
+			}
+		}
+	case OpSreg:
+		k, base := SregKind(in.Imm), c.Tid
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			c.Tid = base + l
+			ws[l].Regs[in.Dst] = c.Sreg(k)
+		}
+	case OpSelp:
+		for m := mask; m != 0; m &= m - 1 {
+			s := &ws[bits.TrailingZeros64(m)]
+			if s.Preds[in.PD] {
+				s.Regs[in.Dst] = s.Regs[in.SrcA]
+			} else {
+				s.Regs[in.Dst] = s.Regs[in.SrcC]
+			}
+		}
+	case OpAdd:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 { return a + b })
+	case OpSub:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 { return a - b })
+	case OpMul:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 { return uint64(int64(a) * int64(b)) })
+	case OpDiv:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 {
+			if int64(b) == 0 {
+				return 0
+			}
+			return uint64(int64(a) / int64(b))
+		})
+	case OpRem:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 {
+			if int64(b) == 0 {
+				return 0
+			}
+			return uint64(int64(a) % int64(b))
+		})
+	case OpMin:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 { return uint64(min(int64(a), int64(b))) })
+	case OpMax:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 { return uint64(max(int64(a), int64(b))) })
+	case OpAnd:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 { return a & b })
+	case OpOr:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 { return a | b })
+	case OpXor:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 { return a ^ b })
+	case OpNot:
+		unaryLanes(in, ws, mask, func(a uint64) uint64 { return ^a })
+	case OpShl:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 { return a << (b & 63) })
+	case OpShr:
+		intLanes(in, ws, mask, func(a, b uint64) uint64 { return uint64(int64(a) >> (b & 63)) })
+	case OpMad:
+		for m := mask; m != 0; m &= m - 1 {
+			s := &ws[bits.TrailingZeros64(m)]
+			s.Regs[in.Dst] = uint64(int64(s.Regs[in.SrcA])*int64(operandB(s, in)) + int64(s.Regs[in.SrcC]))
+		}
+	case OpFAdd:
+		floatLanes(in, ws, mask, func(a, b float64) float64 { return a + b })
+	case OpFSub:
+		floatLanes(in, ws, mask, func(a, b float64) float64 { return a - b })
+	case OpFMul:
+		floatLanes(in, ws, mask, func(a, b float64) float64 { return a * b })
+	case OpFDiv:
+		floatLanes(in, ws, mask, func(a, b float64) float64 { return a / b })
+	case OpFMin:
+		floatLanes(in, ws, mask, math.Min)
+	case OpFMax:
+		floatLanes(in, ws, mask, math.Max)
+	case OpFSqrt:
+		floatUnaryLanes(in, ws, mask, math.Sqrt)
+	case OpFExp:
+		floatUnaryLanes(in, ws, mask, math.Exp)
+	case OpFLog:
+		floatUnaryLanes(in, ws, mask, math.Log)
+	case OpFSin:
+		floatUnaryLanes(in, ws, mask, math.Sin)
+	case OpFCos:
+		floatUnaryLanes(in, ws, mask, math.Cos)
+	case OpFAbs:
+		floatUnaryLanes(in, ws, mask, math.Abs)
+	case OpItoF:
+		unaryLanes(in, ws, mask, func(a uint64) uint64 { return math.Float64bits(float64(int64(a))) })
+	case OpFtoI:
+		unaryLanes(in, ws, mask, func(a uint64) uint64 { return uint64(int64(math.Float64frombits(a))) })
+	case OpSetp:
+		for m := mask; m != 0; m &= m - 1 {
+			s := &ws[bits.TrailingZeros64(m)]
+			s.Preds[in.PD] = compare(in.Cmp, int64(s.Regs[in.SrcA]), int64(operandB(s, in)))
+		}
+	case OpFSetp:
+		for m := mask; m != 0; m &= m - 1 {
+			s := &ws[bits.TrailingZeros64(m)]
+			s.Preds[in.PD] = compare(in.Cmp, math.Float64frombits(s.Regs[in.SrcA]), math.Float64frombits(operandB(s, in)))
+		}
+	}
+}
+
+// operandB returns the second operand of in on s: its immediate under
+// UseImm, else register SrcB.
+func operandB(s *State, in *Instr) uint64 {
+	if in.UseImm {
+		return uint64(in.Imm)
+	}
+	return s.Regs[in.SrcB]
+}
+
+// unaryLanes sets Dst to f(SrcA) on mask's lanes of ws.
+func unaryLanes(in *Instr, ws []State, mask uint64, f func(a uint64) uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		s := &ws[bits.TrailingZeros64(m)]
+		s.Regs[in.Dst] = f(s.Regs[in.SrcA])
+	}
+}
+
+// intLanes sets Dst to f(SrcA, operand B) on mask's lanes of ws.
+func intLanes(in *Instr, ws []State, mask uint64, f func(a, b uint64) uint64) {
+	for m := mask; m != 0; m &= m - 1 {
+		s := &ws[bits.TrailingZeros64(m)]
+		s.Regs[in.Dst] = f(s.Regs[in.SrcA], operandB(s, in))
+	}
+}
+
+// floatUnaryLanes is unaryLanes over float64 bit patterns.
+func floatUnaryLanes(in *Instr, ws []State, mask uint64, f func(a float64) float64) {
+	for m := mask; m != 0; m &= m - 1 {
+		s := &ws[bits.TrailingZeros64(m)]
+		s.Regs[in.Dst] = math.Float64bits(f(math.Float64frombits(s.Regs[in.SrcA])))
+	}
+}
+
+// floatLanes is intLanes over float64 bit patterns.
+func floatLanes(in *Instr, ws []State, mask uint64, f func(a, b float64) float64) {
+	for m := mask; m != 0; m &= m - 1 {
+		s := &ws[bits.TrailingZeros64(m)]
+		s.Regs[in.Dst] = math.Float64bits(f(math.Float64frombits(s.Regs[in.SrcA]), math.Float64frombits(operandB(s, in))))
 	}
 }
 

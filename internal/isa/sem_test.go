@@ -78,10 +78,35 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// pinState runs one register instruction on a fresh state whose
-// sources hold a, b and c and whose p5 holds p, checks that nothing but
-// the instruction's target changed, and returns r4 and p5.
-func pinState(t *testing.T, in *Instr, a, b, c uint64, p bool, co *Coord) (uint64, bool) {
+// executor runs one register instruction on thread state s, placed by
+// co (nil for none).
+type executor func(s *State, in *Instr, co *Coord)
+
+// execOne runs the instruction through Exec.
+func execOne(s *State, in *Instr, co *Coord) { s.Exec([]Instr{*in}, co) }
+
+// execLane runs the instruction through ExecLanes, with s as the only
+// active lane of a 32-lane warp: lane co.Tid mod 32, or lane 0.
+func execLane(s *State, in *Instr, co *Coord) {
+	var c Coord
+	if co != nil {
+		c = *co
+	}
+	l := 0
+	if c.WarpSize > 0 {
+		l = c.Tid % c.WarpSize
+	}
+	ws := make([]State, 32)
+	ws[l] = *s
+	c.Tid -= l
+	ExecLanes(in, ws, 1<<l, c)
+	*s = ws[l]
+}
+
+// pinState runs one register instruction through run on a fresh state
+// whose sources hold a, b and c and whose p5 holds p, checks that
+// nothing but the instruction's target changed, and returns r4 and p5.
+func pinState(t *testing.T, run executor, in *Instr, a, b, c uint64, p bool, co *Coord) (uint64, bool) {
 	var s State
 	for r := range s.Regs {
 		s.Regs[r] = pinSentinel(r)
@@ -92,7 +117,7 @@ func pinState(t *testing.T, in *Instr, a, b, c uint64, p bool, co *Coord) (uint6
 	}
 	s.Preds[pinP] = p
 	before := s
-	s.Exec([]Instr{*in}, co)
+	run(&s, in, co)
 	for r := range s.Regs {
 		if Reg(r) != pinD && s.Regs[r] != before.Regs[r] {
 			t.Fatalf("%s wrote r%d", in, r)
@@ -126,8 +151,24 @@ func pinCoord(l int) *Coord {
 // ways and every comparison, and compares the digest of the results.
 // OpFExp, OpFLog, OpFSin and OpFCos compare against package math
 // directly instead, and OpFtoI runs only over pinFtoI, so the digest
-// holds on every platform.
+// holds on every platform. The register rows run through Exec and
+// again through ExecLanes, and both digests must equal the pin.
 func TestRegisterSemanticsPinned(t *testing.T) {
+	for _, ex := range []struct {
+		name string
+		run  executor
+	}{{"Exec", execOne}, {"ExecLanes", execLane}} {
+		t.Run(ex.name, func(t *testing.T) {
+			if got := pinDigest(t, ex.run); got != semPinDigest {
+				t.Errorf("register semantics digest %s, pinned %s", got, semPinDigest)
+			}
+		})
+	}
+}
+
+// pinDigest hashes the pin rows, running register instructions
+// through run.
+func pinDigest(t *testing.T, run executor) string {
 	ph := &pinHasher{h: sha256.New()}
 	for op := OpMov; op <= OpFSetp; op++ {
 		for _, useImm := range []bool{false, true} {
@@ -137,7 +178,7 @@ func TestRegisterSemanticsPinned(t *testing.T) {
 				for _, l := range []int{0, 5, 31} {
 					for k := SregKind(0); k <= SregGtid+1; k++ {
 						in.Imm = int64(k)
-						d, _ := pinState(t, &in, 0, 0, 0, false, pinCoord(l))
+						d, _ := pinState(t, run, &in, 0, 0, 0, false, pinCoord(l))
 						ph.row(uint64(op), b2u(useImm), uint64(l), uint64(k), d)
 					}
 				}
@@ -147,7 +188,7 @@ func TestRegisterSemanticsPinned(t *testing.T) {
 					OpFExp: math.Exp, OpFLog: math.Log, OpFSin: math.Sin, OpFCos: math.Cos,
 				}[op]
 				for _, a := range pinVals {
-					d, _ := pinState(t, &in, a, 0, 0, false, nil)
+					d, _ := pinState(t, run, &in, a, 0, 0, false, nil)
 					want := ref(math.Float64frombits(a))
 					if got := math.Float64frombits(d); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 						t.Errorf("%s(%v) = %v, math gives %v", op, math.Float64frombits(a), got, want)
@@ -156,7 +197,7 @@ func TestRegisterSemanticsPinned(t *testing.T) {
 				continue
 			case OpFtoI:
 				for _, f := range pinFtoI {
-					d, _ := pinState(t, &in, math.Float64bits(f), 0, 0, false, nil)
+					d, _ := pinState(t, run, &in, math.Float64bits(f), 0, 0, false, nil)
 					ph.row(uint64(op), b2u(useImm), math.Float64bits(f), d)
 				}
 				continue
@@ -177,7 +218,7 @@ func TestRegisterSemanticsPinned(t *testing.T) {
 						in.Imm = int64(b)
 						for _, c := range cs {
 							for _, p := range ps {
-								d, q := pinState(t, &in, a, b, c, p, nil)
+								d, q := pinState(t, run, &in, a, b, c, p, nil)
 								if floatResult(op) && math.IsNaN(math.Float64frombits(d)) {
 									d = math.Float64bits(math.NaN())
 								}
@@ -205,8 +246,66 @@ func TestRegisterSemanticsPinned(t *testing.T) {
 			}
 		}
 	}
-	if got := hex.EncodeToString(ph.h.Sum(nil)); got != semPinDigest {
-		t.Errorf("register semantics digest %s, pinned %s", got, semPinDigest)
+	return hex.EncodeToString(ph.h.Sum(nil))
+}
+
+// TestExecLanesMatchesExec runs every opcode through ExecLanes on a
+// 32-lane warp, with UseImm both ways and every comparison. Lane l's
+// sources walk the operand table at different strides, so the lanes of
+// successive instructions cover every pair of table values, and every
+// other register holds a per-lane sentinel. Under each mask, every
+// active lane must end as Exec leaves that thread run alone, and every
+// other lane must stay bit for bit as it was; a non-register opcode
+// changes no lane.
+func TestExecLanesMatchesExec(t *testing.T) {
+	masks := []uint64{0, 1, 1 << 5, 1 << 31, 0x5555_5555, 0xAAAA_AAAA, 0xFFFF_FFFF}
+	co := Coord{Tid: 32, Ntid: 96, Ctaid: 2, Nctaid: 3, WarpSize: 32} // warp 1 of block 2
+	n := len(pinVals)
+	for op := OpNop; op < opMax; op++ {
+		cmps := []CmpOp{0}
+		if op == OpSetp || op == OpFSetp {
+			cmps = []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE, CmpGE + 1}
+		}
+		for _, useImm := range []bool{false, true} {
+			for _, cmp := range cmps {
+				for bi := range pinVals {
+					in := Instr{Op: op, Dst: pinD, SrcA: pinA, SrcB: pinB, SrcC: pinC, PD: pinP,
+						Pred: NoPred, UseImm: useImm, Cmp: cmp, Imm: int64(pinVals[bi])}
+					if op == OpSreg {
+						in.Imm = int64(bi % int(SregGtid+2))
+					}
+					var before [32]State
+					for l := range before {
+						s := &before[l]
+						for r := range s.Regs {
+							s.Regs[r] = pinSentinel(r) | uint64(l)<<32
+						}
+						s.Regs[pinA] = pinVals[l%n]
+						s.Regs[pinB] = pinVals[(l+bi)%n]
+						s.Regs[pinC] = pinVals[(5*l+bi)%n]
+						for q := range s.Preds {
+							s.Preds[q] = (l+bi+q)%3 == 0
+						}
+					}
+					for _, mask := range masks {
+						ws := before
+						ExecLanes(&in, ws[:], mask, co)
+						for l := range ws {
+							want := before[l]
+							if mask>>l&1 != 0 {
+								c := co
+								c.Tid += l
+								want.Exec([]Instr{in}, &c)
+							}
+							if ws[l] != want {
+								t.Fatalf("%s (imm %v, cmp %d, row %d) mask %#x: lane %d is %v, want %v",
+									&in, useImm, cmp, bi, mask, l, ws[l], want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

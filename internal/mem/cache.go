@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheConfig describes a set-associative cache.
 type CacheConfig struct {
@@ -74,12 +77,13 @@ type cacheLine struct {
 // simulator executes functionally at issue).
 type Cache struct {
 	cfg   CacheConfig
-	sets  [][]cacheLine
+	lines []cacheLine // set i is lines[i*Assoc : (i+1)*Assoc]
 	stamp uint64
 	Stats CacheStats
 
 	lineShift uint
 	setMask   uint64
+	tagShift  uint // set-index bits: a line address's tag is line >> tagShift
 }
 
 // NewCache builds a cache; the configuration must validate.
@@ -88,15 +92,13 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	sets := cfg.SizeBytes / cfg.LineBytes / cfg.Assoc
-	c := &Cache{cfg: cfg, sets: make([][]cacheLine, sets)}
-	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, cfg.Assoc)
-	}
-	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
-		c.lineShift++
-	}
-	c.setMask = uint64(sets - 1)
-	return c, nil
+	return &Cache{
+		cfg:       cfg,
+		lines:     make([]cacheLine, sets*cfg.Assoc),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setMask:   uint64(sets - 1),
+		tagShift:  uint(bits.Len(uint(sets - 1))),
+	}, nil
 }
 
 // MustNewCache is NewCache panicking on invalid configuration (for
@@ -111,16 +113,8 @@ func MustNewCache(cfg CacheConfig) *Cache {
 
 func (c *Cache) locate(addr uint64) (set []cacheLine, tag uint64) {
 	line := addr >> c.lineShift
-	return c.sets[line&c.setMask], line >> uint64(len64(c.setMask))
-}
-
-func len64(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		mask >>= 1
-		n++
-	}
-	return n
+	i, a := int(line&c.setMask), c.cfg.Assoc
+	return c.lines[i*a : (i+1)*a : (i+1)*a], line >> c.tagShift
 }
 
 // AccessResult describes the outcome of a cache access.
@@ -214,7 +208,7 @@ func (c *Cache) FillStamp(addr uint64) (int64, bool) {
 // set index of the incoming address (same set by construction).
 func (c *Cache) reconstruct(tag, incoming uint64) uint64 {
 	setIdx := (incoming >> c.lineShift) & c.setMask
-	return (tag<<uint64(len64(c.setMask))|setIdx)<<c.lineShift | 0
+	return (tag<<c.tagShift | setIdx) << c.lineShift
 }
 
 // Invalidate drops a line if present (no writeback), returning whether
@@ -233,10 +227,4 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // Flush invalidates the entire cache (kernel boundary semantics for
 // non-coherent L1s).
-func (c *Cache) Flush() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = cacheLine{}
-		}
-	}
-}
+func (c *Cache) Flush() { clear(c.lines) }
