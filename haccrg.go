@@ -42,8 +42,8 @@ type (
 	Kernel = gpu.Kernel
 	// LaunchStats aggregates execution statistics for a launch.
 	LaunchStats = gpu.LaunchStats
-	// DetectionOptions configures HAccRG (granularities, Bloom layout,
-	// which RDUs are enabled).
+	// DetectionOptions configures HAccRG (granularities, which RDUs are
+	// enabled).
 	DetectionOptions = core.Options
 	// Detector is the HAccRG race-detection engine.
 	Detector = core.Detector
@@ -96,7 +96,8 @@ const (
 
 // DefaultGPU returns the paper's Table I machine: an NVIDIA Quadro
 // FX5800-class GPU (30 SMs, 8 memory partitions) with Fermi-style
-// L1/L2 caches.
+// L1/L2 caches and 16-bit 2-bin lockset signatures (GPUConfig.Bloom,
+// the layout the SMs build and the detector intersects).
 func DefaultGPU() GPUConfig { return gpu.DefaultConfig() }
 
 // SmallGPU returns a scaled-down device (4 SMs, 2 partitions) for
@@ -105,7 +106,7 @@ func SmallGPU() GPUConfig { return gpu.TestConfig() }
 
 // DefaultDetection returns the paper's evaluated HAccRG configuration:
 // both RDUs, 16-byte shared / 4-byte global granularity, warp-aware
-// reporting, 16-bit 2-bin lockset signatures.
+// reporting. The lockset signature layout is the device's.
 func DefaultDetection() DetectionOptions { return core.DefaultOptions() }
 
 // NewDetector builds a HAccRG detector.

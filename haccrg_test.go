@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"haccrg/internal/bloom"
 	"haccrg/internal/core"
 	"haccrg/internal/harness"
 	"haccrg/internal/isa"
@@ -106,7 +105,6 @@ func TestRunBenchmarkDetectionIsARunSpec(t *testing.T) {
 	}
 	refused := map[string]*DetectionOptions{
 		"WarpAware":     with(func(o *DetectionOptions) { o.WarpAware = false }),
-		"Bloom":         with(func(o *DetectionOptions) { o.Bloom = bloom.Config{SizeBits: 32, Bins: 4} }),
 		"ModelTraffic":  with(func(o *DetectionOptions) { o.ModelTraffic = false }),
 		"DetectStaleL1": with(func(o *DetectionOptions) { o.DetectStaleL1 = false }),
 		"Global": with(func(o *DetectionOptions) {
@@ -125,6 +123,38 @@ func TestRunBenchmarkDetectionIsARunSpec(t *testing.T) {
 		if jnl.Len() > 0 {
 			t.Errorf("%s: %d journal bytes written before the refusal", field, jnl.Len())
 		}
+	}
+}
+
+// TestRunBenchmarkDeviceBloomLayout: the lockset signature layout is
+// the device's. A run with a critical-section race injected, on a GPU
+// with a 32-bit 4-bin layout, reports that layout, and its journal,
+// whose config snapshot carries it, replays to the live verdict.
+func TestRunBenchmarkDeviceBloomLayout(t *testing.T) {
+	gpuCfg := SmallGPU()
+	gpuCfg.Bloom.SizeBits, gpuCfg.Bloom.Bins = 32, 4
+	opt := DefaultDetection()
+	var jnl bytes.Buffer
+	res, err := RunBenchmark("hash", RunOptions{GPU: &gpuCfg, Detection: &opt, Record: &jnl, Inject: []string{"hash.crit0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Races) == 0 {
+		t.Fatal("the lockset injection reported no race")
+	}
+	if o := res.Report.Options; o.BloomBits != 32 || o.BloomBins != 4 {
+		t.Errorf("report layout %d bits / %d bins, want the device's 32 / 4", o.BloomBits, o.BloomBins)
+	}
+	det, _, err := harness.DetectorForJournal(bytes.NewReader(jnl.Bytes()), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := journal.Replay(bytes.NewReader(jnl.Bytes()), det)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Match || len(rep.Replayed) != len(res.Races) {
+		t.Errorf("%d live races, %d replayed, match %t", len(res.Races), len(rep.Replayed), rep.Match)
 	}
 }
 

@@ -674,5 +674,3 @@ func (ff *faultFile) Truncate(size int64) error {
 	fs.mu.Unlock()
 	return nil
 }
-
-func (ff *faultFile) Name() string { return ff.path }

@@ -15,12 +15,6 @@ import (
 type benchEnv struct{ cfg *gpu.Config }
 
 func (e *benchEnv) Config() *gpu.Config { return e.cfg }
-
-// PartitionFor is the line-interleaved mapping the Env contract
-// requires: line index (SegmentBytes = 128) modulo partition count.
-func (e *benchEnv) PartitionFor(addr uint64) int {
-	return int(addr>>7) % e.cfg.NumPartitions
-}
 func (e *benchEnv) ShadowTx(part int, cycle int64, addr uint64, write bool) int64 {
 	return cycle + 40
 }
@@ -30,7 +24,6 @@ func (e *benchEnv) InstrTx(sm int, cycle int64, addr uint64, write bool) int64 {
 func (e *benchEnv) InstrAtomicTx(sm int, cycle int64, addr uint64) int64 {
 	return cycle + 120
 }
-func (e *benchEnv) ShadowBase() uint64                 { return 1 << 26 }
 func (e *benchEnv) CurrentFenceID(block, w int) uint32 { return 1 }
 func (e *benchEnv) GlobalMemSize() uint64              { return 1 << 26 }
 

@@ -67,7 +67,7 @@ func ComputeHardwareCost(cfg *gpu.Config, opt Options) HardwareCost {
 	warpsPerSM := cfg.MaxThreadsPerSM / cfg.WarpSize
 	c.SyncIDBytesPerSM = cfg.MaxBlocksPerSM * archSyncBits / 8
 	c.FenceIDBytesPerSM = warpsPerSM * archFenceBits / 8
-	c.AtomicIDBytesPerSM = cfg.MaxThreadsPerSM * opt.Bloom.SizeBits / 8
+	c.AtomicIDBytesPerSM = cfg.MaxThreadsPerSM * cfg.Bloom.SizeBits / 8
 	c.IDBytesPerSM = c.SyncIDBytesPerSM + c.FenceIDBytesPerSM + c.AtomicIDBytesPerSM
 
 	c.RaceRegisterFileBytes = cfg.NumSMs * warpsPerSM * archFenceBits / 8

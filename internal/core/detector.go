@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"haccrg/internal/bloom"
 	"haccrg/internal/fault"
 	"haccrg/internal/gpu"
 	"haccrg/internal/isa"
@@ -35,13 +36,10 @@ type Detector struct {
 	// indexed by granule models all of them.
 	gshadow pagedShadow
 
-	// Cached partition mapping (the line-interleaved contract
-	// documented on gpu.Env.PartitionFor): partition = (addr >>
-	// partShift) mod parts. Hoisting it out of the Env interface saves
-	// a dynamic call per lane on the fault-admission and traffic paths.
-	partShift uint
-	parts     uint64
-	partMask  uint64 // parts-1 when parts is a power of two, else 0
+	// The running device's partition map and lockset signature layout,
+	// from its Config at KernelStart.
+	parts gpu.Partitions
+	bloom bloom.Config
 
 	races []*Race
 	seen  map[raceKey]*Race
@@ -225,12 +223,8 @@ func (d *Detector) KernelStart(env gpu.Env, kernelName string) {
 			d.seedPend[w.Granule] = &seed
 		}
 	}
-	d.partShift = uint(bits.TrailingZeros64(uint64(cfg.SegmentBytes)))
-	d.parts = uint64(cfg.NumPartitions)
-	d.partMask = 0
-	if d.parts&(d.parts-1) == 0 {
-		d.partMask = d.parts - 1
-	}
+	d.parts = cfg.Partitions()
+	d.bloom = cfg.Bloom
 	nsm := cfg.NumSMs
 	entries := cfg.Shared.SizeBytes / d.opt.SharedGranularity
 	if d.sharedShadow == nil || len(d.sharedShadow) != nsm || len(d.sharedShadow[0]) != entries {
@@ -325,7 +319,7 @@ func (d *Detector) Barrier(sm, blockID int, sharedBase, sharedSize int, cycle in
 func (d *Detector) sharedShadowBase(sm int) uint64 {
 	globalSpan := d.env.GlobalMemSize() / uint64(d.opt.GlobalGranularity) * 8
 	tile := uint64(d.env.Config().Shared.SizeBytes / d.opt.SharedGranularity * 2)
-	return d.env.ShadowBase() + globalSpan + uint64(sm)*tile
+	return d.env.GlobalMemSize() + globalSpan + uint64(sm)*tile
 }
 
 // WarpMem implements gpu.Detector: dispatch one warp memory
@@ -363,12 +357,13 @@ func (d *Detector) reportProv(prov string, space isa.Space, kind Kind, cat Categ
 	} else {
 		d.stats.GlobalReports++
 	}
-	d.sites[siteKey{space, kind, granule}] = struct{}{}
 	key := raceKey{d.kernel, space, kind, cat, pc, granule}
 	if r, ok := d.seen[key]; ok {
 		r.Count++
 		return
 	}
+	// A repeat report shares its race's (space, kind, granule).
+	d.sites[siteKey{space, kind, granule}] = struct{}{}
 	r := &Race{
 		Kernel: d.kernel, Space: space, Kind: kind, Category: cat,
 		PC: pc, Stmt: stmt, Granule: granule, Addr: addr,

@@ -647,9 +647,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Shared: true, SharedGranularity: 16, GlobalGranularity: 4, DetectStaleL1: true},
 	}
 	for i, o := range bad {
-		if o.Bloom.SizeBits == 0 {
-			o.Bloom = DefaultOptions().Bloom
-		}
 		if err := o.Validate(); err == nil {
 			t.Errorf("case %d: Validate(%+v) = nil, want error", i, o)
 		}

@@ -28,7 +28,7 @@ func (d *Detector) Health() *gpu.DetectorHealth {
 	// check counters; the exposure denominator is demand, not service.
 	h.TotalChecks = d.stats.SharedChecks + d.stats.GlobalChecks + h.DroppedChecks
 	if d.fillN > 0 {
-		h.BloomFillPct = 100 * float64(d.fillBits) / (float64(d.opt.Bloom.SizeBits) * float64(d.fillN))
+		h.BloomFillPct = 100 * float64(d.fillBits) / (float64(d.bloom.SizeBits) * float64(d.fillN))
 	}
 	h.Degraded = h.DroppedChecks|h.InjectedFlips|h.StuckReads|
 		h.QuarantinedGranules|h.QuarantineSkips|h.ReinitGranules|
@@ -115,7 +115,7 @@ func (d *Detector) saturate(part int, sig bloom.Sig, inCrit bool) bloom.Sig {
 	if !inCrit {
 		return sig
 	}
-	if sat, changed := d.inj.Saturate(fault.UnitGlobal, part, uint64(sig), uint64(d.opt.Bloom.Mask())); changed {
+	if sat, changed := d.inj.Saturate(fault.UnitGlobal, part, uint64(sig), uint64(d.bloom.Mask())); changed {
 		d.health.SaturatedSigs++
 		return bloom.Sig(sat)
 	}

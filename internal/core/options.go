@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"haccrg/internal/bloom"
 	"haccrg/internal/fault"
 	"haccrg/internal/isa"
 )
@@ -109,9 +108,6 @@ type Options struct {
 	// IV-B (needs Global).
 	DetectStaleL1 bool
 
-	// Bloom is the atomic-ID signature layout.
-	Bloom bloom.Config
-
 	// ModelTraffic injects the hardware RDUs' shadow-memory traffic
 	// and barrier-invalidation stalls into the timing model. Software
 	// reimplementations (internal/swdetect, internal/grace) disable it
@@ -132,7 +128,8 @@ type Options struct {
 
 // DefaultOptions returns the configuration evaluated in the paper:
 // both RDUs enabled, 16-byte shared and 4-byte global granularity,
-// warp-aware reporting, 16-bit 2-bin signatures.
+// warp-aware reporting. The lockset signature layout is the device's
+// (gpu.Config.Bloom).
 func DefaultOptions() Options {
 	return Options{
 		Shared:            true,
@@ -141,7 +138,6 @@ func DefaultOptions() Options {
 		GlobalGranularity: 4,
 		WarpAware:         true,
 		DetectStaleL1:     true,
-		Bloom:             bloom.DefaultConfig,
 		ModelTraffic:      true,
 	}
 }
@@ -156,9 +152,6 @@ func (o *Options) Validate() error {
 	}
 	if o.GlobalGranularity <= 0 || o.GlobalGranularity&(o.GlobalGranularity-1) != 0 {
 		return fmt.Errorf("core: global granularity %d not a power of two", o.GlobalGranularity)
-	}
-	if err := o.Bloom.Validate(); err != nil {
-		return err
 	}
 	if o.SharedShadowInGlobal && !o.Shared {
 		return fmt.Errorf("core: SharedShadowInGlobal requires Shared")

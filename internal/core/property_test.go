@@ -21,11 +21,9 @@ func newFakeEnv() *fakeEnv {
 }
 
 func (f *fakeEnv) Config() *gpu.Config                     { return &f.cfg }
-func (f *fakeEnv) PartitionFor(addr uint64) int            { return int(addr>>7) % f.cfg.NumPartitions }
 func (f *fakeEnv) ShadowTx(int, int64, uint64, bool) int64 { return 0 }
 func (f *fakeEnv) InstrTx(int, int64, uint64, bool) int64  { return 0 }
 func (f *fakeEnv) InstrAtomicTx(int, int64, uint64) int64  { return 0 }
-func (f *fakeEnv) ShadowBase() uint64                      { return 1 << 30 }
 func (f *fakeEnv) GlobalMemSize() uint64                   { return 1 << 30 }
 func (f *fakeEnv) CurrentFenceID(block, warp int) uint32 {
 	return f.fenceIDs[[2]int{block, warp}]

@@ -65,17 +65,6 @@ func insertLine(s []uint64, v uint64) []uint64 {
 	return s
 }
 
-// partitionOf maps a byte address to its memory partition through the
-// line-interleaved contract documented on gpu.Env.PartitionFor,
-// without the dynamic dispatch of the Env call.
-func (d *Detector) partitionOf(addr uint64) int {
-	line := addr >> d.partShift
-	if d.partMask != 0 {
-		return int(line & d.partMask)
-	}
-	return int(line % d.parts)
-}
-
 // globalRDU runs the global-memory Race Detection Units for one warp
 // instruction. Detection happens at the memory partitions where the
 // coalesced transactions arrive; the RDU fetches the shadow entries
@@ -120,7 +109,7 @@ func (d *Detector) globalRDU(ev *gpu.WarpMemEvent) int64 {
 		if d.inj != nil {
 			// Each lane check queues at the partition its address maps
 			// to; burst overflow drops the check, never the access.
-			part = d.partitionOf(la.Addr)
+			part = d.parts.Of(la.Addr)
 			if !d.admit(fault.UnitGlobal, part, la.Arrival) {
 				continue
 			}
@@ -189,14 +178,14 @@ func (d *Detector) modelGlobalTraffic(ev *gpu.WarpMemEvent, gran uint64) {
 	// order would perturb cycle counts from run to run.
 	for _, lr := range arrivals {
 		line, arrival := lr.line, lr.arrival
-		part := d.partitionOf(line)
+		part := d.parts.Of(line)
 		if d.inj != nil {
 			arrival = d.spiked(fault.UnitGlobal, part, arrival)
 		}
 		// Entries for one demand line span this many shadow lines.
 		granules := seg / gran
 		span := granules * entryBytes
-		shadowAddr := d.env.ShadowBase() + (line/gran)*entryBytes
+		shadowAddr := d.env.GlobalMemSize() + (line/gran)*entryBytes
 		for off := uint64(0); off < span; off += seg {
 			d.env.ShadowTx(part, arrival, shadowAddr+off, false)
 			d.stats.ShadowReads++
@@ -378,7 +367,7 @@ func (d *Detector) locksetCheck(e *packedGlobal, ev *gpu.WarpMemEvent, la *gpu.L
 		}
 		if inCrit {
 			if entryProtected {
-				e.sig = d.opt.Bloom.Intersect(e.sig, sig)
+				e.sig = d.bloom.Intersect(e.sig, sig)
 			} else {
 				e.sig = sig
 			}
@@ -392,7 +381,7 @@ func (d *Detector) locksetCheck(e *packedGlobal, ev *gpu.WarpMemEvent, la *gpu.L
 	switch {
 	case entryProtected && inCrit:
 		// Both protected: race iff the lockset intersection is null.
-		if racy && !d.opt.Bloom.MayIntersect(e.sig, sig) && !sameWarp {
+		if racy && !d.bloom.MayIntersect(e.sig, sig) && !sameWarp {
 			d.report(isa.SpaceGlobal, locksetKind(entryModified, write), CatLockset, ev.PC, ev.Stmt, g, la.Addr,
 				int(etid), int(ebid), la.Tid, ev.Block, ev.Cycle)
 			claimEntry(e, ev, la, sig, write)
@@ -400,7 +389,7 @@ func (d *Detector) locksetCheck(e *packedGlobal, ev *gpu.WarpMemEvent, la *gpu.L
 		}
 		// The intersection — the set of locks that protected every
 		// access so far — is what the shadow entry keeps.
-		e.sig = d.opt.Bloom.Intersect(e.sig, sig)
+		e.sig = d.bloom.Intersect(e.sig, sig)
 		if write {
 			e.meta = m&^(gwTidField|gwBidField|gwSidField) | gwM |
 				gwPack(uint16(la.Tid), uint32(ev.Block), uint16(ev.SM))

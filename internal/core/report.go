@@ -76,8 +76,8 @@ func (d *Detector) Report() *Report {
 			SharedGranularity: d.opt.SharedGranularity,
 			GlobalGranularity: d.opt.GlobalGranularity,
 			WarpAware:         d.opt.WarpAware,
-			BloomBits:         d.opt.Bloom.SizeBits,
-			BloomBins:         d.opt.Bloom.Bins,
+			BloomBits:         d.bloom.SizeBits,
+			BloomBins:         d.bloom.Bins,
 		},
 		Summary: ReportTotals{
 			Distinct:       len(d.races),

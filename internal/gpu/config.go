@@ -14,6 +14,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"haccrg/internal/bloom"
 	"haccrg/internal/mem"
@@ -47,7 +48,9 @@ type Config struct {
 	// launch.
 	LocalBytesPerThread int
 
-	Bloom bloom.Config // atomic-ID signature layout
+	// Bloom is the atomic-ID signature layout the SMs build lockset
+	// signatures under and a detector intersects them under.
+	Bloom bloom.Config
 
 	// SegmentBytes is the coalescing segment / cache line size.
 	SegmentBytes int
@@ -161,3 +164,33 @@ func (c *Config) Validate() error {
 // IssueInterval returns cycles an SM needs to issue one warp
 // instruction through its SIMD pipeline.
 func (c *Config) IssueInterval() int64 { return int64(c.WarpSize / c.SIMDWidth) }
+
+// Partitions maps global byte addresses to the memory partitions that
+// serve them and whose RDUs check them. It is line-interleaved: it
+// depends only on addr / SegmentBytes, so every byte of a coalescing
+// segment, and of any tracking granule no larger than one, maps to the
+// partition whose RDU owns the granule's shadow entry.
+type Partitions struct {
+	shift uint   // log2 SegmentBytes (validated a power of two)
+	n     uint64 // NumPartitions
+	mask  uint64 // n-1 when n is a power of two above 1, else 0
+}
+
+// Partitions returns c's partition map.
+func (c *Config) Partitions() Partitions {
+	p := Partitions{shift: uint(bits.TrailingZeros64(uint64(c.SegmentBytes))), n: uint64(c.NumPartitions)}
+	if p.n&(p.n-1) == 0 {
+		p.mask = p.n - 1
+	}
+	return p
+}
+
+// Of returns the partition addr's line interleaves to. It runs per lane
+// per global access, so it shifts and, when it can, masks.
+func (p Partitions) Of(addr uint64) int {
+	line := addr >> p.shift
+	if p.mask != 0 {
+		return int(line & p.mask)
+	}
+	return int(line % p.n)
+}

@@ -52,18 +52,12 @@ type WarpMemEvent struct {
 // Env is the device-side interface a detector uses to model its
 // hardware costs: shadow-memory traffic through a partition's L2/DRAM
 // (hardware RDUs) or demand traffic from an SM (software
-// instrumentation).
+// instrumentation). The device facts a detector reads come from
+// Config: the partition map (Config.Partitions) and the lockset
+// signature layout (Config.Bloom).
 type Env interface {
 	// Config returns the device configuration.
 	Config() *Config
-	// PartitionFor maps a global byte address to its memory slice.
-	//
-	// Contract: the mapping must be line-interleaved — it may depend
-	// only on addr / Config().SegmentBytes, so every byte of a
-	// coalescing segment (and hence of any tracking granule no larger
-	// than a segment) maps to one partition, whose RDU owns the
-	// granule's shadow entry.
-	PartitionFor(addr uint64) int
 	// ShadowTx performs an RDU-side access at partition part (no NoC
 	// traversal: the RDU sits inside the memory slice). Returns the
 	// completion cycle; the demand access does NOT wait for it.
@@ -76,13 +70,12 @@ type Env interface {
 	// updates are CAS loops that bypass the L1 and serialize at the
 	// partition). Returns the completion cycle.
 	InstrAtomicTx(sm int, cycle int64, addr uint64) int64
-	// ShadowBase returns the first byte address above the application's
-	// global memory, where shadow structures are placed.
-	ShadowBase() uint64
 	// CurrentFenceID returns warp w of block b's fence clock — the
 	// race register file lookup of Section IV-B.
 	CurrentFenceID(block, warpInBlock int) uint32
 	// GlobalMemSize returns the application-visible global memory size.
+	// Shadow structures are placed from that address up, above the
+	// application's memory.
 	GlobalMemSize() uint64
 }
 

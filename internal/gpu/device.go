@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"haccrg/internal/mem"
 	"haccrg/internal/noc"
@@ -29,12 +28,7 @@ type Device struct {
 	// scheduler step.
 	stepHook func()
 
-	// PartitionFor runs per lane per global access, so the div/mod is
-	// hoisted into a shift (SegmentBytes is validated power-of-two) and,
-	// when NumPartitions is also a power of two, a mask.
-	segShift  uint
-	partMask  uint64
-	partsPow2 bool
+	partitions Partitions // cfg.Partitions()
 
 	allocPtr  uint64
 	localBase uint64
@@ -66,9 +60,7 @@ func NewDevice(cfg Config, globalBytes int, det Detector) (*Device, error) {
 		detector:   det,
 		liveBlocks: make(map[int]*block),
 		fenceHist:  make(map[int][]uint32),
-		segShift:   uint(bits.TrailingZeros64(uint64(cfg.SegmentBytes))),
-		partMask:   uint64(cfg.NumPartitions - 1),
-		partsPow2:  cfg.NumPartitions&(cfg.NumPartitions-1) == 0,
+		partitions: cfg.Partitions(),
 	}
 	for i := 0; i < cfg.NumPartitions; i++ {
 		p, err := mem.NewPartition(i, cfg.Partition)
@@ -327,18 +319,6 @@ func (d *Device) blockFinished(b *block, slot int) {
 // Config implements Env.
 func (d *Device) Config() *Config { return &d.cfg }
 
-// PartitionFor implements Env: line-interleaved partition mapping.
-// It runs per lane per global access, so the general div/mod form is
-// reduced to a shift plus (for power-of-two partition counts, the
-// common case) a mask precomputed at device construction.
-func (d *Device) PartitionFor(addr uint64) int {
-	line := addr >> d.segShift
-	if d.partsPow2 {
-		return int(line & d.partMask)
-	}
-	return int(line % uint64(d.cfg.NumPartitions))
-}
-
 // ShadowTx implements Env: an RDU-side L2/DRAM access at a partition.
 func (d *Device) ShadowTx(part int, cycle int64, addr uint64, write bool) int64 {
 	line := addr &^ uint64(d.cfg.SegmentBytes-1)
@@ -351,7 +331,7 @@ func (d *Device) InstrTx(smID int, cycle int64, addr uint64, write bool) int64 {
 	s := d.sms[smID]
 	seg := uint64(d.cfg.SegmentBytes)
 	line := addr &^ (seg - 1)
-	part := d.PartitionFor(line)
+	part := d.partitions.Of(line)
 	res := s.l1.Access(line, write, cycle)
 	if write {
 		arrive := d.net.Send(part, cycle+1, int(seg))
@@ -372,14 +352,11 @@ func (d *Device) InstrAtomicTx(smID int, cycle int64, addr uint64) int64 {
 	seg := uint64(d.cfg.SegmentBytes)
 	line := addr &^ (seg - 1)
 	s.l1.Invalidate(line)
-	part := d.PartitionFor(line)
+	part := d.partitions.Of(line)
 	arrive := d.net.Send(part, cycle+1, 8)
 	l2done := d.parts[part].Access(arrive, line, true, true, false)
 	return d.net.Reply(part, l2done, 8)
 }
-
-// ShadowBase implements Env.
-func (d *Device) ShadowBase() uint64 { return uint64(d.Global.Size()) }
 
 // GlobalMemSize implements Env.
 func (d *Device) GlobalMemSize() uint64 { return uint64(d.Global.Size()) }

@@ -202,6 +202,35 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestPartitionsOf holds the partition map to its definition, the line
+// index modulo the partition count, on the masked (power-of-two) and
+// the divided (other) counts alike.
+func TestPartitionsOf(t *testing.T) {
+	for _, seg := range []int{32, 128} {
+		for _, n := range []int{1, 2, 5, 6, 8} {
+			cfg := TestConfig()
+			cfg.SegmentBytes, cfg.NumPartitions = seg, n
+			p := cfg.Partitions()
+			seen := make([]bool, n)
+			for _, base := range []uint64{0, 1 << 20, 1<<40 + 3, 1<<63 - 1<<12} {
+				for off := uint64(0); off < uint64(16*seg); off += 13 {
+					addr := base + off
+					got, want := p.Of(addr), int(addr/uint64(seg)%uint64(n))
+					if got != want {
+						t.Fatalf("segment %d, %d partitions: Of(%#x) = %d, want %d", seg, n, addr, got, want)
+					}
+					seen[got] = true
+				}
+			}
+			for part, ok := range seen {
+				if !ok {
+					t.Errorf("segment %d, %d partitions: no address maps to partition %d", seg, n, part)
+				}
+			}
+		}
+	}
+}
+
 // TestStatsPercentages sanity-checks the Table II helpers.
 func TestStatsPercentages(t *testing.T) {
 	s := LaunchStats{ThreadInstrs: 200, SharedReads: 20, GlobalReads: 50}

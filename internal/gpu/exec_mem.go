@@ -224,7 +224,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 			}
 			lineAddr := a &^ uint64(seg-1)
 			s.l1.Invalidate(lineAddr) // atomics operate at the partition
-			part := dev.PartitionFor(a)
+			part := dev.partitions.Of(a)
 			arrive := dev.net.Send(part, cycle+1, 8)
 			l2done := dev.parts[part].Access(arrive, lineAddr, true, true, false)
 			done := dev.net.Reply(part, l2done, 8)
@@ -237,7 +237,7 @@ func (s *sm) globalInstr(w *warp, in *isa.Instr, execMask uint64, cycle int64, k
 		write := in.Op == isa.OpSt
 		lines = mem.Coalesce(lines, flat, int(in.Size), seg)
 		for _, line := range lines {
-			part := dev.PartitionFor(line)
+			part := dev.partitions.Of(line)
 			if volatileCS && !write {
 				s.l1.Invalidate(line) // volatile load: straight to L2
 				arrive := dev.net.Send(part, cycle+dev.cfg.L1Latency, 0)

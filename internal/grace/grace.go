@@ -48,8 +48,6 @@ type Detector struct {
 	// Stats.
 	InstrStallCycles int64
 	LogBytes         int64
-	LogRecords       int64
-	BookkeepTx       int64
 }
 
 // New builds the GRace-addr model. The options' Global flag is forced
@@ -100,18 +98,13 @@ func (d *Detector) WarpMem(ev *gpu.WarpMemEvent) int64 {
 	// Bookkeeping record per lane, coalescing into table lines: GRace
 	// keeps per-warp tables, so a warp's records land in 1-2 lines.
 	n := int64(len(ev.Lanes))
-	d.LogRecords += n
-	d.LogBytes += n * int64(d.cost.RecordBytes)
-	d.logged[ev.SM] += n
 	recBytes := n * int64(d.cost.RecordBytes)
+	d.LogBytes += recBytes
+	d.logged[ev.SM] += n
 	lines := (recBytes + int64(cfg.SegmentBytes) - 1) / int64(cfg.SegmentBytes)
 	latest := ev.Cycle + stall
 	for i := int64(0); i < lines; i++ {
-		t := d.env.InstrTx(ev.SM, latest, d.env.ShadowBase()+uint64(i*int64(cfg.SegmentBytes)), true)
-		d.BookkeepTx++
-		if t > latest {
-			latest = t
-		}
+		latest = max(latest, d.env.InstrTx(ev.SM, latest, d.env.GlobalMemSize()+uint64(i*int64(cfg.SegmentBytes)), true))
 	}
 	stall = latest - ev.Cycle
 	d.InstrStallCycles += stall

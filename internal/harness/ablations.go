@@ -69,7 +69,6 @@ func BloomEndToEnd() (string, error) {
 		opt := core.DefaultOptions()
 		opt.Shared = false
 		opt.DetectStaleL1 = false
-		opt.Bloom = cfg
 		det, err := core.New(opt)
 		if err != nil {
 			return 0, 0, err

@@ -101,10 +101,9 @@ func (rc RunConfig) DetectorOptions() core.Options {
 // DetectionOptions into a run spec, so that a journal's meta record, a
 // manifest key and a job spec describe every facade run. It refuses
 // options that the kind and granularities do not reproduce, naming the
-// first field that differs: among them warp-unaware reporting, a
-// custom Bloom layout, untimed RDUs, and the settings a RunConfig
-// carries itself (fault plan and degradation). core.New builds such
-// detectors directly.
+// first field that differs: among them warp-unaware reporting, untimed
+// RDUs, and the settings a RunConfig carries itself (fault plan and
+// degradation). core.New builds such detectors directly.
 func (rc RunConfig) WithDetection(opt core.Options) (RunConfig, error) {
 	if err := opt.Validate(); err != nil {
 		return rc, err

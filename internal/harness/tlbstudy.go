@@ -59,7 +59,7 @@ func TLBStudy(scale int, cfg tlb.Config) ([]TLBResult, string, error) {
 		if _, err := plan.Run(dev); err != nil {
 			return nil, "", err
 		}
-		shadowBase := dev.ShadowBase()
+		shadowBase := dev.GlobalMemSize()
 		shadowOf := func(addr uint64) uint64 { return shadowBase + (addr/4)*8 }
 		app, sep, err := tlb.Compare(cfg, tr.addrs, shadowOf, true)
 		if err != nil {

@@ -284,12 +284,6 @@ type replayEnv struct {
 // Config implements gpu.Env.
 func (e *replayEnv) Config() *gpu.Config { return &e.snap.Config }
 
-// PartitionFor implements gpu.Env with the device's line-interleaved
-// mapping.
-func (e *replayEnv) PartitionFor(addr uint64) int {
-	return int((addr / uint64(e.snap.Config.SegmentBytes)) % uint64(e.snap.Config.NumPartitions))
-}
-
 // ShadowTx implements gpu.Env (fixed L2-latency completion).
 func (e *replayEnv) ShadowTx(part int, cycle int64, addr uint64, write bool) int64 {
 	return cycle + e.snap.Config.Partition.L2Latency
@@ -304,9 +298,6 @@ func (e *replayEnv) InstrTx(sm int, cycle int64, addr uint64, write bool) int64 
 func (e *replayEnv) InstrAtomicTx(sm int, cycle int64, addr uint64) int64 {
 	return cycle + e.snap.Config.Partition.AtomicLatency
 }
-
-// ShadowBase implements gpu.Env.
-func (e *replayEnv) ShadowBase() uint64 { return e.snap.GlobalMemSize }
 
 // GlobalMemSize implements gpu.Env.
 func (e *replayEnv) GlobalMemSize() uint64 { return e.snap.GlobalMemSize }

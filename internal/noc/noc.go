@@ -33,7 +33,6 @@ type Network struct {
 	toPart    []int64 // next-free cycle per partition ingress port
 	fromPart  []int64
 	FlitCount int64
-	ByteCount int64
 }
 
 // New builds a network connecting to nPartitions memory slices.
@@ -78,12 +77,10 @@ func (n *Network) traverse(ports []int64, part int, depart int64, payloadBytes i
 	occupancy := (f + n.cfg.FlitsPerCycle - 1) / n.cfg.FlitsPerCycle
 	ports[part] = start + occupancy
 	n.FlitCount += f
-	n.ByteCount += int64(payloadBytes)
 	return start + occupancy + n.cfg.LatencyCycles
 }
 
 // ResetStats clears traffic counters between launches.
 func (n *Network) ResetStats() {
 	n.FlitCount = 0
-	n.ByteCount = 0
 }

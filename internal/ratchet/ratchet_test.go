@@ -1,6 +1,7 @@
-// Package ratchet holds TestSourceRatchet, which keeps two counts of
+// Package ratchet holds TestSourceRatchet, which keeps three counts of
 // the module's non-test Go at zero: functions and methods that no
-// program references, and ranges over a map that
+// program references, methods of the module's interfaces that no
+// program calls through an interface, and ranges over a map that
 // testdata/mapranges.txt does not list with a reason why map order
 // cannot reach an output. DESIGN.md's "Source ratchet" paragraph gives
 // the rules.
@@ -33,6 +34,7 @@ func TestSourceRatchet(t *testing.T) {
 		got := check(t, dir, nil, allow)
 		want := []string{
 			"impl/impl.go: impl.(*gadget).tune has no caller outside tests",
+			"impl/impl.go: impl.sizer.Reset is never called through an interface",
 			"impl/impl.go: impl.unusedHelper has no caller outside tests",
 			"impl/impl.go: unlisted map range: impl/impl.go | impl.Count | m",
 		}
@@ -103,8 +105,10 @@ type sourcePackage struct {
 
 // check type-checks every non-test package of the module in root and
 // of the modules in readDirs, and returns one line per dead function
-// or method of root's module and per unlisted map range or stale line
-// of allow. The other modules' functions are read, not checked.
+// or method of root's module, per method of an interface root's module
+// declares that no package calls through an interface, and per
+// unlisted map range or stale line of allow. The other modules'
+// functions and calls are read, not checked.
 func check(t *testing.T, root string, readDirs []string, allow []byte) []string {
 	fset := token.NewFileSet()
 	exports := map[string]string{}
@@ -147,9 +151,10 @@ func check(t *testing.T, root string, readDirs []string, allow []byte) []string 
 			continue
 		}
 		sp := &sourcePackage{info: &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}}
 		for _, name := range lp.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
@@ -170,7 +175,16 @@ func check(t *testing.T, root string, readDirs []string, allow []byte) []string 
 	}
 	var reports []string
 	live := liveRoots(src[modulePath], pkgs)
+	// viaIface holds the interface methods some package selects through
+	// an interface-typed operand: an interface value, an embedding
+	// interface or a type parameter constrained by one.
+	viaIface := map[*types.Func]bool{}
 	for _, sp := range pkgs {
+		for _, sel := range sp.info.Selections { // order-free: set
+			if types.IsInterface(sel.Recv()) {
+				viaIface[sel.Obj().(*types.Func).Origin()] = true
+			}
+		}
 		for _, f := range sp.files {
 			for _, d := range f.Decls {
 				var self *types.Func // nil outside a function declaration
@@ -201,6 +215,20 @@ func check(t *testing.T, root string, readDirs []string, allow []byte) []string 
 				t.Fatal(err)
 			}
 			file := filepath.ToSlash(rel)
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Assign.IsValid() {
+					return true
+				}
+				if it, ok := sp.info.Defs[ts.Name].Type().Underlying().(*types.Interface); ok {
+					for i := range it.NumExplicitMethods() {
+						if m := it.ExplicitMethod(i); !viaIface[m] {
+							reports = append(reports, fmt.Sprintf("%s: %s is never called through an interface", file, funcName(m)))
+						}
+					}
+				}
+				return true
+			})
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok {

@@ -5,15 +5,24 @@ type Widget struct{ n int }
 type gadget struct{ n int }
 type named struct{}
 
+type sizer interface {
+	Size() int // called through the interface by Count
+	Reset()    // never called through the interface
+}
+
 func (w *Widget) Spin()    { w.n++ }                 // live: the root package aliases Widget
 func (g *gadget) tune()    { g.n++ }                 // dead method
 func unusedHelper() int    { return unusedHelper() } // dead function
 func (named) Name() string { return "named" }        // live: satisfies Count's assertion
+func (named) Size() int    { return 1 }              // live: satisfies sizer
+func (named) Reset()       {}                        // live: satisfies sizer
 
 func Count(m map[string]int) (n int) {
 	if _, ok := any(named{}).(interface{ Name() string }); ok {
 		n++
 	}
+	var s sizer = named{}
+	n += s.Size()
 	for range m { // not listed
 		n++
 	}

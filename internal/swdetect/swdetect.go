@@ -9,6 +9,8 @@
 package swdetect
 
 import (
+	"slices"
+
 	"haccrg/internal/core"
 	"haccrg/internal/gpu"
 	"haccrg/internal/isa"
@@ -43,7 +45,6 @@ type Detector struct {
 
 	// Stats.
 	InstrStallCycles int64
-	ShadowDemandTx   int64
 }
 
 // New builds the software detector. Options follow core semantics;
@@ -108,19 +109,14 @@ func (d *Detector) WarpMem(ev *gpu.WarpMemEvent) int64 {
 			gran = uint64(opt.SharedGranularity)
 		}
 		const entryBytes = 8
-		seg := uint64(cfg.SegmentBytes)
+		seg, base := uint64(cfg.SegmentBytes), d.env.GlobalMemSize()
 		var buf [32]uint64
 		lines := buf[:0]
-	lanes:
 		for i := range ev.Lanes {
-			la := &ev.Lanes[i]
-			line := (d.env.ShadowBase() + (la.Addr/gran)*entryBytes) &^ (seg - 1)
-			for _, l := range lines {
-				if l == line {
-					continue lanes
-				}
+			line := (base + (ev.Lanes[i].Addr/gran)*entryBytes) &^ (seg - 1)
+			if !slices.Contains(lines, line) {
+				lines = append(lines, line)
 			}
-			lines = append(lines, line)
 		}
 		when := ev.Cycle + stall
 		latest := when
@@ -130,15 +126,11 @@ func (d *Detector) WarpMem(ev *gpu.WarpMemEvent) int64 {
 				// Shadow entries are updated with a CAS that bypasses
 				// the L1 and serializes at the partition.
 				t2 = d.env.InstrAtomicTx(ev.SM, when, line)
-				d.ShadowDemandTx++
 			} else {
 				t := d.env.InstrTx(ev.SM, when, line, false)
 				t2 = d.env.InstrTx(ev.SM, t, line, true)
-				d.ShadowDemandTx += 2
 			}
-			if t2 > latest {
-				latest = t2
-			}
+			latest = max(latest, t2)
 		}
 		stall = latest - ev.Cycle
 	}
@@ -158,13 +150,9 @@ func (d *Detector) Barrier(sm, block int, sharedBase, sharedSize int, cycle int6
 	entries := int64(sharedSize / opt.SharedGranularity)
 	lineBytes := int64(cfg.SegmentBytes)
 	spanLines := (entries*2 + lineBytes - 1) / lineBytes
-	var latest int64 = cycle
+	latest := cycle
 	for i := int64(0); i < spanLines; i++ {
-		t := d.env.InstrTx(sm, cycle, d.env.ShadowBase()+uint64(i)*uint64(lineBytes), true)
-		d.ShadowDemandTx++
-		if t > latest {
-			latest = t
-		}
+		latest = max(latest, d.env.InstrTx(sm, cycle, d.env.GlobalMemSize()+uint64(i)*uint64(lineBytes), true))
 	}
 	stall := latest - cycle
 	d.InstrStallCycles += stall

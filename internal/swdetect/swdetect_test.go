@@ -73,8 +73,12 @@ func TestInstrumentationSlowsExecution(t *testing.T) {
 	if sw.InstrStallCycles == 0 {
 		t.Error("no instrumentation stall recorded")
 	}
-	if sw.ShadowDemandTx == 0 {
-		t.Error("no shadow demand traffic recorded")
+	// The shadow updates go through the demand path and stall the warp
+	// beyond the inline ALU charge alone.
+	alu := mustNew(t, opts(), CostModel{ALUPerAccess: DefaultCostModel.ALUPerAccess})
+	run(alu)
+	if sw.InstrStallCycles <= alu.InstrStallCycles {
+		t.Errorf("shadow demand traffic added no stall: %d cycles, %d without it", sw.InstrStallCycles, alu.InstrStallCycles)
 	}
 }
 

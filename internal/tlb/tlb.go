@@ -18,7 +18,11 @@
 // measured (see the harness's TLB study and the ablation benchmarks).
 package tlb
 
-import "fmt"
+import (
+	"fmt"
+
+	"haccrg/internal/mem"
+)
 
 // Mechanism selects one of the paper's two shadow-translation designs.
 type Mechanism uint8
@@ -75,83 +79,29 @@ func (c Config) Validate() error {
 	if c.PageBits < 6 || c.PageBits > 30 {
 		return fmt.Errorf("tlb: page bits %d out of range", c.PageBits)
 	}
-	for _, g := range []struct {
-		name           string
-		entries, assoc int
-	}{{"regular", c.Entries, c.Assoc}, {"shadow", c.ShadowEntries, c.ShadowAssoc}} {
-		if g.entries <= 0 || g.assoc <= 0 || g.entries%g.assoc != 0 {
-			return fmt.Errorf("tlb: %s TLB geometry %d/%d invalid", g.name, g.entries, g.assoc)
-		}
-		sets := g.entries / g.assoc
-		if sets&(sets-1) != 0 {
-			return fmt.Errorf("tlb: %s TLB sets %d not a power of two", g.name, sets)
+	for _, cc := range c.caches() {
+		if err := cc.Validate(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// caches returns the regular and the shadow TLB as mem.Cache
+// geometries. A TLB is a cache of one-byte lines indexed by page
+// number: its entries are the lines, the low page-number bits pick the
+// set, and the rest (with the appended class bit) are the tag. A
+// lookup is a read access, which fills on a miss.
+func (c Config) caches() [2]mem.CacheConfig {
+	return [2]mem.CacheConfig{
+		{Name: "regular TLB", SizeBytes: c.Entries, Assoc: c.Assoc, LineBytes: 1},
+		{Name: "shadow TLB", SizeBytes: c.ShadowEntries, Assoc: c.ShadowAssoc, LineBytes: 1},
+	}
+}
+
 // shadowClassBit marks shadow-page translations in the appended-bit
 // design; it lands in the tag portion of the lookup value.
 const shadowClassBit = uint64(1) << 62
-
-type entry struct {
-	tag   uint64
-	valid bool
-	lru   uint64
-}
-
-// cache is a small set-associative translation cache.
-type cache struct {
-	sets  [][]entry
-	mask  uint64
-	stamp uint64
-}
-
-func newCache(entries, assoc int) *cache {
-	sets := entries / assoc
-	c := &cache{sets: make([][]entry, sets), mask: uint64(sets - 1)}
-	for i := range c.sets {
-		c.sets[i] = make([]entry, assoc)
-	}
-	return c
-}
-
-// access looks up a tag value (page number, possibly with the shadow
-// bit folded in) and fills on miss. Returns whether it hit.
-func (c *cache) access(tagVal uint64) bool {
-	c.stamp++
-	set := c.sets[tagVal&c.mask]
-	tag := tagVal >> uint(len64(c.mask))
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.stamp
-			return true
-		}
-	}
-	victim := &set[0]
-	for i := range set {
-		if !set[i].valid {
-			victim = &set[i]
-			break
-		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
-		}
-	}
-	victim.valid = true
-	victim.tag = tag
-	victim.lru = c.stamp
-	return false
-}
-
-func len64(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		mask >>= 1
-		n++
-	}
-	return n
-}
 
 // Stats aggregates translation outcomes.
 type Stats struct {
@@ -176,8 +126,8 @@ type Model struct {
 	cfg  Config
 	mech Mechanism
 
-	regular *cache
-	shadow  *cache // nil for AppendedBit
+	regular *mem.Cache
+	shadow  *mem.Cache // nil for AppendedBit
 
 	Stats Stats
 }
@@ -187,9 +137,10 @@ func New(cfg Config, mech Mechanism) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{cfg: cfg, mech: mech, regular: newCache(cfg.Entries, cfg.Assoc)}
+	geom := cfg.caches()
+	m := &Model{cfg: cfg, mech: mech, regular: mem.MustNewCache(geom[0])}
 	if mech == SeparateTLB {
-		m.shadow = newCache(cfg.ShadowEntries, cfg.ShadowAssoc)
+		m.shadow = mem.MustNewCache(geom[1])
 	}
 	return m, nil
 }
@@ -203,7 +154,7 @@ func (m *Model) Translate(addr uint64, shadowAddr uint64, hasShadow bool) {
 	case AppendedBit:
 		// The class bit extends the TAG (set indexing is unchanged, as
 		// in the paper's "appends 1-bit to the tag fields" design).
-		if m.regular.access(page) {
+		if m.regular.Access(page, false, 0).Hit {
 			m.Stats.RegularHits++
 			m.Stats.Cycles += m.cfg.HitLatency
 		} else {
@@ -215,7 +166,7 @@ func (m *Model) Translate(addr uint64, shadowAddr uint64, hasShadow bool) {
 			// entries (and, since both classes are probed with
 			// distinct tags, consuming lookup bandwidth serially).
 			sp := shadowAddr >> uint(m.cfg.PageBits)
-			if m.regular.access(sp | shadowClassBit) {
+			if m.regular.Access(sp|shadowClassBit, false, 0).Hit {
 				m.Stats.ShadowHits++
 				m.Stats.Cycles += m.cfg.HitLatency
 			} else {
@@ -227,7 +178,7 @@ func (m *Model) Translate(addr uint64, shadowAddr uint64, hasShadow bool) {
 		// Both structures probe in parallel: the access pays the worse
 		// of the two outcomes rather than their sum.
 		var lat int64
-		if m.regular.access(page) {
+		if m.regular.Access(page, false, 0).Hit {
 			m.Stats.RegularHits++
 			lat = m.cfg.HitLatency
 		} else {
@@ -237,7 +188,7 @@ func (m *Model) Translate(addr uint64, shadowAddr uint64, hasShadow bool) {
 		if hasShadow {
 			sp := shadowAddr >> uint(m.cfg.PageBits)
 			var slat int64
-			if m.shadow.access(sp) {
+			if m.shadow.Access(sp, false, 0).Hit {
 				m.Stats.ShadowHits++
 				slat = m.cfg.HitLatency
 			} else {

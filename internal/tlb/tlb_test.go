@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -134,5 +135,124 @@ func BenchmarkTranslateSeparate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := uint64(i%4096) << 12
 		m.Translate(a, shadowOf(a), true)
+	}
+}
+
+// refCache is the set-associative translation cache the models used
+// before they were built on mem.Cache, kept as the reference the
+// differential test holds them to.
+type refCache struct {
+	sets  [][]refEntry
+	mask  uint64
+	stamp uint64
+}
+
+type refEntry struct {
+	tag   uint64
+	valid bool
+	lru   uint64
+}
+
+func newRefCache(entries, assoc int) *refCache {
+	sets := entries / assoc
+	c := &refCache{sets: make([][]refEntry, sets), mask: uint64(sets - 1)}
+	for i := range c.sets {
+		c.sets[i] = make([]refEntry, assoc)
+	}
+	return c
+}
+
+// access looks up a tag value and fills on a miss, reporting a hit.
+func (c *refCache) access(tagVal uint64) bool {
+	c.stamp++
+	set := c.sets[tagVal&c.mask]
+	tag := tagVal >> uint(bits.Len64(c.mask))
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			set[i].lru = c.stamp
+			return true
+		}
+	}
+	victim := &set[0]
+	for i := range set {
+		if !set[i].valid {
+			victim = &set[i]
+			break
+		}
+		if set[i].lru < victim.lru {
+			victim = &set[i]
+		}
+	}
+	victim.valid = true
+	victim.tag = tag
+	victim.lru = c.stamp
+	return false
+}
+
+// refTranslate is Model.Translate over reference caches.
+func refTranslate(cfg Config, mech Mechanism, regular, shadow *refCache, st *Stats, addr, shadowAddr uint64, hasShadow bool) {
+	lat := func(hit bool, hits, misses *int64) int64 {
+		if hit {
+			*hits++
+			return cfg.HitLatency
+		}
+		*misses++
+		return cfg.MissLatency
+	}
+	page, sp := addr>>uint(cfg.PageBits), shadowAddr>>uint(cfg.PageBits)
+	l := lat(regular.access(page), &st.RegularHits, &st.RegularMisses)
+	if mech == AppendedBit {
+		st.Cycles += l
+		if hasShadow {
+			st.Cycles += lat(regular.access(sp|shadowClassBit), &st.ShadowHits, &st.ShadowMisses)
+		}
+		return
+	}
+	if hasShadow {
+		l = max(l, lat(shadow.access(sp), &st.ShadowHits, &st.ShadowMisses))
+	}
+	st.Cycles += l
+}
+
+// TestModelsMatchReferenceCache drives both mechanisms and the
+// reference over seeded random page traces, with shadow translations
+// never, always and on a random half of the accesses, and requires
+// equal Stats after every access: the mem.Cache geometry reproduces
+// the reference's set index, tag, LRU stamps and victim choice.
+func TestModelsMatchReferenceCache(t *testing.T) {
+	configs := []Config{
+		DefaultConfig,
+		{PageBits: 12, Entries: 8, Assoc: 1, ShadowEntries: 4, ShadowAssoc: 4, HitLatency: 1, MissLatency: 50},
+		{PageBits: 16, Entries: 32, Assoc: 8, ShadowEntries: 8, ShadowAssoc: 2, HitLatency: 3, MissLatency: 300},
+	}
+	for ci, cfg := range configs {
+		for _, mech := range []Mechanism{AppendedBit, SeparateTLB} {
+			for seed := int64(1); seed <= 4; seed++ {
+				for mode, shadowed := range []func(*rand.Rand) bool{
+					func(*rand.Rand) bool { return false },
+					func(*rand.Rand) bool { return true },
+					func(r *rand.Rand) bool { return r.Intn(2) == 0 },
+				} {
+					m := mustNew(t, cfg, mech)
+					regular := newRefCache(cfg.Entries, cfg.Assoc)
+					shadow := newRefCache(cfg.ShadowEntries, cfg.ShadowAssoc)
+					var want Stats
+					rng := rand.New(rand.NewSource(seed))
+					// Pages drawn from four times the regular TLB's
+					// reach, so lookups hit, miss and evict.
+					span := 4 * cfg.Entries << uint(cfg.PageBits)
+					for i := 0; i < 2000; i++ {
+						addr := uint64(rng.Intn(span))
+						sh, has := shadowOf(addr), shadowed(rng)
+						m.Translate(addr, sh, has)
+						refTranslate(cfg, mech, regular, shadow, &want, addr, sh, has)
+						if m.Stats != want {
+							t.Fatalf("config %d %v seed %d mode %d access %d: stats %+v, reference %+v",
+								ci, mech, seed, mode, i, m.Stats, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

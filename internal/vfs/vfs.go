@@ -34,8 +34,6 @@ type File interface {
 	Sync() error
 	// Truncate cuts the file to size (the journal salvage path).
 	Truncate(size int64) error
-	// Name returns the path the file was opened under.
-	Name() string
 }
 
 // FS is the filesystem operation set the durability spine uses.
