@@ -12,7 +12,6 @@ import (
 
 	"haccrg/internal/gpu"
 	"haccrg/internal/harness"
-	"haccrg/internal/tlb"
 )
 
 // An experiment is one table, figure or study bench can print; the
@@ -100,7 +99,7 @@ func benchMain(args []string) (code int) {
 			return harness.HardwareCost(), nil
 		}},
 		{*exp == "tlb", "Section IV-B: virtual-memory shadow translation (extension)", func(harness.Sweep) (string, error) {
-			_, txt, err := harness.TLBStudy(1, tlb.DefaultConfig)
+			_, txt, err := harness.TLBStudy(1)
 			return txt, err
 		}},
 		{*exp == "regroup", "Section III-A: warp re-grouping ablation (extension)", func(harness.Sweep) (string, error) {

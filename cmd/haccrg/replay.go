@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"haccrg/internal/harness"
@@ -50,14 +49,10 @@ func replayMain(args []string) int {
 		return exitOK
 	}
 
-	// Read the meta record so the detector can be rebuilt, then replay
-	// the journal from its start.
+	// Replay through the detector the meta record describes.
 	det, _, err := harness.DetectorForJournal(f, harness.DetectorKind(*detect))
 	if err != nil {
 		return specFailed(err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fail(exitError, "", err)
 	}
 
 	res, err := journal.Replay(f, det)

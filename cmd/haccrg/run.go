@@ -89,7 +89,7 @@ func runMain(args []string) int {
 	if err != nil {
 		return specFailed(err)
 	}
-	if det := runs[0].Detector; *jsonOut && (det == harness.DetOff || det == harness.DetGRace) {
+	if *jsonOut && !runs[0].Detector.Reports() {
 		return fail(exitUsage, "", errors.New("-json needs a detector with a race report (off and grace-addr have none)"))
 	}
 

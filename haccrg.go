@@ -28,7 +28,6 @@ import (
 	"haccrg/internal/isa"
 	"haccrg/internal/kernels"
 	"haccrg/internal/staticrace"
-	"haccrg/internal/tlb"
 )
 
 // Re-exported core types. Aliases keep the internal packages as the
@@ -365,9 +364,7 @@ var Experiments = struct {
 	BloomStress:  harness.BloomStress,
 	IDUsage:      sweep.IDUsage,
 	HardwareCost: harness.HardwareCost,
-	TLBStudy: func(scale int) ([]harness.TLBResult, string, error) {
-		return harness.TLBStudy(scale, tlb.DefaultConfig)
-	},
+	TLBStudy:     harness.TLBStudy,
 	WarpRegroupStudy: func() (string, error) {
 		_, _, txt, err := harness.WarpRegroupStudy()
 		return txt, err

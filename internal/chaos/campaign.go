@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -311,7 +312,7 @@ func runScenarioOnce(ctx context.Context, sd *scenarioDef, seed int64, fsSched *
 		return nil, fired, nil
 	}
 	var ie *InvariantError
-	if asInvariant(rerr, &ie) {
+	if errors.As(rerr, &ie) {
 		return &Violation{
 			Scenario:  sd.name,
 			SubSeed:   seed,
@@ -323,21 +324,6 @@ func runScenarioOnce(ctx context.Context, sd *scenarioDef, seed int64, fsSched *
 		}, fired, nil
 	}
 	return nil, fired, rerr
-}
-
-func asInvariant(err error, out **InvariantError) bool {
-	for err != nil {
-		if ie, ok := err.(*InvariantError); ok {
-			*out = ie
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // minimize greedily drops fault clauses one at a time, keeping each

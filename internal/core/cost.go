@@ -77,9 +77,10 @@ func ComputeHardwareCost(cfg *gpu.Config, opt Options) HardwareCost {
 // GlobalShadowBytes returns the device-memory footprint of the global
 // shadow entries for a kernel touching appBytes of global data at the
 // configured granularity (Table IV). Entries are stored packed at the
-// full fence+atomic format's byte-rounded size.
+// full fence+atomic format's byte-rounded size, not in the power-of-two
+// slots (GlobalSlotBytes) by which the simulator addresses them.
 func GlobalShadowBytes(appBytes int, opt Options) int64 {
-	entryBytes := int64((globalEntryBits + 7) / 8) // 52 bits -> 7 bytes packed
+	packed := int64((globalEntryBits + 7) / 8) // 52 bits -> 7 bytes
 	granules := (appBytes + opt.GlobalGranularity - 1) / opt.GlobalGranularity
-	return int64(granules) * entryBytes
+	return int64(granules) * packed
 }

@@ -293,20 +293,16 @@ func (d *Detector) Barrier(sm, blockID int, sharedBase, sharedSize int, cycle in
 	if d.opt.SharedShadowInGlobal {
 		// Invalidation becomes a sweep of global-memory shadow lines
 		// written through this SM's L1.
-		entryBytes := int64(2) // 12-bit entries rounded up
 		lineBytes := int64(d.env.Config().SegmentBytes)
-		base := d.sharedShadowBase(sm) + uint64(int64(lo)*entryBytes)
-		span := entries * entryBytes
-		var done int64 = cycle
+		base := d.sharedSlotAddr(sm, uint64(lo))
+		span := entries * SharedSlotBytes
+		done := cycle
 		for off := int64(0); off < span; off += lineBytes {
 			start := cycle
 			if d.inj != nil {
 				start = d.spiked(fault.UnitShared, sm, start)
 			}
-			t := d.env.InstrTx(sm, start, base+uint64(off), true)
-			if t > done {
-				done = t
-			}
+			done = max(done, d.env.InstrTx(sm, start, base+uint64(off), true))
 			d.stats.ShadowWrites++
 		}
 		return done - cycle
@@ -314,12 +310,13 @@ func (d *Detector) Barrier(sm, blockID int, sharedBase, sharedSize int, cycle in
 	return stall
 }
 
-// sharedShadowBase returns where SM sm's software shared-shadow region
-// lives in device memory (above the global shadow region).
-func (d *Detector) sharedShadowBase(sm int) uint64 {
-	globalSpan := d.env.GlobalMemSize() / uint64(d.opt.GlobalGranularity) * 8
-	tile := uint64(d.env.Config().Shared.SizeBytes / d.opt.SharedGranularity * 2)
-	return d.env.GlobalMemSize() + globalSpan + uint64(sm)*tile
+// sharedSlotAddr returns the address of shared granule g's slot in SM
+// sm's Figure 8 shadow tile. The tiles follow the global shadow's last
+// slot, one per SM, each covering the SM's full shared memory.
+func (d *Detector) sharedSlotAddr(sm int, g uint64) uint64 {
+	mem := d.env.GlobalMemSize()
+	tile := uint64(d.env.Config().Shared.SizeBytes/d.opt.SharedGranularity) * SharedSlotBytes
+	return GlobalSlotAddr(mem, mem/uint64(d.opt.GlobalGranularity)) + uint64(sm)*tile + g*SharedSlotBytes
 }
 
 // WarpMem implements gpu.Detector: dispatch one warp memory

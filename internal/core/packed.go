@@ -42,6 +42,21 @@ const (
 	globalEntryBits = archSigShift + archSigBits // 52
 )
 
+// The shadow-memory map, which every model moving shadow lines through
+// device memory addresses by: global granule g's slot is at
+// GlobalSlotAddr(GlobalMemSize(), g), and Figure 8's per-SM shared
+// tiles follow the last one (Detector.sharedSlotAddr). A slot pads its
+// entry to a power of two, 8 bytes for 52 bits and 2 for 12; Table
+// IV's GlobalShadowBytes counts 7-byte packed entries instead.
+const (
+	GlobalSlotBytes = 8
+	SharedSlotBytes = 2
+)
+
+// GlobalSlotAddr returns global granule g's slot address on a device
+// with memSize bytes of global memory, where the global shadow starts.
+func GlobalSlotAddr(memSize, g uint64) uint64 { return memSize + g*GlobalSlotBytes }
+
 // sharedWord is one shared-memory shadow entry: the paper's 12-bit
 // format bit-packed into a uint16 — bit 0 = modified, bit 1 = shared,
 // bits 2.. = tid. M=S=1 encodes "no prior access" (fresh): no granule

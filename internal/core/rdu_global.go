@@ -172,7 +172,6 @@ func (d *Detector) modelGlobalTraffic(ev *gpu.WarpMemEvent, gran uint64) {
 		arrivals = insertArrival(arrivals, la.Addr&^(seg-1), la.Arrival)
 	}
 	d.scratch.arrivals = arrivals
-	const entryBytes = 8 // 52-bit entries padded to a power of two
 	// Partition port/L2 state makes transaction order matter, so the
 	// lines are visited in sorted address order — arbitrary iteration
 	// order would perturb cycle counts from run to run.
@@ -182,10 +181,9 @@ func (d *Detector) modelGlobalTraffic(ev *gpu.WarpMemEvent, gran uint64) {
 		if d.inj != nil {
 			arrival = d.spiked(fault.UnitGlobal, part, arrival)
 		}
-		// Entries for one demand line span this many shadow lines.
-		granules := seg / gran
-		span := granules * entryBytes
-		shadowAddr := d.env.GlobalMemSize() + (line/gran)*entryBytes
+		// The slots of one demand line's granules span this many bytes.
+		span := seg / gran * GlobalSlotBytes
+		shadowAddr := GlobalSlotAddr(d.env.GlobalMemSize(), line/gran)
 		for off := uint64(0); off < span; off += seg {
 			d.env.ShadowTx(part, arrival, shadowAddr+off, false)
 			d.stats.ShadowReads++

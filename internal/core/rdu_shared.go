@@ -48,7 +48,7 @@ func (d *Detector) sharedRDU(ev *gpu.WarpMemEvent) int64 {
 			d.stats.FilteredChecks++
 			g := la.Addr / gran
 			if g < uint64(len(shadow)) {
-				entryAddr := d.sharedShadowBase(ev.SM) + g*2
+				entryAddr := d.sharedSlotAddr(ev.SM, g)
 				shadowLines = insertLine(shadowLines, entryAddr&^uint64(d.env.Config().SegmentBytes-1))
 			}
 			continue
@@ -62,7 +62,7 @@ func (d *Detector) sharedRDU(ev *gpu.WarpMemEvent) int64 {
 			continue // engine bounds-checks; stay safe
 		}
 		if inGlobal {
-			entryAddr := d.sharedShadowBase(ev.SM) + g*2
+			entryAddr := d.sharedSlotAddr(ev.SM, g)
 			shadowLines = insertLine(shadowLines, entryAddr&^uint64(d.env.Config().SegmentBytes-1))
 		}
 		if ev.Atomic {

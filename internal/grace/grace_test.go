@@ -9,9 +9,9 @@ import (
 )
 
 // mustNew is New failing the test on error.
-func mustNew(t testing.TB, opt core.Options, cost CostModel) *Detector {
+func mustNew(t testing.TB, opt core.Options) *Detector {
 	t.Helper()
-	d, err := New(opt, cost)
+	d, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func opts() core.Options {
 }
 
 func TestDetectsSharedRaces(t *testing.T) {
-	g := mustNew(t, opts(), DefaultCostModel)
+	g := mustNew(t, opts())
 	dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, g)
 	if _, err := dev.Launch(sharedRaceKernel()); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestGRaceIgnoresGlobalMemory(t *testing.T) {
 	b.Exit()
 	k := &gpu.Kernel{Name: "g", Prog: b.MustBuild(), GridDim: 2, BlockDim: 32}
 
-	g := mustNew(t, opts(), DefaultCostModel)
+	g := mustNew(t, opts())
 	dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, g)
 	out := dev.MustMalloc(256)
 	k.Params = []uint64{out}
@@ -89,13 +89,13 @@ func TestLoggingAndScanCosts(t *testing.T) {
 		return st.Cycles
 	}
 	base := run(nil)
-	g := mustNew(t, opts(), DefaultCostModel)
+	g := mustNew(t, opts())
 	graceCycles := run(g)
 	if graceCycles <= base {
 		t.Fatalf("GRace instrumentation free: %d vs %d", graceCycles, base)
 	}
-	if rec := int64(DefaultCostModel.RecordBytes); g.LogBytes <= 0 || g.LogBytes%rec != 0 {
-		t.Errorf("log accounting wrong: %d bytes, not a positive multiple of the %d-byte record", g.LogBytes, rec)
+	if g.LogBytes <= 0 || g.LogBytes%recordBytes != 0 {
+		t.Errorf("log accounting wrong: %d bytes, not a positive multiple of the %d-byte record", g.LogBytes, recordBytes)
 	}
 	if g.InstrStallCycles == 0 {
 		t.Error("no bookkeeping stall modelled")
@@ -113,7 +113,7 @@ func TestBarrierScanChargesPerRecord(t *testing.T) {
 	b.Exit()
 	k := &gpu.Kernel{Name: "bar", Prog: b.MustBuild(), GridDim: 1, BlockDim: 64, SharedBytes: 256}
 
-	g := mustNew(t, opts(), DefaultCostModel)
+	g := mustNew(t, opts())
 	dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, g)
 	st, err := dev.Launch(k)
 	if err != nil {

@@ -66,6 +66,31 @@ func TestFaultPlansNeverDivergeSilently(t *testing.T) {
 	}
 }
 
+// TestFaultPlanUnderEveryKind extends the invariant to every detector
+// kind: a plan that drops checks on hist is either refused by Validate,
+// naming the kind, or reported by the run's Degraded health. A kind
+// whose runs return no health report must not take a plan at all.
+func TestFaultPlanUnderEveryKind(t *testing.T) {
+	for _, kind := range detectorKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			rc := RunConfig{Bench: "hist", Detector: kind, GPU: testGPU(), FaultPlan: "queue:cap=1,drain=1"}
+			if err := rc.Validate(); err != nil {
+				if !strings.Contains(err.Error(), string(kind)) {
+					t.Errorf("refusal does not name the kind: %v", err)
+				}
+				return
+			}
+			res, err := ExecContext(context.Background(), rc, ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Health == nil || !res.Health.Degraded {
+				t.Errorf("checks dropped with no degraded health report: %v", res.Health)
+			}
+		})
+	}
+}
+
 // TestFaultDeterminism: same plan + same seed must reproduce the run
 // byte for byte — health counters and the race report alike.
 func TestFaultDeterminism(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"haccrg/internal/gpu"
 	"haccrg/internal/kernels"
-	"haccrg/internal/tlb"
 )
 
 // testGPU returns a small device so harness tests stay fast.
@@ -173,7 +172,7 @@ func TestSyncIDGatingStudy(t *testing.T) {
 }
 
 func TestTLBStudy(t *testing.T) {
-	results, txt, err := TLBStudy(1, tlb.DefaultConfig)
+	results, txt, err := TLBStudy(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,45 +118,46 @@ type RunResult struct {
 
 // detectorFor builds the detector rc runs under, from rc's kind and
 // granularities with rc's fault plan and degradation policy merged in.
-// The other returns are the core engine for race extraction (nil for
-// off and grace-addr) and the software detectors for their stall
-// counters.
-func detectorFor(rc RunConfig) (gpu.Detector, *core.Detector, *swdetect.Detector, *grace.Detector, error) {
+// Every kind but off runs on one core engine; the second return is the
+// engine whose findings and report the run returns (the detector
+// itself, or the engine sw-haccrg embeds), nil for off and for
+// grace-addr, which keeps only its races.
+func detectorFor(rc RunConfig) (gpu.Detector, *core.Detector, error) {
 	if err := rc.Detector.valid(); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	opt, err := rc.runOptions(rc.DetectorOptions())
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	switch {
 	case rc.Detector.off():
-		return gpu.NopDetector{}, nil, nil, nil, nil
+		return gpu.NopDetector{}, nil, nil
 	case rc.Detector == DetSoftware:
-		d, err := swdetect.New(opt, swdetect.DefaultCostModel)
+		d, err := swdetect.New(opt)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, err
 		}
-		return d, d.Inner(), d, nil, nil
+		return d, d.Detector, nil
 	case rc.Detector == DetGRace:
-		d, err := grace.New(opt, grace.DefaultCostModel)
+		d, err := grace.New(opt)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, err
 		}
-		return d, nil, nil, d, nil
+		return d, nil, nil
 	}
 	d, err := core.New(opt)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
-	return d, d, nil, nil, nil
+	return d, d, nil
 }
 
 // DetectorFor builds the detector a configuration would run under —
 // how the replay tool reconstructs a recorded run's detector (or a
 // deliberately different one) without a device attached.
 func DetectorFor(rc RunConfig) (gpu.Detector, error) {
-	det, _, _, _, err := detectorFor(rc)
+	det, _, err := detectorFor(rc)
 	return det, err
 }
 
@@ -221,10 +222,12 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 		return nil, err
 	}
 	rc.Scale = max(rc.Scale, 1)
-	det, coreDet, swDet, grDet, err := detectorFor(rc)
+	det, eng, err := detectorFor(rc)
 	if err != nil {
 		return nil, err
 	}
+	sw, _ := det.(*swdetect.Detector) // before the chain below wraps det
+	gr, _ := det.(*grace.Detector)
 	sink := xo.Record
 	var traced bytes.Buffer
 	if xo.Trace {
@@ -248,11 +251,11 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 		det = xo.wrap(det)
 	}
 	cfg := rc.device()
-	if coreDet != nil {
+	if eng != nil {
 		// Request packets carry sync, fence and atomic IDs whenever
 		// hardware global-memory RDUs check them; the software builds
 		// model no RDU traffic.
-		o := coreDet.Options()
+		o := eng.Options()
 		cfg.NoC.RDUMetaEnabled = o.ModelTraffic && (o.Global || o.SharedShadowInGlobal)
 	}
 	dev, plan, err := rc.build(cfg, det)
@@ -261,16 +264,16 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 	}
 	var seeds seedSet
 	if rc.StaticFilter || rc.WitnessSeed {
-		f, err := staticrace.NewFilter(rc.AnalyzerConfig(coreDet.Options()), plan.Kernels...)
+		f, err := staticrace.NewFilter(rc.AnalyzerConfig(eng.Options()), plan.Kernels...)
 		if err != nil {
 			return nil, fmt.Errorf("harness: static analysis of %s: %w", rc.Bench, err)
 		}
 		if rc.StaticFilter {
-			coreDet.SetStaticFilter(f)
+			eng.SetStaticFilter(f)
 		}
 		if rc.WitnessSeed {
 			seeds = witnessSeeds(f, plan.Kernels)
-			coreDet.SetWitnessSeeds(seeds)
+			eng.SetWitnessSeeds(seeds)
 		}
 	}
 	if jrec != nil {
@@ -300,21 +303,21 @@ func ExecContext(ctx context.Context, rc RunConfig, xo ExecOptions) (res *RunRes
 			return nil, err
 		}
 	}
-	if coreDet != nil {
-		res.Races = coreDet.SortedRaces()
-		res.SharedSites = coreDet.SiteCount(isa.SpaceShared)
-		res.GlobalSites = coreDet.SiteCount(isa.SpaceGlobal)
-		res.Groups = coreDet.RaceGroups()
-		res.DetectorStats = coreDet.Stats()
-		res.Report = coreDet.Report()
+	if eng != nil {
+		res.Races = eng.SortedRaces()
+		res.SharedSites = eng.SiteCount(isa.SpaceShared)
+		res.GlobalSites = eng.SiteCount(isa.SpaceGlobal)
+		res.Groups = eng.RaceGroups()
+		res.DetectorStats = eng.Stats()
+		res.Report = eng.Report()
 	}
-	if swDet != nil {
-		res.InstrStall = swDet.InstrStallCycles
+	if sw != nil {
+		res.InstrStall = sw.InstrStallCycles
 	}
-	if grDet != nil {
-		res.InstrStall = grDet.InstrStallCycles
-		res.LogBytes = grDet.LogBytes
-		res.Races = grDet.Races()
+	if gr != nil {
+		res.InstrStall = gr.InstrStallCycles
+		res.LogBytes = gr.LogBytes
+		res.Races = gr.Races()
 	}
 	// A journal write failure never aborts the simulation (the detector
 	// interface has no error path), but it must not pass silently: the
@@ -365,16 +368,19 @@ func witnessSeeds(f *staticrace.Filter, ks []*gpu.Kernel) seedSet {
 }
 
 // DetectorForJournal rebuilds, from a journal's meta record, the
-// detector its run was recorded under — the one function the replay
-// CLI and the daemon's replay jobs share. A non-empty override replaces
-// the recorded detector kind. Replaying under the recorded kind
-// installs the recorded witness seed set, so a seeded run replays to
-// its live verdict. With no surviving meta record the run replays
-// under shared+global (or the override). The returned RunConfig is the
-// configuration the detector was built from.
-func DetectorForJournal(src io.Reader, override DetectorKind) (gpu.Detector, RunConfig, error) {
+// detector its run was recorded under and rewinds src for
+// journal.Replay: the one function the replay CLI and the daemon's
+// replay jobs share. A non-empty override replaces the recorded kind.
+// Replaying under the recorded kind installs the recorded witness seed
+// set, so a seeded run replays to its live verdict. With no surviving
+// meta record the run replays under shared+global (or the override).
+// The returned RunConfig is what the detector was built from.
+func DetectorForJournal(src io.ReadSeeker, override DetectorKind) (gpu.Detector, RunConfig, error) {
 	meta, err := journal.ReadMeta(src)
 	if err != nil {
+		return nil, RunConfig{}, err
+	}
+	if _, err := src.Seek(0, io.SeekStart); err != nil {
 		return nil, RunConfig{}, err
 	}
 	rc := RunConfig{Detector: DetSharedGlobal}
@@ -393,12 +399,12 @@ func DetectorForJournal(src io.Reader, override DetectorKind) (gpu.Detector, Run
 	if override != "" {
 		rc.Detector = override
 	}
-	det, coreDet, _, _, err := detectorFor(rc)
+	det, eng, err := detectorFor(rc)
 	if err != nil {
 		return nil, rc, err
 	}
-	if meta != nil && len(meta.Seeds) > 0 && rc.Detector == recorded && coreDet != nil {
-		coreDet.SetWitnessSeeds(seedSet(meta.Seeds))
+	if meta != nil && len(meta.Seeds) > 0 && rc.Detector == recorded && eng != nil {
+		eng.SetWitnessSeeds(seedSet(meta.Seeds))
 		rc.WitnessSeed = true
 	}
 	return det, rc, nil

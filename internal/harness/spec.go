@@ -39,6 +39,11 @@ func (k DetectorKind) valid() error {
 
 func (k DetectorKind) off() bool { return k == DetOff || k == "" }
 
+// Reports reports whether a run under k returns a detector report: a
+// race summary and a health report. Off runs no detector, and
+// grace-addr returns only its races.
+func (k DetectorKind) Reports() bool { return !k.off() && k != DetGRace }
+
 // hardware reports whether k runs the core engine as the device's
 // detector: the kinds the static filter and witness seeding are
 // defined against.
@@ -141,7 +146,7 @@ func (rc RunConfig) runOptions(opt core.Options) (core.Options, error) {
 
 // Validate reports whether rc describes a run ExecContext can execute:
 // a known benchmark and detector kind, power-of-two granularities, a
-// fault plan that parses and has a detector to fault, a known
+// fault plan that parses and a kind that Reports its health, a known
 // degradation policy, no negative scale, cycle budget or timeout, the
 // static filter and witness seeding only under a hardware kind, and
 // injection IDs that name sites of the benchmark.
@@ -173,8 +178,8 @@ func (rc RunConfig) Validate() error {
 		return fmt.Errorf("cycle budget %d is negative", rc.MaxCycles)
 	case rc.Timeout < 0:
 		return fmt.Errorf("timeout %v is negative", rc.Timeout)
-	case rc.FaultPlan != "" && rc.Detector.off():
-		return errors.New("a fault plan needs a detector (there is no RDU pipeline to fault)")
+	case rc.FaultPlan != "" && !rc.Detector.Reports():
+		return fmt.Errorf("a fault plan needs a detector with a health report, got %q", rc.Detector)
 	case rc.StaticFilter && !rc.Detector.hardware():
 		return fmt.Errorf("the static filter needs a hardware HAccRG detector, got %q", rc.Detector)
 	case rc.WitnessSeed && !rc.Detector.hardware():

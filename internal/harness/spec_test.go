@@ -30,6 +30,7 @@ func TestValidate(t *testing.T) {
 		{func(rc *RunConfig) { rc.SharedGranularity = 3 }, false},
 		{func(rc *RunConfig) { rc.GlobalGranularity = -4 }, false},
 		{func(rc *RunConfig) { rc.Detector, rc.FaultPlan = DetOff, "queue:cap=16,drain=1" }, false},
+		{func(rc *RunConfig) { rc.Detector, rc.FaultPlan = DetGRace, "queue:cap=16,drain=1" }, false},
 		{func(rc *RunConfig) { rc.Detector, rc.StaticFilter = DetSoftware, true }, false},
 		{func(rc *RunConfig) { rc.Detector, rc.WitnessSeed = DetOff, true }, false},
 		{func(rc *RunConfig) { rc.Scale = -1 }, false},

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"haccrg/internal/core"
 	"haccrg/internal/gpu"
 	"haccrg/internal/isa"
 	"haccrg/internal/kernels"
@@ -12,15 +13,12 @@ import (
 // traceDetector records the global-memory address stream of a run; it
 // feeds the Section IV-B virtual-memory study.
 type traceDetector struct {
+	gpu.NopDetector
 	addrs []uint64
 	limit int
 }
 
-func (t *traceDetector) Name() string                            { return "trace" }
-func (t *traceDetector) KernelStart(gpu.Env, string)             {}
-func (t *traceDetector) KernelEnd()                              {}
-func (t *traceDetector) BlockStart(int, int, int)                {}
-func (t *traceDetector) Barrier(int, int, int, int, int64) int64 { return 0 }
+func (t *traceDetector) Name() string { return "trace" }
 
 func (t *traceDetector) WarpMem(ev *gpu.WarpMemEvent) int64 {
 	if ev.Space != isa.SpaceGlobal || len(t.addrs) >= t.limit {
@@ -45,9 +43,11 @@ type TLBResult struct {
 }
 
 // TLBStudy captures each benchmark's global-memory address trace and
-// evaluates Section IV-B's two TLB designs over it: the appended-tag-
-// bit shared TLB versus the dedicated shadow TLB.
-func TLBStudy(scale int, cfg tlb.Config) ([]TLBResult, string, error) {
+// evaluates Section IV-B's two TLB designs (tlb.DefaultConfig) over it
+// and its global shadow slots at the default granularity: the
+// appended-tag-bit shared TLB versus the dedicated shadow TLB.
+func TLBStudy(scale int) ([]TLBResult, string, error) {
+	gran := uint64(core.DefaultOptions().GlobalGranularity)
 	var out []TLBResult
 	var txt [][]string
 	for _, bm := range kernels.All() {
@@ -59,9 +59,9 @@ func TLBStudy(scale int, cfg tlb.Config) ([]TLBResult, string, error) {
 		if _, err := plan.Run(dev); err != nil {
 			return nil, "", err
 		}
-		shadowBase := dev.GlobalMemSize()
-		shadowOf := func(addr uint64) uint64 { return shadowBase + (addr/4)*8 }
-		app, sep, err := tlb.Compare(cfg, tr.addrs, shadowOf, true)
+		mem := dev.GlobalMemSize()
+		shadowOf := func(addr uint64) uint64 { return core.GlobalSlotAddr(mem, addr/gran) }
+		app, sep, err := tlb.Compare(tlb.DefaultConfig, tr.addrs, shadowOf, true)
 		if err != nil {
 			return nil, "", err
 		}

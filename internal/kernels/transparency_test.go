@@ -58,14 +58,14 @@ func detectors(t *testing.T) map[string]func() gpu.Detector {
 		"haccrg": func() gpu.Detector { return core.MustNew(opt) },
 		"fig8":   func() gpu.Detector { return core.MustNew(fig8) },
 		"swimpl": func() gpu.Detector {
-			d, err := swdetect.New(opt, swdetect.DefaultCostModel)
+			d, err := swdetect.New(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return d
 		},
 		"graceim": func() gpu.Detector {
-			d, err := grace.New(opt, grace.DefaultCostModel)
+			d, err := grace.New(opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -271,7 +271,7 @@ func check(t *testing.T, root string, readDirs []string, allow []byte) []string 
 // init, that are live without a reference: the facade's exported
 // functions, the exported methods of every type the facade exports or
 // aliases, and every method that satisfies a method of an interface
-// type in the program or the packages it imports.
+// type in the program, the packages it imports, or errorsInterfaces.
 func liveRoots(facade *sourcePackage, pkgs []*sourcePackage) map[*types.Func]bool {
 	live := map[*types.Func]bool{}
 	markMethods := func(t types.Type) {
@@ -326,6 +326,7 @@ func liveRoots(facade *sourcePackage, pkgs []*sourcePackage) map[*types.Func]boo
 			visit(imp)
 		}
 	}
+	visit(errorsInterfaces())
 	for _, sp := range pkgs {
 		visit(sp.types)
 		for _, tv := range sp.info.Types {
@@ -368,6 +369,32 @@ func liveRoots(facade *sourcePackage, pkgs []*sourcePackage) map[*types.Func]boo
 		}
 	}
 	return live
+}
+
+// errorsInterfaces type-checks the interfaces errors.Is and errors.As
+// call an error's methods through. The errors package declares them
+// inside its functions, out of every package scope, so the ratchet
+// cannot find them there: Unwrap in both forms, Is and As.
+func errorsInterfaces() *types.Package {
+	const src = `package errors
+
+type (
+	wrapper      interface{ Unwrap() error }
+	multiWrapper interface{ Unwrap() []error }
+	iser         interface{ Is(error) bool }
+	aser         interface{ As(any) bool }
+)
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "errors.go", src, 0)
+	if err != nil {
+		panic(err)
+	}
+	p, err := new(types.Config).Check("errors", fset, []*ast.File{f}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // funcName names fn as pkg.Func, pkg.T.Method or pkg.(*T).Method.

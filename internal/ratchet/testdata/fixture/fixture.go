@@ -6,4 +6,4 @@ import "fixture/impl"
 
 type Widget = impl.Widget
 
-var Total = impl.Count(nil) + impl.Min(nil)
+var Total = impl.Count(nil) + impl.Min(nil) + int(impl.Code(nil))

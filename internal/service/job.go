@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"time"
@@ -241,9 +240,6 @@ func execReplay(ctx context.Context, sp *JobSpec, journalPath string) (*ReplaySu
 	defer f.Close()
 	det, rc, err := harness.DetectorForJournal(f, sp.Detector)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
 	res, err := journal.Replay(f, det)

@@ -9,9 +9,9 @@ import (
 )
 
 // mustNew is New failing the test on error.
-func mustNew(t testing.TB, opt core.Options, cost CostModel) *Detector {
+func mustNew(t testing.TB, opt core.Options) *Detector {
 	t.Helper()
-	d, err := New(opt, cost)
+	d, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func opts() core.Options {
 }
 
 func TestDetectsSameRacesAsHardware(t *testing.T) {
-	sw := mustNew(t, opts(), DefaultCostModel)
+	sw := mustNew(t, opts())
 	dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, sw)
 	out := dev.MustMalloc(256)
 	if _, err := dev.Launch(racyKernel(out)); err != nil {
@@ -65,7 +65,7 @@ func TestInstrumentationSlowsExecution(t *testing.T) {
 	}
 	base := run(nil)
 	hw := run(core.MustNew(opts()))
-	sw := mustNew(t, opts(), DefaultCostModel)
+	sw := mustNew(t, opts())
 	swc := run(sw)
 	if swc <= hw || swc <= base {
 		t.Fatalf("software instrumentation should be the slowest: base %d, hw %d, sw %d", base, hw, swc)
@@ -74,29 +74,10 @@ func TestInstrumentationSlowsExecution(t *testing.T) {
 		t.Error("no instrumentation stall recorded")
 	}
 	// The shadow updates go through the demand path and stall the warp
-	// beyond the inline ALU charge alone.
-	alu := mustNew(t, opts(), CostModel{ALUPerAccess: DefaultCostModel.ALUPerAccess})
-	run(alu)
-	if sw.InstrStallCycles <= alu.InstrStallCycles {
-		t.Errorf("shadow demand traffic added no stall: %d cycles, %d without it", sw.InstrStallCycles, alu.InstrStallCycles)
-	}
-}
-
-func TestCostModelKnobs(t *testing.T) {
-	run := func(cm CostModel) int64 {
-		det := mustNew(t, opts(), cm)
-		dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, det)
-		out := dev.MustMalloc(256)
-		st, err := dev.Launch(racyKernel(out))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Cycles
-	}
-	light := run(CostModel{ALUPerAccess: 2})
-	heavy := run(CostModel{ALUPerAccess: 200, ShadowUpdate: true, AtomicShadow: true})
-	if heavy <= light {
-		t.Fatalf("heavier cost model not slower: %d vs %d", heavy, light)
+	// beyond the inline ALU charge alone: two warps, one store each.
+	cfg := gpu.TestConfig()
+	if alu := 2 * aluPerAccess * cfg.IssueInterval(); sw.InstrStallCycles <= alu {
+		t.Errorf("shadow demand traffic added no stall: %d cycles, the ALU charge alone is %d", sw.InstrStallCycles, alu)
 	}
 }
 
@@ -104,7 +85,7 @@ func TestSpaceFiltering(t *testing.T) {
 	o := opts()
 	o.Global = false
 	o.DetectStaleL1 = false
-	sw := mustNew(t, o, DefaultCostModel)
+	sw := mustNew(t, o)
 	dev := gpu.MustNewDevice(gpu.TestConfig(), 1<<16, sw)
 	out := dev.MustMalloc(256)
 	if _, err := dev.Launch(racyKernel(out)); err != nil {
@@ -120,7 +101,7 @@ func TestSpaceFiltering(t *testing.T) {
 }
 
 func TestInvalidOptionsRejected(t *testing.T) {
-	if _, err := New(core.Options{}, DefaultCostModel); err == nil {
+	if _, err := New(core.Options{}); err == nil {
 		t.Fatal("empty options accepted")
 	}
 }
