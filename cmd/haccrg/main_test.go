@@ -274,3 +274,27 @@ func TestTraceUnderDetectOff(t *testing.T) {
 		t.Errorf("no timeline printed:\n%s", stdout)
 	}
 }
+
+// TestReplayFaultPlanNeedsHealth: a journal recorded under a fault plan
+// is refused under off and grace-addr, with exit 1 and the message the
+// live run is refused with, naming the kind; under sw-haccrg and under
+// the recorded kind it replays to the recorded verdict.
+func TestReplayFaultPlanNeedsHealth(t *testing.T) {
+	jnl := filepath.Join(t.TempDir(), "hf.jnl")
+	if code, _, stderr := runHelper(t, "-bench", "hist", "-small-gpu", "-fault-plan", "queue:cap=1,drain=1", "-record", jnl); code != exitFound {
+		t.Fatalf("recording run: exit %d, want %d (%s)", code, exitFound, stderr)
+	}
+	for _, kind := range []string{"off", "grace-addr"} {
+		code, _, stderr := runHelper(t, "replay", "-journal", jnl, "-detect", kind)
+		want := `haccrg: a fault plan needs a detector with a health report, got "` + kind + `"`
+		if code != exitError || !strings.Contains(stderr, want) {
+			t.Errorf("replay under %s: exit %d, stderr %q; want exit %d and %q", kind, code, stderr, exitError, want)
+		}
+	}
+	for _, extra := range [][]string{nil, {"-detect", "sw-haccrg"}} {
+		code, stdout, stderr := runHelper(t, append([]string{"replay", "-journal", jnl}, extra...)...)
+		if code != exitOK || !strings.Contains(stdout, "\nMATCH") {
+			t.Errorf("replay %v: exit %d (%s), want a MATCH:\n%s", extra, code, stderr, stdout)
+		}
+	}
+}

@@ -20,16 +20,25 @@ type Detector struct {
 	opt Options
 	env gpu.Env
 
-	kernel   string
-	warpSize int
+	kernel string
+	// kernelIDs numbers the kernel names started since Reset, and
+	// kernelID is the running kernel's number: races are keyed by it
+	// (raceKey), so a report hashes no string, and two launches of one
+	// kernel share their races.
+	kernelIDs map[string]int
+	kernelID  int
+	warpSize  int
 	// warpShift strength-reduces the warp-ID division on the check hot
 	// path: tid>>warpShift when the warp size is a power of two (every
 	// shipped config), -1 to fall back to division when it is not.
 	warpShift int
 
-	// sharedShadow[sm][granule] of packed 12-bit entries; covers each
-	// SM's full shared tile.
-	sharedShadow [][]sharedWord
+	// sharedShadow[sm][granule] of packed 12-bit entries, each SM's
+	// tile sharedEntries long to cover its full shared memory. A tile
+	// is allocated at its SM's first use (sharedTile), so an SM no
+	// block reaches has none.
+	sharedShadow  [][]sharedWord
+	sharedEntries int
 	// gshadow is the global-memory shadow. A granule's entry belongs to
 	// the RDU of the partition its line is interleaved to, and no check
 	// ever touches another partition's entries, so one flat shadow
@@ -42,8 +51,11 @@ type Detector struct {
 	bloom bloom.Config
 
 	races []*Race
-	seen  map[raceKey]*Race
-	sites map[siteKey]struct{}
+	// raceChunk is where newRace takes the next Race from. A chunk is
+	// never grown in place, so the races handed out never move.
+	raceChunk []Race
+	seen      map[raceKey]*Race
+	sites     map[siteKey]struct{}
 
 	// filter and seeder are the static race-freedom filter and the
 	// witness seeder SetStaticFilter and SetWitnessSeeds attached (nil =
@@ -99,10 +111,11 @@ func New(opt Options) (*Detector, error) {
 		return nil, err
 	}
 	return &Detector{
-		opt:   opt,
-		seen:  make(map[raceKey]*Race),
-		sites: make(map[siteKey]struct{}),
-		inj:   fault.New(opt.Fault, opt.FaultSeed),
+		opt:       opt,
+		kernelIDs: make(map[string]int),
+		seen:      make(map[raceKey]*Race),
+		sites:     make(map[siteKey]struct{}),
+		inj:       fault.New(opt.Fault, opt.FaultSeed),
 	}, nil
 }
 
@@ -171,11 +184,29 @@ func (d *Detector) SiteCount(space isa.Space) int {
 // RaceGroups returns the set of distinct (space, kind, category)
 // combinations among detected races — a PC-independent fingerprint
 // used to tell whether an injected defect introduced a new kind of
-// race relative to a baseline run.
+// race relative to a baseline run. It counts the races of each group,
+// then names each group once.
 func (d *Detector) RaceGroups() map[string]int {
-	m := make(map[string]int)
+	type group struct {
+		space isa.Space
+		kind  Kind
+		cat   Category
+		n     int
+	}
+	var gs []group
 	for _, r := range d.races {
-		m[r.Space.String()+"/"+r.Kind.String()+"/"+r.Category.String()]++
+		i := 0
+		for i < len(gs) && (gs[i].space != r.Space || gs[i].kind != r.Kind || gs[i].cat != r.Category) {
+			i++
+		}
+		if i == len(gs) {
+			gs = append(gs, group{space: r.Space, kind: r.Kind, cat: r.Category})
+		}
+		gs[i].n++
+	}
+	m := make(map[string]int, len(gs))
+	for _, g := range gs {
+		m[g.space.String()+"/"+g.kind.String()+"/"+g.cat.String()] = g.n
 	}
 	return m
 }
@@ -184,6 +215,8 @@ func (d *Detector) RaceGroups() map[string]int {
 // experiments; kernel boundaries reset shadow state automatically).
 func (d *Detector) Reset() {
 	d.races = nil
+	d.raceChunk = nil
+	d.kernelIDs = make(map[string]int)
 	d.seen = make(map[raceKey]*Race)
 	d.sites = make(map[siteKey]struct{})
 	d.sharedShadow = nil
@@ -201,6 +234,12 @@ func (d *Detector) KernelStart(env gpu.Env, kernelName string) {
 	cfg := env.Config()
 	d.env = env
 	d.kernel = kernelName
+	id, ok := d.kernelIDs[kernelName]
+	if !ok {
+		id = len(d.kernelIDs)
+		d.kernelIDs[kernelName] = id
+	}
+	d.kernelID = id
 	d.warpSize = cfg.WarpSize
 	d.warpShift = -1
 	if d.warpSize&(d.warpSize-1) == 0 {
@@ -225,17 +264,14 @@ func (d *Detector) KernelStart(env gpu.Env, kernelName string) {
 	}
 	d.parts = cfg.Partitions()
 	d.bloom = cfg.Bloom
-	nsm := cfg.NumSMs
 	entries := cfg.Shared.SizeBytes / d.opt.SharedGranularity
-	if d.sharedShadow == nil || len(d.sharedShadow) != nsm || len(d.sharedShadow[0]) != entries {
-		d.sharedShadow = make([][]sharedWord, nsm)
-		for i := range d.sharedShadow {
-			d.sharedShadow[i] = make([]sharedWord, entries)
-		}
+	if len(d.sharedShadow) != cfg.NumSMs || d.sharedEntries != entries {
+		d.sharedShadow = make([][]sharedWord, cfg.NumSMs)
+		d.sharedEntries = entries
 		d.squar = nil // quarantined cells belonged to the old tiles
 	}
-	for i := range d.sharedShadow {
-		resetShared(d.sharedShadow[i])
+	for _, tile := range d.sharedShadow {
+		resetShared(tile)
 	}
 	d.gshadow.reset()
 	if d.inj != nil {
@@ -257,19 +293,30 @@ func (d *Detector) BlockStart(sm int, sharedBase, sharedSize int) {
 	if !d.opt.Shared || sharedSize == 0 || d.sharedShadow == nil {
 		return
 	}
-	lo, hi := d.sharedExtent(sm, sharedBase, sharedSize)
-	resetShared(d.sharedShadow[sm][lo:hi])
+	lo, hi := d.sharedExtent(sharedBase, sharedSize)
+	resetShared(d.sharedTile(sm)[lo:hi])
+}
+
+// sharedTile returns SM sm's shadow tile, allocating it in the
+// no-access state at its first use. Every path to a tile goes through
+// here, so a tile never allocated reads as fresh, and a check is never
+// skipped for want of one.
+func (d *Detector) sharedTile(sm int) []sharedWord {
+	tile := d.sharedShadow[sm]
+	if tile == nil {
+		tile = make([]sharedWord, d.sharedEntries)
+		resetShared(tile)
+		d.sharedShadow[sm] = tile
+	}
+	return tile
 }
 
 // sharedExtent returns the shadow-entry range [lo, hi) covering a
-// block's shared region on SM sm, clipped to the tile.
-func (d *Detector) sharedExtent(sm, sharedBase, sharedSize int) (lo, hi int) {
+// block's shared region, clipped to the tile.
+func (d *Detector) sharedExtent(sharedBase, sharedSize int) (lo, hi int) {
 	lo = sharedBase / d.opt.SharedGranularity
 	hi = (sharedBase + sharedSize + d.opt.SharedGranularity - 1) / d.opt.SharedGranularity
-	if n := len(d.sharedShadow[sm]); hi > n {
-		hi = n
-	}
-	return lo, hi
+	return lo, min(hi, d.sharedEntries)
 }
 
 // Barrier implements gpu.Detector: reset the block's shared shadow
@@ -279,8 +326,8 @@ func (d *Detector) Barrier(sm, blockID int, sharedBase, sharedSize int, cycle in
 	if !d.opt.Shared || sharedSize == 0 {
 		return 0
 	}
-	lo, hi := d.sharedExtent(sm, sharedBase, sharedSize)
-	resetShared(d.sharedShadow[sm][lo:hi])
+	lo, hi := d.sharedExtent(sharedBase, sharedSize)
+	resetShared(d.sharedTile(sm)[lo:hi])
 	d.stats.BarrierInval++
 	if !d.opt.ModelTraffic {
 		return 0 // software builds charge their own costs
@@ -354,14 +401,15 @@ func (d *Detector) reportProv(prov string, space isa.Space, kind Kind, cat Categ
 	} else {
 		d.stats.GlobalReports++
 	}
-	key := raceKey{d.kernel, space, kind, cat, pc, granule}
+	key := raceKey{d.kernelID, space, kind, cat, pc, granule}
 	if r, ok := d.seen[key]; ok {
 		r.Count++
 		return
 	}
 	// A repeat report shares its race's (space, kind, granule).
 	d.sites[siteKey{space, kind, granule}] = struct{}{}
-	r := &Race{
+	r := d.newRace()
+	*r = Race{
 		Kernel: d.kernel, Space: space, Kind: kind, Category: cat,
 		PC: pc, Stmt: stmt, Granule: granule, Addr: addr,
 		FirstTid: firstTid, FirstBlock: firstBlock,
@@ -371,6 +419,18 @@ func (d *Detector) reportProv(prov string, space isa.Space, kind Kind, cat Categ
 	}
 	d.seen[key] = r
 	d.races = append(d.races, r)
+}
+
+// newRace takes the next Race from the current chunk, starting a new
+// one when it is full. Each chunk is as long as the race list so far,
+// between 16 and 1024 races, so a run allocates a few chunks rather
+// than one object per race.
+func (d *Detector) newRace() *Race {
+	if len(d.raceChunk) == cap(d.raceChunk) {
+		d.raceChunk = make([]Race, 0, min(max(len(d.races), 16), 1024))
+	}
+	d.raceChunk = d.raceChunk[:len(d.raceChunk)+1]
+	return &d.raceChunk[len(d.raceChunk)-1]
 }
 
 // SortedRaces returns races ordered by (kernel, pc, granule) for

@@ -608,6 +608,20 @@ func TestDetectorStatsAndDedup(t *testing.T) {
 	if n := det.SiteCount(isa.SpaceGlobal); n != 32 {
 		t.Errorf("global race sites = %d, want 32", n)
 	}
+	// Races are deduplicated per kernel name, not per launch: a second
+	// launch of the kernel adds no distinct race, and the same program
+	// under another name adds its own.
+	k := crossBlockKernel(out)
+	n := len(det.Races())
+	launch(t, dev, k)
+	if got := len(det.Races()); got != n {
+		t.Errorf("relaunching %s took the distinct races from %d to %d", k.Name, n, got)
+	}
+	k.Name += "-renamed"
+	launch(t, dev, k)
+	if got := len(det.Races()); got != 2*n {
+		t.Errorf("the renamed kernel took the distinct races from %d to %d, want %d", n, got, 2*n)
+	}
 	det.Reset()
 	if len(det.Races()) != 0 || det.SiteCount(isa.SpaceGlobal) != 0 {
 		t.Error("Reset left state")

@@ -64,6 +64,10 @@ func TestFigure3StateMachine(t *testing.T) {
 		{"first-read-sets-owner", []access{{0, false}}, nil},
 		// State 1 -> State 3 (first access a write).
 		{"first-write-sets-modified", []access{{0, true}}, nil},
+		// The same from a thread outside warp 0: a shadow tile built at
+		// its first touch starts in State 1 for every thread.
+		{"first-read-other-warp", []access{{40, false}}, nil},
+		{"first-write-other-warp", []access{{40, true}}, nil},
 
 		// State 2 transitions.
 		{"state2-read-same-thread", []access{{0, false}, {0, false}}, nil},

@@ -139,8 +139,10 @@ func RacesOf(det gpu.Detector) []*Race {
 	return nil
 }
 
+// raceKey is a race's identity. The kernel is its name's number
+// (Detector.kernelIDs), so the key holds no string.
 type raceKey struct {
-	kernel  string
+	kernel  int
 	space   isa.Space
 	kind    Kind
 	cat     Category

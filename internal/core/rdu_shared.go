@@ -28,7 +28,7 @@ func (d *Detector) sharedRDU(ev *gpu.WarpMemEvent) int64 {
 		return 0
 	}
 
-	shadow := d.sharedShadow[ev.SM]
+	shadow := d.sharedTile(ev.SM)
 
 	// Intra-warp WAW: two lanes of this instruction writing the same
 	// byte address, checked before the request issues.

@@ -100,7 +100,12 @@ func (d *Detector) Report() *Report {
 	if h := d.Health(); h.Degraded {
 		rep.Health = h
 	}
-	for _, r := range d.SortedRaces() {
+	sorted := d.SortedRaces()
+	if len(sorted) > 0 {
+		// Left nil with no races: the report encodes "races": null.
+		rep.Races = make([]ReportRace, 0, len(sorted))
+	}
+	for _, r := range sorted {
 		rep.Summary.ByKind[r.Kind.String()]++
 		rep.Summary.ByCategory[r.Category.String()]++
 		rep.Races = append(rep.Races, ReportRace{

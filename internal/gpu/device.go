@@ -159,8 +159,12 @@ func (d *Device) LaunchContext(ctx context.Context, k *Kernel, lim LaunchLimits)
 	clear(d.fenceHist)
 
 	// Fresh per-launch component state: non-coherent L1s are invalid
-	// at kernel boundaries; stats counters restart.
+	// at kernel boundaries; stats counters restart. An SM no block has
+	// reached has nothing to reset.
 	for _, s := range d.sms {
+		if !s.built() {
+			continue
+		}
 		s.l1.Flush()
 		s.l1.Stats = mem.CacheStats{}
 		s.issueFree = 0
@@ -249,6 +253,9 @@ func (d *Device) finalize(st *LaunchStats, k *Kernel) *LaunchStats {
 	st.MaxSyncID = d.maxSync
 	st.MaxFenceID = d.maxFence
 	for _, s := range d.sms {
+		if !s.built() {
+			continue
+		}
 		st.L1.ReadHits += s.l1.Stats.ReadHits
 		st.L1.ReadMisses += s.l1.Stats.ReadMisses
 		st.L1.WriteHits += s.l1.Stats.WriteHits
@@ -329,6 +336,7 @@ func (d *Device) ShadowTx(part int, cycle int64, addr uint64, write bool) int64 
 // the full L1 -> NoC -> L2/DRAM path (software instrumentation).
 func (d *Device) InstrTx(smID int, cycle int64, addr uint64, write bool) int64 {
 	s := d.sms[smID]
+	s.build() // a detector may name an SM no block has reached
 	seg := uint64(d.cfg.SegmentBytes)
 	line := addr &^ (seg - 1)
 	part := d.partitions.Of(line)
@@ -349,6 +357,7 @@ func (d *Device) InstrTx(smID int, cycle int64, addr uint64, write bool) int64 {
 // smID, bypassing the L1 and serializing at the partition.
 func (d *Device) InstrAtomicTx(smID int, cycle int64, addr uint64) int64 {
 	s := d.sms[smID]
+	s.build() // a detector may name an SM no block has reached
 	seg := uint64(d.cfg.SegmentBytes)
 	line := addr &^ (seg - 1)
 	s.l1.Invalidate(line)

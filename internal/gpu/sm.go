@@ -32,6 +32,9 @@ type sm struct {
 	id  int
 	dev *Device
 
+	// shared, l1, mshr and the instruction scratch below are built at
+	// the SM's first block (build): an SM that hosts none never issues,
+	// so it never touches them (DESIGN.md, "Idle SMs build nothing").
 	shared *mem.Shared
 	l1     *mem.Cache
 
@@ -81,29 +84,44 @@ type lineState struct {
 }
 
 func newSM(id int, dev *Device) *sm {
-	ws := dev.cfg.WarpSize
 	return &sm{
 		id:        id,
 		dev:       dev,
-		shared:    mem.NewShared(dev.cfg.Shared),
-		l1:        mem.MustNewCache(dev.cfg.L1),
 		blocks:    make([]*block, dev.cfg.MaxBlocksPerSM),
 		slotWarps: make([][]*warp, dev.cfg.MaxBlocksPerSM),
-		mshr:      make(map[uint64]int64),
-		ev:        WarpMemEvent{Lanes: make([]LaneAccess, 0, ws)},
-		addrs:     make([]laneAddr, 0, ws),
-		flat:      make([]uint64, 0, ws),
-		// An access can straddle a segment boundary, so a warp touches
-		// up to two lines per lane.
-		lines:  make([]uint64, 0, 2*ws),
-		lstate: make([]lineState, 0, 2*ws),
 	}
+}
+
+// built reports whether the SM has built its caches and scratch.
+func (s *sm) built() bool { return s.l1 != nil }
+
+// build allocates the SM's shared tile (unbacked until place covers
+// it), L1, MSHRs and instruction scratch, once. A late-built L1 equals
+// a flushed one: Flush zeroes every line, and LRU compares stamps only
+// within a set.
+func (s *sm) build() {
+	if s.built() {
+		return
+	}
+	ws := s.dev.cfg.WarpSize
+	s.shared = mem.NewShared(s.dev.cfg.Shared)
+	s.l1 = mem.MustNewCache(s.dev.cfg.L1)
+	s.mshr = make(map[uint64]int64)
+	s.ev = WarpMemEvent{Lanes: make([]LaneAccess, 0, ws)}
+	s.addrs = make([]laneAddr, 0, ws)
+	s.flat = make([]uint64, 0, ws)
+	// An access can straddle a segment boundary, so a warp touches up
+	// to two lines per lane.
+	s.lines = make([]uint64, 0, 2*ws)
+	s.lstate = make([]lineState, 0, 2*ws)
 }
 
 // place installs a block into a residency slot, on the warps of the
 // block that last held the slot; only a slot that needs more warps
-// than it has allocates.
+// than it has allocates. The SM's first block builds it, and the tile
+// is backed up to the end of the block's window.
 func (s *sm) place(slot int, bid int, k *Kernel, startCycle int64) {
+	s.build()
 	ws := s.dev.cfg.WarpSize
 	nw := (k.BlockDim + ws - 1) / ws
 	b := &block{
@@ -115,6 +133,7 @@ func (s *sm) place(slot int, bid int, k *Kernel, startCycle int64) {
 		liveWarp:   nw,
 	}
 	if k.SharedBytes > 0 {
+		s.shared.Cover(b.sharedBase + k.SharedBytes)
 		s.shared.Clear(b.sharedBase, k.SharedBytes)
 	}
 	s.dev.detector.BlockStart(s.id, b.sharedBase, k.SharedBytes)

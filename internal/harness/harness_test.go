@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -197,5 +198,52 @@ func TestSchedulerStudy(t *testing.T) {
 	}
 	if !strings.Contains(txt, "round-robin") {
 		t.Fatalf("study output malformed:\n%s", txt)
+	}
+}
+
+// TestRaceFreeReportEncodesNullRaces: the JSON report of a run with no
+// races encodes "races": null, as it always has; a report that sized
+// its race list up front would encode [] instead, which no output pin
+// would catch.
+func TestRaceFreeReportEncodesNullRaces(t *testing.T) {
+	rc := RunConfig{Bench: "scan", SingleBlock: true, Detector: DetSharedGlobal, GPU: testGPU()}
+	res, err := ExecContext(context.Background(), rc, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Races) != 0 {
+		t.Fatalf("single-block scan reported %d races", len(res.Races))
+	}
+	var js strings.Builder
+	if err := res.Report.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(js.String(), `"races": null`) {
+		t.Errorf("race-free report does not encode \"races\": null:\n%s", js.String())
+	}
+}
+
+// TestRaceGroupsMatchPerRaceFormatting: over the races of the ten
+// Table II benchmarks at scale 1 on the Table I machine, RaceGroups
+// equals counting each race under its own space/kind/category string.
+func TestRaceGroupsMatchPerRaceFormatting(t *testing.T) {
+	groups := 0
+	for _, bm := range kernels.All() {
+		rc := RunConfig{Bench: bm.Name, Scale: 1, Detector: DetSharedGlobal}
+		res, err := ExecContext(context.Background(), rc, ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", bm.Name, err)
+		}
+		want := make(map[string]int)
+		for _, r := range res.Races {
+			want[r.Space.String()+"/"+r.Kind.String()+"/"+r.Category.String()]++
+		}
+		if !reflect.DeepEqual(res.Groups, want) {
+			t.Errorf("%s: RaceGroups = %v, want %v", bm.Name, res.Groups, want)
+		}
+		groups += len(want)
+	}
+	if groups < 2 {
+		t.Fatalf("the suite's races fall in %d groups; the comparison needs several", groups)
 	}
 }

@@ -372,9 +372,11 @@ func witnessSeeds(f *staticrace.Filter, ks []*gpu.Kernel) seedSet {
 // journal.Replay: the one function the replay CLI and the daemon's
 // replay jobs share. A non-empty override replaces the recorded kind.
 // Replaying under the recorded kind installs the recorded witness seed
-// set, so a seeded run replays to its live verdict. With no surviving
-// meta record the run replays under shared+global (or the override).
-// The returned RunConfig is what the detector was built from.
+// set, so a seeded run replays to its live verdict. A recorded fault
+// plan is refused under a kind with no health report, as Validate
+// refuses it live. With no surviving meta record the run replays under
+// shared+global (or the override). The returned RunConfig is what the
+// detector was built from.
 func DetectorForJournal(src io.ReadSeeker, override DetectorKind) (gpu.Detector, RunConfig, error) {
 	meta, err := journal.ReadMeta(src)
 	if err != nil {
@@ -398,6 +400,9 @@ func DetectorForJournal(src io.ReadSeeker, override DetectorKind) (gpu.Detector,
 	recorded := rc.Detector
 	if override != "" {
 		rc.Detector = override
+	}
+	if err := rc.checkFaultPlan(); err != nil {
+		return nil, rc, err
 	}
 	det, eng, err := detectorFor(rc)
 	if err != nil {

@@ -178,8 +178,8 @@ func (rc RunConfig) Validate() error {
 		return fmt.Errorf("cycle budget %d is negative", rc.MaxCycles)
 	case rc.Timeout < 0:
 		return fmt.Errorf("timeout %v is negative", rc.Timeout)
-	case rc.FaultPlan != "" && !rc.Detector.Reports():
-		return fmt.Errorf("a fault plan needs a detector with a health report, got %q", rc.Detector)
+	case rc.checkFaultPlan() != nil:
+		return rc.checkFaultPlan()
 	case rc.StaticFilter && !rc.Detector.hardware():
 		return fmt.Errorf("the static filter needs a hardware HAccRG detector, got %q", rc.Detector)
 	case rc.WitnessSeed && !rc.Detector.hardware():
@@ -193,6 +193,16 @@ func (rc RunConfig) Validate() error {
 			}
 			return fmt.Errorf("%w injection site %q for %s (its sites: %s)", ErrUnknown, id, bm.Name, strings.Join(ids, " "))
 		}
+	}
+	return nil
+}
+
+// checkFaultPlan refuses a fault plan under a kind with no health
+// report, where its degradation would pass unreported. Validate and
+// DetectorForJournal both apply it.
+func (rc RunConfig) checkFaultPlan() error {
+	if rc.FaultPlan != "" && !rc.Detector.Reports() {
+		return fmt.Errorf("a fault plan needs a detector with a health report, got %q", rc.Detector)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,6 +47,46 @@ func TestValidate(t *testing.T) {
 		}
 		if errors.Is(err, ErrUnknown) != c.unknown {
 			t.Errorf("%+v: %v; wraps ErrUnknown = %t, want %t", rc, err, !c.unknown, c.unknown)
+		}
+	}
+}
+
+// TestReplayRefusesFaultPlanWithoutHealth: a journal recorded under a
+// fault plan is refused under a kind with no health report, with
+// Validate's message for the same run, as the live run would be; under
+// a kind that reports health it builds, and through the recorded kind
+// it replays to the live verdict.
+func TestReplayRefusesFaultPlanWithoutHealth(t *testing.T) {
+	rc := RunConfig{Bench: "hist", Detector: DetSharedGlobal, GPU: testGPU(), FaultPlan: "queue:cap=1,drain=1"}
+	var jnl bytes.Buffer
+	if _, err := ExecContext(context.Background(), rc, ExecOptions{Record: &jnl}); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []DetectorKind{DetOff, DetGRace} {
+		live := rc
+		live.Detector = kind
+		want := live.Validate()
+		_, _, err := DetectorForJournal(bytes.NewReader(jnl.Bytes()), kind)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("replay under %s: %v; want Validate's %v", kind, err, want)
+		} else if !strings.Contains(err.Error(), string(kind)) {
+			t.Errorf("replay under %s: %q does not name the kind", kind, err)
+		}
+	}
+	for _, kind := range []DetectorKind{DetSoftware, DetShared, ""} {
+		det, _, err := DetectorForJournal(bytes.NewReader(jnl.Bytes()), kind)
+		if err != nil {
+			t.Fatalf("replay under %q: %v", kind, err)
+		}
+		if kind != "" {
+			continue
+		}
+		res, err := journal.Replay(bytes.NewReader(jnl.Bytes()), det)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Match {
+			t.Errorf("recorded kind: recorded %d races, replayed %d", len(res.Recorded), len(res.Replayed))
 		}
 	}
 }

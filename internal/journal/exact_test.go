@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -109,7 +110,8 @@ func TestReplayMatchesReference(t *testing.T) {
 // TestReplayKernelEndLayoutMatchesReference: on the layout the sharded
 // engines of earlier versions wrote, the read-ahead holds payloads,
 // and the replay still gives the reference's result through every
-// kind, under a fault plan too.
+// kind, under a fault plan too. The kinds with no health report refuse
+// the fault plan's journal, naming themselves.
 func TestReplayKernelEndLayoutMatchesReference(t *testing.T) {
 	det := haccrg.DefaultDetection()
 	plain, _ := recordRun(t, "reduce", haccrg.RunOptions{Detection: &det})
@@ -125,6 +127,13 @@ func TestReplayKernelEndLayoutMatchesReference(t *testing.T) {
 	}
 	for what, data := range cases {
 		for _, kind := range allKinds {
+			if what == "reduce-faulted" && !kind.Reports() {
+				_, _, err := harness.DetectorForJournal(bytes.NewReader(data), kind)
+				if err == nil || !strings.Contains(err.Error(), "a fault plan needs a detector with a health report, got \""+string(kind)+"\"") {
+					t.Errorf("%s through %s: %v, want the fault plan refused", what, kind, err)
+				}
+				continue
+			}
 			res, held := replayBoth(t, what, data, kind)
 			if kind == harness.DetSharedGlobal {
 				if !res.Match {

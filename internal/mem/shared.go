@@ -30,9 +30,20 @@ type Shared struct {
 	perBank []int64
 }
 
-// NewShared allocates a shared-memory tile.
+// NewShared builds a shared-memory tile with no bytes backed yet;
+// Cover backs the ones its blocks use.
 func NewShared(cfg SharedConfig) *Shared {
-	return &Shared{cfg: cfg, Mem: NewMemory("shared", cfg.SizeBytes), perBank: make([]int64, cfg.Banks)}
+	return &Shared{cfg: cfg, Mem: NewMemory("shared", 0), perBank: make([]int64, cfg.Banks)}
+}
+
+// Cover backs the tile's first n bytes, capped at its size. Bytes it
+// adds read zero.
+func (s *Shared) Cover(n int) {
+	n = min(n, s.cfg.SizeBytes)
+	if old := s.Mem.data; n > len(old) {
+		s.Mem.data = make([]byte, n)
+		copy(s.Mem.data, old)
+	}
 }
 
 // ConflictCyclesFor computes how many cycles a warp's shared-memory

@@ -268,6 +268,49 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayFaultPlanNeedsHealth: a journal recorded under a fault
+// plan, replayed with the grace-addr override, fails with the message
+// the live run under grace-addr is refused with; the recorded kind
+// still replays it to the recorded verdict.
+func TestReplayFaultPlanNeedsHealth(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := haccrg.SmallGPU()
+	d := haccrg.DefaultDetection()
+	_, err := haccrg.RunBenchmark("hist", haccrg.RunOptions{
+		GPU: &cfg, Detection: &d, FaultPlan: "queue:cap=1,drain=1", Record: &buf,
+	})
+	if err != nil {
+		t.Fatalf("recording run: %v", err)
+	}
+
+	s, hs := newHTTPServer(t, nil)
+	s.Start()
+	defer s.Drain(expiredCtx(t))
+	cl := &Client{BaseURL: hs.URL, Tenant: "t"}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, override := range []string{"grace-addr", ""} {
+		id, err := cl.SubmitReplay(ctx, buf.Bytes(), override)
+		if err != nil {
+			t.Fatalf("SubmitReplay(%q): %v", override, err)
+		}
+		st, err := cl.Wait(ctx, id)
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		if override == "" {
+			if st.State != StateDone || st.Replay == nil || st.Replay.Match == nil || !*st.Replay.Match {
+				t.Errorf("recorded kind: state %s (%s), summary %+v; want a matching replay", st.State, st.Error, st.Replay)
+			}
+			continue
+		}
+		want := `a fault plan needs a detector with a health report, got "grace-addr"`
+		if st.State != StateFailed || !strings.Contains(st.Error, want) {
+			t.Errorf("grace-addr override: state %s (%q), want failed with %q", st.State, st.Error, want)
+		}
+	}
+}
+
 func TestClientRetriesHonorRetryAfter(t *testing.T) {
 	var calls atomic.Int64
 	var slept []time.Duration
